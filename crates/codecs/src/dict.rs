@@ -15,18 +15,41 @@
 //! into it are shortest.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+use lzkit::PrefixIndex;
 
 /// Shared compression history plus an identifier carried in frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A dictionary that compresses also carries a *prepared* form: a match
+/// index over its content ([`lzkit::PrefixIndex`]), built by the first
+/// compress that can use it and reused by every later one, so a
+/// 250-byte item no longer pays for re-hashing 12 KiB of dictionary.
+/// Clones share it. Decoding never needs it and never builds it.
+/// Equality is content and id; the index is derived state.
+#[derive(Debug, Clone)]
 pub struct Dictionary {
     data: Vec<u8>,
     id: u32,
+    index: Arc<OnceLock<PrefixIndex>>,
 }
+
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.data == other.data
+    }
+}
+
+impl Eq for Dictionary {}
 
 impl Dictionary {
     /// Wraps raw dictionary content with an id.
     pub fn new(data: Vec<u8>, id: u32) -> Self {
-        Self { data, id }
+        Self {
+            data,
+            id,
+            index: Arc::default(),
+        }
     }
 
     /// The dictionary content used as LZ history.
@@ -47,6 +70,25 @@ impl Dictionary {
     /// True when the dictionary carries no content.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// The match index over the content, built on first call.
+    pub(crate) fn index(&self) -> &PrefixIndex {
+        self.index.get_or_init(|| PrefixIndex::build(&self.data))
+    }
+
+    /// Heap bytes the match index holds right now: zero until a compress
+    /// has built it, and again after [`Self::release_index`].
+    pub fn index_bytes(&self) -> usize {
+        self.index.get().map_or(0, PrefixIndex::heap_bytes)
+    }
+
+    /// Drops this handle's claim on the match index (clones keep
+    /// theirs). For a dictionary that will only decode from now on — a
+    /// superseded generation — so its index memory goes with the role.
+    /// Compressing with it again simply rebuilds the index.
+    pub fn release_index(&mut self) {
+        self.index = Arc::default();
     }
 }
 
@@ -203,6 +245,47 @@ mod tests {
             (with_dict as f64) < plain as f64 * 0.8,
             "dict {with_dict} should be well below plain {plain}"
         );
+    }
+
+    #[test]
+    fn equality_ignores_the_index_and_clones_share_it() {
+        let content = typed_samples(40).concat();
+        let a = Dictionary::new(content.clone(), 5);
+        let b = Dictionary::new(content.clone(), 5);
+        assert_eq!(a.index_bytes(), 0, "nothing is built up front");
+        let shared = a.clone();
+        Zstdx::new(3).compress_with_dict(b"{\"schema\":\"cache.item.v2\"}", &a);
+        assert!(a.index_bytes() > 0, "the first compress builds the index");
+        assert_eq!(shared.index_bytes(), a.index_bytes(), "clones share it");
+        assert_eq!(b.index_bytes(), 0);
+        assert_eq!(a, b, "an indexed dictionary equals its unindexed twin");
+        assert_ne!(a, Dictionary::new(content.clone(), 6));
+        assert_ne!(a, Dictionary::new(content[1..].to_vec(), 5));
+        // A clone taken after the build shares it too, and releasing
+        // one handle leaves the others'.
+        let mut late = a.clone();
+        assert_eq!(late.index_bytes(), a.index_bytes());
+        late.release_index();
+        assert_eq!(late.index_bytes(), 0);
+        assert!(a.index_bytes() > 0);
+        assert_eq!(late, a);
+    }
+
+    #[test]
+    fn decoding_and_rebinding_never_build_an_index() {
+        let content = typed_samples(40).concat();
+        let dict = Dictionary::new(content, 5);
+        let c = Zstdx::new(3);
+        let msg = typed_samples(41).pop().unwrap();
+        let frame = c.compress_with_dict(&msg, &dict);
+        // The managed decode-retry path: same content under another id.
+        let rebound = Dictionary::new(dict.as_bytes().to_vec(), 5);
+        assert_eq!(c.decompress_with_dict(&frame, &rebound).unwrap(), msg);
+        assert_eq!(rebound.index_bytes(), 0);
+        let mut released = dict.clone();
+        released.release_index();
+        assert_eq!(c.decompress_with_dict(&frame, &released).unwrap(), msg);
+        assert_eq!(released.index_bytes(), 0);
     }
 
     #[test]

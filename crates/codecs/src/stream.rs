@@ -96,6 +96,7 @@ impl<W: Write> CompressWriter<W> {
             &self.buf,
             self.history_len,
             end,
+            None,
             &self.params,
             last,
             true,

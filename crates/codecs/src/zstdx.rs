@@ -19,12 +19,14 @@
 //! shrink tables for speed, 1–2 use the fast single-probe finder, 3–12
 //! hash chains of growing depth, 13+ the optimal parser.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use entropy::bitio::{BitWriter, RevBitSrc, ReverseBitReader, ReverseBitReaderFast};
 use entropy::fse::{FseDecoder, FseEncoder, FseTable};
 use entropy::huffman::HuffmanTable;
-use lzkit::{MatchParams, ParsedBlock, Strategy};
+use lzkit::{MatchParams, ParsedBlock, PrefixIndex, Strategy};
 
 use crate::codes::{
     ll_code, ll_extra, ml_code, ml_extra, of_code, of_extra, predefined_ll, predefined_ml,
@@ -213,16 +215,36 @@ impl Zstdx {
                 let mut b = Vec::with_capacity(d.as_bytes().len() + src.len());
                 b.extend_from_slice(d.as_bytes());
                 b.extend_from_slice(src);
-                (b, d.as_bytes().len())
+                (Cow::Owned(b), d.as_bytes().len())
             }
-            None => (src.to_vec(), 0),
+            None => (Cow::Borrowed(src), 0),
         };
 
         let mut start = base;
         let mut any_v4 = false;
         while start < buf.len() {
             let end = (start + BLOCK_SIZE).min(buf.len());
-            any_v4 |= self.compress_block(&buf, start, end, &mut out, timing.as_deref_mut());
+            // The dictionary's prepared index pays while the block is
+            // no longer than the dictionary: a sub-KB item then hashes
+            // itself instead of 12 KiB of history. Past that, indexing
+            // the dictionary per call is a small share of the block's
+            // own work, and a walk that had to hop to a second table at
+            // every exhausted chain measured slower on large blocks.
+            let index = dict
+                .filter(|d| end - start <= d.len())
+                .map(Dictionary::index);
+            any_v4 |= write_block_opts(
+                &buf,
+                start,
+                end,
+                index,
+                &self.params,
+                false,
+                self.rep_offsets,
+                self.streams,
+                &mut out,
+                timing.as_deref_mut(),
+            );
             start = end;
         }
         // The flag byte is patched after the fact: only frames that
@@ -237,27 +259,6 @@ impl Zstdx {
             out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
         }
         out
-    }
-
-    fn compress_block(
-        &self,
-        buf: &[u8],
-        start: usize,
-        end: usize,
-        out: &mut Vec<u8>,
-        timing: Option<&mut StageTiming>,
-    ) -> bool {
-        write_block_opts(
-            buf,
-            start,
-            end,
-            &self.params,
-            false,
-            self.rep_offsets,
-            self.streams,
-            out,
-            timing,
-        )
     }
 }
 
@@ -280,6 +281,7 @@ pub(crate) fn write_block(
         buf,
         start,
         end,
+        None,
         params,
         last,
         true,
@@ -290,9 +292,10 @@ pub(crate) fn write_block(
 }
 
 /// [`write_block`] with the repeat-offset ablation knob and the
-/// multi-stream policy exposed. Returns whether the written block uses
-/// the v4 layout (the caller must then set [`FLAG_V4`] in its frame
-/// header).
+/// multi-stream policy exposed, and optionally a prepared index over the
+/// head of `buf` for the match finder to attach. Returns whether the
+/// written block uses the v4 layout (the caller must then set
+/// [`FLAG_V4`] in its frame header).
 // indexing_slicing: encode side — `start <= end <= buf.len()` is the
 // frame writer's block-split invariant, and `data[0]` sits behind the
 // `data.len() >= 2` RLE check.
@@ -302,6 +305,7 @@ pub(crate) fn write_block_opts(
     buf: &[u8],
     start: usize,
     end: usize,
+    prefix: Option<&PrefixIndex>,
     params: &MatchParams,
     last: bool,
     use_reps: bool,
@@ -322,7 +326,7 @@ pub(crate) fn write_block_opts(
         }
 
         let mf_start = Instant::now();
-        let parsed = lzkit::parse(&buf[..end], start, params);
+        let parsed = lzkit::parse_with_prefix(&buf[..end], start, params, prefix);
         // The optimal parser prices offsets without repeat-offset
         // awareness; at the highest levels, also try a rep-friendly lazy
         // parse (moderate search depth, early target exit — deep
@@ -335,7 +339,7 @@ pub(crate) fn write_block_opts(
                 target_length: 160,
                 ..*params
             };
-            lzkit::parse(&buf[..end], start, &lazy)
+            lzkit::parse_with_prefix(&buf[..end], start, &lazy, prefix)
         });
         let mf_elapsed = mf_start.elapsed();
 
@@ -534,7 +538,7 @@ pub(crate) fn level_params(level: i32) -> MatchParams {
 enum TableChoice {
     Predefined(&'static FseTable),
     Described(FseTable),
-    Rle(u8, FseTable),
+    Rle(u8),
 }
 
 impl TableChoice {
@@ -542,7 +546,7 @@ impl TableChoice {
         match self {
             TableChoice::Predefined(t) => t,
             TableChoice::Described(t) => t,
-            TableChoice::Rle(_, t) => t,
+            TableChoice::Rle(code) => single_symbol_table(*code),
         }
     }
 
@@ -550,17 +554,25 @@ impl TableChoice {
         match self {
             TableChoice::Predefined(_) => MODE_PREDEFINED,
             TableChoice::Described(_) => MODE_FSE,
-            TableChoice::Rle(..) => MODE_RLE,
+            TableChoice::Rle(_) => MODE_RLE,
         }
     }
 }
 
-// indexing_slicing: `norm` is sized `max(alphabet, code + 1)`.
+/// The 32-state table whose every state codes `code`: what an RLE lane
+/// runs its FSE state through (zero bits per symbol, a 5-bit final
+/// state). It depends on the code alone, so each is built once per
+/// process instead of once per lane per block.
+// indexing_slicing: a `u8` indexes a 256-slot array; `norm` is sized
+// `code + 1`.
 #[allow(clippy::indexing_slicing)]
-fn single_symbol_table(code: u8, alphabet: usize) -> FseTable {
-    let mut norm = vec![0u32; alphabet.max(code as usize + 1)];
-    norm[code as usize] = 32;
-    FseTable::from_normalized(&norm, 5).expect("single-symbol table always builds")
+fn single_symbol_table(code: u8) -> &'static FseTable {
+    static TABLES: [OnceLock<FseTable>; 256] = [const { OnceLock::new() }; 256];
+    TABLES[code as usize].get_or_init(|| {
+        let mut norm = vec![0u32; code as usize + 1];
+        norm[code as usize] = 32;
+        FseTable::from_normalized(&norm, 5).expect("single-symbol table always builds")
+    })
 }
 
 // indexing_slicing: encode side — callers pass non-empty `codes` drawn
@@ -570,7 +582,12 @@ fn choose_table(codes: &[u8], predefined: &'static FseTable, alphabet: usize) ->
     debug_assert!(!codes.is_empty());
     let first = codes[0];
     if codes.iter().all(|&c| c == first) {
-        return TableChoice::Rle(first, single_symbol_table(first, alphabet));
+        return TableChoice::Rle(first);
+    }
+    // A described table only pays off with enough sequences to amortize
+    // its description.
+    if codes.len() < 48 {
+        return TableChoice::Predefined(predefined);
     }
     let mut freq = vec![0u32; alphabet];
     for &c in codes {
@@ -584,11 +601,6 @@ fn choose_table(codes: &[u8], predefined: &'static FseTable, alphabet: usize) ->
         .filter(|&(_, &f)| f > 0)
         .map(|(s, &f)| f as f64 * predefined.symbol_cost_bits(s as u16))
         .sum();
-    // A described table only pays off with enough sequences to amortize
-    // its description.
-    if codes.len() < 48 {
-        return TableChoice::Predefined(predefined);
-    }
     match FseTable::from_frequencies(&freq, 9, codes.len()) {
         Ok(t) => {
             let own_bits: f64 = freq
@@ -667,19 +679,26 @@ fn encode_block_payload_opts(
         write_varint(&mut out, lits.len() as u64);
         out.push(lits[0]);
     } else {
-        let freqs = entropy::hist::byte_histogram(lits);
-        let encoded = HuffmanTable::build(&freqs, 11).and_then(|table| {
-            let bits = table.encoded_bits(&freqs);
-            // Four substreams pay three extra size words and up to
-            // three bytes of per-stream padding on top of the
-            // single-stream estimate.
-            let estimated = 128 + (bits as usize).div_ceil(8) + if four { 24 } else { 8 };
-            (estimated < lits.len()).then(|| {
-                let mut sec = Vec::with_capacity(estimated);
-                write_nibble_lengths(&mut sec, table.lengths());
-                (sec, table)
-            })
-        });
+        // Estimated section size: table description, payload, and the
+        // stream-size words (four substreams pay three extra words and
+        // up to three bytes of per-stream padding).
+        let estimate =
+            |payload_bits: usize| 128 + payload_bits.div_ceil(8) + if four { 24 } else { 8 };
+        // Every coded literal costs at least one bit, so when even that
+        // floor cannot beat raw there is no table worth building — the
+        // common case on dictionary-compressed items, whose literal
+        // sections run to a few dozen bytes.
+        let encoded = (estimate(lits.len()) < lits.len())
+            .then(|| entropy::hist::byte_histogram(lits))
+            .and_then(|freqs| {
+                let table = HuffmanTable::build(&freqs, 11)?;
+                let estimated = estimate(table.encoded_bits(&freqs) as usize);
+                (estimated < lits.len()).then(|| {
+                    let mut sec = Vec::with_capacity(estimated);
+                    write_nibble_lengths(&mut sec, table.lengths());
+                    (sec, table)
+                })
+            });
         match encoded {
             Some((table_desc, table)) if four => {
                 used_v4 = true;
@@ -757,7 +776,7 @@ fn encode_block_payload_opts(
         match choice {
             TableChoice::Predefined(_) => {}
             TableChoice::Described(t) => t.write_description(&mut out),
-            TableChoice::Rle(code, _) => out.push(*code),
+            TableChoice::Rle(code) => out.push(*code),
         }
     }
 
@@ -933,7 +952,7 @@ pub(crate) fn decode_block_payload<const FAST: bool>(
                 if code as usize >= alphabet {
                     return Err(c.corrupt("zstdx rle code out of range"));
                 }
-                Ok(FseTableRef::Owned(single_symbol_table(code, alphabet)))
+                Ok(FseTableRef::Static(single_symbol_table(code)))
             }
             _ => Err(c.corrupt("zstdx bad table mode")),
         }

@@ -10,6 +10,8 @@
 //! bit-reversed so the decoder can peek a fixed `max_bits`-wide window and
 //! index a flat lookup table.
 
+use std::sync::OnceLock;
+
 use crate::bitio::{quad_readers_fast, BitReader, BitReaderFast, BitSrc, BitWriter};
 use crate::{Error, Result};
 
@@ -39,7 +41,57 @@ struct PairEntry {
     nsyms: u8,
 }
 
-/// A built Huffman code: per-symbol lengths/codes plus a flat decode table.
+/// The decode-side tables of a [`HuffmanTable`]: derived from the
+/// lengths alone, and the expensive part of a table (`2 << max_bits`
+/// slots against a few hundred lengths and codes).
+#[derive(Debug, Clone)]
+struct DecodeTables {
+    /// Flat table of size `1 << max_bits`: window -> (symbol, len).
+    flat: Vec<(u16, u8)>,
+    /// Multi-symbol table (same indexing), built when
+    /// `max_bits <= PAIR_TABLE_MAX_BITS`.
+    pair: Option<Vec<PairEntry>>,
+}
+
+impl DecodeTables {
+    // indexing_slicing: table construction. The fill index starts at
+    // `rev < 2^l <= 2^max_bits` and the loop condition bounds it below
+    // `flat.len()`; `codes` and `lens` have one entry per symbol.
+    #[allow(clippy::indexing_slicing)]
+    fn new(lens: &[u8], codes: &[u16], max_bits: u32) -> Self {
+        let mut flat = vec![(0u16, 0u8); 1usize << max_bits];
+        for (sym, &l) in lens.iter().enumerate() {
+            if l == 0 {
+                continue;
+            }
+            // Fill every slot whose low `l` bits equal the reversed code.
+            let step = 1usize << l;
+            let mut idx = codes[sym] as usize;
+            while idx < flat.len() {
+                flat[idx] = (sym as u16, l);
+                idx += step;
+            }
+        }
+        let pair = (max_bits <= PAIR_TABLE_MAX_BITS).then(|| build_pair_table(&flat, max_bits));
+        Self { flat, pair }
+    }
+}
+
+/// Where a table's decode side is. Decoders get theirs built up front
+/// and read it through plain loads the optimiser can keep in registers
+/// across a symbol loop (an atomic once-cell check per symbol cost the
+/// zlibx single-stream loop ~5%); an encoder's table defers it behind a
+/// once-cell that only a decode through that same table ever fills.
+#[derive(Debug, Clone)]
+enum DecodeSide {
+    Ready(DecodeTables),
+    Deferred(OnceLock<DecodeTables>),
+}
+
+/// A built Huffman code: per-symbol lengths and codes, plus the flat
+/// decode tables, which an encoder never touches and so are only
+/// materialised by the first decode (or eagerly by
+/// [`HuffmanTable::from_lengths`], the decoders' entry).
 #[derive(Debug, Clone)]
 pub struct HuffmanTable {
     /// Code length per symbol; 0 means the symbol is absent.
@@ -48,15 +100,13 @@ pub struct HuffmanTable {
     codes: Vec<u16>,
     /// Length of the longest code.
     max_bits: u32,
-    /// Flat decode table of size `1 << max_bits`: window -> (symbol, len).
-    decode: Vec<(u16, u8)>,
-    /// Multi-symbol table (same indexing), built when
-    /// `max_bits <= PAIR_TABLE_MAX_BITS`.
-    pair: Option<Vec<PairEntry>>,
+    decode: DecodeSide,
 }
 
 impl HuffmanTable {
-    /// Builds a length-limited canonical Huffman code for `freqs`.
+    /// Builds a length-limited canonical Huffman code for `freqs`:
+    /// lengths and codes only, which is all encoding needs. The decode
+    /// tables follow on the first decode through this table.
     ///
     /// Returns `None` when fewer than two symbols are present — callers
     /// should fall back to raw or run-length representations, exactly as
@@ -67,39 +117,45 @@ impl HuffmanTable {
     /// Panics if `max_bits` is 0 or greater than [`MAX_CODE_BITS`], or if
     /// the alphabet cannot fit in `max_bits` (more than `1 << max_bits`
     /// present symbols).
-    // indexing_slicing: `present` holds indices produced by enumerating
-    // `freqs`, so `freqs[i]` is in-bounds.
-    #[allow(clippy::indexing_slicing)]
     pub fn build(freqs: &[u32], max_bits: u32) -> Option<Self> {
         assert!(
             (1..=MAX_CODE_BITS).contains(&max_bits),
             "max_bits must be in 1..=15"
         );
-        let present: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
-        if present.len() < 2 {
+        // Ascending weight, ties by symbol index: the order every
+        // tie-break downstream is defined against.
+        let mut items: Vec<(u32, u32)> = freqs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f > 0)
+            .map(|(sym, &f)| (f, sym as u32))
+            .collect();
+        if items.len() < 2 {
             return None;
         }
         assert!(
-            (present.len() as u64) <= (1u64 << max_bits),
+            (items.len() as u64) <= (1u64 << max_bits),
             "alphabet does not fit in max_bits"
         );
-        let lens = package_merge_lengths(freqs, &present, max_bits);
-        Some(Self::from_lengths(&lens).expect("package-merge produces a complete code"))
+        items.sort_unstable();
+        let lens = package_merge_lengths(&items, freqs.len(), max_bits);
+        let max_bits = lens.iter().copied().max().unwrap_or(0) as u32;
+        Some(Self {
+            codes: canonical_codes(&lens),
+            lens,
+            max_bits,
+            decode: DecodeSide::Deferred(OnceLock::new()),
+        })
     }
 
-    /// Reconstructs a table from canonical code lengths (0 = absent).
+    /// Reconstructs a table from canonical code lengths (0 = absent),
+    /// decode tables included.
     ///
     /// # Errors
     ///
     /// Returns [`Error::CorruptTable`] if the lengths do not describe a
     /// complete prefix code, contain a length above [`MAX_CODE_BITS`], or
     /// fewer than two symbols are present.
-    // indexing_slicing: table construction. `bl_count`/`next_code` are
-    // indexed by code lengths already validated `<= MAX_CODE_BITS`;
-    // `codes` is sized from `lens` and indexed by its enumeration; the
-    // `decode` fill index starts at `rev < 2^l <= 2^max_bits` and the
-    // loop condition bounds it below `decode.len()`.
-    #[allow(clippy::indexing_slicing)]
     pub fn from_lengths(lens: &[u8]) -> Result<Self> {
         let max_bits = lens.iter().copied().max().unwrap_or(0) as u32;
         if max_bits == 0 {
@@ -120,47 +176,32 @@ impl HuffmanTable {
         if kraft != (1u64 << max_bits) {
             return Err(Error::CorruptTable("lengths do not form a complete code"));
         }
-
-        // Canonical code assignment (RFC 1951 style).
-        let mut bl_count = [0u32; MAX_CODE_BITS as usize + 1];
-        for &l in lens.iter().filter(|&&l| l > 0) {
-            bl_count[l as usize] += 1;
-        }
-        let mut next_code = [0u32; MAX_CODE_BITS as usize + 2];
-        let mut code = 0u32;
-        for bits in 1..=max_bits as usize {
-            code = (code + bl_count[bits - 1]) << 1;
-            next_code[bits] = code;
-        }
-
-        let mut codes = vec![0u16; lens.len()];
-        let mut decode = vec![(0u16, 0u8); 1usize << max_bits];
-        for (sym, &l) in lens.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let c = next_code[l as usize];
-            next_code[l as usize] += 1;
-            let rev = reverse_bits(c, l as u32) as u16;
-            codes[sym] = rev;
-            // Fill every table slot whose low `l` bits equal the reversed code.
-            let step = 1usize << l;
-            let mut idx = rev as usize;
-            while idx < decode.len() {
-                decode[idx] = (sym as u16, l);
-                idx += step;
-            }
-        }
-
-        let pair = (max_bits <= PAIR_TABLE_MAX_BITS).then(|| build_pair_table(&decode, max_bits));
-
+        let codes = canonical_codes(lens);
         Ok(Self {
+            decode: DecodeSide::Ready(DecodeTables::new(lens, &codes, max_bits)),
             lens: lens.to_vec(),
             codes,
             max_bits,
-            decode,
-            pair,
         })
+    }
+
+    /// The decode tables, built on first use when deferred. Racing
+    /// first decodes are safe: one builds, the rest wait and share its
+    /// result.
+    #[inline]
+    fn tables(&self) -> &DecodeTables {
+        match &self.decode {
+            DecodeSide::Ready(t) => t,
+            DecodeSide::Deferred(cell) => self.deferred_tables(cell),
+        }
+    }
+
+    /// Out of line: symbol loops inline [`Self::tables`], and only the
+    /// `Ready` arm belongs in them.
+    #[cold]
+    #[inline(never)]
+    fn deferred_tables<'a>(&'a self, cell: &'a OnceLock<DecodeTables>) -> &'a DecodeTables {
+        cell.get_or_init(|| DecodeTables::new(&self.lens, &self.codes, self.max_bits))
     }
 
     /// Per-symbol code lengths (0 = absent). Serializable table form.
@@ -204,13 +245,13 @@ impl HuffmanTable {
     /// Returns [`Error::CorruptData`] if the window does not match any
     /// code, or [`Error::UnexpectedEof`] if the stream is exhausted.
     // indexing_slicing: `window` is a `max_bits`-wide peek, so it is
-    // `< 2^max_bits == decode.len()`. Hot decode loop (decode_guard
+    // `< 2^max_bits == flat.len()`. Hot decode loop (decode_guard
     // benchmark budget); invalid windows are rejected via `len == 0`.
     #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn read_symbol<R: BitSrc>(&self, r: &mut R) -> Result<u16> {
         let window = r.peek_bits_lenient(self.max_bits) as usize;
-        let (sym, len) = self.decode[window];
+        let (sym, len) = self.tables().flat[window];
         if len == 0 {
             return Err(Error::CorruptData("invalid huffman window"));
         }
@@ -265,7 +306,7 @@ impl HuffmanTable {
     pub fn decode_fast(&self, buf: &[u8], n: usize) -> Result<Vec<u8>> {
         let mut r = BitReaderFast::new(buf, buf.len() * 8);
         let mut out = Vec::with_capacity(n);
-        if let Some(pair) = &self.pair {
+        if let Some(pair) = &self.tables().pair {
             while out.len() + 2 <= n {
                 let window = r.peek_bits_lenient(self.max_bits) as usize;
                 let e = pair[window];
@@ -309,7 +350,7 @@ impl HuffmanTable {
     /// `entropy.pair_table_bypass` telemetry counter so affected
     /// corpora are visible on `/metrics`.
     pub fn has_pair_table(&self) -> bool {
-        self.pair.is_some()
+        self.max_bits <= PAIR_TABLE_MAX_BITS
     }
 
     /// Splits `data` into the four substreams of the multi-stream
@@ -374,7 +415,8 @@ impl HuffmanTable {
         let (mut w0, mut w1, mut w2, mut w3) =
             (s0.iter_mut(), s1.iter_mut(), s2.iter_mut(), s3.iter_mut());
         let (mut m0, mut m1, mut m2, mut m3) = (n0, n1, n2, n3);
-        if let Some(pair) = &self.pair {
+        let pair = self.tables().pair.as_deref();
+        if let Some(pair) = pair {
             while m0 >= 2 && m1 >= 2 && m2 >= 2 && m3 >= 2 {
                 self.pair_step(pair, &mut r0, &mut w0, &mut m0)?;
                 self.pair_step(pair, &mut r1, &mut w1, &mut m1)?;
@@ -382,7 +424,6 @@ impl HuffmanTable {
                 self.pair_step(pair, &mut r3, &mut w3, &mut m3)?;
             }
         }
-        let pair = self.pair.as_deref();
         self.finish_stream(pair, &mut r0, &mut w0, &mut m0)?;
         self.finish_stream(pair, &mut r1, &mut w1, &mut m1)?;
         self.finish_stream(pair, &mut r2, &mut w2, &mut m2)?;
@@ -505,70 +546,97 @@ fn build_pair_table(decode: &[(u16, u8)], max_bits: u32) -> Vec<PairEntry> {
     pair
 }
 
-/// Computes optimal length-limited code lengths via package-merge.
-// indexing_slicing: encode-side table construction. `present` holds
-// enumerated indices of `freqs`; `chunks_exact(2)` guarantees both
-// `pair[0]` and `pair[1]` exist; `items[a..]`/`packaged[b..]` use the
-// merge cursors bounded by the loop conditions; `lens` is sized from
-// `freqs` and leaves are recorded `freqs` indices.
+/// Canonical code assignment (RFC 1951 style): shorter codes first,
+/// ties by symbol index; returned bit-reversed for LSB-first streams.
+// indexing_slicing: `bl_count`/`next_code` are indexed by code lengths,
+// which callers hold `<= MAX_CODE_BITS`.
 #[allow(clippy::indexing_slicing)]
-fn package_merge_lengths(freqs: &[u32], present: &[usize], max_bits: u32) -> Vec<u8> {
-    // Each node is (weight, leaves-it-covers). Alphabets here are small
-    // (<= ~320 symbols), so carrying leaf vectors is cheap and keeps the
-    // implementation obviously correct.
-    #[derive(Clone)]
-    struct Node {
-        weight: u64,
-        leaves: Vec<u32>,
+fn canonical_codes(lens: &[u8]) -> Vec<u16> {
+    let mut bl_count = [0u32; MAX_CODE_BITS as usize + 1];
+    for &l in lens.iter().filter(|&&l| l > 0) {
+        bl_count[l as usize] += 1;
     }
-
-    let mut items: Vec<Node> = present
-        .iter()
-        .map(|&i| Node {
-            weight: freqs[i] as u64,
-            leaves: vec![i as u32],
+    let mut next_code = [0u32; MAX_CODE_BITS as usize + 2];
+    let mut code = 0u32;
+    for bits in 1..=MAX_CODE_BITS as usize {
+        code = (code + bl_count[bits - 1]) << 1;
+        next_code[bits] = code;
+    }
+    lens.iter()
+        .map(|&l| {
+            if l == 0 {
+                return 0;
+            }
+            let c = next_code[l as usize];
+            next_code[l as usize] += 1;
+            reverse_bits(c, l as u32) as u16
         })
-        .collect();
-    items.sort_by_key(|n| n.weight);
+        .collect()
+}
 
-    let mut list: Vec<Node> = items.clone();
-    for _ in 1..max_bits {
-        // Package: pair up adjacent nodes of the previous list.
-        let mut packaged: Vec<Node> = Vec::with_capacity(list.len() / 2);
-        let mut it = list.chunks_exact(2);
-        for pair in &mut it {
-            let mut leaves = pair[0].leaves.clone();
-            leaves.extend_from_slice(&pair[1].leaves);
-            packaged.push(Node {
-                weight: pair[0].weight + pair[1].weight,
-                leaves,
-            });
-        }
-        // Merge with the original items, keeping sorted order.
-        let mut merged = Vec::with_capacity(items.len() + packaged.len());
+/// Computes optimal length-limited code lengths via package-merge.
+///
+/// `items` is every present symbol as `(weight, symbol)`, ascending.
+/// Level 1 is the items themselves; level `j` merges the items with the
+/// packages (adjacent pairs) of level `j - 1`, items first on equal
+/// weight. A symbol's length is how many of the first `2(n - 1)` nodes
+/// of the last level contain it. Instead of carrying each node's leaf
+/// set, every level records only *which of its nodes are items*: the
+/// first `t` nodes of a level hold its `a` smallest items plus its
+/// first `t - a` packages, i.e. the first `2(t - a)` nodes of the level
+/// below — so walking down from `t = 2(n - 1)` and crediting the `a`
+/// smallest items at each level counts exactly what the leaf sets
+/// would, with three flat buffers in place of a vector per node.
+// indexing_slicing: `items` is non-empty (callers pass >= 2); `a`/`b`
+// are merge cursors bounded by the loop conditions; every level holds
+// at most `2n - 1` nodes, the stride of `is_item`; `rank < n` indexes
+// `items`, whose symbols index `lens` (sized to the alphabet).
+#[allow(clippy::indexing_slicing)]
+fn package_merge_lengths(items: &[(u32, u32)], alphabet: usize, max_bits: u32) -> Vec<u8> {
+    let n = items.len();
+    let stride = 2 * n;
+    let levels = max_bits as usize;
+    // Weights of the previous and the current level.
+    let mut prev: Vec<u64> = items.iter().map(|&(w, _)| w as u64).collect();
+    let mut cur: Vec<u64> = Vec::with_capacity(stride);
+    // `is_item[level * stride + k]`: node `k` of `level` is an item.
+    let mut is_item = vec![false; levels * stride];
+    is_item[..n].fill(true);
+    for level in 1..levels {
+        let flags = &mut is_item[level * stride..(level + 1) * stride];
+        let packages = prev.len() / 2;
+        cur.clear();
         let (mut a, mut b) = (0, 0);
-        while a < items.len() && b < packaged.len() {
-            if items[a].weight <= packaged[b].weight {
-                merged.push(items[a].clone());
+        while a < n && b < packages {
+            let package = prev[2 * b] + prev[2 * b + 1];
+            if items[a].0 as u64 <= package {
+                flags[cur.len()] = true;
+                cur.push(items[a].0 as u64);
                 a += 1;
             } else {
-                merged.push(packaged[b].clone());
+                cur.push(package);
                 b += 1;
             }
         }
-        merged.extend_from_slice(&items[a..]);
-        merged.extend_from_slice(&packaged[b..]);
-        list = merged;
+        for &(w, _) in &items[a..] {
+            flags[cur.len()] = true;
+            cur.push(w as u64);
+        }
+        for b in b..packages {
+            cur.push(prev[2 * b] + prev[2 * b + 1]);
+        }
+        std::mem::swap(&mut prev, &mut cur);
     }
 
-    // Count how often each leaf appears in the first 2(n-1) nodes: that is
-    // its code length.
-    let mut lens = vec![0u8; freqs.len()];
-    let take = 2 * (present.len() - 1);
-    for node in list.iter().take(take) {
-        for &leaf in &node.leaves {
-            lens[leaf as usize] += 1;
+    let mut lens = vec![0u8; alphabet];
+    let mut take = 2 * (n - 1);
+    for level in (0..levels).rev() {
+        let flags = &is_item[level * stride..level * stride + take];
+        let leaves = flags.iter().filter(|&&f| f).count();
+        for &(_, sym) in &items[..leaves] {
+            lens[sym as usize] += 1;
         }
+        take = 2 * (take - leaves);
     }
     lens
 }
@@ -832,6 +900,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The leaf-vector package-merge `build` used before the flat
+    /// rewrite, kept verbatim as the oracle: each node carries the
+    /// leaves it covers, and a symbol's length is the number of the
+    /// first `2(n - 1)` final nodes that contain it.
+    fn package_merge_oracle(freqs: &[u32], max_bits: u32) -> Vec<u8> {
+        #[derive(Clone)]
+        struct Node {
+            weight: u64,
+            leaves: Vec<u32>,
+        }
+        let present: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let mut items: Vec<Node> = present
+            .iter()
+            .map(|&i| Node {
+                weight: freqs[i] as u64,
+                leaves: vec![i as u32],
+            })
+            .collect();
+        items.sort_by_key(|n| n.weight);
+
+        let mut list: Vec<Node> = items.clone();
+        for _ in 1..max_bits {
+            let mut packaged: Vec<Node> = Vec::with_capacity(list.len() / 2);
+            for pair in list.chunks_exact(2) {
+                let mut leaves = pair[0].leaves.clone();
+                leaves.extend_from_slice(&pair[1].leaves);
+                packaged.push(Node {
+                    weight: pair[0].weight + pair[1].weight,
+                    leaves,
+                });
+            }
+            let mut merged = Vec::with_capacity(items.len() + packaged.len());
+            let (mut a, mut b) = (0, 0);
+            while a < items.len() && b < packaged.len() {
+                if items[a].weight <= packaged[b].weight {
+                    merged.push(items[a].clone());
+                    a += 1;
+                } else {
+                    merged.push(packaged[b].clone());
+                    b += 1;
+                }
+            }
+            merged.extend_from_slice(&items[a..]);
+            merged.extend_from_slice(&packaged[b..]);
+            list = merged;
+        }
+
+        let mut lens = vec![0u8; freqs.len()];
+        for node in list.iter().take(2 * (present.len() - 1)) {
+            for &leaf in &node.leaves {
+                lens[leaf as usize] += 1;
+            }
+        }
+        lens
+    }
+
+    fn assert_matches_oracle(freqs: &[u32]) {
+        let present = freqs.iter().filter(|&&f| f > 0).count();
+        for max_bits in 1..=MAX_CODE_BITS {
+            if present < 2 || present as u64 > 1u64 << max_bits {
+                continue;
+            }
+            let table = HuffmanTable::build(freqs, max_bits).unwrap();
+            assert_eq!(
+                table.lengths(),
+                package_merge_oracle(freqs, max_bits),
+                "max_bits {max_bits}, freqs {freqs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lengths_equal_the_leaf_vector_oracle_on_tie_heavy_histograms() {
+        // All-equal weights (every comparison is a tie), two-valued
+        // weights, powers of two (package weights collide with items),
+        // Fibonacci (deep codes that hit the limit), a lone heavy symbol.
+        let fib: Vec<u32> = (0..30)
+            .scan((1u32, 1u32), |s, _| {
+                let v = s.0;
+                *s = (s.1, s.0 + s.1);
+                Some(v)
+            })
+            .collect();
+        let mut sparse = vec![0u32; 300];
+        for (i, f) in [(3usize, 9u32), (17, 9), (18, 1), (255, 1), (299, 4)] {
+            sparse[i] = f;
+        }
+        for n in [2usize, 3, 4, 5, 7, 8, 9, 16, 31, 64, 257] {
+            assert_matches_oracle(&vec![1; n]);
+            assert_matches_oracle(&(0..n).map(|i| 1 + (i % 2) as u32).collect::<Vec<_>>());
+            assert_matches_oracle(&(0..n).map(|i| 1u32 << (i % 12)).collect::<Vec<_>>());
+            let mut heavy = vec![1u32; n];
+            heavy[n / 2] = 1_000_000;
+            assert_matches_oracle(&heavy);
+        }
+        assert_matches_oracle(&fib);
+        assert_matches_oracle(&sparse);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lengths_equal_the_leaf_vector_oracle_on_random_histograms(
+            freqs in proptest::collection::vec(0u32..40, 2..80),
+            scale in 1u32..5000,
+        ) {
+            // Small counts keep ties frequent; the scaled copy spreads
+            // the same shape over the range byte histograms reach.
+            assert_matches_oracle(&freqs);
+            let scaled: Vec<u32> = freqs.iter().map(|&f| f * scale).collect();
+            assert_matches_oracle(&scaled);
+        }
+    }
+
+    #[test]
+    fn build_defers_the_decode_tables_and_from_lengths_does_not() {
+        let freqs = byte_histogram(b"encode-only callers never pay for decode windows");
+        let built = HuffmanTable::build(&freqs, 11).unwrap();
+        let deferred_and_built = |t: &HuffmanTable| match &t.decode {
+            DecodeSide::Deferred(cell) => Some(cell.get().is_some()),
+            DecodeSide::Ready(_) => None,
+        };
+        assert_eq!(deferred_and_built(&built), Some(false));
+        let encoded = built.encode(b"encode");
+        assert_eq!(
+            deferred_and_built(&built),
+            Some(false),
+            "encoding must not build them"
+        );
+        let parsed = HuffmanTable::from_lengths(built.lengths()).unwrap();
+        assert_eq!(deferred_and_built(&parsed), None, "decoders start ready");
+        assert_eq!(parsed.decode(&encoded, 6).unwrap(), b"encode");
+        assert_eq!(built.decode(&encoded, 6).unwrap(), b"encode");
+        assert_eq!(deferred_and_built(&built), Some(true));
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! mid-level compression behaviour of real codecs.
 
 use crate::params::MatchParams;
+use crate::prefix::{PrefixIndex, NONE};
 use crate::seq::{ParsedBlock, Sequence};
-use crate::{hash4, match_length};
+use crate::{hash4, match_length, read_u32};
 
 pub(crate) struct ChainFinder<'b> {
     buf: &'b [u8],
+    /// Prepared index over the head of `buf`, when attached.
+    prefix: Option<&'b PrefixIndex>,
+    /// First position the per-call tables cover; everything below it
+    /// is the prefix index's. Zero when nothing is attached.
+    local_start: usize,
     head: Vec<u32>,
     chain: Vec<u32>,
     chain_mask: usize,
@@ -27,26 +33,30 @@ pub(crate) struct ChainFinder<'b> {
 }
 
 impl<'b> ChainFinder<'b> {
-    pub(crate) fn new(buf: &'b [u8], p: &MatchParams) -> Self {
+    pub(crate) fn new(buf: &'b [u8], p: &MatchParams, prefix: Option<&'b PrefixIndex>) -> Self {
+        let local_start = prefix.map_or(0, PrefixIndex::positions);
         // The chain table must cover the whole window: if positions
         // wrap within the window, newer inserts clobber live chain
         // links and the walk degrades to one or two hops. (zlib sizes
-        // prev[] to exactly its window for the same reason.)
-        let span = p.max_offset().min(buf.len()).max(2);
+        // prev[] to exactly its window for the same reason.) Only the
+        // positions this call inserts need a slot.
+        let span = p.max_offset().min(buf.len() - local_start).max(2);
         let span_log = usize::BITS - (span - 1).leading_zeros();
         let chain_log = p.chain_log.max(span_log).clamp(1, 22);
         let chain_size = 1usize << chain_log;
         Self {
             buf,
-            head: vec![u32::MAX; 1usize << p.hash_log],
-            chain: vec![u32::MAX; chain_size],
+            prefix,
+            local_start,
+            head: vec![NONE; 1usize << p.hash_log],
+            chain: vec![NONE; chain_size],
             chain_mask: chain_size - 1,
             hash_log: p.hash_log,
             max_offset: p.max_offset(),
             min_match: p.min_match as usize,
             target_length: p.target_length as usize,
             search_attempts: p.search_attempts.max(1),
-            inserted: 0,
+            inserted: local_start,
             hash_limit: buf.len().saturating_sub(3),
         }
     }
@@ -62,6 +72,44 @@ impl<'b> ChainFinder<'b> {
         }
     }
 
+    /// Positions this finder has hashed into its own tables.
+    pub(crate) fn hashed(&self) -> usize {
+        self.inserted - self.local_start
+    }
+
+    /// Where `pos`'s candidates continue once the per-call chain is
+    /// spent: the newest prefix position sharing its 4 bytes' hash.
+    #[deny(clippy::indexing_slicing)]
+    #[inline]
+    fn prefix_head(&self, pos: usize) -> u32 {
+        self.prefix
+            .map_or(NONE, |ix| ix.head(read_u32(self.buf, pos)))
+    }
+
+    /// First candidate for `pos` (already inserted, so it is its own
+    /// chain head; start at its predecessor).
+    #[inline]
+    fn first_candidate(&self, pos: usize) -> u32 {
+        match self.chain[pos & self.chain_mask] {
+            NONE => self.prefix_head(pos),
+            c => c,
+        }
+    }
+
+    /// The candidate after `c` on `pos`'s walk: down the per-call chain,
+    /// across to the prefix index at its head for the same 4 bytes, then
+    /// down the index's chain. Positions only ever decrease.
+    #[inline]
+    fn next_candidate(&self, pos: usize, c: usize) -> u32 {
+        if c < self.local_start {
+            return self.prefix.map_or(NONE, |ix| ix.link(c));
+        }
+        match self.chain[c & self.chain_mask] {
+            NONE => self.prefix_head(pos),
+            next => next,
+        }
+    }
+
     /// Finds the best match at `pos`. Returns `(length, offset)`; length
     /// 0 means no acceptable match. Requires `pos` already inserted.
     pub(crate) fn best_match(&self, pos: usize) -> (usize, usize) {
@@ -72,11 +120,9 @@ impl<'b> ChainFinder<'b> {
         let len = buf.len();
         let mut best_len = self.min_match - 1;
         let mut best_off = 0usize;
-        // `pos` itself is the chain head after insertion; start at its
-        // predecessor.
-        let mut cand = self.chain[pos & self.chain_mask];
+        let mut cand = self.first_candidate(pos);
         let mut attempts = self.search_attempts;
-        while cand != u32::MAX && attempts > 0 {
+        while cand != NONE && attempts > 0 {
             let c = cand as usize;
             if c >= pos || pos - c > self.max_offset {
                 break;
@@ -96,9 +142,9 @@ impl<'b> ChainFinder<'b> {
                     }
                 }
             }
-            let next = self.chain[c & self.chain_mask];
+            let next = self.next_candidate(pos, c);
             // Stale-entry guard: chains must strictly decrease.
-            if next != u32::MAX && next as usize >= c {
+            if next != NONE && next as usize >= c {
                 break;
             }
             cand = next;
@@ -123,9 +169,9 @@ impl<'b> ChainFinder<'b> {
         let buf = self.buf;
         let len = buf.len();
         let mut best_len = self.min_match - 1;
-        let mut cand = self.chain[pos & self.chain_mask];
+        let mut cand = self.first_candidate(pos);
         let mut attempts = self.search_attempts;
-        while cand != u32::MAX && attempts > 0 && out.len() < cap {
+        while cand != NONE && attempts > 0 && out.len() < cap {
             let c = cand as usize;
             if c >= pos || pos - c > self.max_offset {
                 break;
@@ -137,8 +183,8 @@ impl<'b> ChainFinder<'b> {
                     out.push((l as u32, (pos - c) as u32));
                 }
             }
-            let next = self.chain[c & self.chain_mask];
-            if next != u32::MAX && next as usize >= c {
+            let next = self.next_candidate(pos, c);
+            if next != NONE && next as usize >= c {
                 break;
             }
             cand = next;
@@ -158,14 +204,20 @@ fn offset_bit_delta(new_off: usize, best_off: usize) -> i64 {
     bits(new_off) - bits(best_off)
 }
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, lazy: bool) -> ParsedBlock {
+pub(crate) fn parse(
+    buf: &[u8],
+    start: usize,
+    p: &MatchParams,
+    lazy: bool,
+    prefix: Option<&PrefixIndex>,
+) -> ParsedBlock {
     let len = buf.len();
     let mut block = ParsedBlock::new();
     if len - start == 0 {
         return block;
     }
 
-    let mut finder = ChainFinder::new(buf, p);
+    let mut finder = ChainFinder::new(buf, p, prefix);
     if start > 0 {
         finder.insert_through(start - 1);
     }
@@ -241,6 +293,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, lazy: bool) -> Pa
     }
 
     block.literals.extend_from_slice(&buf[anchor..]);
+    crate::note_hashed(finder.hashed());
     block
 }
 
@@ -261,7 +314,7 @@ mod tests {
     #[test]
     fn greedy_roundtrip() {
         let data = b"abcabcabcabc_then_something_else_abcabc";
-        let block = parse(data, 0, &greedy().shrunk_for_input(data.len()), false);
+        let block = parse(data, 0, &greedy().shrunk_for_input(data.len()), false, None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
     }
 
@@ -272,7 +325,7 @@ mod tests {
         // is needed because a decoy match begins one position earlier.
         let data = b"match_longer_XXXX_match_lo_YYYY_match_longer_";
         let p = lazy().shrunk_for_input(data.len());
-        let block = parse(data, 0, &p, true);
+        let block = parse(data, 0, &p, true, None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         let max_match = block.sequences.iter().map(|s| s.match_len).max().unwrap();
         assert!(
@@ -289,8 +342,8 @@ mod tests {
         let data = b"abcd~~~~bcdefghijklmnop____abcdefghijklmnop";
         let pg = greedy().shrunk_for_input(data.len());
         let pl = lazy().shrunk_for_input(data.len());
-        let g = parse(data, 0, &pg, false);
-        let l = parse(data, 0, &pl, true);
+        let g = parse(data, 0, &pg, false, None);
+        let l = parse(data, 0, &pl, true, None);
         assert_eq!(reconstruct(&g, &[]).unwrap(), data);
         assert_eq!(reconstruct(&l, &[]).unwrap(), data);
         let cost = |b: &ParsedBlock| b.literals.len() + 3 * b.sequences.len();
@@ -304,7 +357,7 @@ mod tests {
         data.extend(vec![b'.'; 2100]);
         data.extend_from_slice(b"unique_prefix_0123456789");
         let p = greedy().with_window_log(10); // 1 KiB window
-        let block = parse(&data, 0, &p, false);
+        let block = parse(&data, 0, &p, false, None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         for s in &block.sequences {
             assert!(s.offset as usize <= 1 << 10);
@@ -315,7 +368,7 @@ mod tests {
     fn candidates_increasing_lengths() {
         let data = b"abcd_1_abcde_2_abcdef_3_abcdefg";
         let p = greedy().shrunk_for_input(data.len());
-        let mut f = ChainFinder::new(data, &p);
+        let mut f = ChainFinder::new(data, &p, None);
         f.insert_through(data.len());
         let pos = data.len() - 7; // final "abcdefg"
         let mut cands = Vec::new();
@@ -332,7 +385,7 @@ mod tests {
         // Hash chains on runs are degenerate; target_length early exit
         // plus attempt caps must keep this fast and correct.
         let data = vec![0u8; 100_000];
-        let block = parse(&data, 0, &lazy().shrunk_for_input(data.len()), true);
+        let block = parse(&data, 0, &lazy().shrunk_for_input(data.len()), true, None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.literals.len() < 64);
     }

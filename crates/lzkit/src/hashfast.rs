@@ -7,26 +7,36 @@
 //! in its fleet-level level-usage characterization (Figure 4).
 
 use crate::params::MatchParams;
+use crate::prefix::{PrefixIndex, NONE};
 use crate::seq::{ParsedBlock, Sequence};
 use crate::{hash4, match_length, read_u32};
 
 /// How fast the skip stride grows over unmatched territory.
 const SKIP_TRIGGER: u32 = 6;
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
+pub(crate) fn parse(
+    buf: &[u8],
+    start: usize,
+    p: &MatchParams,
+    prefix: Option<&PrefixIndex>,
+) -> ParsedBlock {
     let len = buf.len();
     let mut block = ParsedBlock::new();
     if len - start == 0 {
         return block;
     }
 
-    let mut table = vec![u32::MAX; 1usize << p.hash_log];
+    let mut table = vec![NONE; 1usize << p.hash_log];
     let max_offset = p.max_offset();
     // Number of positions where a 4-byte hash can be formed.
     let hash_limit = len.saturating_sub(3);
 
-    // Load history (dictionary / earlier frame content).
-    for pos in 0..start.min(hash_limit) {
+    // Load history (dictionary / earlier frame content) — the part an
+    // attached index does not already cover.
+    let local_start = prefix.map_or(0, PrefixIndex::positions);
+    let history = local_start..start.min(hash_limit);
+    let mut hashed = history.len();
+    for pos in history {
         table[hash4(buf, pos, p.hash_log)] = pos as u32;
     }
 
@@ -39,8 +49,14 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
 
     while pos < hash_limit {
         let h = hash4(buf, pos, p.hash_log);
-        let cand = table[h];
+        // An empty slot falls through to the index's newest position
+        // for the same 4 bytes.
+        let cand = match (table[h], prefix) {
+            (NONE, Some(ix)) => ix.head(read_u32(buf, pos)),
+            (c, _) => c,
+        };
         table[h] = pos as u32;
+        hashed += 1;
 
         let mut matched = false;
         let rep_len = if p.rep_preference && last_offset > 0 && last_offset <= pos {
@@ -60,7 +76,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
             searched = 0;
             continue;
         }
-        if cand != u32::MAX {
+        if cand != NONE {
             let c = cand as usize;
             if c < pos && pos - c <= max_offset && read_u32(buf, c) == read_u32(buf, pos) {
                 let fwd = 4 + match_length(buf, c + 4, pos + 4, len);
@@ -85,6 +101,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
                     // Seed one interior position so adjacent repeats chain.
                     if pos >= 2 && pos - 2 >= start && pos - 2 < hash_limit {
                         table[hash4(buf, pos - 2, p.hash_log)] = (pos - 2) as u32;
+                        hashed += 1;
                     }
                     matched = true;
                 }
@@ -97,6 +114,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
     }
 
     block.literals.extend_from_slice(&buf[anchor..]);
+    crate::note_hashed(hashed);
     block
 }
 
@@ -113,7 +131,7 @@ mod tests {
     #[test]
     fn finds_simple_repeat() {
         let data = b"0123456789_0123456789_0123456789";
-        let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(data, 0, &params().shrunk_for_input(data.len()), None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         // One overlapping match can cover both repeats; what matters is
         // that most of the data is matched, not literal.
@@ -126,7 +144,7 @@ mod tests {
         // The hash probe lands mid-repeat; backward extension must still
         // recover the full second occurrence.
         let data = b"xyzw_abcdefgh_longer_abcdefgh_longer_tail";
-        let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(data, 0, &params().shrunk_for_input(data.len()), None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         let max_match = block
             .sequences
@@ -143,7 +161,7 @@ mod tests {
     #[test]
     fn run_compresses_via_overlap() {
         let data = vec![b'z'; 500];
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.literals.len() < 16);
     }
@@ -159,14 +177,14 @@ mod tests {
             })
             .collect();
         data.extend(std::iter::repeat_n(b"pattern!", 64).flatten());
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
     }
 
     #[test]
     fn tiny_inputs_are_all_literals() {
         for data in [&b""[..], b"a", b"ab", b"abc"] {
-            let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+            let block = parse(data, 0, &params().shrunk_for_input(data.len()), None);
             assert_eq!(reconstruct(&block, &[]).unwrap(), data);
             assert!(block.sequences.is_empty());
         }

@@ -46,13 +46,17 @@
 #![allow(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
+
 mod hashchain;
 mod hashfast;
 mod optimal;
 mod params;
+mod prefix;
 mod seq;
 
 pub use params::{MatchParams, Strategy};
+pub use prefix::PrefixIndex;
 pub use seq::{reconstruct, ParsedBlock, Sequence};
 
 /// Errors produced when validating or applying LZ sequences.
@@ -103,7 +107,37 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// Panics if `start > buf.len()`.
 pub fn parse(buf: &[u8], start: usize, params: &MatchParams) -> ParsedBlock {
+    parse_with_prefix(buf, start, params, None)
+}
+
+/// [`parse`] with a prepared index attached over the head of the
+/// history: `prefix` must have been built over
+/// `buf[..prefix.content_len()]`. The finders then hash only what the
+/// index does not cover — the history after it and the block — and a
+/// search that runs out of per-call candidates continues in the index.
+/// Same finders, same acceptance rules; only where candidates come from
+/// differs, and with it the hash log they were bucketed under, so an
+/// attached parse may pick different (on small inputs: better) matches
+/// than an unattached one.
+///
+/// An index built over other bytes cannot corrupt the parse — every
+/// candidate is verified against `buf` — it only finds fewer matches.
+///
+/// # Panics
+///
+/// Panics if `start > buf.len()` or the index covers more than
+/// `buf[..start]`.
+pub fn parse_with_prefix(
+    buf: &[u8],
+    start: usize,
+    params: &MatchParams,
+    prefix: Option<&PrefixIndex>,
+) -> ParsedBlock {
     assert!(start <= buf.len(), "start beyond buffer");
+    assert!(
+        prefix.is_none_or(|ix| ix.content_len() <= start),
+        "prefix index reaches into the block"
+    );
     let mut p = params.shrunk_for_input(buf.len() - start);
     // Table sizes shrink with the block being parsed, but the window is
     // only capped by the *total* history available (earlier frame
@@ -114,11 +148,28 @@ pub fn parse(buf: &[u8], start: usize, params: &MatchParams) -> ParsedBlock {
         p.window_log = params.window_log.min(avail_log);
     }
     match p.strategy {
-        Strategy::Fast => hashfast::parse(buf, start, &p),
-        Strategy::Greedy => hashchain::parse(buf, start, &p, false),
-        Strategy::Lazy => hashchain::parse(buf, start, &p, true),
-        Strategy::Optimal => optimal::parse(buf, start, &p),
+        Strategy::Fast => hashfast::parse(buf, start, &p, prefix),
+        Strategy::Greedy => hashchain::parse(buf, start, &p, false, prefix),
+        Strategy::Lazy => hashchain::parse(buf, start, &p, true, prefix),
+        Strategy::Optimal => optimal::parse(buf, start, &p, prefix),
     }
+}
+
+thread_local! {
+    static HASHED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Positions hashed into per-call match-finder tables by this thread's
+/// parses so far. A work count, not a timing: the difference across a
+/// call is exact and repeats, which is what lets tests hold "a
+/// dictionary compress hashes only its input" without a clock.
+pub fn positions_hashed() -> u64 {
+    HASHED.with(Cell::get)
+}
+
+/// Adds one parse's tally to [`positions_hashed`].
+pub(crate) fn note_hashed(n: usize) {
+    HASHED.with(|c| c.set(c.get() + n as u64));
 }
 
 /// Compares bytes at `a` and `b`, returning the shared prefix length,
@@ -151,10 +202,16 @@ pub(crate) fn read_u32(buf: &[u8], pos: usize) -> u32 {
     u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap())
 }
 
-/// Multiplicative hash of the 4 bytes at `pos` into `hash_log` bits.
+/// Multiplicative hash of a 4-byte word into `hash_log` bits.
+#[inline]
+pub(crate) fn hash_word(word: u32, hash_log: u32) -> usize {
+    (word.wrapping_mul(2_654_435_761) >> (32 - hash_log)) as usize
+}
+
+/// [`hash_word`] of the 4 bytes at `pos`.
 #[inline]
 pub(crate) fn hash4(buf: &[u8], pos: usize, hash_log: u32) -> usize {
-    (read_u32(buf, pos).wrapping_mul(2_654_435_761) >> (32 - hash_log)) as usize
+    hash_word(read_u32(buf, pos), hash_log)
 }
 
 #[cfg(test)]
@@ -244,6 +301,88 @@ mod tests {
                 "{strategy:?} did not exploit the dictionary"
             );
         }
+    }
+
+    #[test]
+    fn attached_prefix_finds_the_same_dictionary_match_and_hashes_only_the_input() {
+        let dict = b"the common preamble shared by every message in this type";
+        let msg = b"the common preamble shared by every message differs at the end";
+        let mut buf = dict.to_vec();
+        let start = buf.len();
+        buf.extend_from_slice(msg);
+        let index = PrefixIndex::build(dict);
+        for strategy in [
+            Strategy::Fast,
+            Strategy::Greedy,
+            Strategy::Lazy,
+            Strategy::Optimal,
+        ] {
+            let params = MatchParams::new(strategy);
+            let before = positions_hashed();
+            let block = parse_with_prefix(&buf, start, &params, Some(&index));
+            let hashed = positions_hashed() - before;
+            assert_eq!(reconstruct(&block, dict).unwrap(), msg, "{strategy:?}");
+            assert!(
+                block.literals.len() < msg.len() / 2,
+                "{strategy:?} did not exploit the attached dictionary"
+            );
+            assert!(
+                hashed <= msg.len() as u64 + 3,
+                "{strategy:?} hashed {hashed} positions for {} input bytes",
+                msg.len()
+            );
+
+            let before = positions_hashed();
+            parse(&buf, start, &params);
+            let unattached = positions_hashed() - before;
+            if strategy != Strategy::Fast {
+                // Chain finders index every position with a 4-byte window.
+                assert_eq!(unattached, buf.len() as u64 - 3, "{strategy:?}");
+            }
+            assert!(unattached > hashed);
+        }
+    }
+
+    #[test]
+    fn match_may_start_in_the_last_three_dictionary_bytes() {
+        // "xyz0123456789" occurs once before its repeat, and that
+        // occurrence starts two bytes before the dictionary ends: its
+        // 4-byte window straddles the boundary, so only the per-call
+        // tables can know it.
+        let dict = b"................QRSxy";
+        let msg = b"z0123456789 -- xyz0123456789";
+        let mut buf = dict.to_vec();
+        let start = buf.len();
+        buf.extend_from_slice(msg);
+        let index = PrefixIndex::build(dict);
+        for strategy in [
+            Strategy::Fast,
+            Strategy::Greedy,
+            Strategy::Lazy,
+            Strategy::Optimal,
+        ] {
+            let block = parse_with_prefix(&buf, start, &MatchParams::new(strategy), Some(&index));
+            assert_eq!(reconstruct(&block, dict).unwrap(), msg, "{strategy:?}");
+            assert!(
+                block
+                    .sequences
+                    .iter()
+                    .any(|s| s.offset == 17 && s.match_len == 13),
+                "{strategy:?} missed the straddling source: {block:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix index reaches into the block")]
+    fn prefix_longer_than_the_history_is_rejected() {
+        let index = PrefixIndex::build(b"0123456789");
+        parse_with_prefix(
+            b"0123456789",
+            4,
+            &MatchParams::new(Strategy::Greedy),
+            Some(&index),
+        );
     }
 
     #[test]

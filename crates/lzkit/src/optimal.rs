@@ -14,6 +14,7 @@
 
 use crate::hashchain::ChainFinder;
 use crate::params::MatchParams;
+use crate::prefix::PrefixIndex;
 use crate::seq::{ParsedBlock, Sequence};
 
 /// Candidates kept per position.
@@ -39,7 +40,12 @@ fn match_price(len: u32, offset: u32, min_match: u32) -> u32 {
     6 + off_bits + len_bits
 }
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
+pub(crate) fn parse(
+    buf: &[u8],
+    start: usize,
+    p: &MatchParams,
+    prefix: Option<&PrefixIndex>,
+) -> ParsedBlock {
     let len = buf.len();
     let n = len - start;
     let mut block = ParsedBlock::new();
@@ -48,7 +54,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
     }
 
     // Pass 1: gather candidates at every position.
-    let mut finder = ChainFinder::new(buf, p);
+    let mut finder = ChainFinder::new(buf, p, prefix);
     let mut cands: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     let mut scratch = Vec::with_capacity(MAX_CANDIDATES);
     let mut i = 0usize;
@@ -68,6 +74,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
             i += 1;
         }
     }
+    crate::note_hashed(finder.hashed());
 
     // Pass 2: backward DP. cost[i] = cheapest encoding of data[i..].
     let mut cost = vec![u32::MAX; n + 1];
@@ -136,7 +143,7 @@ mod tests {
         let data: Vec<u8> = (0..500u32)
             .flat_map(|i| format!("row={},col={};", i % 40, i % 9).into_bytes())
             .collect();
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), None);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.match_coverage() > 0.5);
     }
@@ -148,7 +155,7 @@ mod tests {
         let mut buf = dict.to_vec();
         let start = buf.len();
         buf.extend_from_slice(msg);
-        let block = parse(&buf, start, &params());
+        let block = parse(&buf, start, &params(), None);
         assert_eq!(reconstruct(&block, dict).unwrap(), msg);
     }
 
@@ -157,12 +164,13 @@ mod tests {
         // Classic optimal-parse win: taking the greedy long match forces
         // an expensive continuation.
         let data = b"abcdefgh__cdefghijklmnoZZZabcdefghijklmno".to_vec();
-        let o = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let o = parse(&data, 0, &params().shrunk_for_input(data.len()), None);
         let g = crate::hashchain::parse(
             &data,
             0,
             &MatchParams::new(Strategy::Greedy).shrunk_for_input(data.len()),
             false,
+            None,
         );
         assert_eq!(reconstruct(&o, &[]).unwrap(), data);
         let price = |b: &ParsedBlock| {
@@ -187,7 +195,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         for data in [&b""[..], b"x", b"xy", b"xyz"] {
-            let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+            let block = parse(data, 0, &params().shrunk_for_input(data.len()), None);
             assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         }
     }

@@ -390,6 +390,12 @@ impl ManagedCompression {
             let dict =
                 codecs::dict::train(&refs, config.dict_size, Self::dict_id(use_case, version));
             if !dict.is_empty() {
+                // Only the newest generation compresses; the one it
+                // supersedes keeps its content for decoding and gives
+                // back its match index.
+                if let Some((_, superseded)) = case.versions.last_mut() {
+                    superseded.release_index();
+                }
                 case.versions.push((version, dict));
                 case.next_version += 1;
                 reg.counter("managed.versions_trained", &labels).inc();
@@ -928,6 +934,43 @@ mod tests {
         for (p, f) in &kept {
             assert_eq!(&svc.decompress("events", f).unwrap(), p);
         }
+    }
+
+    #[test]
+    fn superseded_generations_hold_no_index_and_still_decode() {
+        let cfg = ManagedConfig {
+            retrain_interval: 20,
+            ..Default::default()
+        };
+        let mut svc = ManagedCompression::new(cfg);
+        let mut kept: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for i in 0..70 {
+            let p = typed_payload(i);
+            let f = svc.compress("events", &p).unwrap();
+            kept.push((p, f));
+        }
+        let index_bytes = |svc: &ManagedCompression| -> Vec<usize> {
+            svc.use_cases["events"]
+                .versions
+                .iter()
+                .map(|(_, d)| d.index_bytes())
+                .collect()
+        };
+        let held = index_bytes(&svc);
+        assert!(held.len() >= 3, "expected several retained generations");
+        let (newest, superseded) = held.split_last().unwrap();
+        assert!(*newest > 0, "the compressing generation is indexed");
+        assert!(*newest <= 4 * cfg.dict_size, "index {newest} B");
+        assert!(
+            superseded.iter().all(|&b| b == 0),
+            "superseded generations must give their index back: {held:?}"
+        );
+        // Old frames decode through the retained content alone, and
+        // decoding builds nothing.
+        for (p, f) in &kept {
+            assert_eq!(&svc.decompress("events", f).unwrap(), p);
+        }
+        assert_eq!(index_bytes(&svc), held);
     }
 
     #[test]

@@ -30,6 +30,39 @@ proptest! {
         }
     }
 
+    /// `build` hands the encoder lengths and codes and leaves the decode
+    /// tables for whoever decodes first; `from_lengths` is the decoder's
+    /// eager entry. For every length limit and for tie-heavy as well as
+    /// random histograms the two must be the same code: each decodes
+    /// what the other encoded, through both engines. (That the lengths
+    /// equal the leaf-vector package-merge's is held against the oracle
+    /// in the entropy crate's own tests.)
+    #[test]
+    fn huffman_build_and_from_lengths_are_one_code_at_every_limit(
+        counts in proptest::collection::vec(0u32..6, 2..64),
+        scale in prop_oneof![Just(1u32), 2u32..2000],
+    ) {
+        let freqs: Vec<u32> = counts.iter().map(|&c| c * scale).collect();
+        let present = freqs.iter().filter(|&&f| f > 0).count();
+        let data: Vec<u8> = freqs
+            .iter()
+            .enumerate()
+            .flat_map(|(sym, &f)| std::iter::repeat_n(sym as u8, f.min(3) as usize))
+            .collect();
+        for max_bits in 1u32..=15 {
+            if present < 2 || present > 1 << max_bits {
+                continue;
+            }
+            let built = HuffmanTable::build(&freqs, max_bits).unwrap();
+            prop_assert!(built.max_bits() <= max_bits);
+            let parsed = HuffmanTable::from_lengths(built.lengths()).unwrap();
+            let by_built = built.encode(&data);
+            prop_assert_eq!(&by_built, &parsed.encode(&data));
+            prop_assert_eq!(parsed.decode_fast(&by_built, data.len()).unwrap(), data.clone());
+            prop_assert_eq!(built.decode(&by_built, data.len()).unwrap(), data.clone());
+        }
+    }
+
     #[test]
     fn fse_roundtrips_any_symbols(
         symbols in proptest::collection::vec(0u16..24, 1..4096),
@@ -150,5 +183,40 @@ proptest! {
         let t = FseTable::from_frequencies(&hist, 11, symbols.len()).unwrap();
         let encoded = t.encode(&symbols);
         prop_assert!(encoded.len() as f64 <= symbols.len() as f64 * 2.0 / 8.0 + 16.0);
+    }
+}
+
+/// A table from `build` has no decode side until someone decodes. Two
+/// threads released together on a fresh table both get the right bytes:
+/// one materialises the tables, the other waits for them.
+#[test]
+fn huffman_lazy_decode_tables_survive_a_two_thread_race() {
+    let data: Vec<u8> = (0..6000u32).map(|i| (i * i % 23) as u8 + b'a').collect();
+    let freqs = byte_histogram(&data);
+    for max_bits in [8u32, 11, 15] {
+        for _ in 0..16 {
+            let table = HuffmanTable::build(&freqs, max_bits).unwrap();
+            let streams = table.encode_4stream(&data);
+            let single = table.encode(&data);
+            let gate = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let quad = s.spawn(|| {
+                    gate.wait();
+                    let bufs = [
+                        &streams[0][..],
+                        &streams[1][..],
+                        &streams[2][..],
+                        &streams[3][..],
+                    ];
+                    table.decode_4stream_fast(bufs, data.len())
+                });
+                let one = s.spawn(|| {
+                    gate.wait();
+                    table.decode_fast(&single, data.len())
+                });
+                assert_eq!(quad.join().unwrap().unwrap(), data);
+                assert_eq!(one.join().unwrap().unwrap(), data);
+            });
+        }
     }
 }

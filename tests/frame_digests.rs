@@ -1,0 +1,178 @@
+//! Golden digests over the frames the prepared-dictionary change (PR 16)
+//! promises not to alter: every no-dictionary frame, and every
+//! dictionary frame whose block is longer than its dictionary (the
+//! attach gate leaves those on the per-call history path). The
+//! digests were computed on the parent commit and pinned; a mismatch
+//! means frame bytes moved for inputs that were meant to stay
+//! byte-identical. Frames at or below the gate are free to change (and do:
+//! the index's hash log follows the dictionary) — those are covered by
+//! round-trip tests, not digests.
+
+use datacomp::codecs::dict::{train, Dictionary};
+use datacomp::codecs::xxhash::Xxh64;
+use datacomp::codecs::zstdx::Zstdx;
+use datacomp::codecs::{Compressor, StreamPolicy};
+use datacomp::corpus::cache::{cache1_profile, generate_items};
+use datacomp::corpus::orc::generate_blocks;
+use datacomp::corpus::sst::generate_sst;
+
+const SEED: u64 = 20823;
+const LEVELS: [i32; 4] = [1, 3, 7, 13];
+
+/// The three payload shapes the benchmark serves, at test scale.
+fn decks() -> [(&'static str, Vec<Vec<u8>>); 3] {
+    let cache = generate_items(&cache1_profile(), 96, SEED)
+        .into_iter()
+        .map(|item| item.data)
+        .collect();
+    let sst = generate_sst(4 * (16 << 10), SEED)
+        .chunks_exact(16 << 10)
+        .map(<[u8]>::to_vec)
+        .collect();
+    // One 256 KiB block: two zstdx blocks, so the second parses with
+    // in-frame history.
+    let orc = generate_blocks(256 << 10, SEED)
+        .into_iter()
+        .take(1)
+        .collect();
+    [("cache1", cache), ("sst", sst), ("orc", orc)]
+}
+
+fn digest(frames: impl Iterator<Item = Vec<u8>>) -> u64 {
+    let mut h = Xxh64::new(0);
+    for f in frames {
+        h.update(&(f.len() as u64).to_le_bytes());
+        h.update(&f);
+    }
+    h.digest()
+}
+
+fn check(what: &str, got: &[(String, u64)], want: &[(&str, u64)]) {
+    let listing: String = got
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let same = got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|((gn, gd), (wn, wd))| gn == wn && gd == wd);
+    assert!(same, "{what} frames moved; computed digests:\n{listing}");
+}
+
+#[test]
+fn plain_frames_are_byte_identical_to_the_pinned_parent() {
+    let mut got = Vec::new();
+    for (deck, payloads) in decks() {
+        for level in LEVELS {
+            for (tag, policy) in [
+                ("auto", StreamPolicy::Auto),
+                ("single", StreamPolicy::Single),
+                ("quad", StreamPolicy::Quad),
+            ] {
+                let c = Zstdx::new(level).with_stream_policy(policy);
+                let d = digest(payloads.iter().map(|p| {
+                    let f = c.compress(p);
+                    assert_eq!(c.decompress(&f).unwrap(), *p);
+                    f
+                }));
+                got.push((format!("{deck}/l{level}/{tag}"), d));
+            }
+        }
+    }
+    check("no-dictionary", &got, &PLAIN);
+}
+
+/// Dictionaries shorter than the blocks they serve: a small trained
+/// dictionary under every deck (cache items no longer than theirs are
+/// skipped), plus the boundary case of a dictionary one byte shorter
+/// than the 16 KiB SST block.
+#[test]
+fn dictionary_frames_above_the_gate_are_byte_identical_to_the_pinned_parent() {
+    let mut got = Vec::new();
+    for (deck, payloads) in decks() {
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let mut dicts = match deck {
+            "cache1" => vec![("256", train(&refs, 256, 7))],
+            "sst" => vec![("2k", train(&refs, 2 << 10, 7))],
+            _ => vec![("16k", train(&refs, 16 << 10, 7))],
+        };
+        if deck == "sst" {
+            let other = generate_sst((16 << 10) - 1, SEED ^ 1);
+            dicts.push(("block-1", Dictionary::new(other, 9)));
+        }
+        for (dtag, dict) in &dicts {
+            let eligible: Vec<&Vec<u8>> =
+                payloads.iter().filter(|p| p.len() > dict.len()).collect();
+            assert!(eligible.len() * 4 >= payloads.len(), "{deck}/{dtag}");
+            for level in LEVELS {
+                let c = Zstdx::new(level);
+                let d = digest(eligible.iter().map(|p| {
+                    let f = c.compress_with_dict(p, dict);
+                    assert_eq!(c.decompress_with_dict(&f, dict).unwrap(), **p);
+                    f
+                }));
+                got.push((format!("{deck}/{dtag}/l{level}"), d));
+            }
+        }
+    }
+    check("dictionary", &got, &DICT);
+}
+
+const PLAIN: [(&str, u64); 36] = [
+    ("cache1/l1/auto", 0xfe9002cdfc76d866),
+    ("cache1/l1/single", 0xfe9002cdfc76d866),
+    ("cache1/l1/quad", 0xde7aec67e703a2af),
+    ("cache1/l3/auto", 0xf07f366d9591aba8),
+    ("cache1/l3/single", 0xf07f366d9591aba8),
+    ("cache1/l3/quad", 0xae77a60246699450),
+    ("cache1/l7/auto", 0xbe9fa05f2421584b),
+    ("cache1/l7/single", 0xbe9fa05f2421584b),
+    ("cache1/l7/quad", 0x898a3fc64dd73395),
+    ("cache1/l13/auto", 0x993ce67e0a737dd4),
+    ("cache1/l13/single", 0x993ce67e0a737dd4),
+    ("cache1/l13/quad", 0x844faa3d37ec5c2b),
+    ("sst/l1/auto", 0xa7c26a520411079e),
+    ("sst/l1/single", 0xa7c26a520411079e),
+    ("sst/l1/quad", 0x76571320363b75c9),
+    ("sst/l3/auto", 0x3535425ba972ee6b),
+    ("sst/l3/single", 0x3535425ba972ee6b),
+    ("sst/l3/quad", 0x396c382a468e5db2),
+    ("sst/l7/auto", 0x0a3908d512f33ab7),
+    ("sst/l7/single", 0x0a3908d512f33ab7),
+    ("sst/l7/quad", 0xc48aaa71173e20b6),
+    ("sst/l13/auto", 0xbf511d23c0afd41f),
+    ("sst/l13/single", 0xbf511d23c0afd41f),
+    ("sst/l13/quad", 0xd435e7c741fd9501),
+    ("orc/l1/auto", 0x9f25f875430cd09b),
+    ("orc/l1/single", 0xced0bf2b623d4ad0),
+    ("orc/l1/quad", 0x32c2d06db785f294),
+    ("orc/l3/auto", 0x6a364552a01a063b),
+    ("orc/l3/single", 0x6a364552a01a063b),
+    ("orc/l3/quad", 0xb1ec2d3f2a233cf2),
+    ("orc/l7/auto", 0x6478b5ac32ed2ef7),
+    ("orc/l7/single", 0x6478b5ac32ed2ef7),
+    ("orc/l7/quad", 0xabc09314d4c7296f),
+    ("orc/l13/auto", 0xa951d3b12c65289f),
+    ("orc/l13/single", 0xa951d3b12c65289f),
+    ("orc/l13/quad", 0x9da0222d928c675b),
+];
+
+const DICT: [(&str, u64); 16] = [
+    ("cache1/256/l1", 0x80b5355980fc56a5),
+    ("cache1/256/l3", 0x10705b45305df59b),
+    ("cache1/256/l7", 0x8df3548e38d814a1),
+    ("cache1/256/l13", 0xd97a068f25a59995),
+    ("sst/2k/l1", 0xa04777c5f9256293),
+    ("sst/2k/l3", 0x688d7c21e49b061a),
+    ("sst/2k/l7", 0x4dc74cbbdea8ce04),
+    ("sst/2k/l13", 0x68940ea4c7676389),
+    ("sst/block-1/l1", 0xc5783d71690db418),
+    ("sst/block-1/l3", 0xe6fcd74102c911df),
+    ("sst/block-1/l7", 0x0fae62ac84f2bd80),
+    ("sst/block-1/l13", 0xa6632eb13f46aa6c),
+    ("orc/16k/l1", 0x34d3e9f94334e3b3),
+    ("orc/16k/l3", 0x98bd018fb67a69ad),
+    ("orc/16k/l7", 0xd1a8be30a4b053ae),
+    ("orc/16k/l13", 0xbd86ddf2446e593e),
+];

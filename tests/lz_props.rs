@@ -3,7 +3,7 @@
 //! parameters, with or without dictionary history.
 
 use datacomp::lzkit::Strategy as LzStrategy;
-use datacomp::lzkit::{parse, reconstruct, MatchParams};
+use datacomp::lzkit::{parse, parse_with_prefix, reconstruct, MatchParams, PrefixIndex};
 use proptest::prelude::*;
 
 fn any_strategy() -> impl Strategy<Value = LzStrategy> {
@@ -41,6 +41,67 @@ proptest! {
         let params = MatchParams::new(strategy);
         let block = parse(&buf, start, &params);
         prop_assert_eq!(reconstruct(&block, &dict).unwrap(), data);
+    }
+
+    /// An attached parse reconstructs its input for any dictionary and
+    /// input, down to empty and sub-window (< 4 byte) ones, where the
+    /// index holds nothing and every position is the per-call tables'.
+    #[test]
+    fn attached_parse_reconstructs(
+        dict in proptest::collection::vec(0u8..6, 0..1536),
+        data in proptest::collection::vec(0u8..6, 0..2048),
+        strategy in any_strategy(),
+    ) {
+        let index = PrefixIndex::build(&dict);
+        let mut buf = dict.clone();
+        buf.extend_from_slice(&data);
+        let params = MatchParams::new(strategy);
+        let block = parse_with_prefix(&buf, dict.len(), &params, Some(&index));
+        prop_assert_eq!(reconstruct(&block, &dict).unwrap(), data);
+    }
+
+    /// The same with the dictionary and input cut to the boundary
+    /// sizes the 4-byte window makes special.
+    #[test]
+    fn attached_parse_reconstructs_tiny_dictionaries_and_inputs(
+        dict_len in 0usize..8,
+        data_len in 0usize..8,
+        seed in proptest::collection::vec(0u8..3, 16..17),
+        strategy in any_strategy(),
+    ) {
+        let dict = &seed[..dict_len];
+        let data = &seed[8..8 + data_len];
+        let index = PrefixIndex::build(dict);
+        let buf = [dict, data].concat();
+        let params = MatchParams::new(strategy);
+        let block = parse_with_prefix(&buf, dict.len(), &params, Some(&index));
+        prop_assert_eq!(reconstruct(&block, dict).unwrap(), data);
+    }
+
+    /// A later block of a frame: the history is the dictionary plus the
+    /// blocks before this one, and only the dictionary is in the index —
+    /// the rest must be found through the per-call tables. The block
+    /// repeats a stretch of the earlier one, so missing it shows.
+    #[test]
+    fn attached_parse_indexes_history_past_the_dictionary(
+        dict in proptest::collection::vec(0u8..8, 0..512),
+        earlier in proptest::collection::vec(any::<u8>(), 64..1024),
+        fresh in proptest::collection::vec(0u8..8, 0..256),
+        strategy in any_strategy(),
+    ) {
+        let index = PrefixIndex::build(&dict);
+        let mut block_bytes = fresh.clone();
+        block_bytes.extend_from_slice(&earlier[8..56]);
+        let history = [dict.as_slice(), earlier.as_slice()].concat();
+        let buf = [history.as_slice(), block_bytes.as_slice()].concat();
+        let params = MatchParams::new(strategy);
+        let block = parse_with_prefix(&buf, history.len(), &params, Some(&index));
+        prop_assert_eq!(reconstruct(&block, &history).unwrap(), block_bytes);
+        // 48 random bytes recur nowhere but in `earlier`.
+        prop_assert!(
+            block.sequences.iter().any(|s| s.match_len >= 40),
+            "the repeat of the earlier block went unmatched"
+        );
     }
 
     #[test]
