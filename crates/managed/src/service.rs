@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use codecs::zstdx::Zstdx;
 use codecs::{Compressor, Dictionary};
-use telemetry::{Clock, Registry};
+use telemetry::{Clock, Registry, RequestSampler};
 
 use crate::reservoir::Reservoir;
 use crate::resilience::{
@@ -29,6 +29,15 @@ const QUARANTINE_CAP: usize = 32;
 
 /// Default byte bound on the per-use-case quarantine store.
 const QUARANTINE_BYTES: usize = 256 * 1024;
+
+/// Bytes the reservoir keeps of one payload, in dictionary sizes.
+/// Training distils the samples into `dict_size` bytes, so reading much
+/// more than that per sample buys nothing: on 256 KiB warehouse blocks
+/// the ratio climbs up to four dictionaries' worth and falls again
+/// beyond eight (scores over megabytes dilute), and the whole block
+/// costs a hundred times the time and memory. DESIGN.md §6 "Dictionary
+/// training" has the table.
+const SAMPLE_WINDOW_DICTS: usize = 4;
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
@@ -146,6 +155,9 @@ pub struct ManagedCompression {
     registry: Arc<Registry>,
     /// Clock behind deadlines and breakers; injectable for tests.
     clock: Arc<dyn Clock>,
+    /// Where each call's span tree is finished: the process-wide tail
+    /// sampler, which tests swap for one on a manual clock.
+    requests: RequestSampler,
     /// Concurrency limiter + brownout ladder, shared so harnesses can
     /// hold permits externally to simulate load.
     admission: Arc<AdmissionController>,
@@ -179,6 +191,7 @@ impl ManagedCompression {
             use_cases: HashMap::new(),
             registry: Arc::new(Registry::new()),
             clock,
+            requests: telemetry::requests().clone(),
             admission: AdmissionController::new(config.resilience.admission),
             retry_budget: Arc::new(RetryBudget::new(&config.resilience.retry)),
             breakers: HashMap::new(),
@@ -286,8 +299,9 @@ impl ManagedCompression {
     /// `managed.compress.calls`, `managed.decompress.calls`,
     /// `managed.versions_trained`, `managed.bytes_in`,
     /// `managed.bytes_out` counters and `managed.compress.nanos` /
-    /// `managed.decompress.nanos` latency histograms, all labeled
-    /// `{use_case=...}`.
+    /// `managed.decompress.nanos` latency histograms, plus
+    /// `managed.retrain.nanos` (one observation per dictionary
+    /// training), all labeled `{use_case=...}`.
     pub fn telemetry(&self) -> &Registry {
         &self.registry
     }
@@ -308,7 +322,11 @@ impl ManagedCompression {
         self.use_cases
             .entry(use_case.to_string())
             .or_insert_with(|| UseCase {
-                reservoir: Reservoir::new(config.reservoir_capacity, seed),
+                reservoir: Reservoir::new(
+                    config.reservoir_capacity,
+                    SAMPLE_WINDOW_DICTS * config.dict_size,
+                    seed,
+                ),
                 versions: Vec::new(),
                 next_version: 1,
                 calls_since_train: 0,
@@ -343,7 +361,9 @@ impl ManagedCompression {
         // Request-scoped causal trace: stages recorded below (codec
         // block loops, dict training) nest under this context until it
         // drops at return; the tail sampler then decides keep-or-drop.
-        let req = telemetry::requests().open(use_case, telemetry::Op::Compress, data.len());
+        let req = self
+            .requests
+            .open(use_case, telemetry::Op::Compress, data.len());
         req.arm_deadline(policy.deadline_nanos);
         let deadline = Deadline::new(Arc::clone(&self.clock), policy.deadline_nanos);
 
@@ -387,8 +407,17 @@ impl ManagedCompression {
                 .map(|v| v.as_slice())
                 .collect();
             let version = case.next_version;
+            // Once per `retrain_interval` calls, so reporting it costs
+            // the hot path nothing: a stage in the request's span tree
+            // (`/profile.json` attributes a slow call to training) and
+            // a histogram `managed.retrain_share` can be read from.
+            let train_start = Instant::now();
             let dict =
                 codecs::dict::train(&refs, config.dict_size, Self::dict_id(use_case, version));
+            let train_elapsed = train_start.elapsed();
+            telemetry::request::observe_stage("dict.train", train_start, train_elapsed);
+            reg.histogram("managed.retrain.nanos", &labels)
+                .observe_duration(train_elapsed);
             if !dict.is_empty() {
                 // Only the newest generation compresses; the one it
                 // supersedes keeps its content for decoding and gives
@@ -540,7 +569,9 @@ impl ManagedCompression {
         let config = self.config;
         let policy = config.resilience;
         let start = Instant::now();
-        let req = telemetry::requests().open(use_case, telemetry::Op::Decompress, frame.len());
+        let req = self
+            .requests
+            .open(use_case, telemetry::Op::Decompress, frame.len());
         req.arm_deadline(policy.deadline_nanos);
         let deadline = Deadline::new(Arc::clone(&self.clock), policy.deadline_nanos);
         if !self.use_cases.contains_key(use_case) {
@@ -971,6 +1002,100 @@ mod tests {
             assert_eq!(&svc.decompress("events", f).unwrap(), p);
         }
         assert_eq!(index_bytes(&svc), held);
+    }
+
+    #[test]
+    fn a_retraining_compress_reports_dict_train_in_its_span_tree() {
+        use telemetry::{ManualClock, SamplerConfig};
+        let clock = ManualClock::shared();
+        let sampler = RequestSampler::new(
+            SamplerConfig {
+                baseline_one_in: 1, // keep every request
+                ..Default::default()
+            },
+            clock.clone(),
+        );
+        let mut svc = ManagedCompression::new(ManagedConfig::default());
+        svc.requests = sampler.clone();
+        // The sampler's clock moves once per call, between training and
+        // the codec, by more than any real stage lasts: every latency is
+        // exactly this, and the stages must still partition it.
+        const CALL_NANOS: u64 = 60_000_000_000;
+        svc.set_fault_hook(Some(Arc::new(move |_| {
+            clock.advance(CALL_NANOS);
+            false
+        })));
+        for i in 0..10 {
+            svc.compress("events", &typed_payload(i)).unwrap();
+        }
+        let sampled = sampler.sampled();
+        assert_eq!(sampled.len(), 10);
+        for (call, req) in sampled.iter().enumerate() {
+            // The eighth call warms the reservoir and trains.
+            let trains: Vec<_> = req
+                .spans
+                .iter()
+                .filter(|s| s.name == "dict.train")
+                .collect();
+            assert_eq!(trains.len(), usize::from(call == 7), "call {call}");
+            assert!(trains.iter().all(|s| s.parent == 1 && s.total_nanos > 0));
+            assert_eq!(req.latency_nanos, CALL_NANOS);
+            assert_eq!(req.self_nanos_total(), req.latency_nanos, "call {call}");
+        }
+        // What `/profile.json` serves attributes the time to the stage,
+        // and the service's own registry holds the retrain's duration.
+        let rows = sampler.attribution();
+        assert!(rows
+            .iter()
+            .any(|row| row.stages.iter().any(|s| s.stage == "dict.train")));
+        let snap = svc.telemetry().snapshot();
+        let retrains = snap
+            .histogram("managed.retrain.nanos", &[("use_case", "events")])
+            .expect("retrain histogram");
+        assert_eq!(retrains.count(), 1);
+    }
+
+    #[test]
+    fn big_blocks_train_on_schedule_from_a_bounded_reservoir() {
+        // 256 KiB of typed records, different per block.
+        let block = |i: usize| -> Vec<u8> {
+            let mut out = Vec::with_capacity(256 << 10);
+            let mut j = 0;
+            while out.len() < 256 << 10 {
+                out.extend_from_slice(&typed_payload(i * 100_000 + j));
+                j += 1;
+            }
+            out.truncate(256 << 10);
+            out
+        };
+        let cfg = ManagedConfig {
+            level: 1,
+            ..Default::default()
+        };
+        let mut svc = ManagedCompression::new(cfg);
+        let mut frames = Vec::new();
+        let mut trained_on = Vec::new();
+        for call in 1..=300 {
+            let before = svc.stats("blocks").map_or(0, |s| s.versions_trained);
+            frames.push(svc.compress("blocks", &block(call)).unwrap());
+            if svc.stats("blocks").unwrap().versions_trained > before {
+                trained_on.push(call);
+            }
+            let held = svc.use_cases["blocks"].reservoir.bytes();
+            assert!(
+                held <= cfg.reservoir_capacity * SAMPLE_WINDOW_DICTS * cfg.dict_size,
+                "reservoir holds {held} B after call {call}"
+            );
+        }
+        // The first warm reservoir, then every `retrain_interval` calls.
+        assert_eq!(trained_on, [8, 136, 264]);
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(svc.decompress("blocks", frame).unwrap(), block(i + 1));
+        }
+        let versions = &svc.use_cases["blocks"].versions;
+        assert_eq!(versions.len(), 3);
+        let (_, superseded) = versions.split_last().unwrap();
+        assert!(superseded.iter().all(|(_, d)| d.index_bytes() == 0));
     }
 
     #[test]

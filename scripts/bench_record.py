@@ -6,8 +6,10 @@
 
 A.jsonl / B.jsonl are the benchmark/out/runs.jsonl files of a parent
 set and a change set run at the same seeds (benchmark/README.md, "A/A");
-the ladder files are the standard output of one
-`benchmark/run.sh --workload W --trace 1` per side.
+the ladder files are the standard output of
+`benchmark/run.sh --workload W --trace 1`, one run per side for each
+workload the record should carry (concatenate them into one file per
+side).
 """
 import json, re, statistics, sys
 
@@ -53,14 +55,14 @@ LOWER = {"setup_s", "compress_us_per_op", "decompress_us_per_op", "compress_p50_
          "decompress_p50_us", "cpu_us_per_op", "rss_mb"}
 
 def ladder(path):
-    """`<workload> <layer.metric> <value> <unit> n=<count>` lines."""
-    workload, rows = None, {}
+    """`<workload> <layer.metric> <value> <unit> n=<count>` lines, by workload."""
+    rows = {}
     for line in open(path):
         m = re.match(r"^(\S+)\s+(\S+\.\S+)\s+(-?[\d.]+)\s+(\S+)\s+n=", line)
         if m:
-            workload = m.group(1)
-            rows[m.group(2)] = {"value": float(m.group(3)), "unit": m.group(4)}
-    return workload, rows
+            rows.setdefault(m.group(1), {})[m.group(2)] = {
+                "value": float(m.group(3)), "unit": m.group(4)}
+    return rows
 
 pr, parent_sha, title = sys.argv[1:4]
 a, b = load(sys.argv[4]), load(sys.argv[5])
@@ -89,10 +91,10 @@ for w in sorted(a):
             "parent_iqr": sig(m["q3"] - m["q1"]),
         }
     doc["workloads"][w] = {"parent": pa, "change": ch, "compare": cmp}
-(workload, parent_rows), (_, change_rows) = ladder(sys.argv[6]), ladder(sys.argv[7])
+parent_rows, change_rows = ladder(sys.argv[6]), ladder(sys.argv[7])
 doc["ladder_trace1"] = {
-    "method": f"benchmark/run.sh --workload {workload} --trace 1, default seed, one run per side",
-    "workload": workload, "parent": parent_rows, "change": change_rows,
+    "method": "benchmark/run.sh --workload W --trace 1, default seed, one run per side and workload",
+    "workloads": {w: {"parent": parent_rows[w], "change": change_rows[w]} for w in sorted(parent_rows)},
 }
 text = json.dumps(doc, indent=1)
 # One line per number array and per {value, unit} pair.
