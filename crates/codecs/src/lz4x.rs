@@ -18,7 +18,7 @@ use std::time::Instant;
 use lzkit::{MatchParams, ParsedBlock, Strategy};
 
 use crate::varint::{write_varint, Cursor};
-use crate::{CodecError, Compressor, DecodeLimits, Result};
+use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result};
 
 /// Frame magic ("X4").
 const MAGIC: [u8; 2] = [0x58, 0x34];
@@ -159,7 +159,7 @@ impl Lz4x {
                 });
             }
         }
-        crate::obs::record_decompress("lz4x", self.level, out.len(), start);
+        crate::obs::record_decompress(Algorithm::Lz4x, self.level, out.len(), start);
         Ok(out)
     }
 }
@@ -270,17 +270,18 @@ impl Compressor for Lz4x {
         let mut out = Vec::with_capacity(src.len() / 2 + 16);
         out.extend_from_slice(if self.checksum { &MAGIC_CK } else { &MAGIC });
         write_varint(&mut out, src.len() as u64);
-        let reg = telemetry::global();
+        static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("lz4x.match_find");
+        static ENCODE: telemetry::Stage = telemetry::Stage::new("lz4x.encode");
         let mf_start = Instant::now();
         let block = lzkit::parse(src, 0, &self.params);
-        telemetry::record_stage(reg, "lz4x.match_find", &[], mf_start, mf_start.elapsed());
+        MATCH_FIND.record(mf_start, mf_start.elapsed());
         let enc_start = Instant::now();
         encode_block(&block, &mut out);
-        telemetry::record_stage(reg, "lz4x.encode", &[], enc_start, enc_start.elapsed());
+        ENCODE.record(enc_start, enc_start.elapsed());
         if self.checksum {
             out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
         }
-        crate::obs::record_compress("lz4x", self.level, src.len(), out.len(), start);
+        crate::obs::record_compress(Algorithm::Lz4x, self.level, src.len(), out.len(), start);
         out
     }
 

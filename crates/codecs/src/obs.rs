@@ -1,8 +1,9 @@
 //! Registry instrumentation shared by the codec implementations.
 //!
-//! Every `compress`/`decompress` call on any codec records, into the
-//! [global telemetry registry](telemetry::global), the series the
-//! paper's fleet profiler aggregates per `(algorithm, level)` (§III-A):
+//! Every successful `compress`/`decompress` call on any codec records,
+//! into the [global telemetry registry](telemetry::global), the series
+//! the paper's fleet profiler aggregates per `(algorithm, level)`
+//! (§III-A):
 //!
 //! * `codecs.compress.calls` / `codecs.decompress.calls` — counters
 //! * `codecs.compress.bytes_in` / `codecs.compress.bytes_out` /
@@ -11,67 +12,162 @@
 //!   histograms (p50/p90/p99/max at export)
 //!
 //! Alongside the cumulative series, each call also feeds the
-//! [time-windowed registry](telemetry::windows): the same counter and
-//! latency names scoped to the sliding window, with the latency
+//! [time-windowed registry](telemetry::windows): the uncompressed-side
+//! byte counter and the latency histogram under the same names, the
 //! histogram linking its per-bucket max sample back to a trace instant
 //! (an exemplar) so a scrape-time p99 can be chased to the exact
-//! flight-recorder event that caused it.
+//! flight-recorder event that caused it — and the whole call is a
+//! `codec.compress` / `codec.decompress` stage of any open request.
 //!
-//! The cost is a few relaxed atomic updates plus two registry lookups
-//! per call — negligible next to the (de)compression work itself.
+//! That is six series per call. They are not looked up per call: each
+//! `(algorithm, level, direction)` resolves its handles once, on its
+//! first call, into a bundle kept in a static table, so a call costs
+//! one table index, relaxed atomic adds, and the windowed histogram's
+//! slot lock. A level outside the table (only
+//! [`Zstdx::with_params`](crate::zstdx::Zstdx::with_params) can make
+//! one) resolves its handles on every call instead.
 
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use telemetry::{Counter, Histogram, WindowedCounter, WindowedHistogram};
+
+use crate::Algorithm;
+
+/// Series and trace names of one direction.
+struct Names {
+    calls: &'static str,
+    /// Uncompressed bytes: compress input, decompress output. Also
+    /// kept windowed.
+    raw_bytes: &'static str,
+    /// Compressed bytes, where the direction exports them.
+    frame_bytes: Option<&'static str>,
+    /// Latency, cumulative and windowed.
+    nanos: &'static str,
+    stage: &'static str,
+    exemplar: &'static str,
+}
+
+const COMPRESS: Names = Names {
+    calls: "codecs.compress.calls",
+    raw_bytes: "codecs.compress.bytes_in",
+    frame_bytes: Some("codecs.compress.bytes_out"),
+    nanos: "codecs.compress.nanos",
+    stage: "codec.compress",
+    exemplar: "codec.compress.window_max",
+};
+
+const DECOMPRESS: Names = Names {
+    calls: "codecs.decompress.calls",
+    raw_bytes: "codecs.decompress.bytes_out",
+    frame_bytes: None,
+    nanos: "codecs.decompress.nanos",
+    stage: "codec.decompress",
+    exemplar: "codec.decompress.window_max",
+};
+
+/// The resolved handles of one `(algorithm, level, direction)`.
+struct Bundle {
+    names: &'static Names,
+    calls: Arc<Counter>,
+    raw_bytes: Arc<Counter>,
+    frame_bytes: Option<Arc<Counter>>,
+    nanos: Arc<Histogram>,
+    window_raw_bytes: Arc<WindowedCounter>,
+    window_nanos: Arc<WindowedHistogram>,
+}
+
+impl Bundle {
+    fn resolve(names: &'static Names, algo: Algorithm, level: i32) -> Self {
+        let level = level.to_string();
+        let labels = [("algo", algo.name()), ("level", level.as_str())];
+        let (reg, win) = (telemetry::global(), telemetry::windows());
+        Self {
+            names,
+            calls: reg.counter(names.calls, &labels),
+            raw_bytes: reg.counter(names.raw_bytes, &labels),
+            frame_bytes: names.frame_bytes.map(|name| reg.counter(name, &labels)),
+            nanos: reg.histogram(names.nanos, &labels),
+            window_raw_bytes: win.counter(names.raw_bytes, &labels),
+            window_nanos: win.histogram(names.nanos, &labels),
+        }
+    }
+
+    fn emit(&self, raw: usize, frame: usize, start: Instant) {
+        let elapsed = start.elapsed();
+        // Whole-call stage for any live request context (a thread-local
+        // check when none is open, so raw codec paths pay nothing).
+        telemetry::request::observe_stage(self.names.stage, start, elapsed);
+        self.calls.inc();
+        self.raw_bytes.add(raw as u64);
+        if let Some(c) = &self.frame_bytes {
+            c.add(frame as u64);
+        }
+        self.nanos.observe_duration(elapsed);
+        self.window_raw_bytes.add(raw as u64);
+        self.window_nanos
+            .observe_linked(elapsed.as_nanos() as u64, || {
+                telemetry::trace::instant_ref(self.names.exemplar)
+            });
+    }
+}
+
+/// Lowest level with a table slot; covers every codec's clamped range
+/// (zstdx −5..=19, lz4x 1..=12, zlibx 0..=9).
+const LEVEL_MIN: i32 = -8;
+const LEVEL_SLOTS: usize = 32;
+
+/// Bundles per algorithm (`Algorithm as usize`) and level slot.
+type Table = [[OnceLock<Bundle>; LEVEL_SLOTS]; 3];
+
+static COMPRESSES: Table = [const { [const { OnceLock::new() }; LEVEL_SLOTS] }; 3];
+static DECOMPRESSES: Table = [const { [const { OnceLock::new() }; LEVEL_SLOTS] }; 3];
+
+fn emit(
+    table: &'static Table,
+    names: &'static Names,
+    algo: Algorithm,
+    level: i32,
+    raw: usize,
+    frame: usize,
+    start: Instant,
+) {
+    let slot = usize::try_from(level - LEVEL_MIN)
+        .ok()
+        .and_then(|i| table.get(algo as usize)?.get(i));
+    let uncached;
+    let bundle = match slot {
+        Some(cell) => cell.get_or_init(|| Bundle::resolve(names, algo, level)),
+        None => {
+            uncached = Bundle::resolve(names, algo, level);
+            &uncached
+        }
+    };
+    bundle.emit(raw, frame, start);
+}
 
 /// Records one compression call.
 pub(crate) fn record_compress(
-    algo: &'static str,
+    algo: Algorithm,
     level: i32,
     bytes_in: usize,
     bytes_out: usize,
     start: Instant,
 ) {
-    let elapsed = start.elapsed();
-    // Whole-call stage for any live request context (a thread-local
-    // check when none is open, so raw codec paths pay nothing).
-    telemetry::request::observe_stage("codec.compress", start, elapsed);
-    let level = level.to_string();
-    let labels = [("algo", algo), ("level", level.as_str())];
-    let reg = telemetry::global();
-    reg.counter("codecs.compress.calls", &labels).inc();
-    reg.counter("codecs.compress.bytes_in", &labels)
-        .add(bytes_in as u64);
-    reg.counter("codecs.compress.bytes_out", &labels)
-        .add(bytes_out as u64);
-    reg.histogram("codecs.compress.nanos", &labels)
-        .observe_duration(elapsed);
-    let win = telemetry::windows();
-    win.counter("codecs.compress.bytes_in", &labels)
-        .add(bytes_in as u64);
-    win.histogram("codecs.compress.nanos", &labels)
-        .observe_linked(elapsed.as_nanos() as u64, || {
-            telemetry::trace::instant_ref("codec.compress.window_max")
-        });
+    emit(
+        &COMPRESSES,
+        &COMPRESS,
+        algo,
+        level,
+        bytes_in,
+        bytes_out,
+        start,
+    );
 }
 
 /// Records one successful decompression call.
-pub(crate) fn record_decompress(algo: &'static str, level: i32, bytes_out: usize, start: Instant) {
-    let elapsed = start.elapsed();
-    telemetry::request::observe_stage("codec.decompress", start, elapsed);
-    let level = level.to_string();
-    let labels = [("algo", algo), ("level", level.as_str())];
-    let reg = telemetry::global();
-    reg.counter("codecs.decompress.calls", &labels).inc();
-    reg.counter("codecs.decompress.bytes_out", &labels)
-        .add(bytes_out as u64);
-    reg.histogram("codecs.decompress.nanos", &labels)
-        .observe_duration(elapsed);
-    let win = telemetry::windows();
-    win.counter("codecs.decompress.bytes_out", &labels)
-        .add(bytes_out as u64);
-    win.histogram("codecs.decompress.nanos", &labels)
-        .observe_linked(elapsed.as_nanos() as u64, || {
-            telemetry::trace::instant_ref("codec.decompress.window_max")
-        });
+pub(crate) fn record_decompress(algo: Algorithm, level: i32, bytes_out: usize, start: Instant) {
+    emit(&DECOMPRESSES, &DECOMPRESS, algo, level, bytes_out, 0, start);
 }
 
 #[cfg(test)]
@@ -108,10 +204,35 @@ mod tests {
                     >= before.counter("codecs.compress.bytes_in", &l) + data.len() as u64,
                 "{algo} bytes_in not recorded"
             );
+            assert!(
+                after.counter("codecs.decompress.bytes_out", &l)
+                    >= before.counter("codecs.decompress.bytes_out", &l) + data.len() as u64,
+                "{algo} decompress bytes_out not recorded"
+            );
             let h = after
                 .histogram("codecs.compress.nanos", &l)
                 .expect("latency histogram");
             assert!(h.count() >= 1);
         }
+        // Decompress exports no compressed-bytes series.
+        assert!(after
+            .get("codecs.decompress.bytes_in", &labels("zstdx", "2"))
+            .is_none());
+    }
+
+    #[test]
+    fn out_of_table_levels_still_record() {
+        use crate::Compressor;
+        let params = *crate::zstdx::Zstdx::new(3).params();
+        let codec = crate::zstdx::Zstdx::with_params(99, params);
+        let l = [("algo", "zstdx"), ("level", "99")];
+        let before = telemetry::snapshot().counter("codecs.compress.calls", &l);
+        let frame = codec.compress(b"an out-of-range level still reports");
+        codec.decompress(&frame).unwrap();
+        codec.compress(b"and reports every call");
+        assert_eq!(
+            telemetry::snapshot().counter("codecs.compress.calls", &l),
+            before + 2
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! stores blocks uncompressed, levels 1–9 deepen the match search —
 //! "Zlib offers ten compression levels from 0 to 9" (paper, §I).
 
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use entropy::bitio::{BitReader, BitReaderFast, BitSrc, BitWriter};
@@ -18,7 +19,7 @@ use crate::codes::{
     ml_code, ml_extra, of_code, of_extra, read_nibble_lengths, write_nibble_lengths,
 };
 use crate::varint::{write_varint, Cursor};
-use crate::{CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
+use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
 
 /// Frame magic ("XZ").
 const MAGIC: [u8; 2] = [0x58, 0x5a];
@@ -167,7 +168,7 @@ impl Zlibx {
                 });
             }
         }
-        crate::obs::record_decompress("zlibx", self.level, out.len(), begin);
+        crate::obs::record_decompress(Algorithm::Zlibx, self.level, out.len(), begin);
         Ok(out)
     }
 }
@@ -204,17 +205,14 @@ fn level_params(level: i32) -> Option<MatchParams> {
 // (`end = (start + BLOCK).min(data.len())` in `compress`).
 #[allow(clippy::indexing_slicing)]
 fn parse_block(buf: &[u8], start: usize, end: usize, params: &MatchParams) -> lzkit::ParsedBlock {
+    static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("zlibx.match_find");
     let mf_start = Instant::now();
     let block = lzkit::parse(&buf[..end], start, params);
-    telemetry::record_stage(
-        telemetry::global(),
-        "zlibx.match_find",
-        &[],
-        mf_start,
-        mf_start.elapsed(),
-    );
+    MATCH_FIND.record(mf_start, mf_start.elapsed());
     block
 }
+
+static ENTROPY: telemetry::Stage = telemetry::Stage::new("zlibx.entropy");
 
 /// Encodes one block from its parse. Returns None when Huffman coding is
 /// impossible or unprofitable, in which case the caller stores the block
@@ -291,13 +289,7 @@ fn encode_block(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     let (bits, nbits) = w.finish();
     write_varint(&mut out, nbits as u64);
     out.extend_from_slice(&bits);
-    telemetry::record_stage(
-        telemetry::global(),
-        "zlibx.entropy",
-        &[],
-        ent_start,
-        ent_start.elapsed(),
-    );
+    ENTROPY.record(ent_start, ent_start.elapsed());
     (out.len() < data.len()).then_some(out)
 }
 
@@ -437,15 +429,13 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     for (_, bits, _) in &streams {
         out.extend_from_slice(bits);
     }
-    telemetry::record_stage(
-        telemetry::global(),
-        "zlibx.entropy",
-        &[],
-        ent_start,
-        ent_start.elapsed(),
-    );
+    ENTROPY.record(ent_start, ent_start.elapsed());
     (out.len() < data.len()).then_some(out)
 }
+
+static PAIR_BYPASS: LazyLock<Arc<telemetry::Counter>> = LazyLock::new(|| {
+    telemetry::global().counter("entropy.pair_table_bypass", &[("algo", "zlibx")])
+});
 
 #[deny(clippy::indexing_slicing)]
 fn decode_block<const FAST: bool>(
@@ -456,9 +446,7 @@ fn decode_block<const FAST: bool>(
     let lit_lens = read_nibble_lengths(c, LITLEN_ALPHABET)?;
     let lit_table = HuffmanTable::from_lengths(&lit_lens)?;
     if FAST && !lit_table.has_pair_table() {
-        telemetry::global()
-            .counter("entropy.pair_table_bypass", &[("algo", "zlibx")])
-            .inc();
+        PAIR_BYPASS.inc();
     }
     let dist_mode = c.read_u8()?;
     let (dist_table, fixed_dist) = match dist_mode {
@@ -506,9 +494,7 @@ fn decode_block4<const FAST: bool>(
     let lit_lens = read_nibble_lengths(c, LITLEN_ALPHABET)?;
     let lit_table = HuffmanTable::from_lengths(&lit_lens)?;
     if FAST && !lit_table.has_pair_table() {
-        telemetry::global()
-            .counter("entropy.pair_table_bypass", &[("algo", "zlibx")])
-            .inc();
+        PAIR_BYPASS.inc();
     }
     let dist_mode = c.read_u8()?;
     let (dist_table, fixed_dist) = match dist_mode {
@@ -813,7 +799,7 @@ impl Compressor for Zlibx {
         if self.checksum {
             out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
         }
-        crate::obs::record_compress("zlibx", self.level, src.len(), out.len(), begin);
+        crate::obs::record_compress(Algorithm::Zlibx, self.level, src.len(), out.len(), begin);
         out
     }
 

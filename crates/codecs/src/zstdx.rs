@@ -20,7 +20,7 @@
 //! hash chains of growing depth, 13+ the optimal parser.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::{Arc, LazyLock, OnceLock};
 use std::time::Instant;
 
 use entropy::bitio::{BitWriter, RevBitSrc, ReverseBitReader, ReverseBitReaderFast};
@@ -36,7 +36,7 @@ use crate::codes::{
 use crate::dict::Dictionary;
 use crate::timing::StageTiming;
 use crate::varint::{write_varint, Cursor};
-use crate::{CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
+use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
 
 /// Frame magic ("ZSXD").
 pub(crate) const MAGIC: [u8; 4] = [0x5a, 0x53, 0x58, 0x44];
@@ -157,7 +157,7 @@ impl Zstdx {
         let start = Instant::now();
         let out = self.compress_impl(src, None, Some(&mut timing));
         timing.total = start.elapsed();
-        crate::obs::record_compress("zstdx", self.level, src.len(), out.len(), start);
+        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
         (out, timing)
     }
 
@@ -174,7 +174,7 @@ impl Zstdx {
         let start = Instant::now();
         let out = self.compress_impl(src, Some(dict), Some(&mut timing));
         timing.total = start.elapsed();
-        crate::obs::record_compress("zstdx", self.level, src.len(), out.len(), start);
+        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
         (out, timing)
     }
 
@@ -261,6 +261,9 @@ impl Zstdx {
         out
     }
 }
+
+static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("zstdx.match_find");
+static ENTROPY: telemetry::Stage = telemetry::Stage::new("zstdx.entropy");
 
 /// Compresses `buf[start..end]` (with `buf[..start]` as history) into one
 /// block, choosing raw/RLE/compressed representation. `last` sets the
@@ -358,9 +361,8 @@ pub(crate) fn write_block_opts(
             t.entropy += ent_elapsed;
             t.blocks += 1;
         }
-        let reg = telemetry::global();
-        telemetry::record_stage(reg, "zstdx.match_find", &[], mf_start, mf_elapsed);
-        telemetry::record_stage(reg, "zstdx.entropy", &[], ent_start, ent_elapsed);
+        MATCH_FIND.record(mf_start, mf_elapsed);
+        ENTROPY.record(ent_start, ent_elapsed);
 
         if payload.len() < data.len() {
             out.push(BLOCK_COMPRESSED | last_bit);
@@ -997,10 +999,11 @@ pub(crate) fn decode_block_payload<const FAST: bool>(
 /// time lookups). Surfaced as `entropy.pair_table_bypass` on /metrics
 /// so a throughput regression can be attributed to bypassed tables.
 fn note_pair_table_bypass(table: &HuffmanTable) {
+    static BYPASS: LazyLock<Arc<telemetry::Counter>> = LazyLock::new(|| {
+        telemetry::global().counter("entropy.pair_table_bypass", &[("algo", "zstdx")])
+    });
     if !table.has_pair_table() {
-        telemetry::global()
-            .counter("entropy.pair_table_bypass", &[("algo", "zstdx")])
-            .inc();
+        BYPASS.inc();
     }
 }
 
@@ -1265,21 +1268,21 @@ impl Compressor for Zstdx {
     fn compress(&self, src: &[u8]) -> Vec<u8> {
         let start = Instant::now();
         let out = self.compress_impl(src, None, None);
-        crate::obs::record_compress("zstdx", self.level, src.len(), out.len(), start);
+        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
         out
     }
 
     fn decompress_limited(&self, src: &[u8], limits: &DecodeLimits) -> Result<Vec<u8>> {
         let start = Instant::now();
         let out = self.decompress_impl::<true>(src, None, limits)?;
-        crate::obs::record_decompress("zstdx", self.level, out.len(), start);
+        crate::obs::record_decompress(Algorithm::Zstdx, self.level, out.len(), start);
         Ok(out)
     }
 
     fn compress_with_dict(&self, src: &[u8], dict: &Dictionary) -> Vec<u8> {
         let start = Instant::now();
         let out = self.compress_impl(src, Some(dict), None);
-        crate::obs::record_compress("zstdx", self.level, src.len(), out.len(), start);
+        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
         out
     }
 
@@ -1291,7 +1294,7 @@ impl Compressor for Zstdx {
     ) -> Result<Vec<u8>> {
         let start = Instant::now();
         let out = self.decompress_impl::<true>(src, Some(dict), limits)?;
-        crate::obs::record_decompress("zstdx", self.level, out.len(), start);
+        crate::obs::record_decompress(Algorithm::Zstdx, self.level, out.len(), start);
         Ok(out)
     }
 

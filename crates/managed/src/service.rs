@@ -6,11 +6,14 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use codecs::zstdx::Zstdx;
 use codecs::{Compressor, Dictionary};
-use telemetry::{Clock, Registry, RequestSampler};
+use telemetry::{
+    Clock, Counter, Gauge, Histogram, Registry, RequestSampler, SloHandle, WindowedCounter,
+    WindowedHistogram,
+};
 
 use crate::reservoir::Reservoir;
 use crate::resilience::{
@@ -142,6 +145,173 @@ struct UseCase {
     quarantine: VecDeque<Vec<u8>>,
     /// Bytes currently held in `quarantine`.
     quarantine_bytes: usize,
+    obs: UseCaseObs,
+}
+
+impl UseCase {
+    fn new(
+        use_case: &str,
+        config: &ManagedConfig,
+        registry: &Registry,
+        clock: &Arc<dyn Clock>,
+    ) -> Self {
+        let mut h = DefaultHasher::new();
+        use_case.hash(&mut h);
+        Self {
+            reservoir: Reservoir::new(
+                config.reservoir_capacity,
+                SAMPLE_WINDOW_DICTS * config.dict_size,
+                config.seed ^ h.finish(),
+            ),
+            versions: Vec::new(),
+            next_version: 1,
+            calls_since_train: 0,
+            quarantine: VecDeque::new(),
+            quarantine_bytes: 0,
+            obs: UseCaseObs::new(use_case, config, registry, clock),
+        }
+    }
+}
+
+/// What one use case reports, resolved once when the use case is first
+/// seen, so a request updates handles instead of looking series up by
+/// name. Shed, deadline, retry, quarantine and decode-retry recovery
+/// are rare and keep their lookups.
+struct UseCaseObs {
+    bytes_in: Arc<Counter>,
+    bytes_out: Arc<Counter>,
+    passthrough: Arc<Counter>,
+    versions_trained: Arc<Counter>,
+    retrain_nanos: Arc<Histogram>,
+    compress: OpObs,
+    decompress: OpObs,
+}
+
+impl UseCaseObs {
+    fn new(
+        use_case: &str,
+        config: &ManagedConfig,
+        registry: &Registry,
+        clock: &Arc<dyn Clock>,
+    ) -> Self {
+        let labels = [("use_case", use_case)];
+        let op = |op, calls, nanos, exemplar| OpObs {
+            op,
+            calls: registry.counter(calls, &labels),
+            nanos_name: nanos,
+            nanos: registry.histogram(nanos, &labels),
+            exemplar,
+            breaker: CircuitBreaker::new(config.resilience.breaker, Arc::clone(clock)),
+            window_nanos: None,
+            breaker_gauge: None,
+        };
+        Self {
+            bytes_in: registry.counter("managed.bytes_in", &labels),
+            bytes_out: registry.counter("managed.bytes_out", &labels),
+            passthrough: registry.counter("managed.passthrough", &labels),
+            versions_trained: registry.counter("managed.versions_trained", &labels),
+            retrain_nanos: registry.histogram("managed.retrain.nanos", &labels),
+            compress: op(
+                "compress",
+                "managed.compress.calls",
+                "managed.compress.nanos",
+                "managed.compress.window_max",
+            ),
+            decompress: op(
+                "decompress",
+                "managed.decompress.calls",
+                "managed.decompress.nanos",
+                "managed.decompress.window_max",
+            ),
+        }
+    }
+}
+
+/// One operation of one use case: its per-instance series, its breaker
+/// over the zstdx codec, and the two process-global series it exports,
+/// which are registered on first use so `/metrics` lists exactly the
+/// series traffic produced.
+struct OpObs {
+    op: &'static str,
+    calls: Arc<Counter>,
+    nanos_name: &'static str,
+    nanos: Arc<Histogram>,
+    exemplar: &'static str,
+    breaker: CircuitBreaker,
+    window_nanos: Option<Arc<WindowedHistogram>>,
+    breaker_gauge: Option<Arc<Gauge>>,
+}
+
+impl OpObs {
+    /// Records the call's latency, cumulative and windowed; the
+    /// windowed sub-window max carries a trace exemplar.
+    fn observe(&mut self, use_case: &str, elapsed: Duration) {
+        self.nanos.observe_duration(elapsed);
+        let name = self.nanos_name;
+        let exemplar = self.exemplar;
+        self.window_nanos
+            .get_or_insert_with(|| telemetry::windows().histogram(name, &[("use_case", use_case)]))
+            .observe_linked(elapsed.as_nanos() as u64, || {
+                telemetry::trace::instant_ref(exemplar)
+            });
+    }
+
+    /// Publishes breaker state to the global gauge the scrape endpoint
+    /// exports (`resilience_breaker_state{use_case,op,codec}`).
+    fn publish_breaker(&mut self, use_case: &str) {
+        let op = self.op;
+        self.breaker_gauge
+            .get_or_insert_with(|| {
+                telemetry::global().gauge(
+                    "resilience.breaker.state",
+                    &[("use_case", use_case), ("op", op), ("codec", "zstdx")],
+                )
+            })
+            .set(self.breaker.state().as_gauge());
+    }
+}
+
+/// The service-wide admission series, resolved at construction.
+struct LadderObs {
+    /// Last ladder mode, for transition instants/counters.
+    last_mode: ServiceMode,
+    mode: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+    admitted: Arc<WindowedCounter>,
+}
+
+impl LadderObs {
+    fn new() -> Self {
+        let g = telemetry::global();
+        Self {
+            last_mode: ServiceMode::Normal,
+            mode: g.gauge("resilience.admission.mode", &[]),
+            inflight: g.gauge("resilience.admission.inflight", &[]),
+            admitted: telemetry::windows().counter("resilience.admitted", &[]),
+        }
+    }
+
+    /// Records the ladder mode chosen for a request: the gauges every
+    /// time, a trace instant + transition counter on change.
+    fn note(&mut self, mode: ServiceMode, admission: &AdmissionController) {
+        self.mode.set(mode.as_gauge());
+        self.inflight.set(admission.inflight() as f64);
+        if mode != self.last_mode {
+            telemetry::trace::instant(mode.trace_name());
+            telemetry::windows()
+                .counter("resilience.mode.transitions", &[("to", mode.as_str())])
+                .inc();
+            self.last_mode = mode;
+        }
+    }
+}
+
+/// The objectives the service feeds when the embedding process (e.g.
+/// `datacomp monitor`) has declared them; silent otherwise.
+struct ServiceSlos {
+    compress_latency: SloHandle,
+    decompress_latency: SloHandle,
+    decompress_errors: SloHandle,
 }
 
 /// The stateful service. See the [crate docs](crate).
@@ -163,14 +333,12 @@ pub struct ManagedCompression {
     admission: Arc<AdmissionController>,
     /// Service-wide token-bucket retry budget.
     retry_budget: Arc<RetryBudget>,
-    /// One breaker per (use case, op) over the zstdx codec.
-    breakers: HashMap<(String, &'static str), Arc<CircuitBreaker>>,
     /// Operational fault hook (chaos harness); `None` in production.
     fault_hook: Option<FaultHook>,
     /// How backoff delays are waited out; injectable for determinism.
     sleeper: Sleeper,
-    /// Last ladder mode, for transition instants/counters.
-    last_mode: ServiceMode,
+    ladder: LadderObs,
+    slos: ServiceSlos,
     /// Per-operation salt so each retry loop gets a fresh backoff seed.
     retry_seq: u64,
 }
@@ -194,10 +362,14 @@ impl ManagedCompression {
             requests: telemetry::requests().clone(),
             admission: AdmissionController::new(config.resilience.admission),
             retry_budget: Arc::new(RetryBudget::new(&config.resilience.retry)),
-            breakers: HashMap::new(),
             fault_hook: None,
             sleeper: Arc::new(|nanos| std::thread::sleep(std::time::Duration::from_nanos(nanos))),
-            last_mode: ServiceMode::Normal,
+            ladder: LadderObs::new(),
+            slos: ServiceSlos {
+                compress_latency: SloHandle::new("managed.compress.latency"),
+                decompress_latency: SloHandle::new("managed.decompress.latency"),
+                decompress_errors: SloHandle::new("managed.decompress.errors"),
+            },
             retry_seq: 0,
         }
     }
@@ -235,12 +407,20 @@ impl ManagedCompression {
         self.retry_budget.tokens()
     }
 
+    fn breaker_of(&self, use_case: &str, op: &str) -> Option<&CircuitBreaker> {
+        let obs = &self.use_cases.get(use_case)?.obs;
+        match op {
+            "compress" => Some(&obs.compress.breaker),
+            "decompress" => Some(&obs.decompress.breaker),
+            _ => None,
+        }
+    }
+
     /// The state of the breaker guarding `(use_case, op)` — `op` is
-    /// `"compress"` or `"decompress"` — or `None` before any traffic.
+    /// `"compress"` or `"decompress"` — or `None` for a use case the
+    /// service has not seen.
     pub fn breaker_state(&self, use_case: &str, op: &'static str) -> Option<BreakerState> {
-        self.breakers
-            .get(&(use_case.to_string(), op))
-            .map(|b| b.state())
+        self.breaker_of(use_case, op).map(|b| b.state())
     }
 
     /// The recorded state transitions of the breaker guarding
@@ -251,48 +431,9 @@ impl ManagedCompression {
         use_case: &str,
         op: &'static str,
     ) -> Vec<crate::resilience::BreakerTransition> {
-        self.breakers
-            .get(&(use_case.to_string(), op))
+        self.breaker_of(use_case, op)
             .map(|b| b.transitions())
             .unwrap_or_default()
-    }
-
-    fn breaker(&mut self, use_case: &str, op: &'static str) -> Arc<CircuitBreaker> {
-        let cfg = self.config.resilience.breaker;
-        let clock = Arc::clone(&self.clock);
-        Arc::clone(
-            self.breakers
-                .entry((use_case.to_string(), op))
-                .or_insert_with(|| Arc::new(CircuitBreaker::new(cfg, clock))),
-        )
-    }
-
-    /// Publishes breaker state to the global gauge the scrape endpoint
-    /// exports (`resilience_breaker_state{use_case,op,codec}`).
-    fn publish_breaker_gauge(use_case: &str, op: &'static str, state: BreakerState) {
-        telemetry::global()
-            .gauge(
-                "resilience.breaker.state",
-                &[("use_case", use_case), ("op", op), ("codec", "zstdx")],
-            )
-            .set(state.as_gauge());
-    }
-
-    /// Records the ladder mode chosen for a request: global gauges
-    /// every time, a trace instant + transition counter on change.
-    fn note_mode(&mut self, mode: ServiceMode) {
-        let g = telemetry::global();
-        g.gauge("resilience.admission.mode", &[])
-            .set(mode.as_gauge());
-        g.gauge("resilience.admission.inflight", &[])
-            .set(self.admission.inflight() as f64);
-        if mode != self.last_mode {
-            telemetry::trace::instant(mode.trace_name());
-            telemetry::windows()
-                .counter("resilience.mode.transitions", &[("to", mode.as_str())])
-                .inc();
-            self.last_mode = mode;
-        }
     }
 
     /// The per-instance telemetry registry backing [`Self::stats`]:
@@ -314,27 +455,6 @@ impl ManagedCompression {
         ((h.finish() as u32) << 20) | (version & 0xfffff)
     }
 
-    fn case_mut(&mut self, use_case: &str) -> &mut UseCase {
-        let config = self.config;
-        let mut h = DefaultHasher::new();
-        use_case.hash(&mut h);
-        let seed = config.seed ^ h.finish();
-        self.use_cases
-            .entry(use_case.to_string())
-            .or_insert_with(|| UseCase {
-                reservoir: Reservoir::new(
-                    config.reservoir_capacity,
-                    SAMPLE_WINDOW_DICTS * config.dict_size,
-                    seed,
-                ),
-                versions: Vec::new(),
-                next_version: 1,
-                calls_since_train: 0,
-                quarantine: VecDeque::new(),
-                quarantine_bytes: 0,
-            })
-    }
-
     /// Compresses `data` under `use_case`, transparently using (and
     /// maintaining) the case's dictionary.
     ///
@@ -352,10 +472,8 @@ impl ManagedCompression {
     /// * [`ManagedError::DeadlineExceeded`] when the request's time
     ///   budget runs out between stages.
     pub fn compress(&mut self, use_case: &str, data: &[u8]) -> Result<Vec<u8>> {
-        let codec = self.codec.clone();
         let config = self.config;
         let policy = config.resilience;
-        let reg = Arc::clone(&self.registry);
         let labels = [("use_case", use_case)];
         let start = Instant::now();
         // Request-scoped causal trace: stages recorded below (codec
@@ -369,8 +487,8 @@ impl ManagedCompression {
 
         // Admission first: a shed request does no work at all.
         let Some(permit) = self.admission.try_acquire() else {
-            self.note_mode(ServiceMode::Shed);
-            reg.counter("managed.shed", &labels).inc();
+            self.ladder.note(ServiceMode::Shed, &self.admission);
+            self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::trace::instant("resilience.shed");
             req.mark_error("overloaded");
@@ -379,20 +497,20 @@ impl ManagedCompression {
             });
         };
         let mode = permit.mode();
-        self.note_mode(mode);
-        telemetry::windows()
-            .counter("resilience.admitted", &[])
-            .inc();
+        self.ladder.note(mode, &self.admission);
+        self.ladder.admitted.inc();
         self.retry_budget.deposit();
-        let breaker = self.breaker(use_case, "compress");
-        let hook = self.fault_hook.clone();
 
-        let case = self.case_mut(use_case);
+        if !self.use_cases.contains_key(use_case) {
+            let case = UseCase::new(use_case, &config, &self.registry, &self.clock);
+            self.use_cases.insert(use_case.to_string(), case);
+        }
+        let case = self.use_cases.get_mut(use_case).expect("inserted above");
+        let reg = &self.registry;
         case.reservoir.offer(data);
         case.calls_since_train += 1;
-        reg.counter("managed.compress.calls", &labels).inc();
-        reg.counter("managed.bytes_in", &labels)
-            .add(data.len() as u64);
+        case.obs.compress.calls.inc();
+        case.obs.bytes_in.add(data.len() as u64);
 
         // Rollout: train a new version when the interval elapses (or on
         // the first warm reservoir) — but only at full service; the
@@ -416,8 +534,7 @@ impl ManagedCompression {
                 codecs::dict::train(&refs, config.dict_size, Self::dict_id(use_case, version));
             let train_elapsed = train_start.elapsed();
             telemetry::request::observe_stage("dict.train", train_start, train_elapsed);
-            reg.histogram("managed.retrain.nanos", &labels)
-                .observe_duration(train_elapsed);
+            case.obs.retrain_nanos.observe_duration(train_elapsed);
             if !dict.is_empty() {
                 // Only the newest generation compresses; the one it
                 // supersedes keeps its content for decoding and gives
@@ -427,7 +544,7 @@ impl ManagedCompression {
                 }
                 case.versions.push((version, dict));
                 case.next_version += 1;
-                reg.counter("managed.versions_trained", &labels).inc();
+                case.obs.versions_trained.inc();
                 while case.versions.len() > config.versions_kept {
                     case.versions.remove(0);
                 }
@@ -463,6 +580,7 @@ impl ManagedCompression {
         // all degrade to a stored frame: an admitted compress call
         // never fails on codec grounds.
         let dict = case.versions.last().map(|(_, d)| d);
+        let breaker = &case.obs.compress.breaker;
         let decision = breaker.admit();
         let frame = if mode == ServiceMode::Passthrough || decision == BreakerDecision::FastFail {
             if decision == BreakerDecision::FastFail {
@@ -471,9 +589,9 @@ impl ManagedCompression {
                     .counter("resilience.breaker.fast_fail", &[])
                     .inc();
             }
-            reg.counter("managed.passthrough", &labels).inc();
+            case.obs.passthrough.inc();
             stored(data)
-        } else if hook.is_some_and(|h| {
+        } else if self.fault_hook.as_ref().is_some_and(|h| {
             h(&FaultSite {
                 use_case,
                 op: "compress",
@@ -485,7 +603,7 @@ impl ManagedCompression {
             // the failure.
             breaker.record(false);
             reg.counter("managed.faults_injected", &labels).inc();
-            reg.counter("managed.passthrough", &labels).inc();
+            case.obs.passthrough.inc();
             stored(data)
         } else {
             let level = if mode == ServiceMode::CheapLevel {
@@ -497,11 +615,14 @@ impl ManagedCompression {
             } else {
                 config.level
             };
+            let codec = &self.codec;
             let compressed = panic::catch_unwind(AssertUnwindSafe(|| {
+                let cheap;
                 let codec = if level == config.level {
                     codec
                 } else {
-                    Zstdx::new(level)
+                    cheap = Zstdx::new(level);
+                    &cheap
                 };
                 match dict {
                     Some(dict) => codec.compress_with_dict(data, dict),
@@ -513,27 +634,17 @@ impl ManagedCompression {
             match compressed {
                 Some(f) if f.len() < data.len() + PASSTHROUGH_MAGIC.len() => f,
                 _ => {
-                    reg.counter("managed.passthrough", &labels).inc();
+                    case.obs.passthrough.inc();
                     stored(data)
                 }
             }
         };
-        Self::publish_breaker_gauge(use_case, "compress", breaker.state());
-        reg.counter("managed.bytes_out", &labels)
-            .add(frame.len() as u64);
+        case.obs.compress.publish_breaker(use_case);
+        case.obs.bytes_out.add(frame.len() as u64);
         let elapsed = start.elapsed();
-        reg.histogram("managed.compress.nanos", &labels)
-            .observe_duration(elapsed);
-        // Sliding-window view for the live scrape endpoint, with the
-        // per-sub-window max sample carrying a trace exemplar.
-        telemetry::windows()
-            .histogram("managed.compress.nanos", &labels)
-            .observe_linked(elapsed.as_nanos() as u64, || {
-                telemetry::trace::instant_ref("managed.compress.window_max")
-            });
-        if let Some(slo) = telemetry::slos().get("managed.compress.latency") {
+        case.obs.compress.observe(use_case, elapsed);
+        if let Some(slo) = self.slos.compress_latency.get(telemetry::slos()) {
             slo.record_latency(elapsed.as_nanos() as u64);
-            slo.evaluate();
         }
         Ok(frame)
     }
@@ -565,7 +676,6 @@ impl ManagedCompression {
     /// * [`ManagedError::DeadlineExceeded`] when the budget runs out
     ///   between decode attempts.
     pub fn decompress(&mut self, use_case: &str, frame: &[u8]) -> Result<Vec<u8>> {
-        let codec = self.codec.clone();
         let config = self.config;
         let policy = config.resilience;
         let start = Instant::now();
@@ -579,14 +689,13 @@ impl ManagedCompression {
             return Err(ManagedError::UnknownUseCase(use_case.to_string()));
         }
         let labels = [("use_case", use_case)];
-        let reg = Arc::clone(&self.registry);
 
         // Admission: decode work sits behind the same shed boundary.
         // (There is no cheaper decode — the frame dictates the work —
         // so the ladder's intermediate rungs do not apply here.)
         let Some(_permit) = self.admission.try_acquire() else {
-            self.note_mode(ServiceMode::Shed);
-            reg.counter("managed.shed", &labels).inc();
+            self.ladder.note(ServiceMode::Shed, &self.admission);
+            self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::trace::instant("resilience.shed");
             req.mark_error("overloaded");
@@ -594,38 +703,30 @@ impl ManagedCompression {
                 use_case: use_case.to_string(),
             });
         };
-        telemetry::windows()
-            .counter("resilience.admitted", &[])
-            .inc();
+        self.ladder.admitted.inc();
         self.retry_budget.deposit();
-        reg.counter("managed.decompress.calls", &labels).inc();
+        let case = self.use_cases.get_mut(use_case).expect("checked above");
+        let reg = &self.registry;
+        case.obs.decompress.calls.inc();
 
         // Stored frames decode by stripping the passthrough magic.
         if let Some(raw) = frame.strip_prefix(&PASSTHROUGH_MAGIC) {
             let elapsed = start.elapsed();
-            reg.histogram("managed.decompress.nanos", &labels)
-                .observe_duration(elapsed);
-            telemetry::windows()
-                .histogram("managed.decompress.nanos", &labels)
-                .observe_linked(elapsed.as_nanos() as u64, || {
-                    telemetry::trace::instant_ref("managed.decompress.window_max")
-                });
+            case.obs.decompress.observe(use_case, elapsed);
             let slos = telemetry::slos();
-            if let Some(slo) = slos.get("managed.decompress.latency") {
+            if let Some(slo) = self.slos.decompress_latency.get(slos) {
                 slo.record_latency(elapsed.as_nanos() as u64);
-                slo.evaluate();
             }
-            if let Some(slo) = slos.get("managed.decompress.errors") {
+            if let Some(slo) = self.slos.decompress_errors.get(slos) {
                 slo.record(true);
-                slo.evaluate();
             }
             return Ok(raw.to_vec());
         }
 
-        let breaker = self.breaker(use_case, "decompress");
-        let hook = self.fault_hook.clone();
-        let sleeper = Arc::clone(&self.sleeper);
-        let budget = Arc::clone(&self.retry_budget);
+        let codec = &self.codec;
+        let sleeper = &self.sleeper;
+        let budget = &self.retry_budget;
+        let breaker = &case.obs.decompress.breaker;
         let decision = breaker.admit();
 
         // Operational fault hook: an injected transient failure retries
@@ -636,7 +737,7 @@ impl ManagedCompression {
         self.retry_seq = self.retry_seq.wrapping_add(1);
         let mut backoff = Backoff::new(&policy.retry, config.seed ^ self.retry_seq);
         let mut injected_failure = false;
-        if let Some(h) = &hook {
+        if let Some(h) = &self.fault_hook {
             let mut attempt = 0u32;
             loop {
                 let faulted = h(&FaultSite {
@@ -673,7 +774,6 @@ impl ManagedCompression {
             }
         }
 
-        let case = self.use_cases.get_mut(use_case).expect("checked above");
         // Try dict-less first; on a dictionary mismatch error the frame
         // tells us which id it wants.
         let out = if injected_failure {
@@ -788,7 +888,7 @@ impl ManagedCompression {
             breaker.record(!matches!(&attempt, Err(ManagedError::Codec(_))));
             attempt
         };
-        Self::publish_breaker_gauge(use_case, "decompress", breaker.state());
+        case.obs.decompress.publish_breaker(use_case);
         // Codec-level failures quarantine the frame; service-level
         // classifications (retired generation) pass through unchanged.
         let out = match out {
@@ -825,27 +925,18 @@ impl ManagedCompression {
             });
         }
         let elapsed = start.elapsed();
-        reg.histogram("managed.decompress.nanos", &labels)
-            .observe_duration(elapsed);
-        let win = telemetry::windows();
-        win.histogram("managed.decompress.nanos", &labels)
-            .observe_linked(elapsed.as_nanos() as u64, || {
-                telemetry::trace::instant_ref("managed.decompress.window_max")
-            });
+        case.obs.decompress.observe(use_case, elapsed);
         if out.is_err() {
-            win.counter("managed.decompress.errors", &labels).inc();
+            telemetry::windows()
+                .counter("managed.decompress.errors", &labels)
+                .inc();
         }
-        // Feed globally registered objectives, when the embedding
-        // process (e.g. `datacomp monitor`) has declared them; the
-        // library itself stays silent otherwise.
         let slos = telemetry::slos();
-        if let Some(slo) = slos.get("managed.decompress.latency") {
+        if let Some(slo) = self.slos.decompress_latency.get(slos) {
             slo.record_latency(elapsed.as_nanos() as u64);
-            slo.evaluate();
         }
-        if let Some(slo) = slos.get("managed.decompress.errors") {
+        if let Some(slo) = self.slos.decompress_errors.get(slos) {
             slo.record(out.is_ok());
-            slo.evaluate();
         }
         out
     }

@@ -33,7 +33,10 @@
 //! request counters (`server.requests{tenant,op,status}`), windowed
 //! latency histograms (`server.request.nanos{tenant}` — p50/p90/p99 on
 //! `/metrics`), and the `server.request.latency` / `server.errors`
-//! SLOs when registered. Serve them by binding a
+//! SLOs when registered. Their handles live in each tenant's shard entry
+//! next to its service, resolved on the tenant's first request, so a
+//! request updates them without a name lookup; the SLOs are fed and
+//! evaluated only when read. Serve them by binding a
 //! [`telemetry::ScrapeServer`] next to the daemon (the CLI's `serve`
 //! command does).
 
@@ -52,6 +55,7 @@ use std::time::{Duration, Instant};
 use codecs::DecodeLimits;
 use managed::{AdmissionController, ManagedCompression, ManagedConfig, ManagedError};
 use protocol::{Op, Request, Response, Status, WireError};
+use telemetry::{Counter, SloHandle, WindowedHistogram};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -83,8 +87,37 @@ impl Default for ServerConfig {
     }
 }
 
+/// One tenant's shard entry: its service and the handles its requests
+/// report through.
+struct Tenant {
+    svc: ManagedCompression,
+    /// `server.request.nanos{tenant}`, windowed.
+    request_nanos: Arc<WindowedHistogram>,
+    /// `server.requests{tenant,op,status}`, indexed by op then by the
+    /// status's wire value, and registered on first use, so `/metrics`
+    /// lists only the outcomes that happened.
+    requests: [[Option<Arc<Counter>>; 6]; 3],
+    latency_slo: SloHandle,
+    errors_slo: SloHandle,
+}
+
+impl Tenant {
+    fn new(tenant: &str, shared: &Shared) -> Self {
+        let mut svc = ManagedCompression::new(shared.managed);
+        svc.set_admission(Arc::clone(&shared.admission));
+        Self {
+            svc,
+            request_nanos: telemetry::windows()
+                .histogram("server.request.nanos", &[("tenant", tenant)]),
+            requests: Default::default(),
+            latency_slo: SloHandle::new("server.request.latency"),
+            errors_slo: SloHandle::new("server.errors"),
+        }
+    }
+}
+
 struct Shared {
-    shards: Vec<Mutex<HashMap<String, ManagedCompression>>>,
+    shards: Vec<Mutex<HashMap<String, Tenant>>>,
     admission: Arc<AdmissionController>,
     managed: ManagedConfig,
     limits: DecodeLimits,
@@ -294,14 +327,12 @@ fn process_batch(shared: &Shared, batch: &[Request], out: &mut Vec<u8>) {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let svc = guard.entry(tenant.clone()).or_insert_with(|| {
-            let mut svc = ManagedCompression::new(shared.managed);
-            svc.set_admission(Arc::clone(&shared.admission));
-            svc
-        });
+        if !guard.contains_key(tenant) {
+            guard.insert(tenant.clone(), Tenant::new(tenant, shared));
+        }
+        let entry = guard.get_mut(tenant).expect("inserted above");
         for req in &batch[i..j] {
-            let resp = serve_request(svc, req);
-            record_request(req, &resp);
+            let resp = serve_request(entry, req);
             out_response(out, &resp);
         }
         drop(guard);
@@ -309,7 +340,8 @@ fn process_batch(shared: &Shared, batch: &[Request], out: &mut Vec<u8>) {
     }
 }
 
-fn serve_request(svc: &mut ManagedCompression, req: &Request) -> Response {
+fn serve_request(tenant: &mut Tenant, req: &Request) -> Response {
+    let svc = &mut tenant.svc;
     let start = Instant::now();
     let resp = match req.op {
         Op::Compress => match svc.compress(&req.use_case, &req.payload) {
@@ -332,17 +364,15 @@ fn serve_request(svc: &mut ManagedCompression, req: &Request) -> Response {
         },
     };
     let elapsed = start.elapsed();
-    telemetry::windows()
-        .histogram("server.request.nanos", &[("tenant", &req.tenant)])
-        .observe(elapsed.as_nanos() as u64);
-    if let Some(slo) = telemetry::slos().get("server.request.latency") {
+    tenant.request_nanos.observe(elapsed.as_nanos() as u64);
+    let slos = telemetry::slos();
+    if let Some(slo) = tenant.latency_slo.get(slos) {
         slo.record_latency(elapsed.as_nanos() as u64);
-        slo.evaluate();
     }
-    if let Some(slo) = telemetry::slos().get("server.errors") {
+    if let Some(slo) = tenant.errors_slo.get(slos) {
         slo.record(!matches!(resp.status, Status::Error | Status::BadFrame));
-        slo.evaluate();
     }
+    record_request(tenant, req, &resp);
     resp
 }
 
@@ -356,22 +386,29 @@ fn managed_error_response(e: &ManagedError) -> Response {
 
 /// Publishes the per-tenant outcome counter the `/metrics` endpoint
 /// serves (`server_requests{tenant,op,status}`).
-fn record_request(req: &Request, resp: &Response) {
-    let op = match req.op {
-        Op::Compress => "compress",
-        Op::Decompress => "decompress",
-        Op::Stats => "stats",
+fn record_request(tenant: &mut Tenant, req: &Request, resp: &Response) {
+    let (op_index, op) = match req.op {
+        Op::Compress => (0, "compress"),
+        Op::Decompress => (1, "decompress"),
+        Op::Stats => (2, "stats"),
     };
-    telemetry::global()
-        .counter(
-            "server.requests",
-            &[
-                ("tenant", req.tenant.as_str()),
-                ("op", op),
-                ("status", resp.status.as_str()),
-            ],
-        )
+    if let Some(slot) = tenant
+        .requests
+        .get_mut(op_index)
+        .and_then(|by_status| by_status.get_mut(resp.status as usize))
+    {
+        slot.get_or_insert_with(|| {
+            telemetry::global().counter(
+                "server.requests",
+                &[
+                    ("tenant", req.tenant.as_str()),
+                    ("op", op),
+                    ("status", resp.status.as_str()),
+                ],
+            )
+        })
         .inc();
+    }
     if resp.status == Status::Shed {
         telemetry::windows()
             .counter("server.shed", &[("tenant", req.tenant.as_str())])

@@ -127,11 +127,11 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         }
         match &s.value {
             SeriesValue::Counter(v) => {
-                out.push_str(&format!("{name}{} {v}\n", prom_labels(&s.key.labels, None)));
+                out.push_str(&format!("{name}{} {v}\n", prom_labels(&s.key.labels, &[])));
             }
             SeriesValue::Gauge(v) => {
                 let v = if v.is_finite() { *v } else { 0.0 };
-                out.push_str(&format!("{name}{} {v}\n", prom_labels(&s.key.labels, None)));
+                out.push_str(&format!("{name}{} {v}\n", prom_labels(&s.key.labels, &[])));
             }
             SeriesValue::Histogram(h) => prom_histogram(&mut out, &name, &s.key.labels, h),
         }
@@ -154,22 +154,19 @@ fn prom_histogram(
         let le = bucket_upper(idx).to_string();
         out.push_str(&format!(
             "{name}_bucket{} {cum}\n",
-            prom_labels(labels, Some(&le))
+            prom_labels(labels, &[("le", &le)])
         ));
     }
     out.push_str(&format!(
         "{name}_bucket{} {cum}\n",
-        prom_labels(labels, Some("+Inf"))
+        prom_labels(labels, &[("le", "+Inf")])
     ));
     out.push_str(&format!(
         "{name}_sum{} {}\n",
-        prom_labels(labels, None),
+        prom_labels(labels, &[]),
         h.sum
     ));
-    out.push_str(&format!(
-        "{name}_count{} {cum}\n",
-        prom_labels(labels, None)
-    ));
+    out.push_str(&format!("{name}_count{} {cum}\n", prom_labels(labels, &[])));
 }
 
 /// Sanitizes a metric name to the Prometheus charset.
@@ -218,27 +215,23 @@ pub fn prom_help_escape(out: &mut String, value: &str) {
     }
 }
 
-fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
+/// Renders `{k="v",...}` for a series' labels plus `extra` pairs (a
+/// histogram's `le`, an exemplar's trace coordinates); empty when both
+/// are.
+pub(crate) fn prom_labels(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
+    if labels.is_empty() && extra.is_empty() {
         return String::new();
     }
     let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in pairs.chain(extra.iter().copied()).enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
         out.push_str(&prom_name(k));
         out.push_str("=\"");
         prom_escape(&mut out, v);
         out.push('"');
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("le=\"{le}\""));
     }
     out.push('}');
     out

@@ -11,10 +11,9 @@
 //!   monotonic [`Counter`]s, last-value [`Gauge`]s, and log-bucketed
 //!   [`Histogram`]s (power-of-two buckets, p50/p90/p99/max, mergeable
 //!   across threads because every cell is atomic).
-//! * [`Span`] — scoped stage timing. `let _s = span!("zstdx.match_find");`
-//!   records the guard's lifetime into the histogram
-//!   `span.zstdx.match_find` on drop. [`record_duration`] is the
-//!   non-scoped variant for externally measured intervals.
+//! * [`Stage`] — stage timing through a `static` handle resolved on
+//!   first use: `MATCH_FIND.record(start, elapsed)` feeds the histogram
+//!   `span.zstdx.match_find`, the flight recorder and the open request.
 //! * [`export`] — machine-readable exporters: JSON (for `BENCH_*.json`
 //!   style cross-PR trend tracking) and the Prometheus text exposition
 //!   format.
@@ -27,13 +26,17 @@
 //!   histograms ([`windows`]) rotated on an injectable [`clock`],
 //!   yielding per-window p50/p90/p99 and rates, with metric↔trace
 //!   exemplars pointing at flight-recorder events.
-//! * [`slo`] — declarative objectives ([`slos`]) evaluated as
-//!   multi-window burn rates with error-budget accounting.
+//! * [`slo`] — declarative objectives ([`slos`]) fed through
+//!   [`SloHandle`]s and evaluated on read as multi-window burn rates
+//!   with error-budget accounting.
 //! * [`serve`] — a dependency-free HTTP scrape server exposing
 //!   `/metrics`, `/slo`, `/healthz`, and `/trace.json`.
 //!
 //! The crate is dependency-free (std only) so every layer of the stack
-//! can use it without weight.
+//! can use it without weight. Request paths hold handles (`Arc`s
+//! resolved once where their labels are fixed) rather than looking
+//! series up by name per call; a name lookup that hits allocates
+//! nothing, so the cold paths that keep them stay cheap too.
 //!
 //! # Example
 //!
@@ -71,8 +74,8 @@ pub use request::{
     SizeClass, SpanNode,
 };
 pub use serve::{ScrapeServer, Sources};
-pub use slo::{Slo, SloConfig, SloKind, SloRegistry, SloState};
-pub use span::{record_duration, record_stage, Span};
+pub use slo::{Slo, SloConfig, SloHandle, SloKind, SloRegistry, SloState};
+pub use span::Stage;
 pub use trace::{global_tracer, Decision, EventRef, TraceEvent, TraceSnapshot, Tracer};
 pub use window::{
     Exemplar, WindowConfig, WindowRegistry, WindowSnapshot, WindowedCounter, WindowedHistogram,
@@ -120,23 +123,4 @@ pub fn requests() -> &'static RequestSampler {
 /// Snapshot of the process-wide registry.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
-}
-
-/// Opens a [`Span`] recording into the global registry on drop.
-///
-/// ```
-/// {
-///     let _guard = telemetry::span!("demo.stage");
-///     // ... stage work ...
-/// } // recorded into histogram "span.demo.stage" here
-/// let _labeled = telemetry::span!("demo.stage", &[("service", "DW1")]);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::enter($name)
-    };
-    ($name:expr, $labels:expr) => {
-        $crate::Span::enter_in($crate::global(), $name, $labels)
-    };
 }

@@ -5,10 +5,14 @@
 //! different series rarely contend — the same aggregation-table shape a
 //! profiling daemon uses. Handles are `Arc`s: callers on hot paths fetch
 //! a handle once and update it lock-free afterwards.
+//!
+//! The table (`SeriesTable`, shared with the
+//! [windowed registry](crate::window::WindowRegistry)) hashes the
+//! *borrowed* `(name, labels)` and compares it against stored keys in
+//! place, so a lookup that hits allocates nothing; only the first
+//! registration of a series builds an owned [`SeriesKey`].
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -78,14 +82,16 @@ pub struct SeriesKey {
 impl SeriesKey {
     /// Builds a canonical key (labels sorted by name).
     pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
+        with_sorted(labels, |sorted| Self::from_sorted(name, sorted))
+    }
+
+    fn from_sorted(name: &str, sorted: &[(&str, &str)]) -> Self {
         Self {
             name: name.to_string(),
-            labels,
+            labels: sorted
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
         }
     }
 
@@ -95,6 +101,118 @@ impl SeriesKey {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether this key is `name` with the already-sorted `labels`.
+    fn matches(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        self.name == name
+            && self.labels.len() == labels.len()
+            && self
+                .labels
+                .iter()
+                .zip(labels)
+                .all(|((k, v), (bk, bv))| k == bk && v == bv)
+    }
+}
+
+/// Label sets up to this size are sorted on the stack.
+const INLINE_LABELS: usize = 8;
+
+/// Runs `f` on `labels` sorted the way [`SeriesKey::new`] sorts them.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    let mut inline = [("", ""); INLINE_LABELS];
+    match inline.get_mut(..labels.len()) {
+        Some(buf) => {
+            buf.copy_from_slice(labels);
+            buf.sort_unstable();
+            f(buf)
+        }
+        None => {
+            let mut buf = labels.to_vec();
+            buf.sort_unstable();
+            f(&buf)
+        }
+    }
+}
+
+const SHARDS: usize = 16;
+
+/// One shard: entries sorted by key hash, so a lookup is a binary
+/// search plus an in-place compare of the (rarely more than one)
+/// entries sharing that hash.
+type Shard<M> = RwLock<Vec<(u64, SeriesKey, M)>>;
+
+/// The sharded `(name, labels) → M` table behind both registries. See
+/// the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct SeriesTable<M> {
+    shards: Vec<Shard<M>>,
+}
+
+impl<M: Clone> SeriesTable<M> {
+    pub(crate) fn new() -> Self {
+        Self {
+            shards: (0..SHARDS).map(|_| RwLock::new(Vec::new())).collect(),
+        }
+    }
+
+    /// The series `name{labels}`, registering `make()` on first use.
+    /// A hit takes one read lock and allocates nothing.
+    // indexing_slicing: the index is taken modulo `SHARDS`, the vec's
+    // construction length.
+    #[allow(clippy::indexing_slicing)]
+    pub(crate) fn get_or_insert(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> M,
+    ) -> M {
+        with_sorted(labels, |sorted| {
+            let mut h = DefaultHasher::new();
+            (name, sorted).hash(&mut h);
+            let hash = h.finish();
+            let find = |entries: &[(u64, SeriesKey, M)]| {
+                let first = entries.partition_point(|e| e.0 < hash);
+                let mut same_hash = entries.get(first..)?.iter().take_while(|e| e.0 == hash);
+                same_hash
+                    .find(|e| e.1.matches(name, sorted))
+                    .map(|e| e.2.clone())
+            };
+            let shard = &self.shards[(hash % SHARDS as u64) as usize];
+            if let Some(m) = find(&shard.read().expect("series shard not poisoned")) {
+                return m;
+            }
+            let mut entries = shard.write().expect("series shard not poisoned");
+            if let Some(m) = find(&entries) {
+                return m;
+            }
+            let made = make();
+            let at = entries.partition_point(|e| e.0 <= hash);
+            entries.insert(
+                at,
+                (hash, SeriesKey::from_sorted(name, sorted), made.clone()),
+            );
+            made
+        })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("series shard not poisoned").len())
+            .sum()
+    }
+
+    /// Every series mapped through `f`, sorted by key.
+    pub(crate) fn sorted<T>(&self, mut f: impl FnMut(&M) -> T) -> Vec<(SeriesKey, T)> {
+        let mut out = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            for (_, key, m) in shard.read().expect("series shard not poisoned").iter() {
+                out.push((key.clone(), f(m)));
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 }
 
@@ -115,12 +233,10 @@ impl Metric {
     }
 }
 
-const SHARDS: usize = 16;
-
 /// A sharded table of named metric series. See the [module docs](self).
 #[derive(Debug)]
 pub struct Registry {
-    shards: Vec<RwLock<HashMap<SeriesKey, Metric>>>,
+    table: SeriesTable<Metric>,
 }
 
 impl Default for Registry {
@@ -133,26 +249,8 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            table: SeriesTable::new(),
         }
-    }
-
-    // indexing_slicing: the index is taken modulo `SHARDS`, the vec's
-    // construction length.
-    #[allow(clippy::indexing_slicing)]
-    fn shard(&self, key: &SeriesKey) -> &RwLock<HashMap<SeriesKey, Metric>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    fn get_or_insert(&self, key: SeriesKey, make: impl FnOnce() -> Metric) -> Metric {
-        let shard = self.shard(&key);
-        if let Some(m) = shard.read().expect("registry shard not poisoned").get(&key) {
-            return m.clone();
-        }
-        let mut w = shard.write().expect("registry shard not poisoned");
-        w.entry(key).or_insert_with(make).clone()
     }
 
     /// Fetches (registering on first use) the counter `name{labels}`.
@@ -162,8 +260,10 @@ impl Registry {
     /// Panics if the same series was already registered as a different
     /// metric kind — that is a programming error, not a runtime state.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let key = SeriesKey::new(name, labels);
-        match self.get_or_insert(key, || Metric::Counter(Arc::new(Counter::default()))) {
+        match self
+            .table
+            .get_or_insert(name, labels, || Metric::Counter(Arc::default()))
+        {
             Metric::Counter(c) => c,
             other => panic!("series {name} already registered as {}", other.kind()),
         }
@@ -175,8 +275,10 @@ impl Registry {
     ///
     /// Panics on metric-kind mismatch, as for [`Registry::counter`].
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let key = SeriesKey::new(name, labels);
-        match self.get_or_insert(key, || Metric::Gauge(Arc::new(Gauge::default()))) {
+        match self
+            .table
+            .get_or_insert(name, labels, || Metric::Gauge(Arc::default()))
+        {
             Metric::Gauge(g) => g,
             other => panic!("series {name} already registered as {}", other.kind()),
         }
@@ -188,8 +290,10 @@ impl Registry {
     ///
     /// Panics on metric-kind mismatch, as for [`Registry::counter`].
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = SeriesKey::new(name, labels);
-        match self.get_or_insert(key, || Metric::Histogram(Arc::new(Histogram::new()))) {
+        match self
+            .table
+            .get_or_insert(name, labels, || Metric::Histogram(Arc::default()))
+        {
             Metric::Histogram(h) => h,
             other => panic!("series {name} already registered as {}", other.kind()),
         }
@@ -197,30 +301,22 @@ impl Registry {
 
     /// Number of registered series.
     pub fn series_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("registry shard not poisoned").len())
-            .sum()
+        self.table.len()
     }
 
     /// A point-in-time copy of every series, sorted by key for
     /// deterministic export output.
     pub fn snapshot(&self) -> Snapshot {
-        let mut series = Vec::with_capacity(self.series_count());
-        for shard in &self.shards {
-            for (key, metric) in shard.read().expect("registry shard not poisoned").iter() {
-                let value = match metric {
-                    Metric::Counter(c) => SeriesValue::Counter(c.get()),
-                    Metric::Gauge(g) => SeriesValue::Gauge(g.get()),
-                    Metric::Histogram(h) => SeriesValue::Histogram(h.snapshot()),
-                };
-                series.push(Series {
-                    key: key.clone(),
-                    value,
-                });
-            }
-        }
-        series.sort_by(|a, b| a.key.cmp(&b.key));
+        let series = self
+            .table
+            .sorted(|metric| match metric {
+                Metric::Counter(c) => SeriesValue::Counter(c.get()),
+                Metric::Gauge(g) => SeriesValue::Gauge(g.get()),
+                Metric::Histogram(h) => SeriesValue::Histogram(h.snapshot()),
+            })
+            .into_iter()
+            .map(|(key, value)| Series { key, value })
+            .collect();
         Snapshot { series }
     }
 }

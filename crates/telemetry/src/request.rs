@@ -10,7 +10,7 @@
 //! * [`RequestCtx`] — a guard the managed service (and the fleet
 //!   profiler) opens per operation. While it is live on the thread,
 //!   every stage reported through
-//!   [`record_stage`](crate::span::record_stage) (the codec block
+//!   [`Stage::record`](crate::span::Stage::record) (the codec block
 //!   loops' single instrumentation point) additionally becomes a node
 //!   in the request's span tree: span id, parent id, start offset,
 //!   total and self nanoseconds.
@@ -296,16 +296,19 @@ impl RequestCtx {
         self.id
     }
 
+    /// Runs `f` on this request's record while it is the thread's
+    /// innermost open request.
+    fn with_top<R>(&self, f: impl FnOnce(&mut ActiveRequest) -> R) -> Option<R> {
+        ACTIVE.with(|cell| {
+            let mut stack = cell.borrow_mut();
+            stack.last_mut().filter(|top| top.id == self.id).map(f)
+        })
+    }
+
     /// Marks the request failed; the label lands in `/requests.json`
     /// and the Chrome export. An errored request is always sampled.
     pub fn mark_error(&self, label: &'static str) {
-        ACTIVE.with(|cell| {
-            if let Some(top) = cell.borrow_mut().last_mut() {
-                if top.id == self.id {
-                    top.error = Some(label);
-                }
-            }
-        });
+        self.with_top(|top| top.error = Some(label));
     }
 
     /// Arms a per-request deadline of `budget_nanos`, measured from the
@@ -314,17 +317,9 @@ impl RequestCtx {
     /// stage ends past the budget, so services can check between stages
     /// without their own timer plumbing. A zero budget disarms.
     pub fn arm_deadline(&self, budget_nanos: u64) {
-        ACTIVE.with(|cell| {
-            if let Some(top) = cell.borrow_mut().last_mut() {
-                if top.id == self.id {
-                    top.deadline_nanos = if budget_nanos == 0 {
-                        None
-                    } else {
-                        Some(budget_nanos)
-                    };
-                    top.deadline_hit = false;
-                }
-            }
+        self.with_top(|top| {
+            top.deadline_nanos = (budget_nanos != 0).then_some(budget_nanos);
+            top.deadline_hit = false;
         });
     }
 
@@ -332,25 +327,15 @@ impl RequestCtx {
     /// a completed stage report ([`observe_stage`]) or by wall time at
     /// the moment of this call.
     pub fn deadline_exceeded(&self) -> bool {
-        ACTIVE.with(|cell| {
-            let mut stack = cell.borrow_mut();
-            let Some(top) = stack.last_mut() else {
-                return false;
-            };
-            if top.id != self.id {
-                return false;
-            }
+        self.with_top(|top| {
             let Some(budget) = top.deadline_nanos else {
                 return false;
             };
-            if !top.deadline_hit {
-                let elapsed = top.open_instant.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                if elapsed > budget {
-                    top.deadline_hit = true;
-                }
-            }
+            let elapsed = top.open_instant.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            top.deadline_hit |= elapsed > budget;
             top.deadline_hit
         })
+        .unwrap_or(false)
     }
 }
 
@@ -374,8 +359,8 @@ impl Drop for RequestCtx {
 }
 
 /// Reports a completed stage into the thread's open request, if any.
-/// This is the hook [`record_stage`](crate::span::record_stage) calls;
-/// instrumentation that bypasses `record_stage` (e.g. whole-call codec
+/// This is the hook [`Stage::record`](crate::span::Stage::record)
+/// calls; instrumentation that bypasses it (e.g. whole-call codec
 /// observers) can call it directly. Costs one thread-local check when
 /// no request is live.
 pub fn observe_stage(name: &'static str, start: Instant, elapsed: Duration) {
@@ -406,11 +391,6 @@ pub fn observe_stage(name: &'static str, start: Instant, elapsed: Duration) {
             top.spans_dropped = top.spans_dropped.saturating_add(1);
         }
     });
-}
-
-/// True when the calling thread has an open [`RequestCtx`].
-pub fn in_request() -> bool {
-    ACTIVE.with(|cell| !cell.borrow().is_empty())
 }
 
 // ---------------------------------------------------------------------
@@ -491,8 +471,13 @@ struct Inner {
     spans_dropped: AtomicU64,
     slow: Mutex<Vec<SlowSlot>>,
     store: Mutex<std::collections::VecDeque<SampledRequest>>,
-    attribution: Mutex<HashMap<(String, Op, SizeClass), AttrCell>>,
+    /// Keyed by service first, so a finish looks its row up by the
+    /// borrowed name and clones it only for a service's first request.
+    attribution: Mutex<HashMap<String, ServiceRows>>,
 }
+
+/// One service's attribution rows, by `(op, size class)`.
+type ServiceRows = HashMap<(Op, SizeClass), AttrCell>;
 
 /// The tail-based request sampler. Cheap to clone (shared state); the
 /// process-wide instance is [`crate::requests`].
@@ -578,8 +563,13 @@ impl RequestSampler {
                 .attribution
                 .lock()
                 .expect("attribution map not poisoned");
+            if !attr.contains_key(active.service.as_str()) {
+                attr.insert(active.service.clone(), HashMap::new());
+            }
             let cell = attr
-                .entry((active.service.clone(), active.op, active.size_class))
+                .get_mut(active.service.as_str())
+                .expect("inserted above")
+                .entry((active.op, active.size_class))
                 .or_default();
             cell.requests += 1;
             if active.error.is_some() {
@@ -728,7 +718,8 @@ impl RequestSampler {
             .expect("attribution map not poisoned");
         let mut rows: Vec<AttributionRow> = attr
             .iter()
-            .map(|((service, op, size_class), cell)| {
+            .flat_map(|(service, cells)| cells.iter().map(move |(key, cell)| (service, key, cell)))
+            .map(|(service, (op, size_class), cell)| {
                 let mut stages: Vec<StageAttribution> = cell
                     .stages
                     .iter()
@@ -1213,7 +1204,6 @@ mod tests {
         // No open request: a stage report is a no-op.
         observe_stage("orphan", Instant::now(), Duration::from_millis(1));
         let ctx = s.open("svc", Op::Compress, 2000);
-        assert!(in_request());
         let t0 = Instant::now();
         observe_stage("stage.x", t0, Duration::from_millis(2));
         observe_stage(
@@ -1223,7 +1213,6 @@ mod tests {
         );
         clock.advance(6 * MS);
         drop(ctx);
-        assert!(!in_request());
         let sampled = s.sampled();
         assert_eq!(sampled.len(), 1);
         let r = &sampled[0];

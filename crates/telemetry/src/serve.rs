@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::chrome::to_chrome_json_with_requests;
-use crate::export::to_prometheus;
+use crate::export::{prom_labels, to_prometheus};
 use crate::registry::Registry;
 use crate::request::RequestSampler;
 use crate::slo::{to_json_reports, SloRegistry, SloState};
@@ -168,14 +168,17 @@ pub fn slo_prometheus(slos: &SloRegistry) -> String {
             SloState::Warning => 1,
             SloState::Burning => 2,
         };
-        out.push_str(&format!("slo_state{} {v}\n", slo_label(&r.name)));
+        out.push_str(&format!(
+            "slo_state{} {v}\n",
+            prom_labels(&[], &[("objective", &r.name)])
+        ));
     }
     out.push_str("# HELP slo_fast_burn Error-budget burn rate over the fast window\n");
     out.push_str("# TYPE slo_fast_burn gauge\n");
     for r in &reports {
         out.push_str(&format!(
             "slo_fast_burn{} {}\n",
-            slo_label(&r.name),
+            prom_labels(&[], &[("objective", &r.name)]),
             r.fast_burn
         ));
     }
@@ -184,7 +187,7 @@ pub fn slo_prometheus(slos: &SloRegistry) -> String {
     for r in &reports {
         out.push_str(&format!(
             "slo_slow_burn{} {}\n",
-            slo_label(&r.name),
+            prom_labels(&[], &[("objective", &r.name)]),
             r.slow_burn
         ));
     }
@@ -193,7 +196,7 @@ pub fn slo_prometheus(slos: &SloRegistry) -> String {
     for r in &reports {
         out.push_str(&format!(
             "slo_budget_remaining{} {}\n",
-            slo_label(&r.name),
+            prom_labels(&[], &[("objective", &r.name)]),
             r.budget.remaining_fraction
         ));
     }
@@ -214,19 +217,10 @@ pub fn trace_prometheus(tracer: &Tracer) -> String {
         out.push_str("# HELP trace_track_dropped Events overwritten per flight-recorder track\n");
         out.push_str("# TYPE trace_track_dropped counter\n");
         for (tid, name, dropped) in &health {
-            let mut label = String::from("{track=\"");
-            crate::export::prom_escape(&mut label, name);
-            label.push_str(&format!("\",tid=\"{tid}\"}}"));
+            let label = prom_labels(&[], &[("track", name), ("tid", &tid.to_string())]);
             out.push_str(&format!("trace_track_dropped{label} {dropped}\n"));
         }
     }
-    out
-}
-
-fn slo_label(name: &str) -> String {
-    let mut out = String::from("{objective=\"");
-    crate::export::prom_escape(&mut out, name);
-    out.push_str("\"}");
     out
 }
 

@@ -25,6 +25,13 @@
 //! caller's flight-recorder track, so a budget burn lines up with the
 //! offending spans in the Chrome trace.
 //!
+//! Request paths only [`record`](Slo::record), through an [`SloHandle`]
+//! resolved once; evaluation happens where state is read —
+//! [`Slo::report`] and everything built on it (`/slo`, the `slo_*`
+//! gauges on `/metrics`, the CLI verdicts). A transition is therefore
+//! stamped with the time of the read that observed it, not of the
+//! request that caused it.
+//!
 //! Everything rotates on the injected [`Clock`], so tests drive exact
 //! `Ok → Warning → Burning` sequences with a [`ManualClock`].
 
@@ -73,13 +80,8 @@ impl SloConfig {
     /// warn at 6× — the classic SRE-workbook thresholds.
     pub fn latency(name: impl Into<String>, threshold_nanos: u64, target: f64) -> Self {
         Self {
-            name: name.into(),
             kind: SloKind::Latency { threshold_nanos },
-            target,
-            fast_window: WindowConfig::new(3_000_000_000, 10),
-            slow_window: WindowConfig::new(30_000_000_000, 10),
-            page_burn: 14.4,
-            warn_burn: 6.0,
+            ..Self::error_rate(name, target)
         }
     }
 
@@ -344,6 +346,38 @@ impl Slo {
     }
 }
 
+/// A request-path reference to one objective by well-known name: the
+/// `Arc<Slo>` is resolved once and re-resolved only after a
+/// registration bumps the registry's generation, so an objective
+/// declared after the first request still receives every later sample.
+#[derive(Debug)]
+pub struct SloHandle {
+    name: &'static str,
+    seen: u64,
+    slo: Option<Arc<Slo>>,
+}
+
+impl SloHandle {
+    /// A handle on the objective `name`, unresolved until first use.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            seen: 0,
+            slo: None,
+        }
+    }
+
+    /// The objective in `registry`, if registered.
+    pub fn get(&mut self, registry: &SloRegistry) -> Option<&Slo> {
+        let generation = registry.generation.load(Ordering::Acquire);
+        if generation != self.seen {
+            self.slo = registry.get(self.name);
+            self.seen = generation;
+        }
+        self.slo.as_deref()
+    }
+}
+
 fn burn(good: u64, bad: u64, target: f64) -> f64 {
     let total = good + bad;
     if total == 0 {
@@ -360,6 +394,11 @@ fn burn(good: u64, bad: u64, target: f64) -> f64 {
 pub struct SloRegistry {
     clock: Arc<dyn Clock>,
     slos: RwLock<Vec<Arc<Slo>>>,
+    /// Bumped by every new registration, so [`SloHandle`]s re-resolve
+    /// with one atomic load instead of a name scan per request. The
+    /// `Release` bump pairs with the handle's `Acquire` load; the
+    /// re-resolve itself reads under the `slos` lock.
+    generation: AtomicU64,
 }
 
 impl SloRegistry {
@@ -368,6 +407,7 @@ impl SloRegistry {
         Self {
             clock,
             slos: RwLock::new(Vec::new()),
+            generation: AtomicU64::new(0),
         }
     }
 
@@ -375,12 +415,6 @@ impl SloRegistry {
     /// under an existing name returns the existing objective and
     /// ignores the new config, so instrumentation sites can race.
     pub fn register(&self, cfg: SloConfig) -> Arc<Slo> {
-        {
-            let slos = self.slos.read().expect("slo registry not poisoned");
-            if let Some(s) = slos.iter().find(|s| s.cfg.name == cfg.name) {
-                return Arc::clone(s);
-            }
-        }
         let mut slos = self.slos.write().expect("slo registry not poisoned");
         if let Some(s) = slos.iter().find(|s| s.cfg.name == cfg.name) {
             return Arc::clone(s);
@@ -388,6 +422,7 @@ impl SloRegistry {
         let slo = Arc::new(Slo::new(cfg, Arc::clone(&self.clock)));
         slos.push(Arc::clone(&slo));
         slos.sort_by(|a, b| a.cfg.name.cmp(&b.cfg.name));
+        self.generation.fetch_add(1, Ordering::Release);
         slo
     }
 
@@ -667,6 +702,29 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches('"').count() % 2, 0);
+    }
+
+    #[test]
+    fn handles_resolve_late_registrations_and_never_evaluate() {
+        let clock = ManualClock::shared();
+        let reg = SloRegistry::new(Arc::clone(&clock) as Arc<dyn Clock>);
+        let mut handle = SloHandle::new("late");
+        assert!(handle.get(&reg).is_none(), "nothing registered yet");
+        reg.register(SloConfig::error_rate("other", 0.9));
+        assert!(handle.get(&reg).is_none());
+        let late = reg.register(SloConfig::error_rate("late", 0.9).with_burns(2.0, 1.5));
+        for _ in 0..10 {
+            handle
+                .get(&reg)
+                .expect("resolved after registration")
+                .record(false);
+        }
+        assert_eq!(late.budget().bad, 10);
+        // Recording does not evaluate: the state moves when it is read.
+        assert_eq!(late.state(), SloState::Ok);
+        assert!(late.transitions().is_empty());
+        assert_eq!(reg.worst_state(), SloState::Burning);
+        assert_eq!(late.transitions().len(), 1);
     }
 
     #[test]

@@ -1,101 +1,57 @@
-//! Scoped stage timing.
+//! Stage timing through handles resolved once.
 //!
-//! A [`Span`] attributes the wall-clock lifetime of a scope to a named
-//! stage — the generalization of the codec's one-off `StageTiming`: the
-//! zstdx match-find/entropy split, the lz4x/zlibx stages, and the
-//! dictionary path all report through this one mechanism. Dropping the
-//! guard records the elapsed nanoseconds into the histogram
-//! `span.<name>`, so every stage automatically gets call counts and
-//! p50/p90/p99/max latency without bespoke accumulator structs.
-//!
-//! Stages that should appear on the [flight recorder](crate::trace)
-//! timeline as well use [`Span::enter_traced`] or — for externally
-//! timed intervals like the codec block loops — [`record_stage`],
-//! which feed the histogram *and* the calling thread's trace track
-//! from one instrumentation point.
+//! A [`Stage`] attributes externally timed intervals — the zstdx
+//! match-find/entropy split, the lz4x/zlibx stages — to a named stage.
+//! One [`Stage::record`] feeds three sinks from one instrumentation
+//! point: the global histogram `span.<name>` (call counts and
+//! p50/p90/p99/max), a begin/end pair on the calling thread's
+//! [flight-recorder track](crate::trace), and the open
+//! [request context](crate::request), if any. Declared as `static`s at
+//! the call site, a stage looks its histogram up on the first record
+//! only, so the per-block cost is the updates themselves.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::histogram::Histogram;
-use crate::registry::Registry;
 
-/// Prefix applied to span histogram names.
+/// Prefix applied to stage histogram names.
 pub const SPAN_PREFIX: &str = "span.";
 
-/// An in-flight stage timing; records on drop.
+/// A named stage whose histogram is resolved on first use. See the
+/// [module docs](self).
+///
+/// ```
+/// use std::time::Instant;
+/// static STAGE: telemetry::Stage = telemetry::Stage::new("demo.stage");
+/// let start = Instant::now();
+/// // ... stage work ...
+/// STAGE.record(start, start.elapsed()); // histogram "span.demo.stage"
+/// ```
 #[derive(Debug)]
-pub struct Span {
-    hist: Arc<Histogram>,
-    start: Instant,
-    trace_name: Option<&'static str>,
-}
-
-impl Span {
-    /// Opens a span recording into the [global](crate::global) registry.
-    pub fn enter(name: &str) -> Span {
-        Self::enter_in(crate::global(), name, &[])
-    }
-
-    /// Opens a span recording into `registry` with `labels`.
-    pub fn enter_in(registry: &Registry, name: &str, labels: &[(&str, &str)]) -> Span {
-        let hist = registry.histogram(&format!("{SPAN_PREFIX}{name}"), labels);
-        Span {
-            hist,
-            start: Instant::now(),
-            trace_name: None,
-        }
-    }
-
-    /// Opens a span that also emits begin/end events on the calling
-    /// thread's [trace track](crate::trace::current_track). The name
-    /// must be `'static` so trace events stay fixed-size.
-    pub fn enter_traced(name: &'static str) -> Span {
-        let mut span = Self::enter_in(crate::global(), name, &[]);
-        span.trace_name = Some(name);
-        crate::trace::begin(name);
-        span
-    }
-
-    /// Time elapsed since the span was opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.hist.observe_duration(self.start.elapsed());
-        if let Some(name) = self.trace_name {
-            crate::trace::end(name);
-        }
-    }
-}
-
-/// Records an externally timed stage into both `registry` (histogram
-/// `span.<name>`) and the calling thread's trace track (a begin/end
-/// pair at `start..start + elapsed`). This is the single
-/// instrumentation point for the codec block loops, so the Figure 7
-/// stage splits and the Perfetto timeline always agree.
-pub fn record_stage(
-    registry: &Registry,
+pub struct Stage {
     name: &'static str,
-    labels: &[(&str, &str)],
-    start: Instant,
-    elapsed: Duration,
-) {
-    record_duration(registry, name, labels, elapsed);
-    crate::trace::stage(name, start, elapsed);
-    crate::request::observe_stage(name, start, elapsed);
+    hist: OnceLock<Arc<Histogram>>,
 }
 
-/// Records an externally measured interval under the span name `name`,
-/// for call sites that already hold a `Duration` (e.g. the codec block
-/// loop, which times match-find and entropy stages back to back).
-pub fn record_duration(registry: &Registry, name: &str, labels: &[(&str, &str)], d: Duration) {
-    registry
-        .histogram(&format!("{SPAN_PREFIX}{name}"), labels)
-        .observe_duration(d);
+impl Stage {
+    /// A stage named `name`; nothing is registered until it records.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            hist: OnceLock::new(),
+        }
+    }
+
+    /// Records one interval of this stage into the global registry, the
+    /// calling thread's trace track and its open request, if any.
+    pub fn record(&self, start: Instant, elapsed: Duration) {
+        self.hist
+            .get_or_init(|| crate::global().histogram(&format!("{SPAN_PREFIX}{}", self.name), &[]))
+            .observe_duration(elapsed);
+        crate::trace::stage(self.name, start, elapsed);
+        crate::request::observe_stage(self.name, start, elapsed);
+    }
 }
 
 #[cfg(test)]
@@ -103,63 +59,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_records_on_drop() {
-        let reg = Registry::new();
-        {
-            let _s = Span::enter_in(&reg, "stage.a", &[("svc", "t")]);
-            std::hint::black_box(0u64);
-        }
-        let snap = reg.snapshot();
-        let h = snap
-            .histogram("span.stage.a", &[("svc", "t")])
-            .expect("span recorded");
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn record_duration_is_equivalent() {
-        let reg = Registry::new();
-        record_duration(&reg, "stage.b", &[], Duration::from_nanos(1500));
-        let snap = reg.snapshot();
-        let h = snap.histogram("span.stage.b", &[]).unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum, 1500);
-    }
-
-    #[test]
-    fn record_stage_feeds_histogram_and_trace() {
-        let reg = Registry::new();
-        let start = Instant::now();
-        record_stage(&reg, "stage.traced", &[], start, Duration::from_nanos(900));
-        let snap = reg.snapshot();
-        let h = snap.histogram("span.stage.traced", &[]).unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum, 900);
+    fn stage_feeds_histogram_and_trace() {
+        static STAGE: Stage = Stage::new("test.stage");
+        let count = || {
+            crate::snapshot()
+                .histogram("span.test.stage", &[])
+                .map_or(0, |h| h.count())
+        };
+        let before = count();
+        STAGE.record(Instant::now(), Duration::from_nanos(900));
+        STAGE.record(Instant::now(), Duration::from_nanos(100));
+        assert_eq!(count(), before + 2);
         // The trace side lands on this thread's global track; a full
         // drain assertion lives in the trace e2e test (the global
         // tracer is shared across concurrently running tests).
         assert!(crate::trace::global_tracer().track_count() >= 1);
-    }
-
-    #[test]
-    fn traced_span_emits_begin_end_pair() {
-        {
-            let _s = Span::enter_traced("span.test.traced");
-        }
-        assert!(crate::trace::global_tracer().track_count() >= 1);
-    }
-
-    #[test]
-    fn global_span_macro_compiles_and_records() {
-        let before = crate::snapshot()
-            .histogram("span.test.macro", &[])
-            .map_or(0, |h| h.count());
-        {
-            let _s = crate::span!("test.macro");
-        }
-        let after = crate::snapshot()
-            .histogram("span.test.macro", &[])
-            .map_or(0, |h| h.count());
-        assert!(after > before);
     }
 }

@@ -602,16 +602,6 @@ pub fn set_track_name(name: &str) {
     current_track().set_name(name);
 }
 
-/// Records a begin event on the calling thread's track.
-pub fn begin(name: &'static str) {
-    current_track().begin(name);
-}
-
-/// Records an end event on the calling thread's track.
-pub fn end(name: &'static str) {
-    current_track().end(name);
-}
-
 /// Records an instant marker on the calling thread's track.
 pub fn instant(name: &'static str) {
     current_track().instant(name);
@@ -834,8 +824,7 @@ mod tests {
         let before = global_tracer().track_count();
         std::thread::spawn(|| {
             set_track_name("svc:TEST");
-            begin("g.stage");
-            end("g.stage");
+            stage("g.stage", Instant::now(), Duration::from_nanos(5));
             instant("g.mark");
             counter("g.count", 3.0);
         })

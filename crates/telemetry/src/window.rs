@@ -27,15 +27,12 @@
 //! and window rotation is exact: a fixed event sequence produces exact
 //! window percentiles, deterministically.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
-use crate::clock::{Clock, ManualClock, MonotonicClock};
-use crate::export::{prom_escape, prom_name};
+use crate::clock::{Clock, ManualClock};
+use crate::export::{prom_labels, prom_name};
 use crate::histogram::{bucket_index, HistogramSnapshot, NUM_BUCKETS};
-use crate::registry::SeriesKey;
+use crate::registry::{SeriesKey, SeriesTable};
 use crate::trace::EventRef;
 
 /// How a windowed series buckets time: `sub_windows` rotating slots of
@@ -99,37 +96,79 @@ pub struct Exemplar {
 }
 
 // ---------------------------------------------------------------------
-// Windowed counter
+// The slot ring both windowed kinds rotate
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterSlot {
-    /// Absolute sub-window index this slot currently holds.
-    epoch: u64,
-    count: u64,
+/// `sub_windows` slots, each stamped with the absolute sub-window it
+/// holds. A slot found holding an older sub-window is reset in place,
+/// so rotation never allocates.
+#[derive(Debug)]
+struct Ring<S> {
+    cfg: WindowConfig,
+    clock: Arc<dyn Clock>,
+    slots: Mutex<Vec<(u64, S)>>,
 }
+
+impl<S: Clone + Default> Ring<S> {
+    fn new(cfg: WindowConfig, clock: Arc<dyn Clock>) -> Self {
+        Self {
+            cfg,
+            clock,
+            slots: Mutex::new(vec![(0, S::default()); cfg.sub_windows]),
+        }
+    }
+
+    /// Runs `f` on the current sub-window's slot.
+    // indexing_slicing: the index is taken modulo the slots vec's length.
+    #[allow(clippy::indexing_slicing)]
+    fn update<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        let epoch = self.cfg.epoch_of(self.clock.now_nanos());
+        let mut slots = self.slots.lock().expect("window slots not poisoned");
+        let len = slots.len() as u64;
+        let (held, slot) = &mut slots[(epoch % len) as usize];
+        if *held != epoch {
+            *held = epoch;
+            *slot = S::default();
+        }
+        f(slot)
+    }
+
+    /// Folds the slots of the live window (the last `sub_windows`
+    /// sub-windows, including the in-progress one).
+    fn fold<T>(&self, init: T, f: impl FnMut(T, &S) -> T) -> T {
+        let now = self.cfg.epoch_of(self.clock.now_nanos());
+        let live = now.saturating_sub(self.cfg.sub_windows as u64 - 1)..=now;
+        self.slots
+            .lock()
+            .expect("window slots not poisoned")
+            .iter()
+            .filter(|(epoch, _)| live.contains(epoch))
+            .map(|(_, slot)| slot)
+            .fold(init, f)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Windowed counter
+// ---------------------------------------------------------------------
 
 /// A sliding-window event counter. See the [module docs](self).
 #[derive(Debug)]
 pub struct WindowedCounter {
-    cfg: WindowConfig,
-    clock: Arc<dyn Clock>,
-    slots: Mutex<Vec<CounterSlot>>,
+    ring: Ring<u64>,
 }
 
 impl WindowedCounter {
     /// Creates a counter rotating on `clock`.
     pub fn new(cfg: WindowConfig, clock: Arc<dyn Clock>) -> Self {
         Self {
-            cfg,
-            clock,
-            slots: Mutex::new(vec![CounterSlot::default(); cfg.sub_windows]),
+            ring: Ring::new(cfg, clock),
         }
     }
 
     /// The window configuration.
     pub fn config(&self) -> WindowConfig {
-        self.cfg
+        self.ring.cfg
     }
 
     /// Adds 1.
@@ -138,32 +177,14 @@ impl WindowedCounter {
     }
 
     /// Adds `n` to the current sub-window.
-    // indexing_slicing: `idx` is taken modulo `sub_windows`, the slots
-    // vec's construction length.
-    #[allow(clippy::indexing_slicing)]
     pub fn add(&self, n: u64) {
-        let epoch = self.cfg.epoch_of(self.clock.now_nanos());
-        let mut slots = self.slots.lock().expect("window slots not poisoned");
-        let idx = (epoch % self.cfg.sub_windows as u64) as usize;
-        let slot = &mut slots[idx];
-        if slot.epoch != epoch {
-            *slot = CounterSlot { epoch, count: 0 };
-        }
-        slot.count += n;
+        self.ring.update(|count| *count += n);
     }
 
     /// Total events in the live window (the last `sub_windows`
     /// sub-windows, including the in-progress one).
     pub fn total(&self) -> u64 {
-        let now_epoch = self.cfg.epoch_of(self.clock.now_nanos());
-        let oldest = now_epoch.saturating_sub(self.cfg.sub_windows as u64 - 1);
-        self.slots
-            .lock()
-            .expect("window slots not poisoned")
-            .iter()
-            .filter(|s| s.epoch >= oldest && s.epoch <= now_epoch)
-            .map(|s| s.count)
-            .sum()
+        self.ring.fold(0, |total, count| total + count)
     }
 
     /// Events per second over the full window span. During warm-up
@@ -171,7 +192,7 @@ impl WindowedCounter {
     /// the denominator is always the span, keeping the value exact and
     /// deterministic rather than dependent on process start time.
     pub fn rate_per_sec(&self) -> f64 {
-        self.total() as f64 / self.cfg.span_secs()
+        self.total() as f64 / self.ring.cfg.span_secs()
     }
 }
 
@@ -179,10 +200,11 @@ impl WindowedCounter {
 // Windowed histogram
 // ---------------------------------------------------------------------
 
+/// One sub-window of a [`WindowedHistogram`]; fixed-size, so a reset
+/// overwrites it in place.
 #[derive(Debug, Clone)]
 struct HistSlot {
-    epoch: u64,
-    buckets: Vec<u64>,
+    buckets: [u64; NUM_BUCKETS],
     sum: u64,
     max: u64,
     /// The max-latency sample of this sub-window bucket, when the
@@ -190,11 +212,10 @@ struct HistSlot {
     exemplar: Option<Exemplar>,
 }
 
-impl HistSlot {
-    fn empty(epoch: u64) -> Self {
+impl Default for HistSlot {
+    fn default() -> Self {
         Self {
-            epoch,
-            buckets: vec![0; NUM_BUCKETS],
+            buckets: [0; NUM_BUCKETS],
             sum: 0,
             max: 0,
             exemplar: None,
@@ -228,24 +249,20 @@ impl WindowedHistogramSnapshot {
 /// [module docs](self).
 #[derive(Debug)]
 pub struct WindowedHistogram {
-    cfg: WindowConfig,
-    clock: Arc<dyn Clock>,
-    slots: Mutex<Vec<HistSlot>>,
+    ring: Ring<HistSlot>,
 }
 
 impl WindowedHistogram {
     /// Creates a histogram rotating on `clock`.
     pub fn new(cfg: WindowConfig, clock: Arc<dyn Clock>) -> Self {
         Self {
-            cfg,
-            clock,
-            slots: Mutex::new((0..cfg.sub_windows).map(|_| HistSlot::empty(0)).collect()),
+            ring: Ring::new(cfg, clock),
         }
     }
 
     /// The window configuration.
     pub fn config(&self) -> WindowConfig {
-        self.cfg
+        self.ring.cfg
     }
 
     /// Records one value into the current sub-window.
@@ -262,45 +279,29 @@ impl WindowedHistogram {
         self.observe_inner(v, Some(link));
     }
 
-    // indexing_slicing: `idx` is modulo `sub_windows` (the slots vec's
-    // length) and `bucket_index` clamps to the last bucket.
+    // indexing_slicing: `bucket_index` clamps to the last bucket.
     #[allow(clippy::indexing_slicing)]
     fn observe_inner(&self, v: u64, link: Option<impl FnOnce() -> EventRef>) {
-        let epoch = self.cfg.epoch_of(self.clock.now_nanos());
-        let mut slots = self.slots.lock().expect("window slots not poisoned");
-        let idx = (epoch % self.cfg.sub_windows as u64) as usize;
-        let slot = &mut slots[idx];
-        if slot.epoch != epoch {
-            *slot = HistSlot::empty(epoch);
-        }
-        slot.buckets[bucket_index(v)] += 1;
-        slot.sum = slot.sum.wrapping_add(v);
-        let is_new_max = v >= slot.max && (v > 0 || slot.exemplar.is_none());
-        slot.max = slot.max.max(v);
-        if is_new_max {
-            if let Some(link) = link {
-                slot.exemplar = Some(Exemplar {
-                    value: v,
-                    event: link(),
-                });
+        self.ring.update(|slot| {
+            slot.buckets[bucket_index(v)] += 1;
+            slot.sum = slot.sum.wrapping_add(v);
+            let is_new_max = v >= slot.max && (v > 0 || slot.exemplar.is_none());
+            slot.max = slot.max.max(v);
+            if is_new_max {
+                if let Some(link) = link {
+                    slot.exemplar = Some(Exemplar {
+                        value: v,
+                        event: link(),
+                    });
+                }
             }
-        }
+        });
     }
 
     /// Merges the live sub-windows into one snapshot.
     pub fn window_snapshot(&self) -> WindowedHistogramSnapshot {
-        let now_epoch = self.cfg.epoch_of(self.clock.now_nanos());
-        let oldest = now_epoch.saturating_sub(self.cfg.sub_windows as u64 - 1);
-        let slots = self.slots.lock().expect("window slots not poisoned");
-        let mut merged = HistogramSnapshot::default();
-        let mut exemplar: Option<Exemplar> = None;
-        for slot in slots
-            .iter()
-            .filter(|s| s.epoch >= oldest && s.epoch <= now_epoch)
-        {
-            if slot.buckets.iter().all(|&b| b == 0) {
-                continue;
-            }
+        let init = (HistogramSnapshot::default(), None::<Exemplar>);
+        let (histogram, exemplar) = self.ring.fold(init, |(mut merged, mut exemplar), slot| {
             for (a, b) in merged.buckets.iter_mut().zip(&slot.buckets) {
                 *a += b;
             }
@@ -311,26 +312,13 @@ impl WindowedHistogram {
                     exemplar = Some(e);
                 }
             }
-        }
+            (merged, exemplar)
+        });
         WindowedHistogramSnapshot {
-            histogram: merged,
+            histogram,
             exemplar,
-            config: self.cfg,
+            config: self.ring.cfg,
         }
-    }
-
-    /// All live exemplars, one per sub-window bucket that retained one,
-    /// newest-peak values included. Order is unspecified.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        let now_epoch = self.cfg.epoch_of(self.clock.now_nanos());
-        let oldest = now_epoch.saturating_sub(self.cfg.sub_windows as u64 - 1);
-        self.slots
-            .lock()
-            .expect("window slots not poisoned")
-            .iter()
-            .filter(|s| s.epoch >= oldest && s.epoch <= now_epoch)
-            .filter_map(|s| s.exemplar)
-            .collect()
     }
 }
 
@@ -353,17 +341,16 @@ impl WindowMetric {
     }
 }
 
-const SHARDS: usize = 16;
-
 /// A sharded `(name, labels)` table of windowed series — the live
-/// sibling of the cumulative [`Registry`](crate::Registry). All series
-/// share the registry's clock and window configuration, so every
-/// `/metrics` scrape reads one coherent window.
+/// sibling of the cumulative [`Registry`](crate::Registry), on the same
+/// allocation-free series table. All series share the registry's
+/// clock and window configuration, so every `/metrics` scrape reads one
+/// coherent window.
 #[derive(Debug)]
 pub struct WindowRegistry {
     cfg: WindowConfig,
     clock: Arc<dyn Clock>,
-    shards: Vec<RwLock<HashMap<SeriesKey, WindowMetric>>>,
+    table: SeriesTable<WindowMetric>,
 }
 
 impl WindowRegistry {
@@ -372,14 +359,8 @@ impl WindowRegistry {
         Self {
             cfg,
             clock,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            table: SeriesTable::new(),
         }
-    }
-
-    /// Creates a registry on a fresh monotonic clock with the default
-    /// 30 s window.
-    pub fn monotonic() -> Self {
-        Self::new(WindowConfig::DEFAULT, Arc::new(MonotonicClock::new()))
     }
 
     /// Creates a registry on a shared [`ManualClock`] — the test
@@ -394,24 +375,6 @@ impl WindowRegistry {
         self.cfg
     }
 
-    // indexing_slicing: the index is taken modulo `SHARDS`, the vec's
-    // construction length.
-    #[allow(clippy::indexing_slicing)]
-    fn shard(&self, key: &SeriesKey) -> &RwLock<HashMap<SeriesKey, WindowMetric>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    fn get_or_insert(&self, key: SeriesKey, make: impl FnOnce() -> WindowMetric) -> WindowMetric {
-        let shard = self.shard(&key);
-        if let Some(m) = shard.read().expect("window shard not poisoned").get(&key) {
-            return m.clone();
-        }
-        let mut w = shard.write().expect("window shard not poisoned");
-        w.entry(key).or_insert_with(make).clone()
-    }
-
     /// Fetches (registering on first use) the windowed counter
     /// `name{labels}`.
     ///
@@ -420,8 +383,7 @@ impl WindowRegistry {
     /// Panics if the series was already registered as a histogram —
     /// a programming error, as for the cumulative registry.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<WindowedCounter> {
-        let key = SeriesKey::new(name, labels);
-        let made = self.get_or_insert(key, || {
+        let made = self.table.get_or_insert(name, labels, || {
             WindowMetric::Counter(Arc::new(WindowedCounter::new(
                 self.cfg,
                 Arc::clone(&self.clock),
@@ -444,8 +406,7 @@ impl WindowRegistry {
     /// Panics on metric-kind mismatch, as for
     /// [`WindowRegistry::counter`].
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<WindowedHistogram> {
-        let key = SeriesKey::new(name, labels);
-        let made = self.get_or_insert(key, || {
+        let made = self.table.get_or_insert(name, labels, || {
             WindowMetric::Histogram(Arc::new(WindowedHistogram::new(
                 self.cfg,
                 Arc::clone(&self.clock),
@@ -462,31 +423,23 @@ impl WindowRegistry {
 
     /// Number of registered windowed series.
     pub fn series_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("window shard not poisoned").len())
-            .sum()
+        self.table.len()
     }
 
     /// A point-in-time merged view of every series, sorted by key.
     pub fn snapshot(&self) -> WindowSnapshot {
-        let mut series = Vec::with_capacity(self.series_count());
-        for shard in &self.shards {
-            for (key, metric) in shard.read().expect("window shard not poisoned").iter() {
-                let value = match metric {
-                    WindowMetric::Counter(c) => WindowValue::Counter {
-                        total: c.total(),
-                        rate_per_sec: c.rate_per_sec(),
-                    },
-                    WindowMetric::Histogram(h) => WindowValue::Histogram(h.window_snapshot()),
-                };
-                series.push(WindowSeries {
-                    key: key.clone(),
-                    value,
-                });
-            }
-        }
-        series.sort_by(|a, b| a.key.cmp(&b.key));
+        let series = self
+            .table
+            .sorted(|metric| match metric {
+                WindowMetric::Counter(c) => WindowValue::Counter {
+                    total: c.total(),
+                    rate_per_sec: c.rate_per_sec(),
+                },
+                WindowMetric::Histogram(h) => WindowValue::Histogram(h.window_snapshot()),
+            })
+            .into_iter()
+            .map(|(key, value)| WindowSeries { key, value })
+            .collect();
         WindowSnapshot {
             series,
             config: self.cfg,
@@ -594,7 +547,7 @@ pub fn to_prometheus_windows(snap: &WindowSnapshot) -> String {
             out.push_str(&format!("# TYPE {name} gauge\n"));
             last_name = Some(s.key.name.as_str());
         }
-        let labels = window_labels(&s.key.labels, &[]);
+        let labels = prom_labels(&s.key.labels, &[]);
         match &s.value {
             WindowValue::Counter {
                 total,
@@ -615,7 +568,7 @@ pub fn to_prometheus_windows(snap: &WindowSnapshot) -> String {
                 if let Some(e) = &h.exemplar {
                     let track = e.event.track.to_string();
                     let seq = e.event.seq.to_string();
-                    let ex_labels = window_labels(
+                    let ex_labels = prom_labels(
                         &s.key.labels,
                         &[("track", track.as_str()), ("seq", seq.as_str())],
                     );
@@ -624,30 +577,6 @@ pub fn to_prometheus_windows(snap: &WindowSnapshot) -> String {
             }
         }
     }
-    out
-}
-
-fn window_labels(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .chain(extra.iter().copied())
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&prom_name(k));
-        out.push_str("=\"");
-        prom_escape(&mut out, v);
-        out.push('"');
-    }
-    out.push('}');
     out
 }
 
@@ -764,7 +693,6 @@ mod tests {
         clock.advance(100 * MS);
         h.observe_linked(1500, || track.instant_ref("sample"));
         assert_eq!(h.window_snapshot().exemplar.unwrap().value, 1500);
-        assert_eq!(h.exemplars().len(), 2, "one exemplar per live bucket");
         // ...and expiry drops the old bucket's exemplar with it.
         clock.advance(100 * MS);
         assert_eq!(h.window_snapshot().exemplar.unwrap().value, 1500);

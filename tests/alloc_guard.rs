@@ -1,0 +1,169 @@
+//! Zero-allocation guard for request-path telemetry.
+//!
+//! A counting global allocator (per thread, so concurrently running
+//! tests do not see each other) pins what a request pays the allocator
+//! for its bookkeeping: nothing for an update through a resolved
+//! handle, nothing for a name lookup that hits — across sub-window
+//! rotations too — and a small, fixed number of allocations for a whole
+//! warm `ManagedCompression::decompress` of a dictionary frame, most of
+//! them the decoded output and the request's span tree.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use datacomp::managed::{ManagedCompression, ManagedConfig, PASSTHROUGH_MAGIC};
+use datacomp::telemetry::{Registry, SloHandle, WindowConfig, WindowRegistry};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`;
+// counting touches only a const-initialised thread-local `Cell`, which
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations the calling thread makes while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    std::hint::black_box(f());
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const MS: u64 = 1_000_000;
+
+#[test]
+fn resolved_handles_and_warm_lookups_allocate_nothing() {
+    let reg = Registry::new();
+    let (win, clock) = WindowRegistry::manual(WindowConfig::new(MS, 4));
+    let labels = [("tenant", "CACHE1"), ("op", "compress"), ("status", "ok")];
+    let counter = reg.counter("guard.requests", &labels);
+    let hist = reg.histogram("guard.nanos", &labels);
+    let window_counter = win.counter("guard.requests", &labels);
+    let window_hist = win.histogram("guard.nanos", &labels);
+
+    let updates = allocations(|| {
+        for v in 0..256 {
+            counter.inc();
+            hist.observe(v);
+            window_counter.inc();
+            window_hist.observe(v);
+        }
+    });
+    assert_eq!(updates, 0, "updates through resolved handles");
+
+    // Every slot of both rings rotates to a new sub-window.
+    let rotations = allocations(|| {
+        for v in 0..16 {
+            clock.advance(MS);
+            window_counter.add(2);
+            window_hist.observe(v);
+        }
+    });
+    assert_eq!(rotations, 0, "sub-window rotation");
+
+    // A lookup that hits, with the labels in another order, through
+    // rotations, on the per-instance and the process-wide registries.
+    let reordered = [("status", "ok"), ("tenant", "CACHE1"), ("op", "compress")];
+    datacomp::telemetry::global().counter("guard.requests", &labels);
+    let lookups = allocations(|| {
+        for v in 0..64 {
+            clock.advance(MS / 2);
+            reg.counter("guard.requests", &reordered).inc();
+            reg.histogram("guard.nanos", &reordered).observe(v);
+            win.counter("guard.requests", &reordered).inc();
+            win.histogram("guard.nanos", &reordered).observe(v);
+            datacomp::telemetry::global()
+                .counter("guard.requests", &reordered)
+                .inc();
+        }
+    });
+    assert_eq!(lookups, 0, "warm name lookups");
+    assert_eq!(reg.snapshot().counter("guard.requests", &labels), 256 + 64);
+
+    // An SLO handle with nothing newly registered is one atomic load.
+    let slos = datacomp::telemetry::slos();
+    let mut handle = SloHandle::new("guard.never.registered");
+    handle.get(slos);
+    let slo_reads = allocations(|| {
+        for _ in 0..64 {
+            assert!(handle.get(slos).is_none());
+        }
+    });
+    assert_eq!(slo_reads, 0, "resolved SLO handle");
+}
+
+/// Allocations a warm dictionary-frame decompress may make: the decoded
+/// output, the decoder's history and table buffers, and the request
+/// context (its service name, span list and span tree). At the parent
+/// of this guard the same call made ~60 more — one `String` per name and
+/// label per registry lookup, a dozen lookups per call.
+const WARM_DECOMPRESS_ALLOCATIONS: u64 = 9;
+
+#[test]
+fn warm_managed_decompress_allocates_a_pinned_handful() {
+    let payload = |i: usize| {
+        format!(
+            "{{\"schema\":\"event.click.v7\",\"session\":{},\"target\":\"btn-{}\",\"ts\":{}}}",
+            i % 500,
+            i % 23,
+            1_700_000_000 + i
+        )
+        .into_bytes()
+    };
+    let mut svc = ManagedCompression::new(ManagedConfig::default());
+    // The eighth compress trains the first dictionary.
+    for i in 0..16 {
+        svc.compress("events", &payload(i)).unwrap();
+    }
+    let data = payload(99);
+    let frame = svc.compress("events", &data).unwrap();
+    assert_ne!(frame[..4], PASSTHROUGH_MAGIC, "a codec frame");
+    assert_eq!(frame[4] & 1, 1, "cut with a dictionary");
+    for _ in 0..64 {
+        assert_eq!(svc.decompress("events", &frame).unwrap(), data);
+    }
+    // The median call: the tail sampler keeps a few requests per
+    // sub-window (copying their span trees), and a new sub-window
+    // maximum mints an exemplar into the growing trace ring; neither is
+    // what a typical request pays.
+    let mut counts: Vec<u64> = (0..33)
+        .map(|_| allocations(|| svc.decompress("events", &frame).unwrap()))
+        .collect();
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    assert!(
+        median <= WARM_DECOMPRESS_ALLOCATIONS,
+        "a warm decompress allocated {median} times (sorted: {counts:?})"
+    );
+}
