@@ -194,6 +194,7 @@ fn level_params(level: i32) -> Option<MatchParams> {
         min_match: MIN_MATCH,
         target_length: target,
         rep_preference: true,
+        priced_parse: false,
         strategy,
     })
 }

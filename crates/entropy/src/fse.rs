@@ -411,6 +411,12 @@ impl FseTable {
         out.extend_from_slice(&bytes);
     }
 
+    /// Bytes [`Self::write_description`] writes for a table of
+    /// `table_log` over `alphabet` symbols, known before building it.
+    pub fn description_len(alphabet: usize, table_log: u32) -> usize {
+        3 + (alphabet * (table_log as usize + 1)).div_ceil(8)
+    }
+
     /// Deserializes a description written by [`Self::write_description`].
     ///
     /// Returns the table and the number of bytes consumed.
@@ -655,6 +661,7 @@ mod tests {
         desc.extend_from_slice(b"trailing"); // reader must not over-consume
         let (t2, consumed) = FseTable::read_description(&desc).unwrap();
         assert_eq!(consumed, desc.len() - 8);
+        assert_eq!(consumed, FseTable::description_len(7, t.table_log()));
         assert_eq!(t2.normalized_counts(), t.normalized_counts());
         let buf = t.encode(&symbols);
         assert_eq!(t2.decode(&buf, symbols.len()).unwrap(), symbols);

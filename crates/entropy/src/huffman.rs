@@ -259,16 +259,42 @@ impl HuffmanTable {
         Ok(sym)
     }
 
-    /// Encodes a byte slice into a fresh bit buffer (zero-padded).
+    /// Encodes a byte slice into a fresh bit buffer (zero-padded): the
+    /// bytes [`Self::write_symbol`] would write into a [`BitWriter`].
+    /// Codes gather in a 64-bit accumulator as many at a time as fit in
+    /// 56 bits, and the whole bytes go out in one 8-byte copy, instead of
+    /// a flush check and a byte push per symbol.
     ///
-    /// Convenience wrapper used by tests and small callers; the codecs
-    /// drive [`Self::write_symbol`] directly into their own streams.
+    /// # Panics
+    ///
+    /// Panics if a byte lies outside the table's alphabet.
+    // indexing_slicing: panicking on an out-of-alphabet symbol is the
+    // encode-side contract, as in `write_symbol`.
+    #[allow(clippy::indexing_slicing)]
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(data.len());
-        for &b in data {
-            self.write_symbol(&mut w, b as u16);
+        // At most 7 bits stay pending between flushes, so `per` codes of
+        // up to `max_bits` each keep the accumulator within 63 bits.
+        let per = (56 / self.max_bits.max(1)) as usize;
+        let mut out = Vec::with_capacity(data.len() * self.max_bits as usize / 8 + 16);
+        let (mut acc, mut nbits) = (0u64, 0u32);
+        for chunk in data.chunks(per) {
+            for &b in chunk {
+                let s = b as usize;
+                debug_assert!(self.lens[s] > 0, "encoding absent symbol");
+                acc |= u64::from(self.codes[s]) << nbits;
+                nbits += u32::from(self.lens[s]);
+            }
+            let whole = nbits / 8;
+            let at = out.len();
+            out.extend_from_slice(&acc.to_le_bytes());
+            out.truncate(at + whole as usize);
+            acc >>= 8 * whole;
+            nbits -= 8 * whole;
         }
-        w.finish().0
+        if nbits > 0 {
+            out.push(acc as u8);
+        }
+        out
     }
 
     /// Decodes exactly `n` byte symbols from `buf`.
@@ -675,6 +701,36 @@ mod tests {
     fn roundtrip_all_bytes() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         roundtrip(&data, 11);
+    }
+
+    #[test]
+    fn encode_writes_the_bytes_of_one_symbol_at_a_time() {
+        // Every length limit, skews from flat to near-unary, lengths that
+        // are not multiples of the batch, the empty input.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for max_bits in [6, 8, 11, 15] {
+            for skew in [0u32, 1, 3, 7] {
+                let data: Vec<u8> = (0..3001)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let x = (state >> 40) as u32;
+                        (x >> (x % (skew + 1))) as u8 & 0x3f
+                    })
+                    .collect();
+                let table = HuffmanTable::build(&byte_histogram(&data), max_bits).unwrap();
+                for n in [0, 1, 7, 100, 3001] {
+                    let mut w = BitWriter::new();
+                    for &b in &data[..n] {
+                        table.write_symbol(&mut w, b as u16);
+                    }
+                    assert_eq!(
+                        table.encode(&data[..n]),
+                        w.finish().0,
+                        "{max_bits}/{skew}/{n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

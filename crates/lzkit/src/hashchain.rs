@@ -5,6 +5,11 @@
 //! previous one. The lazy variant re-evaluates at `pos + 1` and defers
 //! the current match when the next position offers a longer one — the
 //! mid-level compression behaviour of real codecs.
+//!
+//! A candidate farther back than the current best must be enough longer
+//! to pay for its extra offset bits. With [`MatchParams::priced_parse`]
+//! the first candidate pays too — against the literals it replaces — and
+//! a run of positions without a match is crossed with a growing stride.
 
 use crate::params::MatchParams;
 use crate::prefix::{PrefixIndex, NONE};
@@ -26,6 +31,8 @@ pub(crate) struct ChainFinder<'b> {
     min_match: usize,
     target_length: usize,
     search_attempts: u32,
+    /// [`MatchParams::priced_parse`].
+    priced: bool,
     /// Next position to insert into the tables.
     inserted: usize,
     /// Number of positions at which a 4-byte hash exists.
@@ -56,6 +63,7 @@ impl<'b> ChainFinder<'b> {
             min_match: p.min_match as usize,
             target_length: p.target_length as usize,
             search_attempts: p.search_attempts.max(1),
+            priced: p.priced_parse,
             inserted: local_start,
             hash_limit: buf.len().saturating_sub(3),
         }
@@ -110,6 +118,30 @@ impl<'b> ChainFinder<'b> {
         }
     }
 
+    /// The shortest match at `new_off` that beats the current best
+    /// (`best_len` at `best_off`; `best_off` is 0 until a candidate is
+    /// taken), counting ≈ 4 bits of entropy-coded output per literal a
+    /// match replaces. A challenger must be longer, and enough longer to
+    /// pay for its extra offset bits: `4 * (len - best_len) >=
+    /// bits(new_off) - bits(best_off)`. The first candidate only has to
+    /// reach the minimum match unless the parse is priced; then it must
+    /// pay for its whole offset and its codes:
+    /// `4 * len >= bits(new_off) + FIRST_MATCH_BITS`. Adding the two
+    /// inequalities shows that every accepted challenger satisfies the
+    /// first one as well.
+    #[inline]
+    fn needed_len(&self, best_len: usize, new_off: usize, best_off: usize) -> usize {
+        let longer = best_len + 1;
+        if best_off == 0 {
+            if !self.priced {
+                return longer;
+            }
+            return longer.max((offset_bits(new_off) + FIRST_MATCH_BITS).div_ceil(4) as usize);
+        }
+        let extra = offset_bits(new_off).saturating_sub(offset_bits(best_off));
+        best_len + (extra.div_ceil(4) as usize).max(1)
+    }
+
     /// Finds the best match at `pos`. Returns `(length, offset)`; length
     /// 0 means no acceptable match. Requires `pos` already inserted.
     pub(crate) fn best_match(&self, pos: usize) -> (usize, usize) {
@@ -127,14 +159,12 @@ impl<'b> ChainFinder<'b> {
             if c >= pos || pos - c > self.max_offset {
                 break;
             }
-            // Quick rejection: the byte that would extend the best match.
-            if pos + best_len < len && buf[c + best_len] == buf[pos + best_len] {
+            // Quick rejection: the last byte of the shortest match that
+            // would be taken.
+            let need = self.needed_len(best_len, pos - c, best_off);
+            if pos + need <= len && buf[c + need - 1] == buf[pos + need - 1] {
                 let l = match_length(buf, c, pos, len);
-                // Offset-aware acceptance: a farther match must be enough
-                // longer to pay for its extra offset bits (~4 bits of
-                // entropy-coded output per matched byte).
-                if l > best_len && 4 * (l - best_len) as i64 >= offset_bit_delta(pos - c, best_off)
-                {
+                if l >= need {
                     best_len = l;
                     best_off = pos - c;
                     if l >= self.target_length {
@@ -193,15 +223,20 @@ impl<'b> ChainFinder<'b> {
     }
 }
 
-/// Extra offset bits a candidate at `new_off` costs over `best_off`
-/// (0 when there is no current best).
+/// What a priced parse charges a non-repeat match beyond its offset's
+/// extra bits: the offset, match-length and literal-length codes, in
+/// bits (DESIGN.md §6, "A priced level-3 parse").
+const FIRST_MATCH_BITS: u32 = 6;
+
+/// A priced parse's stride over unmatched positions grows by one every
+/// `1 << SKIP_TRIGGER` misses: the fast finder's skip acceleration, with
+/// an earlier trigger.
+const SKIP_TRIGGER: u32 = 4;
+
+/// Significant bits of an offset: what a log2-coded offset costs.
 #[inline]
-fn offset_bit_delta(new_off: usize, best_off: usize) -> i64 {
-    if best_off == 0 {
-        return 0;
-    }
-    let bits = |o: usize| (usize::BITS - o.leading_zeros()) as i64;
-    bits(new_off) - bits(best_off)
+fn offset_bits(offset: usize) -> u32 {
+    usize::BITS - offset.leading_zeros()
 }
 
 pub(crate) fn parse(
@@ -229,6 +264,11 @@ pub(crate) fn parse(
     // unless the chain finds one clearly longer (zstd's lazy matcher
     // applies the same rule).
     let mut last_offset = 0usize;
+    // Positions visited since the last match; a priced parse steps over
+    // `misses >> SKIP_TRIGGER` more per miss. Skipped positions are still
+    // inserted (the next visit inserts through them), so later matches
+    // can find them.
+    let mut misses = 0u32;
     while pos < finder.hash_limit {
         finder.insert_through(pos);
         // Rep check first: a long-enough repeat match short-circuits the
@@ -254,8 +294,13 @@ pub(crate) fn parse(
         }
         if mlen == 0 {
             pos += 1;
+            if finder.priced {
+                misses += 1;
+                pos += (misses >> SKIP_TRIGGER) as usize;
+            }
             continue;
         }
+        misses = 0;
         let mut mpos = pos;
         if lazy && pos + 1 < finder.hash_limit {
             finder.insert_through(pos + 1);

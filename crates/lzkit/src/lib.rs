@@ -13,8 +13,12 @@
 //! * [`Strategy::Fast`] — single-probe hash table with skip
 //!   acceleration (LZ4-style greedy).
 //! * [`Strategy::Greedy`] — hash chain, takes the best match at each
-//!   position.
-//! * [`Strategy::Lazy`] — hash chain with one-position lazy evaluation.
+//!   position, where a farther candidate must be enough longer to pay
+//!   for its extra offset bits. With [`MatchParams::priced_parse`] the
+//!   first candidate must pay for its whole offset too, and unmatched
+//!   runs are crossed with a growing stride.
+//! * [`Strategy::Lazy`] — hash chain with one-position lazy evaluation
+//!   (same acceptance rule).
 //! * [`Strategy::Optimal`] — price-based dynamic-programming parse over
 //!   hash-chain candidates ("slow dynamic programming algorithms which
 //!   attempt to find the optimal encoding", §II-B).

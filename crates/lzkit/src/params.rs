@@ -51,6 +51,16 @@ pub struct MatchParams {
     /// Prefer matches at the previous offset (repeat offsets are nearly
     /// free for entropy stages that code them). Disable only to ablate.
     pub rep_preference: bool,
+    /// Price the chain finders' matches for a coder that spends about
+    /// `log2(offset)` bits on an offset (zstdx): the first candidate at
+    /// a position is only taken when `4 * len >= bits(offset) + 6`, as
+    /// later candidates already had to pay for their extra offset bits,
+    /// and the parse strides past unmatched runs the way the fast finder
+    /// does. Off for lz4x (raw literals, flat 16-bit offsets) and zlibx
+    /// (no repeat-offset codes), where fewer, longer matches measured a
+    /// ratio loss. The optimal parser prices offsets itself and ignores
+    /// it.
+    pub priced_parse: bool,
     /// Algorithm family.
     pub strategy: Strategy,
 }
@@ -72,6 +82,7 @@ impl MatchParams {
             min_match: 3,
             target_length: target,
             rep_preference: true,
+            priced_parse: false,
             strategy,
         }
     }

@@ -6,7 +6,9 @@
 //! handle, nothing for a name lookup that hits — across sub-window
 //! rotations too — and a small, fixed number of allocations for a whole
 //! warm `ManagedCompression::decompress` of a dictionary frame, most of
-//! them the decoded output and the request's span tree.
+//! them the decoded output and the request's span tree. One codec-level
+//! count rides along: a warm dictionary compress, pinned exactly, so an
+//! entropy stage that builds tables only to discard them shows up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,6 +123,52 @@ fn resolved_handles_and_warm_lookups_allocate_nothing() {
         }
     });
     assert_eq!(slo_reads, 0, "resolved SLO handle");
+}
+
+/// Allocations a warm codec-level dictionary compress of a CACHE1 item
+/// long enough for described sequence tables makes: the frame, the
+/// working buffer, the finder's tables, the parse (and its growth), the
+/// code lanes and the literal and sequence sections. Pinned exactly, so
+/// building and discarding entropy tables again shows up here. When every
+/// lane of at least 48 codes built a table before pricing it, the same
+/// call made 85; deciding on the lane's Shannon bound first made it 39,
+/// and the priced level-3 parse (fewer, longer sequences) 25.
+const WARM_DICT_COMPRESS_ALLOCATIONS: u64 = 25;
+
+#[test]
+fn warm_dictionary_compress_allocates_what_it_keeps() {
+    use datacomp::codecs::dict::train;
+    use datacomp::codecs::zstdx::Zstdx;
+    use datacomp::codecs::Compressor;
+    use datacomp::corpus::cache::{cache1_profile, generate_items};
+
+    let items = generate_items(&cache1_profile(), 2000, 24);
+    let of_type: Vec<&[u8]> = items
+        .iter()
+        .filter(|i| i.type_id == 0)
+        .map(|i| i.data.as_slice())
+        .collect();
+    let dict = train(&of_type[..64], 16 << 10, 1);
+    // The longest held-out item up to 1 KiB: about a hundred sequences,
+    // so every lane crosses the 48-code gate.
+    let item = of_type[64..]
+        .iter()
+        .filter(|p| p.len() <= 1024)
+        .max_by_key(|p| p.len())
+        .unwrap();
+    assert!(item.len() > 768, "{} bytes", item.len());
+    let c = Zstdx::new(3);
+    let frame = c.compress_with_dict(item, &dict);
+    assert_eq!(c.decompress_with_dict(&frame, &dict).unwrap(), *item);
+    let mut counts: Vec<u64> = (0..9)
+        .map(|_| allocations(|| c.compress_with_dict(item, &dict)))
+        .collect();
+    counts.sort_unstable();
+    assert_eq!(
+        counts[counts.len() / 2],
+        WARM_DICT_COMPRESS_ALLOCATIONS,
+        "a warm dictionary compress (sorted: {counts:?})"
+    );
 }
 
 /// Allocations a warm dictionary-frame decompress may make: the decoded

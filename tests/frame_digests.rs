@@ -15,9 +15,20 @@
 //! then (`cache1/256` came out byte-identical); every no-dictionary row
 //! and the hand-made `block-1` rows stayed as they were, which is the
 //! proof that no codec byte moved.
+//!
+//! When zstdx's chain parse began pricing its first candidate
+//! (`MatchParams::priced_parse`), the rows that parse feeds were
+//! re-pinned: every `l3` and `l7` row, and `cache1/l13/*` and
+//! `cache1/256/l13`, where the rep-friendly lazy alternative of the
+//! optimal levels wins. Every `l1` row, every other `l13` row and the
+//! trained dictionaries stayed byte-identical, and the `lz4x` / `zlibx`
+//! rows (`OTHER_CODECS`, pinned from the commit before) hold the codecs
+//! that keep the unpriced parse.
 
 use datacomp::codecs::dict::{train, Dictionary};
+use datacomp::codecs::lz4x::Lz4x;
 use datacomp::codecs::xxhash::Xxh64;
+use datacomp::codecs::zlibx::Zlibx;
 use datacomp::codecs::zstdx::Zstdx;
 use datacomp::codecs::{Compressor, StreamPolicy};
 use datacomp::corpus::cache::{cache1_profile, generate_items};
@@ -134,40 +145,68 @@ fn dictionary_frames_above_the_gate_are_byte_identical_to_the_pinned_parent() {
     check("dictionary frame", &got, &DICT);
 }
 
+/// The other two codecs share `lzkit`'s finders with zstdx, at the
+/// levels that reach each of them: the fast finder and both chain
+/// strategies for `lz4x`, the two greedy levels and a lazy one for
+/// `zlibx`. A change to how zstdx levels parse must leave these alone.
+#[test]
+fn lz4x_and_zlibx_frames_are_byte_identical_to_the_pinned_parent() {
+    let mut got = Vec::new();
+    for (deck, payloads) in decks() {
+        let codecs: [(String, Box<dyn Compressor>); 6] = [
+            ("lz4x/l1".into(), Box::new(Lz4x::new(1))),
+            ("lz4x/l3".into(), Box::new(Lz4x::new(3))),
+            ("lz4x/l4".into(), Box::new(Lz4x::new(4))),
+            ("zlibx/l2".into(), Box::new(Zlibx::new(2))),
+            ("zlibx/l3".into(), Box::new(Zlibx::new(3))),
+            ("zlibx/l6".into(), Box::new(Zlibx::new(6))),
+        ];
+        for (tag, c) in codecs {
+            let d = digest(payloads.iter().map(|p| {
+                let f = c.compress(p);
+                assert_eq!(c.decompress(&f).unwrap(), *p);
+                f
+            }));
+            got.push((format!("{deck}/{tag}"), d));
+        }
+    }
+    check("lz4x / zlibx frame", &got, &OTHER_CODECS);
+}
+
 const PLAIN: [(&str, u64); 36] = [
     ("cache1/l1/auto", 0xfe9002cdfc76d866),
     ("cache1/l1/single", 0xfe9002cdfc76d866),
     ("cache1/l1/quad", 0xde7aec67e703a2af),
-    ("cache1/l3/auto", 0xf07f366d9591aba8),
-    ("cache1/l3/single", 0xf07f366d9591aba8),
-    ("cache1/l3/quad", 0xae77a60246699450),
-    ("cache1/l7/auto", 0xbe9fa05f2421584b),
-    ("cache1/l7/single", 0xbe9fa05f2421584b),
-    ("cache1/l7/quad", 0x898a3fc64dd73395),
-    ("cache1/l13/auto", 0x993ce67e0a737dd4),
-    ("cache1/l13/single", 0x993ce67e0a737dd4),
-    ("cache1/l13/quad", 0x844faa3d37ec5c2b),
+    ("cache1/l3/auto", 0x354de7950772292f),
+    ("cache1/l3/single", 0x354de7950772292f),
+    ("cache1/l3/quad", 0x71bffa7d167570bb),
+    ("cache1/l7/auto", 0x4c38ae6fc5020bc8),
+    ("cache1/l7/single", 0x4c38ae6fc5020bc8),
+    ("cache1/l7/quad", 0xa44d656d77588808),
+    ("cache1/l13/auto", 0x7c63622c53f3bd66),
+    ("cache1/l13/single", 0x7c63622c53f3bd66),
+    ("cache1/l13/quad", 0xf165635f5f86fce8),
     ("sst/l1/auto", 0xa7c26a520411079e),
     ("sst/l1/single", 0xa7c26a520411079e),
     ("sst/l1/quad", 0x76571320363b75c9),
-    ("sst/l3/auto", 0x3535425ba972ee6b),
-    ("sst/l3/single", 0x3535425ba972ee6b),
-    ("sst/l3/quad", 0x396c382a468e5db2),
-    ("sst/l7/auto", 0x0a3908d512f33ab7),
-    ("sst/l7/single", 0x0a3908d512f33ab7),
-    ("sst/l7/quad", 0xc48aaa71173e20b6),
+    ("sst/l3/auto", 0xef78cf0bbb42c02d),
+    ("sst/l3/single", 0xef78cf0bbb42c02d),
+    ("sst/l3/quad", 0x8cafdbe3d535b1f8),
+    ("sst/l7/auto", 0x8e3a1f256b4249e2),
+    ("sst/l7/single", 0x8e3a1f256b4249e2),
+    ("sst/l7/quad", 0x6e1ccaf3920dc563),
     ("sst/l13/auto", 0xbf511d23c0afd41f),
     ("sst/l13/single", 0xbf511d23c0afd41f),
     ("sst/l13/quad", 0xd435e7c741fd9501),
     ("orc/l1/auto", 0x9f25f875430cd09b),
     ("orc/l1/single", 0xced0bf2b623d4ad0),
     ("orc/l1/quad", 0x32c2d06db785f294),
-    ("orc/l3/auto", 0x6a364552a01a063b),
-    ("orc/l3/single", 0x6a364552a01a063b),
-    ("orc/l3/quad", 0xb1ec2d3f2a233cf2),
-    ("orc/l7/auto", 0x6478b5ac32ed2ef7),
-    ("orc/l7/single", 0x6478b5ac32ed2ef7),
-    ("orc/l7/quad", 0xabc09314d4c7296f),
+    ("orc/l3/auto", 0x0c41d0b70f94bbc4),
+    ("orc/l3/single", 0x5a71f40be0f6b6ff),
+    ("orc/l3/quad", 0xce70e5b045317a86),
+    ("orc/l7/auto", 0x788306a6207f78c9),
+    ("orc/l7/single", 0x67c315539a41e19d),
+    ("orc/l7/quad", 0x80c2483ed340d28e),
     ("orc/l13/auto", 0xa951d3b12c65289f),
     ("orc/l13/single", 0xa951d3b12c65289f),
     ("orc/l13/quad", 0x9da0222d928c675b),
@@ -175,21 +214,42 @@ const PLAIN: [(&str, u64); 36] = [
 
 const DICT: [(&str, u64); 16] = [
     ("cache1/256/l1", 0x80b5355980fc56a5),
-    ("cache1/256/l3", 0x10705b45305df59b),
-    ("cache1/256/l7", 0x8df3548e38d814a1),
-    ("cache1/256/l13", 0xd97a068f25a59995),
+    ("cache1/256/l3", 0x87b73bd12420326f),
+    ("cache1/256/l7", 0xcb478dd8c451d744),
+    ("cache1/256/l13", 0x54d9591c2a0cd07d),
     ("sst/2k/l1", 0x1917444b44b2098b),
-    ("sst/2k/l3", 0x95f2916e2cf56b36),
-    ("sst/2k/l7", 0xf630ce414de88622),
+    ("sst/2k/l3", 0x93b2dabb0f956435),
+    ("sst/2k/l7", 0xeabb5b880fbcbee5),
     ("sst/2k/l13", 0x96e50c4479490a92),
     ("sst/block-1/l1", 0xc5783d71690db418),
-    ("sst/block-1/l3", 0xe6fcd74102c911df),
-    ("sst/block-1/l7", 0x0fae62ac84f2bd80),
+    ("sst/block-1/l3", 0x06e24dcdc4243f1a),
+    ("sst/block-1/l7", 0xba40e9476eed33f6),
     ("sst/block-1/l13", 0xa6632eb13f46aa6c),
     ("orc/16k/l1", 0xa886121078e44899),
-    ("orc/16k/l3", 0x03b0f694ce9f1164),
-    ("orc/16k/l7", 0x6db7a34bb3f9c2d4),
+    ("orc/16k/l3", 0xd60a7b36d0e48629),
+    ("orc/16k/l7", 0x6f6bd10afdcec377),
     ("orc/16k/l13", 0x74943f1ac5b44d28),
+];
+
+const OTHER_CODECS: [(&str, u64); 18] = [
+    ("cache1/lz4x/l1", 0x99078fe80335f0e2),
+    ("cache1/lz4x/l3", 0xbb0d93ef1acfc804),
+    ("cache1/lz4x/l4", 0xe979cd78705d0ca2),
+    ("cache1/zlibx/l2", 0xbaeaa1663352685a),
+    ("cache1/zlibx/l3", 0xe7e753e12faebf6f),
+    ("cache1/zlibx/l6", 0xbd342b201820debe),
+    ("sst/lz4x/l1", 0x0149d593199b696e),
+    ("sst/lz4x/l3", 0x3a3c89a8286cafa4),
+    ("sst/lz4x/l4", 0x7cf1e0af9fca00e6),
+    ("sst/zlibx/l2", 0x34668d4c59aaa25d),
+    ("sst/zlibx/l3", 0xc22f5fdc6cf23a55),
+    ("sst/zlibx/l6", 0x319ec98e4a70d6b0),
+    ("orc/lz4x/l1", 0x0afafafd52f74e9e),
+    ("orc/lz4x/l3", 0xce4f6d22ee58d327),
+    ("orc/lz4x/l4", 0x6018f53a03b2a22f),
+    ("orc/zlibx/l2", 0xbe516a9e3e2f9c52),
+    ("orc/zlibx/l3", 0x66c8b12691513669),
+    ("orc/zlibx/l6", 0xc6b8b8f2637797ed),
 ];
 
 const TRAINED: [(&str, u64); 3] = [

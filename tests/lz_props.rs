@@ -117,6 +117,43 @@ proptest! {
         }
     }
 
+    /// A priced chain parse takes a new offset only when the match pays
+    /// for it at ≈ 4 bits per literal replaced:
+    /// `4 * len >= bits(offset) + 6`. The first candidate is priced
+    /// directly; a challenger and the backward extension only add length
+    /// for the bits they add, so the rule holds for whatever the parse
+    /// emits — with or without history and an attached index — and the
+    /// parse still reconstructs.
+    #[test]
+    fn priced_parse_takes_only_new_offsets_that_pay(
+        dict in proptest::collection::vec(0u8..12, 0..2048),
+        data in proptest::collection::vec(0u8..12, 0..6144),
+        lazy in any::<bool>(),
+        attach in any::<bool>(),
+        min_match in 3u32..=5,
+    ) {
+        let strategy = if lazy { LzStrategy::Lazy } else { LzStrategy::Greedy };
+        let params = MatchParams {
+            priced_parse: true,
+            ..MatchParams::new(strategy).with_min_match(min_match)
+        };
+        let index = PrefixIndex::build(&dict);
+        let buf = [dict.as_slice(), data.as_slice()].concat();
+        let block = parse_with_prefix(&buf, dict.len(), &params, attach.then_some(&index));
+        prop_assert_eq!(reconstruct(&block, &dict).unwrap(), data);
+        let mut previous = 0;
+        for s in &block.sequences {
+            if s.offset != previous {
+                let bits = u32::BITS - s.offset.leading_zeros();
+                prop_assert!(
+                    4 * s.match_len >= bits + 6,
+                    "a {}-byte match at offset {} does not pay", s.match_len, s.offset
+                );
+            }
+            previous = s.offset;
+        }
+    }
+
     #[test]
     fn decoded_len_invariant(
         data in proptest::collection::vec(any::<u8>(), 0..4096),
