@@ -1,7 +1,7 @@
-//! Microbenchmark for the multi-stream entropy hot loops: isolates the
-//! 4-stream Huffman literal decode and the 4-state interleaved FSE
-//! decode from the codec wrappers, so reader/loop changes can be
-//! attributed before they show up (diluted) in `decode_guard`.
+//! Microbenchmark for the entropy hot loops: isolates the 1- and
+//! 4-stream Huffman literal decode and the single-state FSE decode from
+//! the codec wrappers, so reader/loop changes can be attributed before
+//! they show up (diluted) in `decode_guard`.
 
 use std::time::Instant;
 
@@ -74,15 +74,10 @@ fn main() {
     let norm = normalize_counts(&hist, 9).expect("normalizable");
     let fse = FseTable::from_normalized(&norm, 9).expect("valid table");
     let enc1 = fse.encode(&symbols);
-    let enc4 = fse.encode_4x(&symbols);
     let f1 = mbps(n, iters.min(8), || {
         std::hint::black_box(fse.decode(&enc1, symbols.len()).unwrap());
     });
-    rows.push(vec!["fse decode (2-state)".into(), format!("{f1:.1}")]);
-    let f4 = mbps(n, iters.min(8), || {
-        std::hint::black_box(fse.decode_4x(&enc4, symbols.len()).unwrap());
-    });
-    rows.push(vec!["fse decode_4x (4-state)".into(), format!("{f4:.1}")]);
+    rows.push(vec!["fse decode (1-state)".into(), format!("{f1:.1}")]);
 
     print_table(
         &format!("multi-stream entropy hot loops ({n} bytes)"),

@@ -223,9 +223,8 @@ impl RepHistory {
     /// Resolves a decoded offset-code/raw-offset pair to the absolute
     /// offset: repeat codes look up (and promote) history, literal codes
     /// push their raw offset. Returns `None` for an out-of-range repeat
-    /// index. One call per sequence keeps the decoder's history update
-    /// in the same place regardless of which loop shape (single or
-    /// paired states) decoded the sequence.
+    /// index. One call per sequence, at apply time and in sequence
+    /// order, evolves the history exactly as the encoder saw it.
     pub fn resolve(&mut self, ofc: u8, raw: u32) -> Option<u32> {
         if ofc >= OF_REP_BASE {
             self.decode(ofc)

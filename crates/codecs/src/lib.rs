@@ -395,25 +395,25 @@ pub(crate) fn lz_backfill(out: &mut [u8], dst: usize, offset: usize, len: usize)
     }
 }
 
-/// How a codec's block writer splits entropy-coded payloads across
-/// independent substreams (the multi-stream decode layout: 4 Huffman
-/// literal streams, paired FSE sequence states).
+/// How a codec's block writer lays out entropy-coded payloads: the
+/// legacy single stream, or the v4 multi-stream layout (four
+/// independent Huffman literal substreams) that parallelizes literal
+/// decode.
 ///
-/// `Auto` is the production default: blocks large enough to amortize the
-/// extra per-stream headers get the multi-stream layout, small blocks
-/// keep the single-stream layout bit-identical to older encoders.
-/// `Single` forces the legacy layout everywhere (frames decode on old
-/// readers); `Quad` forces the multi-stream layout at tiny thresholds so
-/// tests can exercise it on small inputs.
+/// `Auto` is the production default and the only layout decision: each
+/// block is laid out from its own parse, so large literal-dominated
+/// blocks get the multi-stream layout while small or match-dominated
+/// blocks keep the single-stream layout bit-identical to older
+/// encoders. `Single` forces the legacy layout everywhere (frames decode
+/// on old readers); the parallel frame writer uses it, and it is the
+/// reference the multi-stream frames are compared against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamPolicy {
-    /// Choose per block by payload size (production default).
+    /// Choose per block from its parse (production default).
     #[default]
     Auto,
     /// Always emit the legacy single-stream layout.
     Single,
-    /// Force the multi-stream layout whenever structurally possible.
-    Quad,
 }
 
 /// A lossless block compressor.

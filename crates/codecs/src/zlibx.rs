@@ -85,10 +85,10 @@ impl Zlibx {
     }
 
     /// Builder-style multi-stream entropy policy
-    /// ([`StreamPolicy::Auto`] by default). `Single` pins the legacy
-    /// one-stream blocks (frames stay byte-identical to pre-v4
-    /// encoders); `Quad` forces four-substream blocks even below the
-    /// size threshold, which exists for tests and benchmarks.
+    /// ([`StreamPolicy::Auto`] by default, which writes four-substream
+    /// blocks for large, literal-dominated spans). `Single` pins the
+    /// legacy one-stream blocks (frames stay byte-identical to pre-v4
+    /// encoders).
     pub fn with_stream_policy(mut self, streams: StreamPolicy) -> Self {
         self.streams = streams;
         self
@@ -304,7 +304,7 @@ const AUTO_SPLIT: usize = 16 * 1024;
 /// parallelizes *literal* Huffman decode; its deferred-match second
 /// phase makes match-dominated blocks strictly slower. Measured on the
 /// mixed guard corpus (best-of-5, 256 KiB per class, 64 KiB blocks):
-/// literal-heavy Binary decodes +43% under Quad while every
+/// literal-heavy Binary decodes +43% split four ways while every
 /// match-dominated class (literal share <= 15%) loses 10-33%, so Auto
 /// splits only blocks the parse shows are literal-dominated. The
 /// measured corpus is sharply bimodal (<= 0.15 vs >= 0.98 literal
@@ -767,7 +767,6 @@ impl Compressor for Zlibx {
                 let data = &src[start..end];
                 four = match self.streams {
                     StreamPolicy::Single => false,
-                    StreamPolicy::Quad => end - start >= 64,
                     StreamPolicy::Auto => auto_quad(&block, end - start),
                 };
                 if four {
@@ -971,6 +970,17 @@ mod multi_stream_tests {
             .collect()
     }
 
+    /// [`noise`] with a 48-byte repeat of earlier content every 512
+    /// bytes: still literal-dominated, so Auto writes type-2 blocks for
+    /// spans of at least [`AUTO_SPLIT`], whose sequences carry matches.
+    fn lit_heavy(n: usize) -> Vec<u8> {
+        let mut data = noise(n);
+        for at in (512..n.saturating_sub(48)).step_by(512) {
+            data.copy_within(at - 400..at - 352, at);
+        }
+        data
+    }
+
     #[test]
     fn auto_policy_sets_v4_magic_and_roundtrips_both_engines() {
         // Literal-dominated input: the quad layout parallelizes literal
@@ -1031,12 +1041,13 @@ mod multi_stream_tests {
     }
 
     #[test]
-    fn quad_policy_roundtrips_all_levels_and_sizes() {
+    fn auto_v4_roundtrips_all_levels_and_sizes() {
         for level in 1..=9 {
-            let c = Zlibx::new(level).with_stream_policy(StreamPolicy::Quad);
-            for n in [64, 65, 100, 1000, 4093, 70_000, 200_000] {
-                let data = sample(n);
+            let c = Zlibx::new(level);
+            for n in [AUTO_SPLIT, AUTO_SPLIT + 1, 40_000, 70_000, 200_000] {
+                let data = lit_heavy(n);
                 let enc = c.compress(&data);
+                assert_ne!(enc[1] & MAGIC_V4_BIT, 0, "level {level} n {n} must be v4");
                 assert_eq!(c.decompress(&enc).unwrap(), data, "level {level} n {n}");
                 assert_eq!(
                     c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1050,18 +1061,22 @@ mod multi_stream_tests {
 
     #[test]
     fn cross_substream_matches_resolve() {
-        // Long runs force matches whose sources live in earlier
-        // substreams (and in prior blocks), exercising the deferred
-        // backfill across every cut boundary.
-        let mut data = Vec::new();
-        data.extend_from_slice(&sample(5000));
-        for _ in 0..40 {
-            let tail = data[data.len().saturating_sub(3000)..].to_vec();
-            data.extend_from_slice(&tail);
+        // Literal-dominated noise with a 3000-byte repeat of content
+        // 20 000 bytes back after every 6000 fresh bytes: the long
+        // matches' sources live in earlier substreams (and in prior
+        // blocks), exercising the deferred backfill across every cut
+        // boundary while the block stays literal-dominated.
+        let fresh = noise(180_000);
+        let mut data = fresh[..20_000].to_vec();
+        for chunk in fresh[20_000..].chunks(6000) {
+            data.extend_from_slice(chunk);
+            let at = data.len() - 20_000;
+            data.extend_from_within(at..at + 3000);
         }
         data.truncate(180_000);
-        let c = Zlibx::new(9).with_stream_policy(StreamPolicy::Quad);
+        let c = Zlibx::new(9);
         let enc = c.compress(&data);
+        assert_ne!(enc[1] & MAGIC_V4_BIT, 0, "must be v4");
         assert_eq!(c.decompress(&enc).unwrap(), data);
         assert_eq!(
             c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1072,8 +1087,8 @@ mod multi_stream_tests {
 
     #[test]
     fn type2_blocks_without_version_bit_are_rejected() {
-        let data = sample(120_000);
-        let c = Zlibx::new(6).with_stream_policy(StreamPolicy::Quad);
+        let data = lit_heavy(120_000);
+        let c = Zlibx::new(6);
         let mut enc = c.compress(&data);
         assert_ne!(enc[1] & MAGIC_V4_BIT, 0);
         enc[1] &= !MAGIC_V4_BIT;
@@ -1087,9 +1102,10 @@ mod multi_stream_tests {
 
     #[test]
     fn v4_truncation_and_corruption_agree_across_engines() {
-        let data = sample(40_000);
-        let c = Zlibx::new(6).with_stream_policy(StreamPolicy::Quad);
+        let data = lit_heavy(AUTO_SPLIT + 1000);
+        let c = Zlibx::new(6);
         let enc = c.compress(&data);
+        assert_ne!(enc[1] & MAGIC_V4_BIT, 0);
         for cut in 0..enc.len() {
             let fast = c.decompress(&enc[..cut]);
             let reference = c.decompress_reference(&enc[..cut], &DecodeLimits::default());

@@ -53,10 +53,10 @@ pub(crate) const FLAG_CHECKSUM: u8 = 2;
 /// instead (streaming frames, see [`crate::stream`]).
 pub(crate) const FLAG_STREAMING: u8 = 4;
 /// Frame flag: at least one block uses the v4 multi-stream entropy
-/// layout ([`LIT_HUFFMAN4`] literals and/or [`SEQ_PAIR_FLAG`]
-/// sequences). Old decoders reject such frames up front instead of
-/// tripping over an unknown literal mode mid-stream; frames without the
-/// flag are byte-identical to pre-v4 encoders' output.
+/// layout ([`LIT_HUFFMAN4`] literals). Old decoders reject such frames
+/// up front instead of tripping over an unknown literal mode
+/// mid-stream; frames without the flag are byte-identical to pre-v4
+/// encoders' output.
 pub(crate) const FLAG_V4: u8 = 8;
 
 pub(crate) const BLOCK_RAW: u8 = 0;
@@ -76,10 +76,10 @@ const MODE_PREDEFINED: u8 = 0;
 const MODE_FSE: u8 = 1;
 const MODE_RLE: u8 = 2;
 
-/// Modes-byte bit: the sequence bitstream interleaves *six* FSE states
-/// (two per code lane) instead of three, decoding two sequences per
-/// round (v4 frames only). Bit 7 stays reserved and is rejected.
-const SEQ_PAIR_FLAG: u8 = 0x40;
+/// Reserved modes-byte bits, rejected by both decode engines. Bit 6
+/// once marked a paired six-state sequence layout that no encoder
+/// emits any more; bit 7 was never assigned.
+const MODES_RESERVED: u8 = 0xc0;
 
 /// The Zstandard-like compressor. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -106,10 +106,10 @@ impl Zstdx {
     }
 
     /// Builder-style multi-stream entropy policy
-    /// ([`StreamPolicy::Auto`] by default). `Single` pins the legacy
-    /// one-stream layout (frames stay byte-identical to pre-v4
-    /// encoders); `Quad` forces the split even below the size
-    /// thresholds, which exists for tests and benchmarks.
+    /// ([`StreamPolicy::Auto`] by default, which splits the Huffman
+    /// literals of large, literal-dominated blocks into four
+    /// substreams). `Single` pins the legacy one-stream layout (frames
+    /// stay byte-identical to pre-v4 encoders).
     pub fn with_stream_policy(mut self, streams: StreamPolicy) -> Self {
         self.streams = streams;
         self
@@ -279,9 +279,9 @@ pub(crate) fn write_block(
     out: &mut Vec<u8>,
     timing: Option<&mut StageTiming>,
 ) {
-    // Single-stream on purpose: this entry point serves frame writers
-    // (parallel, streaming) whose headers are not patched with
-    // [`FLAG_V4`], so the blocks they embed must stay legacy-layout.
+    // Single-stream on purpose: this entry point serves the parallel
+    // frame writer, whose header is not patched with [`FLAG_V4`], so the
+    // blocks it embeds must stay legacy-layout.
     let _ = write_block_opts(
         buf,
         start,
@@ -662,14 +662,6 @@ const AUTO_LIT_SPLIT: usize = 1024;
 /// the critical path, measuring as a small end-to-end decode loss.
 /// Literal-dominated blocks (Binary class, >= 98%) win outright.
 const AUTO_LIT_PERCENT: usize = 50;
-/// Minimum sequence count at which [`StreamPolicy::Auto`] switches to
-/// the paired six-state FSE layout. [`StreamPolicy::Auto`] never selects
-/// it: measured end-to-end decode on every sequence-heavy corpus class is
-/// 2-7% *slower* paired (the two interleaved triples contend for the same
-/// bit reservoir, and unlike the literal streams there is no independent
-/// second source to overlap), so pairing is reachable only through an
-/// explicit [`StreamPolicy::Quad`].
-const QUAD_SEQ_PAIR: usize = 2;
 
 // indexing_slicing: encode side — `lits[0]` sits behind the non-empty
 // branch, and the per-sequence arrays (`llc`/`mlc`/`ofc`) are built with
@@ -695,7 +687,6 @@ fn encode_block_payload_opts(
             .sum::<usize>();
     let four = match policy {
         StreamPolicy::Single => false,
-        StreamPolicy::Quad => lits.len() >= 4,
         StreamPolicy::Auto => {
             lits.len() >= AUTO_LIT_SPLIT && lits.len() * 100 >= decoded * AUTO_LIT_PERCENT
         }
@@ -794,13 +785,7 @@ fn encode_block_payload_opts(
     let ml_choice = choose_table(&mlc, predefined_ml(), MAX_ML_CODE as usize + 1);
     let of_choice = choose_table(&ofc, predefined_of(), OF_ALPHABET);
 
-    let paired = match policy {
-        StreamPolicy::Single | StreamPolicy::Auto => false,
-        StreamPolicy::Quad => n >= QUAD_SEQ_PAIR,
-    };
-    used_v4 |= paired;
-    let pair_bit = if paired { SEQ_PAIR_FLAG } else { 0 };
-    out.push(ll_choice.mode() | (ml_choice.mode() << 2) | (of_choice.mode() << 4) | pair_bit);
+    out.push(ll_choice.mode() | (ml_choice.mode() << 2) | (of_choice.mode() << 4));
     for choice in [&ll_choice, &ml_choice, &of_choice] {
         match choice {
             TableChoice::Predefined(_) => {}
@@ -809,61 +794,21 @@ fn encode_block_payload_opts(
         }
     }
 
-    // Reverse-order interleaved bitstream; see the decoders for the
-    // forward read order these mirror.
+    // Reverse-order interleaved bitstream; see `decode_sequences` for
+    // the forward read order this mirrors.
     let mut w = BitWriter::with_capacity(n);
-    if paired {
-        // Six states over the three shared tables: lane pair 0 carries
-        // even sequences, lane pair 1 odd ones. Written in exact
-        // reverse of the decoder's read order — the odd tail (read
-        // last) goes first, then pairs from the last to the first, each
-        // emitting lane-1 states, lane-0 states, then extras of the odd
-        // and even member.
-        let mut ll0 = FseEncoder::new(ll_choice.table());
-        let mut ml0 = FseEncoder::new(ml_choice.table());
-        let mut of0 = FseEncoder::new(of_choice.table());
-        let mut ll1 = FseEncoder::new(ll_choice.table());
-        let mut ml1 = FseEncoder::new(ml_choice.table());
-        let mut of1 = FseEncoder::new(of_choice.table());
-        if n % 2 == 1 {
-            let i = n - 1;
-            of0.encode(&mut w, ofc[i] as u16);
-            ml0.encode(&mut w, mlc[i] as u16);
-            ll0.encode(&mut w, llc[i] as u16);
-            write_seq_extras(&mut w, &parsed.sequences[i], llc[i], mlc[i], ofc[i]);
-        }
-        for p in (0..n / 2).rev() {
-            let a = 2 * p;
-            let b = a + 1;
-            of1.encode(&mut w, ofc[b] as u16);
-            ml1.encode(&mut w, mlc[b] as u16);
-            ll1.encode(&mut w, llc[b] as u16);
-            of0.encode(&mut w, ofc[a] as u16);
-            ml0.encode(&mut w, mlc[a] as u16);
-            ll0.encode(&mut w, llc[a] as u16);
-            write_seq_extras(&mut w, &parsed.sequences[b], llc[b], mlc[b], ofc[b]);
-            write_seq_extras(&mut w, &parsed.sequences[a], llc[a], mlc[a], ofc[a]);
-        }
-        ml1.finish(&mut w);
-        of1.finish(&mut w);
-        ll1.finish(&mut w);
-        ml0.finish(&mut w);
-        of0.finish(&mut w);
-        ll0.finish(&mut w);
-    } else {
-        let mut ll_enc = FseEncoder::new(ll_choice.table());
-        let mut ml_enc = FseEncoder::new(ml_choice.table());
-        let mut of_enc = FseEncoder::new(of_choice.table());
-        for i in (0..n).rev() {
-            of_enc.encode(&mut w, ofc[i] as u16);
-            ml_enc.encode(&mut w, mlc[i] as u16);
-            ll_enc.encode(&mut w, llc[i] as u16);
-            write_seq_extras(&mut w, &parsed.sequences[i], llc[i], mlc[i], ofc[i]);
-        }
-        ml_enc.finish(&mut w);
-        of_enc.finish(&mut w);
-        ll_enc.finish(&mut w);
+    let mut ll_enc = FseEncoder::new(ll_choice.table());
+    let mut ml_enc = FseEncoder::new(ml_choice.table());
+    let mut of_enc = FseEncoder::new(of_choice.table());
+    for i in (0..n).rev() {
+        of_enc.encode(&mut w, ofc[i] as u16);
+        ml_enc.encode(&mut w, mlc[i] as u16);
+        ll_enc.encode(&mut w, llc[i] as u16);
+        write_seq_extras(&mut w, &parsed.sequences[i], llc[i], mlc[i], ofc[i]);
     }
+    ml_enc.finish(&mut w);
+    of_enc.finish(&mut w);
+    ll_enc.finish(&mut w);
     let stream = w.finish_with_sentinel();
     write_varint(&mut out, stream.len() as u64);
     out.extend_from_slice(&stream);
@@ -954,12 +899,8 @@ pub(crate) fn decode_block_payload<const FAST: bool>(
     }
 
     let modes = c.read_u8()?;
-    if modes & 0x80 != 0 {
+    if modes & MODES_RESERVED != 0 {
         return Err(c.corrupt("zstdx reserved sequence mode bit"));
-    }
-    let paired = modes & SEQ_PAIR_FLAG != 0;
-    if paired && !v4 {
-        return Err(c.corrupt("zstdx paired sequences without v4 flag"));
     }
     let read_table = |mode: u8,
                       predefined: &'static FseTable,
@@ -997,27 +938,12 @@ pub(crate) fn decode_block_payload<const FAST: bool>(
 
     let stream_len = c.read_varint()? as usize;
     let stream = c.read_slice(stream_len)?;
-    match (FAST, paired) {
-        (true, false) => {
-            let mut r = ReverseBitReaderFast::from_sentinel(stream)?;
-            decode_sequences::<_, FAST>(&c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded)
-        }
-        (false, false) => {
-            let mut r = ReverseBitReader::from_sentinel(stream)?;
-            decode_sequences::<_, FAST>(&c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded)
-        }
-        (true, true) => {
-            let mut r = ReverseBitReaderFast::from_sentinel(stream)?;
-            decode_sequences_paired::<_, FAST>(
-                &c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded,
-            )
-        }
-        (false, true) => {
-            let mut r = ReverseBitReader::from_sentinel(stream)?;
-            decode_sequences_paired::<_, FAST>(
-                &c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded,
-            )
-        }
+    if FAST {
+        let mut r = ReverseBitReaderFast::from_sentinel(stream)?;
+        decode_sequences::<_, FAST>(&c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded)
+    } else {
+        let mut r = ReverseBitReader::from_sentinel(stream)?;
+        decode_sequences::<_, FAST>(&c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded)
     }
 }
 
@@ -1076,109 +1002,6 @@ fn decode_sequences<R: RevBitSrc, const FAST: bool>(
             ofc,
             of_raw,
         )?;
-    }
-    out.extend_from_slice(literals.get(lit_pos..).unwrap_or(&[]));
-    if out.len() != end {
-        return Err(c.corrupt("zstdx block length mismatch"));
-    }
-    Ok(())
-}
-
-/// Paired-sequence loop: six FSE states over the three shared tables,
-/// decoding two sequences per round. Both sequences' codes and raw
-/// bits are read before the six back-to-back state updates, so the
-/// serial bit-cursor dependency chain per sequence is half the single-
-/// stream loop's. An odd final sequence rides on the lane-0 states and
-/// is read last; the stream must end with every state at its initial
-/// value and no bits left over.
-#[deny(clippy::indexing_slicing)]
-#[allow(clippy::too_many_arguments)]
-fn decode_sequences_paired<R: RevBitSrc, const FAST: bool>(
-    c: &Cursor<'_>,
-    r: &mut R,
-    ll_t: &FseTableRef,
-    ml_t: &FseTableRef,
-    of_t: &FseTableRef,
-    literals: &[u8],
-    n: usize,
-    out: &mut Vec<u8>,
-    decoded: usize,
-) -> Result<()> {
-    let mut ll0 = FseDecoder::init(ll_t.get(), r)?;
-    let mut of0 = FseDecoder::init(of_t.get(), r)?;
-    let mut ml0 = FseDecoder::init(ml_t.get(), r)?;
-    let mut ll1 = FseDecoder::init(ll_t.get(), r)?;
-    let mut of1 = FseDecoder::init(of_t.get(), r)?;
-    let mut ml1 = FseDecoder::init(ml_t.get(), r)?;
-
-    let end = out.len() + decoded;
-    let mut lit_pos = 0usize;
-    let mut reps = RepHistory::default();
-    for _ in 0..n / 2 {
-        let (llc_a, mlc_a, ofc_a) = peek_codes(c, &ll0, &ml0, &of0)?;
-        let (lit_a, mat_a, raw_a) = read_seq_bits(r, llc_a, mlc_a, ofc_a)?;
-        let (llc_b, mlc_b, ofc_b) = peek_codes(c, &ll1, &ml1, &of1)?;
-        let (lit_b, mat_b, raw_b) = read_seq_bits(r, llc_b, mlc_b, ofc_b)?;
-        ll0.update(r)?;
-        ml0.update(r)?;
-        of0.update(r)?;
-        ll1.update(r)?;
-        ml1.update(r)?;
-        of1.update(r)?;
-        // Repeat-offset resolution happens at apply time, in sequence
-        // order, so the history evolves exactly as the encoder saw it.
-        apply_sequence::<FAST>(
-            c,
-            literals,
-            out,
-            end,
-            &mut lit_pos,
-            &mut reps,
-            lit_a,
-            mat_a,
-            ofc_a,
-            raw_a,
-        )?;
-        apply_sequence::<FAST>(
-            c,
-            literals,
-            out,
-            end,
-            &mut lit_pos,
-            &mut reps,
-            lit_b,
-            mat_b,
-            ofc_b,
-            raw_b,
-        )?;
-    }
-    if n % 2 == 1 {
-        let (llc, mlc, ofc) = peek_codes(c, &ll0, &ml0, &of0)?;
-        let (lit_run, match_len, of_raw) = read_seq_bits(r, llc, mlc, ofc)?;
-        ll0.update(r)?;
-        ml0.update(r)?;
-        of0.update(r)?;
-        apply_sequence::<FAST>(
-            c,
-            literals,
-            out,
-            end,
-            &mut lit_pos,
-            &mut reps,
-            lit_run,
-            match_len,
-            ofc,
-            of_raw,
-        )?;
-    }
-    let clean = ll0.at_initial_state()
-        && of0.at_initial_state()
-        && ml0.at_initial_state()
-        && ll1.at_initial_state()
-        && of1.at_initial_state()
-        && ml1.at_initial_state();
-    if !clean || r.remaining() != 0 {
-        return Err(c.corrupt("zstdx paired sequences did not terminate cleanly"));
     }
     out.extend_from_slice(literals.get(lit_pos..).unwrap_or(&[]));
     if out.len() != end {
@@ -1720,8 +1543,8 @@ mod multi_stream_tests {
     #[test]
     fn auto_policy_keeps_match_dominated_blocks_single_stream() {
         // JSON-ish records are almost all matches; the 4-stream literal
-        // split and paired FSE both measure as decode losses there, so
-        // Auto must emit the legacy layout byte-for-byte.
+        // split measures as a decode loss there, so Auto must emit the
+        // legacy layout byte-for-byte.
         let data = sample();
         let c = Zstdx::new(6);
         let enc = c.compress(&data);
@@ -1762,32 +1585,71 @@ mod multi_stream_tests {
         assert_eq!(auto[MAGIC.len()] & FLAG_V4, 0);
     }
 
+    /// Literal-dominated but Huffman-compressible bytes ([`noise`])
+    /// with a 48-byte repeat of earlier content every 512 bytes: Auto
+    /// takes the v4 four-stream literal split while the sequence
+    /// section still carries matches.
+    fn lit_heavy(n: usize) -> Vec<u8> {
+        let mut data = noise(n);
+        for at in (512..n.saturating_sub(48)).step_by(512) {
+            data.copy_within(at - 400..at - 352, at);
+        }
+        data
+    }
+
+    /// Byte offset of the sequence modes byte in a single-block,
+    /// checksum-free, dictionary-free frame.
+    fn modes_byte_offset(frame: &[u8]) -> usize {
+        let mut c = Cursor::new(frame);
+        c.advance(MAGIC.len() + 1).unwrap();
+        c.read_varint().unwrap(); // content size
+        assert_eq!(c.read_u8().unwrap(), BLOCK_COMPRESSED);
+        c.read_varint().unwrap(); // decoded size
+        c.read_varint().unwrap(); // payload size
+        let lit_mode = c.read_u8().unwrap();
+        let lit_len = c.read_varint().unwrap() as usize;
+        let skip = match lit_mode {
+            LIT_RAW => lit_len,
+            LIT_RLE => 1,
+            LIT_HUFFMAN => {
+                read_nibble_lengths(&mut c, 256).unwrap();
+                c.read_varint().unwrap() as usize
+            }
+            LIT_HUFFMAN4 => {
+                read_nibble_lengths(&mut c, 256).unwrap();
+                (0..4).map(|_| c.read_varint().unwrap() as usize).sum()
+            }
+            other => panic!("unexpected literal mode {other}"),
+        };
+        c.advance(skip).unwrap();
+        assert_ne!(c.read_varint().unwrap(), 0, "block must carry sequences");
+        c.position()
+    }
+
     #[test]
-    fn quad_policy_forces_v4_on_small_inputs() {
-        let c = Zstdx::new(3).with_stream_policy(StreamPolicy::Quad);
-        for data in [
-            sample()[..600].to_vec(),
-            b"abcabcabcabcabcabcabcabcabcabc".to_vec(),
-            (0u8..=255).collect::<Vec<_>>(),
-        ] {
+    fn auto_takes_v4_on_small_literal_heavy_inputs() {
+        let c = Zstdx::new(3);
+        for len in [1536, 2048, 4096, 9000] {
+            let data = lit_heavy(len);
             let enc = c.compress(&data);
-            assert_eq!(c.decompress(&enc).unwrap(), data, "len {}", data.len());
+            assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0, "len {len} must be v4");
+            assert_eq!(c.decompress(&enc).unwrap(), data, "len {len}");
             assert_eq!(
                 c.decompress_reference(&enc, &DecodeLimits::default())
                     .unwrap(),
                 data,
-                "reference engine, len {}",
-                data.len()
+                "reference engine, len {len}"
             );
         }
     }
 
     #[test]
-    fn quad_policy_roundtrips_all_levels_and_shapes() {
-        let data = sample();
+    fn auto_v4_roundtrips_all_levels() {
+        let data = lit_heavy(40_000);
         for level in [-3, 1, 5, 9, 13, 19] {
-            let c = Zstdx::new(level).with_stream_policy(StreamPolicy::Quad);
+            let c = Zstdx::new(level);
             let enc = c.compress(&data);
+            assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0, "level {level} must be v4");
             assert_eq!(c.decompress(&enc).unwrap(), data, "level {level}");
             assert_eq!(
                 c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1800,10 +1662,8 @@ mod multi_stream_tests {
 
     #[test]
     fn v4_blocks_without_frame_flag_are_rejected() {
-        let data = sample();
-        let c = Zstdx::new(6)
-            .with_stream_policy(StreamPolicy::Quad)
-            .with_checksum(false);
+        let data = lit_heavy(8192);
+        let c = Zstdx::new(6).with_checksum(false);
         let mut enc = c.compress(&data);
         assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0);
         enc[MAGIC.len()] &= !FLAG_V4;
@@ -1813,6 +1673,42 @@ mod multi_stream_tests {
                 .is_err(),
             "reference engine must reject"
         );
+    }
+
+    #[test]
+    fn reserved_modes_bits_are_rejected_alike_by_both_engines() {
+        // Bit 6 (the retired paired-sequence layout) and bit 7, in a v4
+        // frame and in a legacy v3 frame.
+        let v4 = Zstdx::new(6).with_checksum(false);
+        let v3 = Zstdx::new(6)
+            .with_checksum(false)
+            .with_stream_policy(StreamPolicy::Single);
+        let data = lit_heavy(8192);
+        for (name, c) in [("v4", &v4), ("v3", &v3)] {
+            let enc = c.compress(&data);
+            assert_eq!(enc[MAGIC.len()] & FLAG_V4 != 0, name == "v4", "{name}");
+            let at = modes_byte_offset(&enc);
+            assert_eq!(enc[at] & MODES_RESERVED, 0, "{name}");
+            for bit in [0x40u8, 0x80] {
+                let mut bad = enc.clone();
+                bad[at] |= bit;
+                let fast = c.decompress(&bad).unwrap_err();
+                let reference = c
+                    .decompress_reference(&bad, &DecodeLimits::default())
+                    .unwrap_err();
+                assert_eq!(fast.kind(), reference.kind(), "{name} bit {bit:#x}");
+                assert!(
+                    matches!(
+                        fast,
+                        CodecError::Corrupt {
+                            stage: "zstdx reserved sequence mode bit",
+                            ..
+                        }
+                    ),
+                    "{name} bit {bit:#x}: {fast:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1833,9 +1729,10 @@ mod multi_stream_tests {
 
     #[test]
     fn v4_frame_truncation_and_corruption_error_not_panic() {
-        let data = sample();
-        let c = Zstdx::new(6).with_stream_policy(StreamPolicy::Quad);
+        let data = lit_heavy(3000);
+        let c = Zstdx::new(6);
         let enc = c.compress(&data);
+        assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0);
         for cut in 0..enc.len() {
             let _ = c.decompress(&enc[..cut]);
             let _ = c.decompress_reference(&enc[..cut], &DecodeLimits::default());
@@ -1853,49 +1750,6 @@ mod multi_stream_tests {
             if let (Ok(f), Ok(r)) = (&fast, &reference) {
                 assert_eq!(f, r, "engines decoded different bytes at flip {i}");
             }
-        }
-    }
-
-    #[test]
-    fn paired_sequences_exercise_repeat_offsets() {
-        // Rep-heavy data: the same few offsets recur, so the paired
-        // loop's deferred rep resolution gets real coverage.
-        let mut data = Vec::new();
-        for i in 0..3000u32 {
-            data.extend_from_slice(b"key=");
-            data.extend_from_slice(&(i % 13).to_le_bytes());
-            data.extend_from_slice(b";val=");
-            data.extend_from_slice(&(i % 7).to_le_bytes());
-        }
-        let c = Zstdx::new(9).with_stream_policy(StreamPolicy::Quad);
-        let enc = c.compress(&data);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
-        assert_eq!(
-            c.decompress_reference(&enc, &DecodeLimits::default())
-                .unwrap(),
-            data
-        );
-    }
-
-    #[test]
-    fn odd_and_even_sequence_counts_roundtrip() {
-        // Pin both parities of the sequence count through the paired
-        // encoder's odd-tail path: force pairing from n == 2 up.
-        let c = Zstdx::new(3).with_stream_policy(StreamPolicy::Quad);
-        for reps in 2..24 {
-            let mut data = Vec::new();
-            for i in 0..reps {
-                data.extend_from_slice(format!("block-{i:03} ").as_bytes());
-                data.extend_from_slice(b"shared shared shared ");
-            }
-            let enc = c.compress(&data);
-            assert_eq!(c.decompress(&enc).unwrap(), data, "reps {reps}");
-            assert_eq!(
-                c.decompress_reference(&enc, &DecodeLimits::default())
-                    .unwrap(),
-                data,
-                "reference engine, reps {reps}"
-            );
         }
     }
 }

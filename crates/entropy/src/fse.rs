@@ -229,171 +229,6 @@ impl FseTable {
         Ok(out)
     }
 
-    /// Encodes `symbols` with two interleaved states over this table into
-    /// a standalone sentinel-terminated buffer. Even indices flow through
-    /// state 0, odd through state 1; decode with [`Self::decode_2x`].
-    /// Two states halve the serial state-update dependency chain that
-    /// bounds single-state tANS throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any symbol has a zero normalized count.
-    // indexing_slicing: `i` ranges over `0..symbols.len()`.
-    #[allow(clippy::indexing_slicing)]
-    pub fn encode_2x(&self, symbols: &[u16]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(symbols.len() / 2 + 8);
-        let mut e0 = FseEncoder::new(self);
-        let mut e1 = FseEncoder::new(self);
-        // Mirror of decode_2x's read order, reversed: the decoder reads
-        // init0, init1, then items 0, 1, 2, ... alternating states, so we
-        // write item n-1 first, item 0 last, then state 1, then state 0.
-        for i in (0..symbols.len()).rev() {
-            if i % 2 == 0 {
-                e0.encode(&mut w, symbols[i]);
-            } else {
-                e1.encode(&mut w, symbols[i]);
-            }
-        }
-        e1.finish(&mut w);
-        e0.finish(&mut w);
-        w.finish_with_sentinel()
-    }
-
-    /// Decodes exactly `n` symbols from a buffer produced by
-    /// [`Self::encode_2x`], alternating two decoder states so consecutive
-    /// state updates are independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the stream is truncated, the sentinel is
-    /// missing, or either final state fails the integrity check.
-    pub fn decode_2x(&self, buf: &[u8], n: usize) -> Result<Vec<u16>> {
-        let mut r = ReverseBitReaderFast::from_sentinel(buf)?;
-        let mut d0 = FseDecoder::init(self, &mut r)?;
-        let mut d1 = FseDecoder::init(self, &mut r)?;
-        let mut out = Vec::with_capacity(n);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            out.push(d0.peek_symbol());
-            d0.update(&mut r)?;
-            out.push(d1.peek_symbol());
-            d1.update(&mut r)?;
-            i += 2;
-        }
-        if i < n {
-            out.push(d0.peek_symbol());
-            d0.update(&mut r)?;
-        }
-        if !d0.at_initial_state() || !d1.at_initial_state() || r.remaining() != 0 {
-            return Err(Error::CorruptData("fse stream did not terminate cleanly"));
-        }
-        Ok(out)
-    }
-
-    /// Encodes `symbols` with four interleaved states over this table
-    /// into a standalone sentinel-terminated buffer. Symbol `i` flows
-    /// through state `i % 4`; decode with [`Self::decode_4x`]. Four
-    /// states keep four independent dependency chains in flight per
-    /// loop iteration — the tANS analogue of 4-stream Huffman literals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any symbol has a zero normalized count.
-    // indexing_slicing: `i` ranges over `0..symbols.len()`.
-    #[allow(clippy::indexing_slicing)]
-    pub fn encode_4x(&self, symbols: &[u16]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(symbols.len() / 2 + 8);
-        let mut e0 = FseEncoder::new(self);
-        let mut e1 = FseEncoder::new(self);
-        let mut e2 = FseEncoder::new(self);
-        let mut e3 = FseEncoder::new(self);
-        // Mirror of decode_4x's read order, reversed: the decoder reads
-        // init0..init3, then items 0, 1, 2, ... round-robin over the
-        // four states, so we write item n-1 first and item 0 last, then
-        // flush states 3, 2, 1, 0 (the decoder inits 0 first).
-        for i in (0..symbols.len()).rev() {
-            match i % 4 {
-                0 => e0.encode(&mut w, symbols[i]),
-                1 => e1.encode(&mut w, symbols[i]),
-                2 => e2.encode(&mut w, symbols[i]),
-                _ => e3.encode(&mut w, symbols[i]),
-            }
-        }
-        e3.finish(&mut w);
-        e2.finish(&mut w);
-        e1.finish(&mut w);
-        e0.finish(&mut w);
-        w.finish_with_sentinel()
-    }
-
-    /// Decodes exactly `n` symbols from a buffer produced by
-    /// [`Self::encode_4x`], rotating four decoder states so consecutive
-    /// state updates are independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the stream is truncated, the sentinel is
-    /// missing, or any final state fails the integrity check.
-    pub fn decode_4x(&self, buf: &[u8], n: usize) -> Result<Vec<u16>> {
-        let mut r = ReverseBitReaderFast::from_sentinel(buf)?;
-        self.decode_4x_with(&mut r, n)
-    }
-
-    /// [`Self::decode_4x`] through the byte-loop [`ReverseBitReader`] —
-    /// the checked reference engine for differential testing.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Self::decode_4x`].
-    pub fn decode_4x_reference(&self, buf: &[u8], n: usize) -> Result<Vec<u16>> {
-        let mut r = ReverseBitReader::from_sentinel(buf)?;
-        self.decode_4x_with(&mut r, n)
-    }
-
-    /// Four-state decode loop shared by the reference and fast readers.
-    #[deny(clippy::indexing_slicing)]
-    fn decode_4x_with<R: RevBitSrc>(&self, r: &mut R, n: usize) -> Result<Vec<u16>> {
-        let mut d0 = FseDecoder::init(self, r)?;
-        let mut d1 = FseDecoder::init(self, r)?;
-        let mut d2 = FseDecoder::init(self, r)?;
-        let mut d3 = FseDecoder::init(self, r)?;
-        let mut out = Vec::with_capacity(n);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            out.push(d0.peek_symbol());
-            d0.update(r)?;
-            out.push(d1.peek_symbol());
-            d1.update(r)?;
-            out.push(d2.peek_symbol());
-            d2.update(r)?;
-            out.push(d3.peek_symbol());
-            d3.update(r)?;
-            i += 4;
-        }
-        if i < n {
-            out.push(d0.peek_symbol());
-            d0.update(r)?;
-            i += 1;
-        }
-        if i < n {
-            out.push(d1.peek_symbol());
-            d1.update(r)?;
-            i += 1;
-        }
-        if i < n {
-            out.push(d2.peek_symbol());
-            d2.update(r)?;
-        }
-        let clean = d0.at_initial_state()
-            && d1.at_initial_state()
-            && d2.at_initial_state()
-            && d3.at_initial_state();
-        if !clean || r.remaining() != 0 {
-            return Err(Error::CorruptData("fse stream did not terminate cleanly"));
-        }
-        Ok(out)
-    }
-
     /// Serializes `table_log` + normalized counts into `out`.
     ///
     /// Layout: 1 byte table_log, 2 bytes alphabet length (LE), then each
@@ -715,82 +550,22 @@ mod tests {
     }
 
     #[test]
-    fn two_state_roundtrip_even_and_odd_lengths() {
-        for n in [0usize, 1, 2, 3, 500, 501] {
-            let symbols: Vec<u16> = (0..n as u32).map(|i| (i % 5) as u16).collect();
-            let t = build_for(&[0, 1, 2, 3, 4], 5, 7);
-            let buf = t.encode_2x(&symbols);
-            assert_eq!(t.decode_2x(&buf, n).unwrap(), symbols, "n={n}");
-        }
-    }
-
-    #[test]
-    fn two_state_decode_detects_truncation_and_wrong_count() {
-        let symbols: Vec<u16> = (0..2000u32).map(|i| (i % 6) as u16).collect();
-        let t = build_for(&symbols, 6, 9);
-        let buf = t.encode_2x(&symbols);
-        for k in 0..buf.len() {
-            assert!(
-                t.decode_2x(&buf[..k], symbols.len()).is_err(),
-                "prefix {k} decoded Ok"
-            );
-        }
-        assert!(t.decode_2x(&buf, symbols.len() - 1).is_err());
-    }
-
-    #[test]
-    fn four_state_roundtrip_all_tail_lengths() {
-        // Every n % 4 residue exercises a different tail shape.
-        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 500, 501, 502, 503] {
-            let symbols: Vec<u16> = (0..n as u32).map(|i| (i % 5) as u16).collect();
-            let t = build_for(&[0, 1, 2, 3, 4], 5, 7);
-            let buf = t.encode_4x(&symbols);
-            assert_eq!(t.decode_4x(&buf, n).unwrap(), symbols, "n={n}");
-            assert_eq!(t.decode_4x_reference(&buf, n).unwrap(), symbols, "n={n}");
-        }
-    }
-
-    #[test]
-    fn four_state_roundtrip_across_table_logs() {
-        // All accuracy logs the normalizer accepts for this alphabet.
+    fn roundtrip_across_table_logs() {
+        // All accuracy logs the normalizer accepts for this alphabet,
+        // through both bit readers.
         let symbols: Vec<u16> = (0..3000u32)
             .map(|i| if i % 17 == 0 { 7 } else { (i % 6) as u16 })
             .collect();
         for log in 5..=12 {
             let t = build_for(&symbols, 8, log);
-            let buf = t.encode_4x(&symbols);
+            let buf = t.encode(&symbols);
+            assert_eq!(t.decode(&buf, symbols.len()).unwrap(), symbols, "log={log}");
             assert_eq!(
-                t.decode_4x(&buf, symbols.len()).unwrap(),
+                t.decode_fast(&buf, symbols.len()).unwrap(),
                 symbols,
                 "log={log}"
             );
         }
-    }
-
-    #[test]
-    fn four_state_roundtrip_degenerate_distributions() {
-        // Near-RLE input: one symbol holds almost the whole table.
-        let mut symbols = vec![3u16; 2048];
-        symbols[100] = 0;
-        symbols[2000] = 0;
-        let t = build_for(&symbols, 4, 9);
-        let buf = t.encode_4x(&symbols);
-        assert_eq!(t.decode_4x(&buf, symbols.len()).unwrap(), symbols);
-    }
-
-    #[test]
-    fn four_state_decode_detects_truncation_and_wrong_count() {
-        let symbols: Vec<u16> = (0..2000u32).map(|i| (i % 6) as u16).collect();
-        let t = build_for(&symbols, 6, 9);
-        let buf = t.encode_4x(&symbols);
-        for k in 0..buf.len() {
-            let fast = t.decode_4x(&buf[..k], symbols.len());
-            let slow = t.decode_4x_reference(&buf[..k], symbols.len());
-            assert!(fast.is_err(), "prefix {k} decoded Ok");
-            assert!(slow.is_err(), "prefix {k} decoded Ok (reference)");
-        }
-        assert!(t.decode_4x(&buf, symbols.len() - 1).is_err());
-        assert!(t.decode_4x(&buf, symbols.len() + 1).is_err());
     }
 
     #[test]

@@ -358,6 +358,49 @@ mod tests {
     }
 
     #[test]
+    fn sweep_over_v4_multi_stream_frames_finds_no_violations() {
+        // Skewed pseudo-random bytes over 40 symbols (symbol k drawn
+        // with weight 2k + 1): compressible, literal-dominated and
+        // 20 KiB, so Auto writes the v4 multi-stream layout in both
+        // zstdx (four Huffman literal substreams) and zlibx (type-2
+        // blocks), and the sweep puts those decoders under hostile bytes.
+        let mut x = 0x2545_f491u32;
+        let block: Vec<u8> = (0..20 << 10)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                f64::from((x >> 16) % 1600).sqrt() as u8
+            })
+            .collect();
+        let cfg = SweepConfig {
+            budget_per_block: 16,
+            ..SweepConfig::default()
+        };
+        let zs = Algorithm::Zstdx
+            .compressor_checked(cfg.level)
+            .compress(&block);
+        assert_ne!(zs[4] & 8, 0, "zstdx frame must carry FLAG_V4");
+        let zl = Algorithm::Zlibx
+            .compressor_checked(cfg.level)
+            .compress(&block);
+        assert_ne!(zl[1] & 1, 0, "zlibx frame must carry the v4 magic bit");
+        assert!(zs.len() < block.len() && zl.len() < block.len());
+
+        let report = sweep(
+            &[block],
+            &Injector::ALL,
+            &[Algorithm::Zstdx, Algorithm::Zlibx],
+            &cfg,
+        );
+        assert!(report.total_cases() > 0);
+        assert_eq!(
+            report.violations(),
+            0,
+            "contract violations:\n{}",
+            report.render_table()
+        );
+    }
+
+    #[test]
     fn check_decode_classifies_intact_frames() {
         let comp = Algorithm::Zstdx.compressor(3);
         let data = b"hello faultline hello faultline".to_vec();

@@ -1,4 +1,4 @@
-//! Scratch experiment: Single-vs-Quad decode throughput per corpus
+//! Scratch experiment: Single-vs-Auto decode throughput per corpus
 //! class, used to recalibrate the Auto stream-policy thresholds.
 
 use std::time::Instant;

@@ -6,7 +6,7 @@
 //! injector matrix.
 
 use datacomp::codecs::{lz4x::Lz4x, zlibx::Zlibx, zstdx::Zstdx};
-use datacomp::codecs::{CodecError, Compressor, DecodeLimits, StreamPolicy};
+use datacomp::codecs::{CodecError, Compressor, DecodeLimits};
 use datacomp::faultline::{Injector, Rng};
 use proptest::prelude::*;
 
@@ -43,31 +43,6 @@ fn engines() -> Vec<Engine> {
             fast: Box::new(|d, l| Zstdx::new(3).decompress_limited(d, l)),
             reference: Box::new(|d, l| Zstdx::new(3).decompress_reference(d, l)),
         },
-        // Forced multi-stream variants: four Huffman literal streams and
-        // paired FSE states (zstdx) / four type-2 substreams (zlibx) are
-        // exercised even on inputs below the Auto thresholds.
-        Engine {
-            name: "zlibx@4",
-            compress: Box::new(|d| {
-                Zlibx::new(6)
-                    .with_checksum(true)
-                    .with_stream_policy(StreamPolicy::Quad)
-                    .compress(d)
-            }),
-            fast: Box::new(|d, l| Zlibx::new(6).decompress_limited(d, l)),
-            reference: Box::new(|d, l| Zlibx::new(6).decompress_reference(d, l)),
-        },
-        Engine {
-            name: "zstdx@4",
-            compress: Box::new(|d| {
-                Zstdx::new(3)
-                    .with_checksum(true)
-                    .with_stream_policy(StreamPolicy::Quad)
-                    .compress(d)
-            }),
-            fast: Box::new(|d, l| Zstdx::new(3).decompress_limited(d, l)),
-            reference: Box::new(|d, l| Zstdx::new(3).decompress_reference(d, l)),
-        },
     ]
 }
 
@@ -97,17 +72,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Valid frames: both engines reproduce the input exactly — over a
-    /// compressible input (LZ copy + entropy fast paths) and an
-    /// incompressible one (raw/stored block paths).
+    /// compressible input (LZ copy + entropy fast paths), an
+    /// incompressible one (raw/stored block paths), and a literal-
+    /// dominated one of at least 16 KiB, on which Auto writes v4
+    /// multi-stream frames in zstdx and zlibx (asserted, not assumed).
     #[test]
     fn engines_agree_on_valid_frames(
         compressible in proptest::collection::vec(0u8..16, 0..4096),
         incompressible in proptest::collection::vec(any::<u8>(), 0..2048),
+        literal_heavy in proptest::collection::vec(
+            // Symbol k of 40 drawn with weight 2k + 1.
+            (0u32..1600).prop_map(|r| f64::from(r).sqrt() as u8),
+            (16 << 10)..(20 << 10),
+        ),
     ) {
         let limits = DecodeLimits::default();
-        for data in [&compressible, &incompressible] {
+        for (data, v4) in [(&compressible, false), (&incompressible, false), (&literal_heavy, true)] {
             for e in engines() {
                 let frame = (e.compress)(data);
+                if v4 {
+                    match e.name {
+                        "zstdx" => prop_assert_ne!(frame[4] & 8, 0, "zstdx frame not v4"),
+                        "zlibx" => prop_assert_ne!(frame[1] & 1, 0, "zlibx frame not v4"),
+                        _ => {}
+                    }
+                }
                 let out = (e.fast)(&frame, &limits);
                 prop_assert_eq!(&out.expect("valid frame"), data, "{}", e.name);
                 assert_agree(&e, &frame, &limits, "valid frame");

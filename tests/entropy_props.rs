@@ -127,47 +127,39 @@ proptest! {
         }
     }
 
-    /// Four-state interleaved FSE: the rotated-state encoder and both
-    /// decoder engines (fast and byte-loop reference) round-trip any
-    /// symbol stream, including counts not divisible by four.
+    /// Single-state FSE through both bit readers: the word-refilling
+    /// fast engine (`decode_fast`) and the byte-loop reference
+    /// (`decode`) both round-trip any symbol stream.
     #[test]
-    fn fse_4x_roundtrips_any_symbols(
+    fn fse_engines_roundtrip_any_symbols(
         symbols in proptest::collection::vec(0u16..24, 1..4096),
         table_log in 6u32..=11,
     ) {
         let hist = symbol_histogram(&symbols, 24);
         if let Ok(norm) = normalize_counts(&hist, table_log) {
             let t = FseTable::from_normalized(&norm, table_log).unwrap();
-            let buf = t.encode_4x(&symbols);
-            prop_assert_eq!(t.decode_4x(&buf, symbols.len()).unwrap(), symbols.clone());
-            prop_assert_eq!(t.decode_4x_reference(&buf, symbols.len()).unwrap(), symbols.clone());
+            let buf = t.encode(&symbols);
+            prop_assert_eq!(t.decode_fast(&buf, symbols.len()).unwrap(), symbols.clone());
+            prop_assert_eq!(t.decode(&buf, symbols.len()).unwrap(), symbols);
         }
     }
 
-    /// Every strict prefix of a 4-state FSE stream: the fast and
-    /// reference decoders agree on the outcome at every cut point (equal
-    /// symbols on Ok, an error on both otherwise), so the four-state
-    /// integrity check is engine-independent.
+    /// Every strict prefix of an FSE stream: the fast and reference
+    /// decoders reach the same outcome at every cut point (equal
+    /// symbols, or the same typed error), so the integrity check is
+    /// engine-independent.
     #[test]
-    fn fse_4x_truncation_agrees_at_every_boundary(
+    fn fse_engines_agree_at_every_truncation(
         symbols in proptest::collection::vec(0u16..16, 8..256),
     ) {
         let hist = symbol_histogram(&symbols, 16);
         if let Ok(norm) = normalize_counts(&hist, 9) {
             let t = FseTable::from_normalized(&norm, 9).unwrap();
-            let buf = t.encode_4x(&symbols);
+            let buf = t.encode(&symbols);
             for cut in 0..buf.len() {
-                let fast = t.decode_4x(&buf[..cut], symbols.len());
-                let slow = t.decode_4x_reference(&buf[..cut], symbols.len());
-                match (fast, slow) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "cut {}", cut),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => prop_assert!(
-                        false,
-                        "cut {}: fast={:?} reference={:?}",
-                        cut, a.map(|v| v.len()), b.map(|v| v.len())
-                    ),
-                }
+                let fast = t.decode_fast(&buf[..cut], symbols.len());
+                let slow = t.decode(&buf[..cut], symbols.len());
+                prop_assert_eq!(fast, slow, "cut {}", cut);
             }
         }
     }

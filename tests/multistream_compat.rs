@@ -81,16 +81,31 @@ fn auto_policy_is_byte_identical_to_legacy_below_threshold() {
     }
 }
 
-/// Forced four-stream frames round-trip through both engines across
-/// levels, including inputs small enough that Auto would never split.
+/// Skewed pseudo-random bytes over a 40-symbol alphabet (symbol `k`
+/// drawn with weight `2k + 1`): Huffman-compressible literals with few
+/// matches, so Auto takes the v4 layout in both codecs once a block
+/// spans at least 16 KiB (zstdx splits from 1.5 KiB).
+fn literal_heavy(n: usize) -> Vec<u8> {
+    let mut x = 0x2545f491u32;
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_mul(1103515245).wrapping_add(12345);
+            f64::from((x >> 16) % 1600).sqrt() as u8
+        })
+        .collect()
+}
+
+/// Auto's four-stream frames round-trip through both engines across
+/// levels; each frame is checked to carry the v4 bit rather than
+/// assumed to.
 #[test]
-fn quad_frames_roundtrip_on_both_engines() {
+fn v4_frames_roundtrip_on_both_engines() {
     let limits = DecodeLimits::default();
-    for data in corpus() {
+    for n in [16 << 10, 100_000] {
+        let data = literal_heavy(n);
         for level in [1, 3, 9] {
-            let zs = Zstdx::new(level)
-                .with_stream_policy(StreamPolicy::Quad)
-                .compress(&data);
+            let zs = Zstdx::new(level).compress(&data);
+            assert_ne!(zs[4] & 8, 0, "zstdx l{level} n={n} must set FLAG_V4");
             assert_eq!(
                 Zstdx::new(level).decompress_limited(&zs, &limits).unwrap(),
                 data
@@ -102,9 +117,8 @@ fn quad_frames_roundtrip_on_both_engines() {
                 data
             );
 
-            let zl = Zlibx::new(level)
-                .with_stream_policy(StreamPolicy::Quad)
-                .compress(&data);
+            let zl = Zlibx::new(level).compress(&data);
+            assert_ne!(zl[1] & 0x01, 0, "zlibx l{level} n={n} must set the v4 bit");
             assert_eq!(
                 Zlibx::new(level).decompress_limited(&zl, &limits).unwrap(),
                 data
@@ -125,29 +139,20 @@ fn quad_frames_roundtrip_on_both_engines() {
 #[test]
 fn v4_blocks_require_the_version_bit() {
     let limits = DecodeLimits::default();
-    // Skewed pseudo-random bytes over a 13-symbol alphabet: Huffman-
-    // compressible literals with few long matches, so the encoder has
-    // real literal mass and multiple sequences to split across streams.
-    let mut x = 0x2545f491u32;
-    let data: Vec<u8> = (0..100_000)
-        .map(|_| {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) % 13) as u8
-        })
-        .collect();
+    let data = literal_heavy(100_000);
 
-    let mut zs = Zstdx::new(3)
-        .with_stream_policy(StreamPolicy::Quad)
-        .compress(&data);
-    assert_ne!(zs[4] & 8, 0, "Quad frame must set FLAG_V4");
+    let mut zs = Zstdx::new(3).compress(&data);
+    assert_ne!(zs[4] & 8, 0, "literal-heavy Auto frame must set FLAG_V4");
     zs[4] &= !8;
     assert!(Zstdx::new(3).decompress_limited(&zs, &limits).is_err());
     assert!(Zstdx::new(3).decompress_reference(&zs, &limits).is_err());
 
-    let mut zl = Zlibx::new(6)
-        .with_stream_policy(StreamPolicy::Quad)
-        .compress(&data);
-    assert_ne!(zl[1] & 0x01, 0, "Quad frame must set the v4 magic bit");
+    let mut zl = Zlibx::new(6).compress(&data);
+    assert_ne!(
+        zl[1] & 0x01,
+        0,
+        "literal-heavy Auto frame must set the v4 magic bit"
+    );
     zl[1] &= !0x01;
     assert!(Zlibx::new(6).decompress_limited(&zl, &limits).is_err());
     assert!(Zlibx::new(6).decompress_reference(&zl, &limits).is_err());
