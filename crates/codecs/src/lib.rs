@@ -405,8 +405,8 @@ pub(crate) fn lz_backfill(out: &mut [u8], dst: usize, offset: usize, len: usize)
 /// blocks get the multi-stream layout while small or match-dominated
 /// blocks keep the single-stream layout bit-identical to older
 /// encoders. `Single` forces the legacy layout everywhere (frames decode
-/// on old readers); the parallel frame writer uses it, and it is the
-/// reference the multi-stream frames are compared against.
+/// on old readers); it is the reference the multi-stream frames are
+/// compared against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamPolicy {
     /// Choose per block from its parse (production default).

@@ -2,16 +2,18 @@
 //!
 //! The input is cut into independent 128 KiB blocks compressed on worker
 //! threads; blocks do not back-reference earlier blocks, trading a
-//! little ratio (no cross-block matches) for near-linear speedup. The
-//! output is a normal zstdx frame — any decoder reads it.
+//! little ratio (no cross-block matches) for near-linear speedup. Each
+//! worker runs the codec's own block writer, with all of its settings
+//! (checksum, repeat offsets, stream policy), and the codec writes the
+//! frame around the blocks, so the output is the frame the serial
+//! writer would produce for the same blocks; on one block, it is that
+//! frame byte for byte.
 //!
 //! This is the software analogue of the paper's observation (§II-C) that
 //! compression work is a prime offload target: the per-block independence
 //! introduced here is exactly what parallel hardware engines need too.
 
-use crate::varint::write_varint;
-use crate::xxhash::content_checksum;
-use crate::zstdx::{write_block, Zstdx, BLOCK_SIZE, FLAG_CHECKSUM, MAGIC};
+use crate::zstdx::{Zstdx, BLOCK_SIZE};
 
 /// Compresses `src` with `threads` workers into a standard zstdx frame.
 ///
@@ -28,22 +30,10 @@ pub fn compress_parallel(codec: &Zstdx, src: &[u8], threads: usize) -> crate::Re
             "compress_parallel requires at least one worker thread",
         ));
     }
-    let params = *codec.params();
-    if src.is_empty() {
-        // Zero blocks is a valid frame body when the declared content
-        // size is zero; emit it directly rather than spawning workers
-        // over an empty chunk list.
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&MAGIC);
-        out.push(FLAG_CHECKSUM);
-        write_varint(&mut out, 0);
-        out.extend_from_slice(&content_checksum(src).to_le_bytes());
-        return Ok(out);
-    }
     let blocks: Vec<&[u8]> = src.chunks(BLOCK_SIZE).collect();
     let per_worker = blocks.len().div_ceil(threads).max(1);
 
-    let encoded: Vec<Vec<u8>> = std::thread::scope(|scope| {
+    let encoded: Vec<(Vec<u8>, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .chunks(per_worker)
             .map(|chunk| {
@@ -52,8 +42,8 @@ pub fn compress_parallel(codec: &Zstdx, src: &[u8], threads: usize) -> crate::Re
                         .iter()
                         .map(|block| {
                             let mut b = Vec::with_capacity(block.len() / 2 + 64);
-                            write_block(block, 0, block.len(), &params, false, &mut b, None);
-                            b
+                            let v4 = codec.write_block(block, 0, None, false, &mut b, None);
+                            (b, v4)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -64,21 +54,18 @@ pub fn compress_parallel(codec: &Zstdx, src: &[u8], threads: usize) -> crate::Re
             .flat_map(|h| h.join().expect("compression workers do not panic"))
             .collect()
     });
-
-    let mut out = Vec::with_capacity(src.len() / 2 + 32);
-    out.extend_from_slice(&MAGIC);
-    out.push(FLAG_CHECKSUM);
-    write_varint(&mut out, src.len() as u64);
-    for b in encoded {
-        out.extend_from_slice(&b);
-    }
-    out.extend_from_slice(&content_checksum(src).to_le_bytes());
-    Ok(out)
+    Ok(codec.write_frame(src, None, |out| {
+        encoded.iter().fold(false, |any_v4, (b, v4)| {
+            out.extend_from_slice(b);
+            any_v4 | v4
+        })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zstdx::{FLAG_CHECKSUM, MAGIC};
     use crate::Compressor;
 
     fn sample(n: usize) -> Vec<u8> {
@@ -90,11 +77,18 @@ mod tests {
 
     #[test]
     fn parallel_frames_decode_with_standard_decoder() {
-        let data = sample(700_000); // ~6 blocks
+        // ~6 blocks of text, and 3 of literal-heavy bytes that the
+        // codec's `Auto` policy lays out as v4 blocks.
         let z = Zstdx::new(3);
-        for threads in [1, 2, 4, 7] {
-            let frame = compress_parallel(&z, &data, threads).unwrap();
-            assert_eq!(z.decompress(&frame).unwrap(), data, "threads={threads}");
+        for (data, v4) in [
+            (sample(700_000), false),
+            (literal_heavy(3 * BLOCK_SIZE + 1000), true),
+        ] {
+            for threads in [1, 2, 4, 7] {
+                let frame = compress_parallel(&z, &data, threads).unwrap();
+                assert!(!v4 || frame[4] & crate::zstdx::FLAG_V4 != 0);
+                assert_eq!(z.decompress(&frame).unwrap(), data, "threads={threads}");
+            }
         }
     }
 
@@ -159,15 +153,53 @@ mod tests {
         assert_eq!(err.kind(), "invalid_config");
     }
 
+    /// Skewed bytes over 40 symbols: literal-dominated, so `Auto` lays
+    /// blocks out in the v4 multi-stream layout.
+    fn literal_heavy(n: usize) -> Vec<u8> {
+        let lcg = |x: &u32| Some(x.wrapping_mul(1_103_515_245).wrapping_add(12_345));
+        let states = std::iter::successors(lcg(&0x2545_f491), lcg);
+        states
+            .take(n)
+            .map(|x| f64::from((x >> 16) % 1600).sqrt() as u8)
+            .collect()
+    }
+
+    /// On one block there is no cross-block history to lose, so the
+    /// parallel frame is the serial frame, under every codec setting.
+    #[test]
+    fn one_block_equals_the_serial_frame() {
+        let codecs = [
+            Zstdx::new(3),
+            Zstdx::new(3).with_checksum(false),
+            Zstdx::new(3).with_rep_offsets(false),
+            Zstdx::new(3).with_stream_policy(crate::StreamPolicy::Single),
+        ];
+        let inputs = [
+            Vec::new(),
+            b"x".to_vec(),
+            sample(1000),
+            sample(BLOCK_SIZE),
+            literal_heavy(20 << 10),
+        ];
+        for (ci, z) in codecs.iter().enumerate() {
+            for data in &inputs {
+                for threads in [1, 4] {
+                    assert_eq!(
+                        compress_parallel(z, data, threads).unwrap(),
+                        z.compress(data),
+                        "codec {ci}, {} bytes, {threads} threads",
+                        data.len()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_input_produces_a_well_formed_frame() {
         let z = Zstdx::new(3);
         let frame = compress_parallel(&z, &[], 4).unwrap();
-        // The zero-block frame must satisfy the strict structural walker
-        // (decompress_multi re-walks frames with it), not just the
-        // single-frame decoder.
         assert_eq!(z.decompress(&frame).unwrap(), Vec::<u8>::new());
-        assert_eq!(z.decompress_multi(&frame).unwrap(), Vec::<u8>::new());
         // And it matches what the serial compressor-independent layout
         // promises: magic, checksum flag, zero content size, checksum.
         assert_eq!(&frame[..4], &MAGIC);

@@ -5,7 +5,10 @@
 //! without ever holding a whole file in memory. [`CompressWriter`]
 //! produces *streaming frames* (no up-front content size; the final
 //! block carries a last-block marker) and [`DecompressReader`] consumes
-//! them incrementally, retaining only a window of history.
+//! them incrementally, retaining only a window of history. Both are thin
+//! adapters: the header, block and trailer code is
+//! [`Zstdx`]'s own, so a streaming frame is written and read by exactly
+//! the code that writes and reads a sized one.
 //!
 //! # Example
 //!
@@ -19,7 +22,7 @@
 //! let frame = w.finish()?;
 //!
 //! let mut out = Vec::new();
-//! DecompressReader::new(frame.as_slice(), 3).read_to_end(&mut out)?;
+//! DecompressReader::new(frame.as_slice()).read_to_end(&mut out)?;
 //! assert_eq!(out, b"streamed streamed streamed");
 //! # Ok(())
 //! # }
@@ -27,18 +30,25 @@
 
 use std::io::{self, Read, Write};
 
-use lzkit::MatchParams;
-
 use crate::xxhash::Xxh64;
-use crate::zstdx::{
-    decode_block_payload, level_params, write_block_opts, BLOCK_COMPRESSED, BLOCK_LAST, BLOCK_RAW,
-    BLOCK_RLE, BLOCK_SIZE, FLAG_CHECKSUM, FLAG_STREAMING, FLAG_V4, MAGIC,
-};
-use crate::{CodecError, StreamPolicy};
+use crate::zstdx::{Frame, FrameSource, Zstdx, BLOCK_SIZE};
+use crate::{CodecError, DecodeLimits};
 
 /// History retained for back-references, in bytes. Must cover the
 /// largest window any level uses (2^22).
 const WINDOW_KEEP: usize = 1 << 22;
+
+/// The reader's decode limits: a stream is as long as it is, and only
+/// its window is held.
+const UNLIMITED: DecodeLimits = DecodeLimits::with_max_output(usize::MAX);
+
+/// A malformed frame surfaces from the adapters as
+/// [`io::ErrorKind::InvalidData`] wrapping the [`CodecError`].
+impl From<CodecError> for io::Error {
+    fn from(e: CodecError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// A `Write` adapter that compresses into a zstdx streaming frame.
 ///
@@ -50,64 +60,51 @@ const WINDOW_KEEP: usize = 1 << 22;
 /// explicit `finish` is strongly preferred.
 pub struct CompressWriter<W: Write> {
     inner: Option<W>,
-    params: MatchParams,
+    codec: Zstdx,
     /// Window tail followed by not-yet-compressed input.
     buf: Vec<u8>,
     /// Length of the already-compressed window prefix of `buf`.
     history_len: usize,
+    /// Encoded bytes not yet written through: the header, until the
+    /// first block goes out with it.
+    pending: Vec<u8>,
     hasher: Xxh64,
-    wrote_header: bool,
     finished: bool,
 }
 
 impl<W: Write> CompressWriter<W> {
     /// Creates a streaming compressor at `level` writing into `inner`.
     pub fn new(inner: W, level: i32) -> Self {
+        let codec = Zstdx::new(level);
+        let mut pending = Vec::new();
+        codec.write_header(&mut pending, None, None);
         Self {
             inner: Some(inner),
-            params: level_params(level.clamp(-5, 19)),
+            codec,
             buf: Vec::with_capacity(2 * BLOCK_SIZE),
             history_len: 0,
+            pending,
             hasher: Xxh64::new(0),
-            wrote_header: false,
             finished: false,
         }
     }
 
-    fn write_header(&mut self) -> io::Result<()> {
-        if !self.wrote_header {
-            let w = self.inner.as_mut().expect("writer present until finish");
-            w.write_all(&MAGIC)?;
-            // The header goes out before any block is encoded, so the
-            // v4 bit is declared up front: it *permits* multi-stream
-            // blocks, it does not require them, and sub-threshold
-            // blocks keep the legacy layout.
-            w.write_all(&[FLAG_STREAMING | FLAG_CHECKSUM | FLAG_V4])?;
-            self.wrote_header = true;
-        }
+    fn write_pending(&mut self) -> io::Result<()> {
+        self.inner
+            .as_mut()
+            .expect("writer present until finish")
+            .write_all(&self.pending)?;
+        self.pending.clear();
         Ok(())
     }
 
     fn emit_block(&mut self, last: bool) -> io::Result<()> {
-        self.write_header()?;
         let end = (self.history_len + BLOCK_SIZE).min(self.buf.len());
-        let mut block = Vec::with_capacity(end - self.history_len + 64);
-        let _ = write_block_opts(
-            &self.buf,
-            self.history_len,
-            end,
-            None,
-            &self.params,
-            last,
-            true,
-            StreamPolicy::Auto,
-            &mut block,
-            None,
-        );
-        self.inner
-            .as_mut()
-            .expect("writer present until finish")
-            .write_all(&block)?;
+        let buf = self.buf.get(..end).unwrap_or_default();
+        let out = &mut self.pending;
+        self.codec
+            .write_block(buf, self.history_len, None, last, out, None);
+        self.write_pending()?;
         self.history_len = end;
         // Trim history beyond the window to bound memory.
         if self.history_len > WINDOW_KEEP {
@@ -138,11 +135,9 @@ impl<W: Write> CompressWriter<W> {
             self.emit_block(false)?;
         }
         self.emit_block(true)?;
-        let digest = self.hasher.digest() as u32;
-        self.inner
-            .as_mut()
-            .expect("writer present until finish")
-            .write_all(&digest.to_le_bytes())?;
+        self.codec
+            .write_trailer(&mut self.pending, || self.hasher.digest() as u32);
+        self.write_pending()?;
         self.finished = true;
         Ok(())
     }
@@ -180,172 +175,80 @@ impl<W: Write> Drop for CompressWriter<W> {
     }
 }
 
-/// A `Read` adapter that decompresses a zstdx streaming frame.
+/// A `Read` adapter that decompresses a zstdx frame written without a
+/// dictionary — a streaming frame, or a sized one — with the frame
+/// parser [`Zstdx`]'s decoders use. A malformed frame fails with
+/// [`io::ErrorKind::InvalidData`] wrapping the [`CodecError`] they
+/// return; a short one with [`io::ErrorKind::UnexpectedEof`].
 pub struct DecompressReader<R: Read> {
-    inner: R,
+    src: Source<R>,
+    /// The frame being read, once its header is.
+    frame: Option<Frame>,
     /// Decoded history; bytes before `cursor` were already served.
     out: Vec<u8>,
     cursor: usize,
     hasher: Xxh64,
-    header_read: bool,
-    has_checksum: bool,
-    v4: bool,
-    saw_last: bool,
     done: bool,
 }
 
+/// The reader's bytes: `inner`, with one payload buffered at a time
+/// (at most [`BLOCK_SIZE`], checked before it is read).
+struct Source<R> {
+    inner: R,
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl<R: Read> FrameSource for Source<R> {
+    type Error = io::Error;
+
+    fn read_slice(&mut self, n: usize) -> io::Result<&[u8]> {
+        self.buf.resize(n, 0);
+        self.inner.read_exact(&mut self.buf)?;
+        self.pos += n;
+        Ok(&self.buf)
+    }
+
+    fn position(&self) -> usize {
+        self.pos
+    }
+}
+
 impl<R: Read> DecompressReader<R> {
-    /// Creates a streaming decompressor over `inner`.
-    ///
-    /// The `_level` parameter is accepted for symmetry with
-    /// [`CompressWriter::new`] but unused: zstdx frames are
-    /// self-describing.
-    pub fn new(inner: R, _level: i32) -> Self {
+    /// Creates a decompressor over `inner`.
+    pub fn new(inner: R) -> Self {
         Self {
-            inner,
+            src: Source {
+                inner,
+                buf: Vec::new(),
+                pos: 0,
+            },
+            frame: None,
             out: Vec::new(),
             cursor: 0,
             hasher: Xxh64::new(0),
-            header_read: false,
-            has_checksum: false,
-            v4: false,
-            saw_last: false,
             done: false,
         }
     }
 
-    fn io_err(e: CodecError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-
-    fn read_exact_vec(&mut self, n: usize) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; n];
-        self.inner.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    fn read_u8(&mut self) -> io::Result<u8> {
-        let mut b = [0u8; 1];
-        self.inner.read_exact(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn read_varint(&mut self) -> io::Result<u64> {
-        let mut v = 0u64;
-        for i in 0..10 {
-            let b = self.read_u8()?;
-            if i == 9 && b > 0x01 {
-                return Err(Self::io_err(CodecError::corrupt("varint overflows u64", i)));
-            }
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(Self::io_err(CodecError::corrupt("varint overlong", 10)))
-    }
-
-    fn read_header(&mut self) -> io::Result<()> {
-        if self.header_read {
-            return Ok(());
-        }
-        let magic = self.read_exact_vec(4)?;
-        if magic != MAGIC {
-            return Err(Self::io_err(CodecError::BadFrame("zstdx magic mismatch")));
-        }
-        let flags = self.read_u8()?;
-        if flags & FLAG_STREAMING == 0 {
-            return Err(Self::io_err(CodecError::BadFrame(
-                "not a streaming frame (use Zstdx::decompress)",
-            )));
-        }
-        if flags & 1 != 0 {
-            return Err(Self::io_err(CodecError::BadFrame(
-                "streaming frames do not support dictionaries",
-            )));
-        }
-        self.has_checksum = flags & FLAG_CHECKSUM != 0;
-        self.v4 = flags & FLAG_V4 != 0;
-        self.header_read = true;
-        Ok(())
-    }
-
     /// Decodes the next block into `self.out`. Returns false at end of
     /// frame.
-    // indexing_slicing: `before` is `out.len()` captured before this
-    // block appended to it.
-    #[allow(clippy::indexing_slicing)]
     fn decode_next_block(&mut self) -> io::Result<bool> {
-        self.read_header()?;
-        if self.saw_last {
-            self.verify_checksum()?;
-            return Ok(false);
-        }
-        let type_byte = self.read_u8()?;
-        let block_type = type_byte & !BLOCK_LAST;
-        self.saw_last = type_byte & BLOCK_LAST != 0;
-        let decoded = self.read_varint()? as usize;
-        let payload_len = self.read_varint()? as usize;
-        if decoded > BLOCK_SIZE || (decoded == 0 && !self.saw_last) {
-            return Err(Self::io_err(CodecError::corrupt("zstdx bad block size", 0)));
-        }
-        let payload = self.read_exact_vec(payload_len)?;
+        let frame = match &mut self.frame {
+            Some(frame) => frame,
+            None => self
+                .frame
+                .insert(Frame::read(&mut self.src, None, UNLIMITED)?),
+        };
         let before = self.out.len();
-        match block_type {
-            BLOCK_RAW => {
-                if payload.len() != decoded {
-                    return Err(Self::io_err(CodecError::corrupt(
-                        "raw block size mismatch",
-                        0,
-                    )));
-                }
-                self.out.extend_from_slice(&payload);
-            }
-            BLOCK_RLE => {
-                let b = *payload
-                    .first()
-                    .ok_or_else(|| Self::io_err(CodecError::corrupt("empty rle block", 0)))?;
-                self.out.resize(before + decoded, b);
-            }
-            BLOCK_COMPRESSED => {
-                decode_block_payload::<true>(&payload, &mut self.out, decoded, self.v4)
-                    .map_err(Self::io_err)?;
-            }
-            _ if decoded == 0 => {}
-            _ => return Err(Self::io_err(CodecError::corrupt("zstdx bad block type", 0))),
-        }
-        self.hasher.update(&self.out[before..]);
-        Ok(true)
-    }
-
-    fn verify_checksum(&mut self) -> io::Result<()> {
-        if self.done {
-            return Ok(());
+        if frame.read_block::<true, _>(&mut self.src, &mut self.out)? {
+            self.hasher
+                .update(self.out.get(before..).unwrap_or_default());
+            return Ok(true);
         }
         self.done = true;
-        if self.has_checksum {
-            let trailer: [u8; 4] = self
-                .read_exact_vec(4)?
-                .try_into()
-                .map_err(|_| Self::io_err(CodecError::Truncated("checksum trailer")))?;
-            let want = u32::from_le_bytes(trailer);
-            let got = self.hasher.digest() as u32;
-            if want != got {
-                return Err(Self::io_err(CodecError::ChecksumMismatch {
-                    expected: want,
-                    got,
-                }));
-            }
-        }
-        Ok(())
-    }
-
-    fn trim_history(&mut self) {
-        if self.cursor > WINDOW_KEEP {
-            let drop = self.cursor - WINDOW_KEEP;
-            self.out.drain(..drop);
-            self.cursor -= drop;
-        }
+        frame.check_trailer(&mut self.src, || self.hasher.digest() as u32)?;
+        Ok(false)
     }
 }
 
@@ -362,7 +265,12 @@ impl<R: Read> Read for DecompressReader<R> {
         let n = buf.len().min(self.out.len() - self.cursor);
         buf[..n].copy_from_slice(&self.out[self.cursor..self.cursor + n]);
         self.cursor += n;
-        self.trim_history();
+        // Keep the window of history, not everything served.
+        if self.cursor > WINDOW_KEEP {
+            let drop = self.cursor - WINDOW_KEEP;
+            self.out.drain(..drop);
+            self.cursor -= drop;
+        }
         Ok(n)
     }
 }
@@ -374,14 +282,14 @@ pub fn compress_stream(data: &[u8], level: i32) -> Vec<u8> {
     w.finish().expect("Vec sink never fails")
 }
 
-/// Convenience: decompresses a whole streaming frame.
+/// Convenience: decompresses a whole frame through [`DecompressReader`].
 ///
 /// # Errors
 ///
-/// Returns an IO error wrapping the [`CodecError`] for malformed frames.
+/// As [`DecompressReader`]'s reads.
 pub fn decompress_stream(frame: &[u8]) -> io::Result<Vec<u8>> {
     let mut out = Vec::new();
-    DecompressReader::new(frame, 0).read_to_end(&mut out)?;
+    DecompressReader::new(frame).read_to_end(&mut out)?;
     Ok(out)
 }
 
@@ -391,10 +299,6 @@ mod tests {
     use crate::Compressor;
 
     fn sample(n: usize) -> Vec<u8> {
-        corpus_like(n)
-    }
-
-    fn corpus_like(n: usize) -> Vec<u8> {
         (0..n / 20 + 1)
             .flat_map(|i| format!("stream record {:06} | ", i % 5000).into_bytes())
             .take(n)
@@ -435,7 +339,7 @@ mod tests {
         }
         let frame = w.finish().unwrap();
 
-        let mut r = DecompressReader::new(frame.as_slice(), 1);
+        let mut r = DecompressReader::new(frame.as_slice());
         let mut out = Vec::new();
         let mut small = [0u8; 13];
         loop {
@@ -489,11 +393,39 @@ mod tests {
         );
     }
 
+    /// The reader parses frames with the slice decoder's code, so it
+    /// reads sized frames too, and fails where the slice decoder does.
     #[test]
-    fn batch_reader_rejected_by_stream_reader() {
-        let data = sample(1000);
-        let frame = crate::zstdx::Zstdx::new(3).compress(&data);
-        assert!(decompress_stream(&frame).is_err());
+    fn sized_frames_read_like_the_slice_decoder() {
+        let (data, z) = (sample(300_000), Zstdx::new(3));
+        assert_eq!(decompress_stream(&z.compress(&data)).unwrap(), data);
+        let dict = crate::dict::Dictionary::new(sample(4096), 7);
+        let frame = z.compress_with_dict(&data, &dict);
+        let err = decompress_stream(&frame).unwrap_err();
+        assert_eq!(codec_kind(&err), z.decompress(&frame).unwrap_err().kind());
+    }
+
+    fn codec_kind(e: &io::Error) -> &'static str {
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        let inner = e.get_ref().and_then(|i| i.downcast_ref::<CodecError>());
+        inner.expect("a CodecError inside").kind()
+    }
+
+    /// A block header declaring a payload of 2^40 (or `u64::MAX`) bytes
+    /// once made the reader allocate it before reading: an abort, or a
+    /// capacity-overflow panic. The header check now rejects it first,
+    /// with the slice decoder's error.
+    #[test]
+    fn huge_declared_payload_is_a_typed_error() {
+        for len in [1u64 << 40, u64::MAX] {
+            let mut frame = vec![0x5a, 0x53, 0x58, 0x44, 0x06, 0x80, 0x00];
+            crate::varint::write_varint(&mut frame, len);
+            let want = Zstdx::new(3).decompress(&frame).unwrap_err().kind();
+            let read = DecompressReader::new(frame.as_slice()).read_to_end(&mut Vec::new());
+            for err in [decompress_stream(&frame).unwrap_err(), read.unwrap_err()] {
+                assert_eq!(codec_kind(&err), want, "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -128,10 +128,7 @@ impl<'a> Cursor<'a> {
     /// [`read_varint`]).
     pub fn read_varint(&mut self) -> Result<u64> {
         let rest = self.buf.get(self.pos..).unwrap_or(&[]);
-        let (v, n) = read_varint(rest).map_err(|e| match e {
-            CodecError::Corrupt { stage, offset } => CodecError::corrupt(stage, self.pos + offset),
-            other => other,
-        })?;
+        let (v, n) = read_varint(rest).map_err(|e| e.rebase(self.pos))?;
         self.pos += n;
         Ok(v)
     }

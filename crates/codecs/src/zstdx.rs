@@ -37,7 +37,7 @@ use crate::codes::{
 };
 use crate::dict::Dictionary;
 use crate::timing::StageTiming;
-use crate::varint::{write_varint, Cursor};
+use crate::varint::{read_varint, write_varint, Cursor};
 use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
 
 /// Frame magic ("ZSXD").
@@ -51,7 +51,7 @@ const MIN_MATCH: u32 = 3;
 pub(crate) const FLAG_CHECKSUM: u8 = 2;
 /// Frame flag: no content size; blocks carry a last-block marker
 /// instead (streaming frames, see [`crate::stream`]).
-pub(crate) const FLAG_STREAMING: u8 = 4;
+const FLAG_STREAMING: u8 = 4;
 /// Frame flag: at least one block uses the v4 multi-stream entropy
 /// layout ([`LIT_HUFFMAN4`] literals). Old decoders reject such frames
 /// up front instead of tripping over an unknown literal mode
@@ -59,11 +59,11 @@ pub(crate) const FLAG_STREAMING: u8 = 4;
 /// encoders' output.
 pub(crate) const FLAG_V4: u8 = 8;
 
-pub(crate) const BLOCK_RAW: u8 = 0;
-pub(crate) const BLOCK_RLE: u8 = 1;
-pub(crate) const BLOCK_COMPRESSED: u8 = 2;
+const BLOCK_RAW: u8 = 0;
+const BLOCK_RLE: u8 = 1;
+const BLOCK_COMPRESSED: u8 = 2;
 /// Block-type bit marking the final block of a streaming frame.
-pub(crate) const BLOCK_LAST: u8 = 0x80;
+const BLOCK_LAST: u8 = 0x80;
 
 const LIT_RAW: u8 = 0;
 const LIT_RLE: u8 = 1;
@@ -156,11 +156,7 @@ impl Zstdx {
     /// Figure 7.
     pub fn compress_timed(&self, src: &[u8]) -> (Vec<u8>, StageTiming) {
         let mut timing = StageTiming::default();
-        let start = Instant::now();
-        let out = self.compress_impl(src, None, Some(&mut timing));
-        timing.total = start.elapsed();
-        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
-        (out, timing)
+        (self.compress_impl(src, None, Some(&mut timing)), timing)
     }
 
     /// [`Self::compress_timed`] with a shared dictionary as LZ history —
@@ -173,11 +169,10 @@ impl Zstdx {
         dict: &Dictionary,
     ) -> (Vec<u8>, StageTiming) {
         let mut timing = StageTiming::default();
-        let start = Instant::now();
-        let out = self.compress_impl(src, Some(dict), Some(&mut timing));
-        timing.total = start.elapsed();
-        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
-        (out, timing)
+        (
+            self.compress_impl(src, Some(dict), Some(&mut timing)),
+            timing,
+        )
     }
 
     /// Whether `frame` is a zstdx frame declaring a trailing content
@@ -192,146 +187,140 @@ impl Zstdx {
                 .is_some_and(|f| f & FLAG_CHECKSUM != 0)
     }
 
+    /// Compresses `src`, with `dict` as history, timing the stages into
+    /// `timing` when given, and records the call.
     fn compress_impl(
         &self,
         src: &[u8],
         dict: Option<&Dictionary>,
         mut timing: Option<&mut StageTiming>,
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(src.len() / 2 + 32);
-        out.extend_from_slice(&MAGIC);
-        let mut flags = u8::from(dict.is_some());
-        if self.checksum {
-            flags |= FLAG_CHECKSUM;
-        }
-        out.push(flags);
-        write_varint(&mut out, src.len() as u64);
-        if let Some(d) = dict {
-            out.extend_from_slice(&d.id().to_le_bytes());
-        }
-
+        let began = Instant::now();
         // The working buffer is dictionary content followed by the whole
         // input; blocks parse with growing history.
-        let (buf, base) = match dict {
-            Some(d) => {
-                let mut b = Vec::with_capacity(d.as_bytes().len() + src.len());
-                b.extend_from_slice(d.as_bytes());
-                b.extend_from_slice(src);
-                (Cow::Owned(b), d.as_bytes().len())
+        let buf = dict.map_or(Cow::Borrowed(src), |d| {
+            Cow::Owned([d.as_bytes(), src].concat())
+        });
+        let base = dict.map_or(0, Dictionary::len);
+        let out = self.write_frame(src, dict, |out| {
+            let mut any_v4 = false;
+            for start in (base..buf.len()).step_by(BLOCK_SIZE) {
+                let end = (start + BLOCK_SIZE).min(buf.len());
+                // The dictionary's prepared index pays while the block is
+                // no longer than the dictionary: a sub-KB item then hashes
+                // itself instead of 12 KiB of history. Past that, indexing
+                // the dictionary per call is a small share of the block's
+                // own work, and a walk that had to hop to a second table
+                // at every exhausted chain measured slower on large blocks.
+                let index = dict
+                    .filter(|d| end - start <= d.len())
+                    .map(Dictionary::index);
+                let block = buf.get(..end).unwrap_or_default();
+                any_v4 |= self.write_block(block, start, index, false, out, timing.as_deref_mut());
             }
-            None => (Cow::Borrowed(src), 0),
-        };
-
-        let mut start = base;
-        let mut any_v4 = false;
-        while start < buf.len() {
-            let end = (start + BLOCK_SIZE).min(buf.len());
-            // The dictionary's prepared index pays while the block is
-            // no longer than the dictionary: a sub-KB item then hashes
-            // itself instead of 12 KiB of history. Past that, indexing
-            // the dictionary per call is a small share of the block's
-            // own work, and a walk that had to hop to a second table at
-            // every exhausted chain measured slower on large blocks.
-            let index = dict
-                .filter(|d| end - start <= d.len())
-                .map(Dictionary::index);
-            any_v4 |= write_block_opts(
-                &buf,
-                start,
-                end,
-                index,
-                &self.params,
-                false,
-                self.rep_offsets,
-                self.streams,
-                &mut out,
-                timing.as_deref_mut(),
-            );
-            start = end;
+            any_v4
+        });
+        if let Some(t) = timing {
+            t.total = began.elapsed();
         }
+        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), began);
+        out
+    }
+
+    /// Writes the sized frame of `src` around the blocks that `blocks`
+    /// appends; `blocks` returns whether any of them uses the v4 layout.
+    pub(crate) fn write_frame(
+        &self,
+        src: &[u8],
+        dict: Option<&Dictionary>,
+        blocks: impl FnOnce(&mut Vec<u8>) -> bool,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len() / 2 + 32);
+        self.write_header(&mut out, Some(src.len()), dict);
         // The flag byte is patched after the fact: only frames that
         // actually contain a v4 block advertise the format, so
         // sub-threshold output stays byte-identical to older encoders.
-        if any_v4 {
+        if blocks(&mut out) {
             if let Some(f) = out.get_mut(MAGIC.len()) {
                 *f |= FLAG_V4;
             }
         }
-        if self.checksum {
-            out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
-        }
+        self.write_trailer(&mut out, || crate::xxhash::content_checksum(src));
         out
     }
-}
 
-static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("zstdx.match_find");
-static ENTROPY: telemetry::Stage = telemetry::Stage::new("zstdx.entropy");
+    /// Appends a frame header declaring `content` bytes, or a streaming
+    /// header for `None`. A streaming header goes out before any block
+    /// is encoded, so under [`StreamPolicy::Auto`] it declares v4 up
+    /// front: the bit *permits* multi-stream blocks, it does not require
+    /// them.
+    pub(crate) fn write_header(
+        &self,
+        out: &mut Vec<u8>,
+        content: Option<usize>,
+        dict: Option<&Dictionary>,
+    ) {
+        let flags = u8::from(dict.is_some()) | if self.checksum { FLAG_CHECKSUM } else { 0 };
+        out.extend_from_slice(&MAGIC);
+        match content {
+            Some(len) => {
+                out.push(flags);
+                write_varint(out, len as u64);
+            }
+            None if self.streams == StreamPolicy::Auto => {
+                out.push(flags | FLAG_STREAMING | FLAG_V4);
+            }
+            None => out.push(flags | FLAG_STREAMING),
+        }
+        if let Some(d) = dict {
+            out.extend_from_slice(&d.id().to_le_bytes());
+        }
+    }
 
-/// Compresses `buf[start..end]` (with `buf[..start]` as history) into one
-/// block, choosing raw/RLE/compressed representation. `last` sets the
-/// streaming last-block marker.
-pub(crate) fn write_block(
-    buf: &[u8],
-    start: usize,
-    end: usize,
-    params: &MatchParams,
-    last: bool,
-    out: &mut Vec<u8>,
-    timing: Option<&mut StageTiming>,
-) {
-    // Single-stream on purpose: this entry point serves the parallel
-    // frame writer, whose header is not patched with [`FLAG_V4`], so the
-    // blocks it embeds must stay legacy-layout.
-    let _ = write_block_opts(
-        buf,
-        start,
-        end,
-        None,
-        params,
-        last,
-        true,
-        StreamPolicy::Single,
-        out,
-        timing,
-    );
-}
+    /// Appends the content checksum `digest()` if this codec writes one.
+    pub(crate) fn write_trailer(&self, out: &mut Vec<u8>, digest: impl FnOnce() -> u32) {
+        if self.checksum {
+            out.extend_from_slice(&digest().to_le_bytes());
+        }
+    }
 
-/// [`write_block`] with the repeat-offset ablation knob and the
-/// multi-stream policy exposed, and optionally a prepared index over the
-/// head of `buf` for the match finder to attach. Returns whether the
-/// written block uses the v4 layout (the caller must then set
-/// [`FLAG_V4`] in its frame header).
-// indexing_slicing: encode side — `start <= end <= buf.len()` is the
-// frame writer's block-split invariant, and `data[0]` sits behind the
-// `data.len() >= 2` RLE check.
-#[allow(clippy::indexing_slicing)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_block_opts(
-    buf: &[u8],
-    start: usize,
-    end: usize,
-    prefix: Option<&PrefixIndex>,
-    params: &MatchParams,
-    last: bool,
-    use_reps: bool,
-    policy: StreamPolicy,
-    out: &mut Vec<u8>,
-    timing: Option<&mut StageTiming>,
-) -> bool {
-    {
-        let last_bit = if last { BLOCK_LAST } else { 0 };
-        let data = &buf[start..end];
+    /// Compresses `buf[start..]`, with `buf[..start]` as history, into one
+    /// block: raw, RLE or compressed, whichever is smallest. `prefix` is
+    /// an optional prepared index over the head of `buf` for the match
+    /// finder to attach; `last` sets the streaming last-block marker.
+    /// Returns whether the block uses the v4 layout (its frame header
+    /// must then carry [`FLAG_V4`]).
+    // indexing_slicing: encode side — `start <= buf.len()` is the frame
+    // writers' block-split invariant, and `data[0]` and `data[..1]` sit
+    // behind the `data.len() >= 2` RLE check.
+    #[allow(clippy::indexing_slicing)]
+    pub(crate) fn write_block(
+        &self,
+        buf: &[u8],
+        start: usize,
+        prefix: Option<&PrefixIndex>,
+        last: bool,
+        out: &mut Vec<u8>,
+        timing: Option<&mut StageTiming>,
+    ) -> bool {
+        let data = &buf[start..];
+        // The block header: type (with the last-block marker), decoded
+        // size, payload size.
+        let mut emit = |kind: u8, payload: &[u8]| {
+            out.push(if last { kind | BLOCK_LAST } else { kind });
+            write_varint(out, data.len() as u64);
+            write_varint(out, payload.len() as u64);
+            out.extend_from_slice(payload);
+        };
         // RLE block: the whole block is one byte value.
         if data.len() >= 2 && data.iter().all(|&b| b == data[0]) {
-            out.push(BLOCK_RLE | last_bit);
-            write_varint(out, data.len() as u64);
-            write_varint(out, 1);
-            out.push(data[0]);
+            emit(BLOCK_RLE, &data[..1]);
             return false;
         }
 
+        let params = &self.params;
         let mf_start = Instant::now();
-        let parsed = lzkit::parse_with_prefix(&buf[..end], start, params, prefix);
+        let parsed = lzkit::parse_with_prefix(buf, start, params, prefix);
         // The optimal parser prices offsets without repeat-offset
         // awareness; at the highest levels, also try a rep-friendly lazy
         // parse (moderate search depth, early target exit — deep
@@ -344,14 +333,14 @@ pub(crate) fn write_block_opts(
                 target_length: 160,
                 ..*params
             };
-            lzkit::parse_with_prefix(&buf[..end], start, &lazy, prefix)
+            lzkit::parse_with_prefix(buf, start, &lazy, prefix)
         });
         let mf_elapsed = mf_start.elapsed();
 
         let ent_start = Instant::now();
-        let (mut payload, mut used_v4) = encode_block_payload_opts(&parsed, use_reps, policy);
+        let (mut payload, mut used_v4) = self.encode_block_payload(&parsed);
         if let Some(alt_parsed) = alt {
-            let (alt_payload, alt_v4) = encode_block_payload_opts(&alt_parsed, use_reps, policy);
+            let (alt_payload, alt_v4) = self.encode_block_payload(&alt_parsed);
             if alt_payload.len() < payload.len() {
                 payload = alt_payload;
                 used_v4 = alt_v4;
@@ -367,20 +356,17 @@ pub(crate) fn write_block_opts(
         ENTROPY.record(ent_start, ent_elapsed);
 
         if payload.len() < data.len() {
-            out.push(BLOCK_COMPRESSED | last_bit);
-            write_varint(out, data.len() as u64);
-            write_varint(out, payload.len() as u64);
-            out.extend_from_slice(&payload);
+            emit(BLOCK_COMPRESSED, &payload);
             used_v4
         } else {
-            out.push(BLOCK_RAW | last_bit);
-            write_varint(out, data.len() as u64);
-            write_varint(out, data.len() as u64);
-            out.extend_from_slice(data);
+            emit(BLOCK_RAW, data);
             false
         }
     }
 }
+
+static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("zstdx.match_find");
+static ENTROPY: telemetry::Stage = telemetry::Stage::new("zstdx.entropy");
 
 impl Zstdx {
     /// Reference decode path: byte-at-a-time bit reads, single-symbol
@@ -403,103 +389,196 @@ impl Zstdx {
         limits: &DecodeLimits,
     ) -> Result<Vec<u8>> {
         let mut c = Cursor::new(src);
-        if c.read_slice(4)? != MAGIC {
-            return Err(CodecError::BadFrame("zstdx magic mismatch"));
-        }
-        let flags = c.read_u8()?;
-        let content = if flags & FLAG_STREAMING != 0 {
-            0
-        } else {
-            c.read_varint()? as usize
-        };
-        if content > crate::MAX_CONTENT_SIZE {
-            return Err(CodecError::BadFrame("content size implausible"));
-        }
-        limits.check_output(content)?;
-        if flags & 1 != 0 {
-            let want = c.read_u32()?;
-            match dict {
-                Some(d) if d.id() == want => {}
-                other => {
-                    return Err(CodecError::UnknownDictVersion {
-                        expected: want,
-                        got: other.map(|d| d.id()),
-                    })
-                }
-            }
-        }
-
+        let mut frame = Frame::read(&mut c, dict.map(Dictionary::id), *limits)?;
         let base = dict.map_or(0, |d| d.as_bytes().len());
+        let declared = frame.content.unwrap_or(0);
         let mut out =
-            Vec::with_capacity(base + crate::initial_capacity(content, src.len(), limits));
+            Vec::with_capacity(base + crate::initial_capacity(declared, src.len(), limits));
         if let Some(d) = dict {
             out.extend_from_slice(d.as_bytes());
         }
-        let has_checksum = flags & FLAG_CHECKSUM != 0;
-        let streaming = flags & FLAG_STREAMING != 0;
-        let v4 = flags & FLAG_V4 != 0;
-        let end_target = base + content;
-        let mut saw_last = false;
-        while if streaming {
-            !saw_last
-        } else {
-            out.len() < end_target
-        } {
-            let type_byte = c.read_u8()?;
-            let block_type = type_byte & !BLOCK_LAST;
-            let is_last = type_byte & BLOCK_LAST != 0;
-            saw_last = is_last;
-            let decoded = c.read_varint()? as usize;
-            let payload_len = c.read_varint()? as usize;
-            if streaming {
-                // Streaming frames carry no declared content size, so the
-                // caller's budget is the only bound on accumulation.
-                limits.check_output((out.len() - base).saturating_add(decoded))?;
-            }
-            let size_ok = if streaming {
-                decoded <= BLOCK_SIZE && (decoded > 0 || is_last)
-            } else {
-                decoded > 0 && decoded <= BLOCK_SIZE && out.len() + decoded <= end_target
-            };
-            if !size_ok {
-                return Err(c.corrupt("zstdx bad block size"));
-            }
-            if decoded == 0 {
-                continue;
-            }
-            let payload = c.read_slice(payload_len)?;
-            match block_type {
-                BLOCK_RAW => {
-                    if payload.len() != decoded {
-                        return Err(c.corrupt("zstdx raw block size mismatch"));
-                    }
-                    out.extend_from_slice(payload);
-                }
-                BLOCK_RLE => {
-                    let b = *payload.first().ok_or(c.corrupt("zstdx empty rle"))?;
-                    out.resize(out.len() + decoded, b);
-                }
-                BLOCK_COMPRESSED => decode_block_payload::<FAST>(payload, &mut out, decoded, v4)
-                    .map_err(|e| e.rebase(c.position().saturating_sub(payload_len)))?,
-                _ => return Err(c.corrupt("zstdx bad block type")),
-            }
-        }
-        if has_checksum {
-            let want = c.read_u32()?;
-            let got = crate::xxhash::content_checksum(out.get(base..).unwrap_or(&[]));
-            if want != got {
-                return Err(CodecError::ChecksumMismatch {
-                    expected: want,
-                    got,
-                });
-            }
-        }
+        while frame.read_block::<FAST, _>(&mut c, &mut out)? {}
+        frame.check_trailer(&mut c, || {
+            crate::xxhash::content_checksum(out.get(base..).unwrap_or(&[]))
+        })?;
         out.drain(..base);
         Ok(out)
     }
 }
 
-pub(crate) fn level_params(level: i32) -> MatchParams {
+/// Where the frame grammar reads its bytes from: a [`Cursor`] over a
+/// whole frame, or the stream under a
+/// [`DecompressReader`](crate::stream::DecompressReader).
+pub(crate) trait FrameSource {
+    /// What a read fails with; every [`CodecError`] converts into it.
+    type Error: From<CodecError>;
+
+    /// The next `n` bytes. Callers bound `n` before asking.
+    fn read_slice(&mut self, n: usize) -> std::result::Result<&[u8], Self::Error>;
+
+    /// Bytes consumed so far: the offset a [`CodecError::Corrupt`] names.
+    fn position(&self) -> usize;
+
+    /// The next `N` bytes.
+    fn read_array<const N: usize>(&mut self) -> std::result::Result<[u8; N], Self::Error> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.read_slice(N)?);
+        Ok(b)
+    }
+
+    /// The next varint: its bytes, ten at most, parsed by
+    /// [`crate::varint::read_varint`]'s canonical-form rules.
+    fn read_varint(&mut self) -> std::result::Result<u64, Self::Error> {
+        let at = self.position();
+        let mut bytes = [0u8; 10];
+        let mut n = 0;
+        for b in &mut bytes {
+            [*b] = self.read_array()?;
+            n += 1;
+            if *b & 0x80 == 0 {
+                break;
+            }
+        }
+        let (v, _) = read_varint(bytes.get(..n).unwrap_or_default()).map_err(|e| e.rebase(at))?;
+        Ok(v)
+    }
+}
+
+impl FrameSource for Cursor<'_> {
+    type Error = CodecError;
+
+    fn read_slice(&mut self, n: usize) -> Result<&[u8]> {
+        Cursor::read_slice(self, n)
+    }
+
+    fn position(&self) -> usize {
+        Cursor::position(self)
+    }
+}
+
+/// A frame being decoded: what its header declares, and how far its
+/// blocks have got. The one parser of the zstdx frame grammar, shared
+/// by the slice decoders and the streaming reader.
+pub(crate) struct Frame {
+    /// Declared content size; `None` for a streaming frame.
+    content: Option<usize>,
+    checksum: bool,
+    v4: bool,
+    limits: DecodeLimits,
+    /// Content bytes the blocks read so far declare.
+    produced: usize,
+    /// Whether the last block read carried [`BLOCK_LAST`].
+    last: bool,
+}
+
+impl Frame {
+    /// Reads a frame header and checks it: the magic, the declared
+    /// content size against `limits`, and the dictionary id against
+    /// `dict_id`, the id of the dictionary the caller holds.
+    pub(crate) fn read<S: FrameSource>(
+        s: &mut S,
+        dict_id: Option<u32>,
+        limits: DecodeLimits,
+    ) -> std::result::Result<Self, S::Error> {
+        if s.read_slice(MAGIC.len())? != MAGIC {
+            return Err(CodecError::BadFrame("zstdx magic mismatch").into());
+        }
+        let [flags] = s.read_array()?;
+        let content = if flags & FLAG_STREAMING == 0 {
+            Some(s.read_varint()? as usize)
+        } else {
+            None
+        };
+        if content.unwrap_or(0) > crate::MAX_CONTENT_SIZE {
+            return Err(CodecError::BadFrame("content size implausible").into());
+        }
+        limits.check_output(content.unwrap_or(0))?;
+        if flags & 1 != 0 {
+            let expected = u32::from_le_bytes(s.read_array()?);
+            if dict_id != Some(expected) {
+                let got = dict_id;
+                return Err(CodecError::UnknownDictVersion { expected, got }.into());
+            }
+        }
+        Ok(Self {
+            content,
+            checksum: flags & FLAG_CHECKSUM != 0,
+            v4: flags & FLAG_V4 != 0,
+            limits,
+            produced: 0,
+            last: false,
+        })
+    }
+
+    /// Reads the next block and appends its content to `out`; `false`
+    /// once the frame's blocks are done. The block header is checked
+    /// before anything is read or allocated for the payload: a known
+    /// type, a decoded size within [`BLOCK_SIZE`] and within what a
+    /// sized frame still declares (empty only as a streaming frame's
+    /// last block), a payload its type allows (every writer keeps
+    /// payload <= decoded), and the content so far within the limits,
+    /// the only bound a streaming frame has.
+    #[deny(clippy::indexing_slicing)]
+    pub(crate) fn read_block<const FAST: bool, S: FrameSource>(
+        &mut self,
+        s: &mut S,
+        out: &mut Vec<u8>,
+    ) -> std::result::Result<bool, S::Error> {
+        let room = match self.content {
+            Some(c) if self.produced >= c => return Ok(false),
+            None if self.last => return Ok(false),
+            Some(c) => (c - self.produced).min(BLOCK_SIZE),
+            None => BLOCK_SIZE,
+        };
+        let [type_byte] = s.read_array()?;
+        let decoded = s.read_varint()?;
+        let payload_len = s.read_varint()?;
+        self.last = type_byte & BLOCK_LAST != 0;
+        let kind = type_byte & !BLOCK_LAST;
+        let payload_fits = match kind {
+            BLOCK_RAW => payload_len == decoded,
+            BLOCK_RLE => payload_len == 1,
+            BLOCK_COMPRESSED => payload_len <= decoded,
+            _ => return Err(CodecError::corrupt("zstdx bad block type", s.position()).into()),
+        };
+        let may_be_empty = self.last && self.content.is_none();
+        if decoded > room as u64 || !payload_fits || (decoded == 0 && !may_be_empty) {
+            return Err(CodecError::corrupt("zstdx bad block size", s.position()).into());
+        }
+        let decoded = decoded as usize;
+        self.produced += decoded;
+        self.limits.check_output(self.produced)?;
+
+        let at = s.position();
+        let payload = s.read_slice(payload_len as usize)?;
+        match (kind, payload) {
+            (BLOCK_RAW, _) => out.extend_from_slice(payload),
+            (BLOCK_RLE, &[b]) => out.resize(out.len() + decoded, b),
+            _ => decode_block_payload::<FAST>(payload, out, decoded, self.v4)
+                .map_err(|e| e.rebase(at))?,
+        }
+        Ok(true)
+    }
+
+    /// Reads the checksum trailer, if the frame declares one, and
+    /// compares it with `got()`, the checksum of the decoded content.
+    pub(crate) fn check_trailer<S: FrameSource>(
+        &self,
+        s: &mut S,
+        got: impl FnOnce() -> u32,
+    ) -> std::result::Result<(), S::Error> {
+        if self.checksum {
+            let expected = u32::from_le_bytes(s.read_array()?);
+            let got = got();
+            if expected != got {
+                return Err(CodecError::ChecksumMismatch { expected, got }.into());
+            }
+        }
+        Ok(())
+    }
+}
+
+fn level_params(level: i32) -> MatchParams {
     let (strategy, window_log, hash_log, attempts, target, min_match) = match level {
         i32::MIN..=-1 => {
             // Negative levels: progressively smaller tables, faster.
@@ -663,156 +742,157 @@ const AUTO_LIT_SPLIT: usize = 1024;
 /// Literal-dominated blocks (Binary class, >= 98%) win outright.
 const AUTO_LIT_PERCENT: usize = 50;
 
-// indexing_slicing: encode side — `lits[0]` sits behind the non-empty
-// branch, and the per-sequence arrays (`llc`/`mlc`/`ofc`) are built with
-// one entry per `parsed.sequences` element, so index `i < n` is valid
-// for all four.
-#[allow(clippy::indexing_slicing)]
-fn encode_block_payload_opts(
-    parsed: &ParsedBlock,
-    use_reps: bool,
-    policy: StreamPolicy,
-) -> (Vec<u8>, bool) {
-    let mut out = Vec::with_capacity(parsed.literals.len() / 2 + 64);
-    let mut used_v4 = false;
+impl Zstdx {
+    /// Encodes a parsed block's literals and sequences section under this
+    /// codec's repeat-offset and stream settings. Returns the payload and
+    /// whether it uses the v4 layout.
+    // indexing_slicing: encode side — `lits[0]` sits behind the non-empty
+    // branch, and the per-sequence arrays (`llc`/`mlc`/`ofc`) are built with
+    // one entry per `parsed.sequences` element, so index `i < n` is valid
+    // for all four.
+    #[allow(clippy::indexing_slicing)]
+    fn encode_block_payload(&self, parsed: &ParsedBlock) -> (Vec<u8>, bool) {
+        let mut out = Vec::with_capacity(parsed.literals.len() / 2 + 64);
+        let mut used_v4 = false;
 
-    // --- Literals section ---
-    let lits = &parsed.literals;
-    // Decoded block length: literals plus every match's expansion.
-    let decoded: usize = lits.len()
-        + parsed
+        // --- Literals section ---
+        let lits = &parsed.literals;
+        // Decoded block length: literals plus every match's expansion.
+        let decoded: usize = lits.len()
+            + parsed
+                .sequences
+                .iter()
+                .map(|s| s.match_len as usize)
+                .sum::<usize>();
+        let four = match self.streams {
+            StreamPolicy::Single => false,
+            StreamPolicy::Auto => {
+                lits.len() >= AUTO_LIT_SPLIT && lits.len() * 100 >= decoded * AUTO_LIT_PERCENT
+            }
+        };
+        if lits.is_empty() {
+            out.push(LIT_RAW);
+            write_varint(&mut out, 0);
+        } else if lits.iter().all(|&b| b == lits[0]) {
+            out.push(LIT_RLE);
+            write_varint(&mut out, lits.len() as u64);
+            out.push(lits[0]);
+        } else {
+            // Estimated section size: table description, payload, and the
+            // stream-size words (four substreams pay three extra words and
+            // up to three bytes of per-stream padding).
+            let estimate =
+                |payload_bits: usize| 128 + payload_bits.div_ceil(8) + if four { 24 } else { 8 };
+            // Every coded literal costs at least one bit, so when even that
+            // floor cannot beat raw there is no table worth building — the
+            // common case on dictionary-compressed items, whose literal
+            // sections run to a few dozen bytes.
+            let encoded = (estimate(lits.len()) < lits.len())
+                .then(|| entropy::hist::byte_histogram(lits))
+                .and_then(|freqs| {
+                    let table = HuffmanTable::build(&freqs, 11)?;
+                    let estimated = estimate(table.encoded_bits(&freqs) as usize);
+                    (estimated < lits.len()).then(|| {
+                        let mut sec = Vec::with_capacity(estimated);
+                        write_nibble_lengths(&mut sec, table.lengths());
+                        (sec, table)
+                    })
+                });
+            match encoded {
+                Some((table_desc, table)) if four => {
+                    used_v4 = true;
+                    out.push(LIT_HUFFMAN4);
+                    write_varint(&mut out, lits.len() as u64);
+                    out.extend_from_slice(&table_desc);
+                    let streams = table.encode_4stream(lits);
+                    for s in &streams {
+                        write_varint(&mut out, s.len() as u64);
+                    }
+                    for s in &streams {
+                        out.extend_from_slice(s);
+                    }
+                }
+                Some((table_desc, table)) => {
+                    let body = table.encode(lits);
+                    out.push(LIT_HUFFMAN);
+                    write_varint(&mut out, lits.len() as u64);
+                    out.extend_from_slice(&table_desc);
+                    write_varint(&mut out, body.len() as u64);
+                    out.extend_from_slice(&body);
+                }
+                None => {
+                    out.push(LIT_RAW);
+                    write_varint(&mut out, lits.len() as u64);
+                    out.extend_from_slice(lits);
+                }
+            }
+        }
+
+        // --- Sequences section ---
+        let n = parsed.sequences.len();
+        write_varint(&mut out, n as u64);
+        if n == 0 {
+            return (out, used_v4);
+        }
+
+        let llc: Vec<u8> = parsed
             .sequences
             .iter()
-            .map(|s| s.match_len as usize)
-            .sum::<usize>();
-    let four = match policy {
-        StreamPolicy::Single => false,
-        StreamPolicy::Auto => {
-            lits.len() >= AUTO_LIT_SPLIT && lits.len() * 100 >= decoded * AUTO_LIT_PERCENT
-        }
-    };
-    if lits.is_empty() {
-        out.push(LIT_RAW);
-        write_varint(&mut out, 0);
-    } else if lits.iter().all(|&b| b == lits[0]) {
-        out.push(LIT_RLE);
-        write_varint(&mut out, lits.len() as u64);
-        out.push(lits[0]);
-    } else {
-        // Estimated section size: table description, payload, and the
-        // stream-size words (four substreams pay three extra words and
-        // up to three bytes of per-stream padding).
-        let estimate =
-            |payload_bits: usize| 128 + payload_bits.div_ceil(8) + if four { 24 } else { 8 };
-        // Every coded literal costs at least one bit, so when even that
-        // floor cannot beat raw there is no table worth building — the
-        // common case on dictionary-compressed items, whose literal
-        // sections run to a few dozen bytes.
-        let encoded = (estimate(lits.len()) < lits.len())
-            .then(|| entropy::hist::byte_histogram(lits))
-            .and_then(|freqs| {
-                let table = HuffmanTable::build(&freqs, 11)?;
-                let estimated = estimate(table.encoded_bits(&freqs) as usize);
-                (estimated < lits.len()).then(|| {
-                    let mut sec = Vec::with_capacity(estimated);
-                    write_nibble_lengths(&mut sec, table.lengths());
-                    (sec, table)
-                })
-            });
-        match encoded {
-            Some((table_desc, table)) if four => {
-                used_v4 = true;
-                out.push(LIT_HUFFMAN4);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(&table_desc);
-                let streams = table.encode_4stream(lits);
-                for s in &streams {
-                    write_varint(&mut out, s.len() as u64);
+            .map(|s| ll_code(s.literal_len))
+            .collect();
+        let mlc: Vec<u8> = parsed
+            .sequences
+            .iter()
+            .map(|s| ml_code(s.match_len - MIN_MATCH))
+            .collect();
+        // Offset codes evolve with the repeat-offset history (forward order).
+        let mut reps = RepHistory::default();
+        let ofc: Vec<u8> = parsed
+            .sequences
+            .iter()
+            .map(|s| {
+                let rep = reps.encode(s.offset);
+                if self.rep_offsets {
+                    rep.unwrap_or_else(|| of_code(s.offset))
+                } else {
+                    of_code(s.offset)
                 }
-                for s in &streams {
-                    out.extend_from_slice(s);
-                }
-            }
-            Some((table_desc, table)) => {
-                let body = table.encode(lits);
-                out.push(LIT_HUFFMAN);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(&table_desc);
-                write_varint(&mut out, body.len() as u64);
-                out.extend_from_slice(&body);
-            }
-            None => {
-                out.push(LIT_RAW);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(lits);
+            })
+            .collect();
+
+        let ll_choice = choose_table(&llc, predefined_ll(), MAX_LL_CODE as usize + 1);
+        let ml_choice = choose_table(&mlc, predefined_ml(), MAX_ML_CODE as usize + 1);
+        let of_choice = choose_table(&ofc, predefined_of(), OF_ALPHABET);
+
+        out.push(ll_choice.mode() | (ml_choice.mode() << 2) | (of_choice.mode() << 4));
+        for choice in [&ll_choice, &ml_choice, &of_choice] {
+            match choice {
+                TableChoice::Predefined(_) => {}
+                TableChoice::Described(t) => t.write_description(&mut out),
+                TableChoice::Rle(code) => out.push(*code),
             }
         }
-    }
 
-    // --- Sequences section ---
-    let n = parsed.sequences.len();
-    write_varint(&mut out, n as u64);
-    if n == 0 {
-        return (out, used_v4);
-    }
-
-    let llc: Vec<u8> = parsed
-        .sequences
-        .iter()
-        .map(|s| ll_code(s.literal_len))
-        .collect();
-    let mlc: Vec<u8> = parsed
-        .sequences
-        .iter()
-        .map(|s| ml_code(s.match_len - MIN_MATCH))
-        .collect();
-    // Offset codes evolve with the repeat-offset history (forward order).
-    let mut reps = RepHistory::default();
-    let ofc: Vec<u8> = parsed
-        .sequences
-        .iter()
-        .map(|s| {
-            let rep = reps.encode(s.offset);
-            if use_reps {
-                rep.unwrap_or_else(|| of_code(s.offset))
-            } else {
-                of_code(s.offset)
-            }
-        })
-        .collect();
-
-    let ll_choice = choose_table(&llc, predefined_ll(), MAX_LL_CODE as usize + 1);
-    let ml_choice = choose_table(&mlc, predefined_ml(), MAX_ML_CODE as usize + 1);
-    let of_choice = choose_table(&ofc, predefined_of(), OF_ALPHABET);
-
-    out.push(ll_choice.mode() | (ml_choice.mode() << 2) | (of_choice.mode() << 4));
-    for choice in [&ll_choice, &ml_choice, &of_choice] {
-        match choice {
-            TableChoice::Predefined(_) => {}
-            TableChoice::Described(t) => t.write_description(&mut out),
-            TableChoice::Rle(code) => out.push(*code),
+        // Reverse-order interleaved bitstream; see `decode_sequences` for
+        // the forward read order this mirrors.
+        let mut w = BitWriter::with_capacity(n);
+        let mut ll_enc = FseEncoder::new(ll_choice.table());
+        let mut ml_enc = FseEncoder::new(ml_choice.table());
+        let mut of_enc = FseEncoder::new(of_choice.table());
+        for i in (0..n).rev() {
+            of_enc.encode(&mut w, ofc[i] as u16);
+            ml_enc.encode(&mut w, mlc[i] as u16);
+            ll_enc.encode(&mut w, llc[i] as u16);
+            write_seq_extras(&mut w, &parsed.sequences[i], llc[i], mlc[i], ofc[i]);
         }
+        ml_enc.finish(&mut w);
+        of_enc.finish(&mut w);
+        ll_enc.finish(&mut w);
+        let stream = w.finish_with_sentinel();
+        write_varint(&mut out, stream.len() as u64);
+        out.extend_from_slice(&stream);
+        (out, used_v4)
     }
-
-    // Reverse-order interleaved bitstream; see `decode_sequences` for
-    // the forward read order this mirrors.
-    let mut w = BitWriter::with_capacity(n);
-    let mut ll_enc = FseEncoder::new(ll_choice.table());
-    let mut ml_enc = FseEncoder::new(ml_choice.table());
-    let mut of_enc = FseEncoder::new(of_choice.table());
-    for i in (0..n).rev() {
-        of_enc.encode(&mut w, ofc[i] as u16);
-        ml_enc.encode(&mut w, mlc[i] as u16);
-        ll_enc.encode(&mut w, llc[i] as u16);
-        write_seq_extras(&mut w, &parsed.sequences[i], llc[i], mlc[i], ofc[i]);
-    }
-    ml_enc.finish(&mut w);
-    of_enc.finish(&mut w);
-    ll_enc.finish(&mut w);
-    let stream = w.finish_with_sentinel();
-    write_varint(&mut out, stream.len() as u64);
-    out.extend_from_slice(&stream);
-    (out, used_v4)
 }
 
 /// Writes one sequence's raw remainder bits (offset, match length,
@@ -830,7 +910,7 @@ fn write_seq_extras(w: &mut BitWriter, seq: &lzkit::Sequence, llc: u8, mlc: u8, 
 }
 
 #[deny(clippy::indexing_slicing)]
-pub(crate) fn decode_block_payload<const FAST: bool>(
+fn decode_block_payload<const FAST: bool>(
     payload: &[u8],
     out: &mut Vec<u8>,
     decoded: usize,
@@ -906,23 +986,23 @@ pub(crate) fn decode_block_payload<const FAST: bool>(
                       predefined: &'static FseTable,
                       alphabet: usize,
                       c: &mut Cursor<'_>|
-     -> Result<FseTableRef> {
+     -> Result<Cow<'static, FseTable>> {
         match mode {
-            MODE_PREDEFINED => Ok(FseTableRef::Static(predefined)),
+            MODE_PREDEFINED => Ok(Cow::Borrowed(predefined)),
             MODE_FSE => {
                 let (t, consumed) = FseTable::read_description(c.read_slice_remaining()?)?;
                 c.advance(consumed)?;
                 if t.normalized_counts().len() > alphabet {
                     return Err(c.corrupt("zstdx fse alphabet too large"));
                 }
-                Ok(FseTableRef::Owned(t))
+                Ok(Cow::Owned(t))
             }
             MODE_RLE => {
                 let code = c.read_u8()?;
                 if code as usize >= alphabet {
                     return Err(c.corrupt("zstdx rle code out of range"));
                 }
-                Ok(FseTableRef::Static(single_symbol_table(code)))
+                Ok(Cow::Borrowed(single_symbol_table(code)))
             }
             _ => Err(c.corrupt("zstdx bad table mode")),
         }
@@ -969,17 +1049,17 @@ fn note_pair_table_bypass(table: &HuffmanTable) {
 fn decode_sequences<R: RevBitSrc, const FAST: bool>(
     c: &Cursor<'_>,
     r: &mut R,
-    ll_t: &FseTableRef,
-    ml_t: &FseTableRef,
-    of_t: &FseTableRef,
+    ll_t: &FseTable,
+    ml_t: &FseTable,
+    of_t: &FseTable,
     literals: &[u8],
     n: usize,
     out: &mut Vec<u8>,
     decoded: usize,
 ) -> Result<()> {
-    let mut ll_dec = FseDecoder::init(ll_t.get(), r)?;
-    let mut of_dec = FseDecoder::init(of_t.get(), r)?;
-    let mut ml_dec = FseDecoder::init(ml_t.get(), r)?;
+    let mut ll_dec = FseDecoder::init(ll_t, r)?;
+    let mut of_dec = FseDecoder::init(of_t, r)?;
+    let mut ml_dec = FseDecoder::init(ml_t, r)?;
 
     let end = out.len() + decoded;
     let mut lit_pos = 0usize;
@@ -1091,21 +1171,6 @@ fn apply_sequence<const FAST: bool>(
     Ok(())
 }
 
-/// Borrowed-or-owned FSE table used during block decode.
-enum FseTableRef {
-    Static(&'static FseTable),
-    Owned(FseTable),
-}
-
-impl FseTableRef {
-    fn get(&self) -> &FseTable {
-        match self {
-            FseTableRef::Static(t) => t,
-            FseTableRef::Owned(t) => t,
-        }
-    }
-}
-
 impl Compressor for Zstdx {
     fn name(&self) -> &'static str {
         "zstdx"
@@ -1116,10 +1181,7 @@ impl Compressor for Zstdx {
     }
 
     fn compress(&self, src: &[u8]) -> Vec<u8> {
-        let start = Instant::now();
-        let out = self.compress_impl(src, None, None);
-        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
-        out
+        self.compress_impl(src, None, None)
     }
 
     fn decompress_limited(&self, src: &[u8], limits: &DecodeLimits) -> Result<Vec<u8>> {
@@ -1130,10 +1192,7 @@ impl Compressor for Zstdx {
     }
 
     fn compress_with_dict(&self, src: &[u8], dict: &Dictionary) -> Vec<u8> {
-        let start = Instant::now();
-        let out = self.compress_impl(src, Some(dict), None);
-        crate::obs::record_compress(Algorithm::Zstdx, self.level, src.len(), out.len(), start);
-        out
+        self.compress_impl(src, Some(dict), None)
     }
 
     fn decompress_with_dict_limited(
@@ -1157,7 +1216,7 @@ impl Compressor for Zstdx {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<u8> {
+    pub(super) fn sample() -> Vec<u8> {
         (0..1200u32)
             .flat_map(|i| {
                 format!(
@@ -1492,21 +1551,8 @@ mod tests {
 
 #[cfg(test)]
 mod multi_stream_tests {
+    use super::tests::sample;
     use super::*;
-
-    fn sample() -> Vec<u8> {
-        (0..1200u32)
-            .flat_map(|i| {
-                format!(
-                    "{{\"user\":{},\"event\":\"type{}\",\"ts\":{}}}\n",
-                    i % 97,
-                    i % 7,
-                    i
-                )
-                .into_bytes()
-            })
-            .collect()
-    }
 
     /// Huffman-compressible 7-bit noise: essentially no matches, so the
     /// block is literal-dominated and Auto must take the 4-stream split.
@@ -1809,181 +1855,5 @@ mod checksum_tests {
         let c = Zstdx::new(3);
         let frame = c.compress_with_dict(&data, &dict);
         assert_eq!(c.decompress_with_dict(&frame, &dict).unwrap(), data);
-    }
-}
-
-/// Magic of a skippable frame ("ZSXS"): carries out-of-band metadata
-/// (provenance, dictionary registry hints) that decoders ignore, as in
-/// the real zstd format's skippable frames.
-pub const SKIPPABLE_MAGIC: [u8; 4] = [0x5a, 0x53, 0x58, 0x53];
-
-/// Wraps `payload` in a skippable frame.
-pub fn skippable_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&SKIPPABLE_MAGIC);
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Reads the skippable frame at the start of `buf`, returning
-/// `(payload, total_frame_len)`; `None` if `buf` does not start with a
-/// skippable frame.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the frame is truncated.
-#[deny(clippy::indexing_slicing)]
-pub fn read_skippable(buf: &[u8]) -> Result<Option<(&[u8], usize)>> {
-    match buf.get(..4) {
-        Some(magic) if magic == SKIPPABLE_MAGIC => {}
-        _ => return Ok(None),
-    }
-    let mut c = Cursor::new(buf.get(4..).unwrap_or(&[]));
-    let len = c.read_varint()? as usize;
-    let payload = c.read_slice(len)?;
-    Ok(Some((payload, 4 + c.position())))
-}
-
-impl Zstdx {
-    /// Decompresses a stream of concatenated frames (compressed frames
-    /// interleaved with skippable frames), returning the concatenated
-    /// content. Mirrors `zstd -d` behavior on multi-frame files.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on the first malformed frame.
-    // indexing_slicing: `read_skippable` validates the skippable frame
-    // length against the buffer before returning `skip <= src.len()`.
-    #[allow(clippy::indexing_slicing)]
-    pub fn decompress_multi(&self, mut src: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        while !src.is_empty() {
-            if let Some((_, skip)) = read_skippable(src)? {
-                src = &src[skip..];
-                continue;
-            }
-            // A regular frame: decode it, then measure how much input it
-            // consumed by re-walking its structure.
-            let consumed = frame_len(src)?;
-            let (frame, rest) = src.split_at(consumed);
-            let mut part = self.decompress_impl::<true>(frame, None, &DecodeLimits::default())?;
-            out.append(&mut part);
-            src = rest;
-        }
-        Ok(out)
-    }
-}
-
-/// Computes the byte length of the (non-skippable) frame at the start of
-/// `buf` by walking headers without decoding payloads.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on malformed structure.
-#[deny(clippy::indexing_slicing)]
-pub(crate) fn frame_len(buf: &[u8]) -> Result<usize> {
-    let mut c = Cursor::new(buf);
-    if c.read_slice(4)? != MAGIC {
-        return Err(CodecError::BadFrame("zstdx magic mismatch"));
-    }
-    let flags = c.read_u8()?;
-    let streaming = flags & FLAG_STREAMING != 0;
-    let content = if streaming {
-        0
-    } else {
-        c.read_varint()? as usize
-    };
-    if content > crate::MAX_CONTENT_SIZE {
-        return Err(CodecError::BadFrame("content size implausible"));
-    }
-    if flags & 1 != 0 {
-        let _ = c.read_u32()?;
-    }
-    let mut decoded_total = 0usize;
-    loop {
-        if streaming {
-            // Last-block marker terminates.
-            let type_byte = c.read_u8()?;
-            let _decoded = c.read_varint()? as usize;
-            let payload = c.read_varint()? as usize;
-            c.advance(payload)?;
-            if type_byte & BLOCK_LAST != 0 {
-                break;
-            }
-        } else {
-            if decoded_total >= content {
-                break;
-            }
-            let _type = c.read_u8()?;
-            let decoded = c.read_varint()? as usize;
-            let payload = c.read_varint()? as usize;
-            c.advance(payload)?;
-            // A declared size outside (0, BLOCK_SIZE] is structurally
-            // invalid, and capping it here keeps the accumulator from
-            // overflowing on hostile header chains.
-            if decoded == 0 || decoded > BLOCK_SIZE {
-                return Err(c.corrupt("zstdx bad block size"));
-            }
-            decoded_total += decoded;
-        }
-    }
-    if flags & FLAG_CHECKSUM != 0 {
-        c.advance(4)?;
-    }
-    Ok(c.position())
-}
-
-#[cfg(test)]
-mod multi_frame_tests {
-    use super::*;
-
-    #[test]
-    fn skippable_roundtrip() {
-        let f = skippable_frame(b"metadata: trained 2026-07-04");
-        let (payload, len) = read_skippable(&f).unwrap().unwrap();
-        assert_eq!(payload, b"metadata: trained 2026-07-04");
-        assert_eq!(len, f.len());
-        assert!(read_skippable(b"not a frame").unwrap().is_none());
-        assert!(read_skippable(&f[..5]).is_err());
-    }
-
-    #[test]
-    fn concatenated_frames_decode() {
-        let z = Zstdx::new(3);
-        let a = b"first frame first frame".to_vec();
-        let b = b"second second second".to_vec();
-        let mut stream = Vec::new();
-        stream.extend(skippable_frame(b"header"));
-        stream.extend(z.compress(&a));
-        stream.extend(skippable_frame(b"between"));
-        stream.extend(z.compress(&b));
-        let out = z.decompress_multi(&stream).unwrap();
-        assert_eq!(out, [a, b].concat());
-    }
-
-    #[test]
-    fn frame_len_matches_actual_frames() {
-        let z = Zstdx::new(1);
-        for data in [vec![], vec![7u8; 10], vec![3u8; 300_000]] {
-            let f = z.compress(&data);
-            assert_eq!(frame_len(&f).unwrap(), f.len(), "len {}", data.len());
-        }
-        // Streaming frames too.
-        let f = crate::stream::compress_stream(b"stream stream stream", 1);
-        assert_eq!(frame_len(&f).unwrap(), f.len());
-        // Dictionary frames carry an id word.
-        let d = Dictionary::new(b"dict content".to_vec(), 9);
-        let f = z.compress_with_dict(b"dict content plus", &d);
-        assert_eq!(frame_len(&f).unwrap(), f.len());
-    }
-
-    #[test]
-    fn multi_rejects_garbage() {
-        let z = Zstdx::new(1);
-        assert!(z.decompress_multi(b"garbage").is_err());
-        let mut stream = z.compress(b"ok ok ok");
-        stream.extend_from_slice(b"trailing junk");
-        assert!(z.decompress_multi(&stream).is_err());
     }
 }

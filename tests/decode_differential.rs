@@ -3,8 +3,12 @@
 //! tables) must be observationally identical to the reference decoders
 //! that predate them — identical bytes on success, identical typed
 //! error on failure — over both valid frames and the full faultline
-//! injector matrix.
+//! injector matrix. The same contract holds zstdx's two frame readers
+//! together: the slice decoder and the streaming `DecompressReader`.
 
+use std::io;
+
+use datacomp::codecs::stream::{compress_stream, decompress_stream};
 use datacomp::codecs::{lz4x::Lz4x, zlibx::Zlibx, zstdx::Zstdx};
 use datacomp::codecs::{CodecError, Compressor, DecodeLimits};
 use datacomp::faultline::{Injector, Rng};
@@ -43,7 +47,32 @@ fn engines() -> Vec<Engine> {
             fast: Box::new(|d, l| Zstdx::new(3).decompress_limited(d, l)),
             reference: Box::new(|d, l| Zstdx::new(3).decompress_reference(d, l)),
         },
+        stream_engine(),
     ]
+}
+
+/// zstdx streaming frames, read by the slice decoder ("fast") and by
+/// `DecompressReader` ("reference"). The reader takes no limits, so both
+/// sides decode under the default ones.
+fn stream_engine() -> Engine {
+    Engine {
+        name: "zstdx-stream",
+        compress: Box::new(|d| compress_stream(d, 3)),
+        fast: Box::new(|d, _| Zstdx::new(3).decompress_limited(d, &DecodeLimits::default())),
+        reference: Box::new(|d, _| read_stream(d)),
+    }
+}
+
+/// `DecompressReader`'s outcome as a codec result: a malformed frame is
+/// the `CodecError` its `io::Error` wraps, a short one `Truncated`.
+fn read_stream(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decompress_stream(frame).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => CodecError::Truncated("stream"),
+        _ => *e
+            .into_inner()
+            .and_then(|i| i.downcast().ok())
+            .expect("a CodecError inside"),
+    })
 }
 
 /// Asserts the two engines agree on one input: equal bytes on `Ok`,
@@ -92,7 +121,9 @@ proptest! {
                 let frame = (e.compress)(data);
                 if v4 {
                     match e.name {
-                        "zstdx" => prop_assert_ne!(frame[4] & 8, 0, "zstdx frame not v4"),
+                        "zstdx" | "zstdx-stream" => {
+                            prop_assert_ne!(frame[4] & 8, 0, "zstdx frame not v4")
+                        }
                         "zlibx" => prop_assert_ne!(frame[1] & 1, 0, "zlibx frame not v4"),
                         _ => {}
                     }
@@ -152,4 +183,38 @@ proptest! {
             assert_agree(&e, &frame, &tight, &format!("limit/{divisor}"));
         }
     }
+}
+
+/// Multi-block streaming frames — history across blocks, the last-block
+/// marker after full ones — compressible and literal-heavy: both readers
+/// reproduce the input. A streaming header declares v4 up front, so the
+/// literal-heavy frame shows it holds v4 blocks by failing to decode
+/// once the bit is cleared.
+#[test]
+fn stream_readers_agree_on_multi_block_frames() {
+    let (e, limits) = (stream_engine(), DecodeLimits::default());
+    let mut x = 0x2545_f491u32;
+    let literal_heavy = (0..200 << 10).map(|_| {
+        x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+        f64::from((x >> 16) % 1600).sqrt() as u8
+    });
+    let compressible = b"row 000123 | row 004567 | ".repeat(12_000);
+    for (data, v4) in [(compressible, false), (literal_heavy.collect(), true)] {
+        let mut frame = (e.compress)(&data);
+        assert_eq!((e.fast)(&frame, &limits).unwrap(), data);
+        assert_agree(&e, &frame, &limits, "multi-block frame");
+        frame[4] &= !8;
+        assert_eq!((e.fast)(&frame, &limits).is_err(), v4, "v4 blocks: {v4}");
+    }
+}
+
+/// A block size written `85 00` — five, with a redundant zero group —
+/// is corrupt to both readers.
+#[test]
+fn stream_readers_agree_on_an_overlong_varint() {
+    let mut frame = vec![0x5a, 0x53, 0x58, 0x44, 0x04, 0x80, 0x05, 0x85, 0x00];
+    frame.extend_from_slice(b"hello");
+    let e = stream_engine();
+    assert_agree(&e, &frame, &DecodeLimits::default(), "overlong varint");
+    assert_eq!(read_stream(&frame).unwrap_err().kind(), "corrupt");
 }

@@ -25,7 +25,7 @@ fn streaming_pipeline_over_warehouse_data() {
     // residual redundancy (~1.6x), like the paper's warehouse stack.
     assert!(frame.len() < expected.len() * 3 / 4);
 
-    let mut r = DecompressReader::new(frame.as_slice(), 1);
+    let mut r = DecompressReader::new(frame.as_slice());
     let mut out = Vec::new();
     let mut chunk = [0u8; 4097];
     loop {

@@ -27,6 +27,8 @@
 
 use datacomp::codecs::dict::{train, Dictionary};
 use datacomp::codecs::lz4x::Lz4x;
+use datacomp::codecs::parallel::compress_parallel;
+use datacomp::codecs::stream::{compress_stream, decompress_stream};
 use datacomp::codecs::xxhash::Xxh64;
 use datacomp::codecs::zlibx::Zlibx;
 use datacomp::codecs::zstdx::Zstdx;
@@ -171,6 +173,71 @@ fn lz4x_and_zlibx_frames_are_byte_identical_to_the_pinned_parent() {
     }
     check("lz4x / zlibx frame", &got, &OTHER_CODECS);
 }
+
+/// Digests of the frames `write` makes at levels 1, 3 and 7 over every
+/// deck, each checked to decode through the slice decoder.
+fn writer_rows(write: impl Fn(i32, &[u8]) -> Vec<u8>) -> Vec<(String, u64)> {
+    let mut got = Vec::new();
+    for (deck, payloads) in decks() {
+        for level in [1, 3, 7] {
+            let d = digest(payloads.iter().map(|p| {
+                let f = write(level, p);
+                assert_eq!(Zstdx::new(level).decompress(&f).unwrap(), *p);
+                f
+            }));
+            got.push((format!("{deck}/l{level}"), d));
+        }
+    }
+    got
+}
+
+/// Streaming frames (`compress_stream`), pinned on the commit before
+/// the streaming writer began sharing the block writer of the sized
+/// frames: the refactor had to leave them byte-identical.
+#[test]
+fn streaming_frames_are_byte_identical_to_the_pinned_parent() {
+    let got = writer_rows(|level, p| {
+        let f = compress_stream(p, level);
+        assert_eq!(decompress_stream(&f).unwrap(), p);
+        f
+    });
+    check("streaming frame", &got, &STREAM);
+}
+
+/// Parallel frames (`compress_parallel`, four workers), pinned when the
+/// parallel writer began running the codec's own block writer under
+/// the codec's stream policy (`Auto`; it used to force `Single`).
+#[test]
+fn parallel_frames_are_byte_identical_to_the_pinned_writer() {
+    let got = writer_rows(|level, p| compress_parallel(&Zstdx::new(level), p, 4).unwrap());
+    check("parallel frame", &got, &PARALLEL);
+}
+
+/// The `cache1` and `sst` payloads are one block each, so their rows
+/// equal the serial `auto` rows in `PLAIN`.
+const PARALLEL: [(&str, u64); 9] = [
+    ("cache1/l1", 0xfe9002cdfc76d866),
+    ("cache1/l3", 0x354de7950772292f),
+    ("cache1/l7", 0x4c38ae6fc5020bc8),
+    ("sst/l1", 0xa7c26a520411079e),
+    ("sst/l3", 0xef78cf0bbb42c02d),
+    ("sst/l7", 0x8e3a1f256b4249e2),
+    ("orc/l1", 0x686bd363ad47feeb),
+    ("orc/l3", 0x47c91d26a6345bc8),
+    ("orc/l7", 0xf34b654a18950b3c),
+];
+
+const STREAM: [(&str, u64); 9] = [
+    ("cache1/l1", 0x85ee5e97c7fb83b3),
+    ("cache1/l3", 0x094cffb161ba493e),
+    ("cache1/l7", 0xa3e08757286d72b2),
+    ("sst/l1", 0x23aef9ed708babaf),
+    ("sst/l3", 0x5302a6cf3cc4db82),
+    ("sst/l7", 0xb33b07d4ff4c543f),
+    ("orc/l1", 0x9887547ba6643c0b),
+    ("orc/l3", 0x9223bb62b773915c),
+    ("orc/l7", 0xb2746c5d55e95c86),
+];
 
 const PLAIN: [(&str, u64); 24] = [
     ("cache1/l1/auto", 0xfe9002cdfc76d866),
