@@ -8,19 +8,18 @@ use compopt::prelude::*;
 use crate::args::Args;
 
 const USAGE: &str =
-    "datacomp <compress|decompress|bench|train-dict|optimize|gen|fleet|profile|trace|telemetry|fault-inject|chaos|monitor|serve|loadgen> ...";
+    "datacomp <compress|decompress|bench|train-dict|optimize|gen|fleet|profile|fault-inject|chaos|monitor|serve|loadgen> ...";
 
 /// Dispatches a parsed command line.
 ///
 /// Every command accepts `--telemetry <path>`: after the command runs,
-/// the global telemetry snapshot (codec counters, span timings, latency
-/// histograms) is written to `<path>` as JSON and to `<path>.prom` in
-/// Prometheus text format. Every command also accepts `--trace <path>`:
-/// the flight recorder is drained after the command and written to
-/// `<path>` as Chrome trace-event JSON (open in Perfetto or
-/// `chrome://tracing`). The trace drains first, so per-track drop
-/// counts surface as `trace.dropped` gauges in the same run's
-/// `--telemetry` snapshot.
+/// the snapshot `/metrics` would serve (the registry plus every live
+/// plane's series) is written to `<path>` as JSON and to `<path>.prom`
+/// in Prometheus text format. Every command also accepts `--trace
+/// <path>`: the flight recorder is drained after the command and
+/// written to `<path>` as Chrome trace-event JSON (open in Perfetto or
+/// `chrome://tracing`). The snapshot is taken first, because draining
+/// resets the per-track drop counters it reports.
 ///
 /// # Errors
 ///
@@ -39,8 +38,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "gen" => gen(&args),
         // `profile` is the direct spelling of `fleet profile`.
         "fleet" | "profile" => fleet_tables(&args),
-        "trace" => trace_cmd(&args),
-        "telemetry" => telemetry_dump(&args),
         "fault-inject" => fault_inject(&args),
         "chaos" => chaos(&args),
         "monitor" => monitor(&args),
@@ -49,20 +46,20 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         other => Err(format!("unknown command {other}; usage: {USAGE}")),
     };
     if result.is_ok() {
-        if let Some(path) = args.options.get("trace") {
-            write_trace(path)?;
-        }
         if let Some(path) = args.options.get("telemetry") {
             write_telemetry(path)?;
+        }
+        if let Some(path) = args.options.get("trace") {
+            write_trace(path)?;
         }
     }
     result
 }
 
-/// Writes the global telemetry snapshot to `path` (JSON) and
+/// Writes the process-global planes' snapshot to `path` (JSON) and
 /// `path.prom` (Prometheus text exposition).
 fn write_telemetry(path: &str) -> Result<(), String> {
-    let snap = telemetry::snapshot();
+    let snap = telemetry::Sources::global().snapshot();
     fs::write(path, telemetry::export::to_json(&snap))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let prom_path = format!("{path}.prom");
@@ -76,18 +73,9 @@ fn write_telemetry(path: &str) -> Result<(), String> {
 }
 
 /// Drains the global flight recorder and writes the events to `path`
-/// as Chrome trace-event JSON. Per-track drop counts are published as
-/// `trace.dropped{track=...}` gauges so they also appear in telemetry
-/// snapshots taken afterwards.
+/// as Chrome trace-event JSON.
 fn write_trace(path: &str) -> Result<(), String> {
     let snap = telemetry::global_tracer().drain();
-    let reg = telemetry::global();
-    for t in &snap.tracks {
-        if t.dropped > 0 {
-            reg.gauge("trace.dropped", &[("track", t.name.as_str())])
-                .set(t.dropped as f64);
-        }
-    }
     // Tail-sampled request span trees ride along as flow-linked
     // events, so a slow or errored request is one arrow away from the
     // raw per-thread timeline in Perfetto.
@@ -105,23 +93,6 @@ fn write_trace(path: &str) -> Result<(), String> {
         sampled.len()
     );
     Ok(())
-}
-
-/// `datacomp trace <out.json> [--units N]` — records a representative
-/// trace in one shot: a fleet profile (one track per service, per-block
-/// codec stage events) plus a small CompOpt evaluation (decision
-/// events), drained to `out.json` for Perfetto.
-fn trace_cmd(args: &Args) -> Result<(), String> {
-    args.need(1, "datacomp trace <out.json> [--units N]")?;
-    let units = args.opt_or("units", 1usize)?;
-    let profile = fleet::profile_fleet(&fleet::ProfileConfig {
-        work_units: units,
-        seed: 30,
-        stage_deadline_nanos: 0,
-    });
-    profile.record_to(telemetry::global());
-    trace_decision_demo();
-    write_trace(&args.positionals[0])
 }
 
 /// Runs a small CompOpt evaluation purely for its trace side effect:
@@ -143,20 +114,6 @@ fn trace_decision_demo() {
         CostWeights::ALL,
         &[Constraint::MinCompressionSpeedMbps(200.0)],
     );
-}
-
-/// `datacomp telemetry [--format json|prom]` — prints the global
-/// snapshot accumulated so far in this process. Mostly useful after
-/// another in-process command populated it (see `--telemetry` for the
-/// file-writing variant that composes with every command).
-fn telemetry_dump(args: &Args) -> Result<(), String> {
-    let snap = telemetry::snapshot();
-    match args.options.get("format").map(String::as_str) {
-        None | Some("json") => println!("{}", telemetry::export::to_json(&snap)),
-        Some("prom") => print!("{}", telemetry::export::to_prometheus(&snap)),
-        Some(other) => return Err(format!("unknown format {other}; pick json|prom")),
-    }
-    Ok(())
 }
 
 /// `datacomp fault-inject [--seed N] [--injector A,B] [--algo X,Y]
@@ -298,22 +255,9 @@ fn chaos(args: &Args) -> Result<(), String> {
     if let Some(list) = args.options.get("mix") {
         // Resolve against the fleet registry so cells replay real
         // workloads (and typos fail fast with the valid names).
-        let registry = fleet::registry();
         cfg.mixes = list
             .split(',')
-            .map(|s| {
-                registry
-                    .iter()
-                    .find(|spec| spec.name.eq_ignore_ascii_case(s.trim()))
-                    .map(|spec| spec.name)
-                    .ok_or_else(|| {
-                        let names: Vec<String> = registry
-                            .iter()
-                            .map(|spec| spec.name.to_ascii_lowercase())
-                            .collect();
-                        format!("unknown mix {s}; pick one of {}", names.join("|"))
-                    })
-            })
+            .map(|s| fleet_service("mix", s).map(|spec| spec.name))
             .collect::<Result<_, _>>()?;
     }
 
@@ -409,19 +353,7 @@ fn monitor(args: &Args) -> Result<(), String> {
         ));
     }
 
-    let spec = fleet::registry()
-        .into_iter()
-        .find(|s| s.name.eq_ignore_ascii_case(workload))
-        .ok_or_else(|| {
-            let names: Vec<String> = fleet::registry()
-                .iter()
-                .map(|s| s.name.to_ascii_lowercase())
-                .collect();
-            format!(
-                "unknown workload {workload}; pick one of {}",
-                names.join("|")
-            )
-        })?;
+    let spec = fleet_service("workload", workload)?;
 
     // Declare the objectives the managed service feeds by well-known
     // name. Registration must precede the replay (and the addr-file
@@ -593,14 +525,7 @@ fn monitor(args: &Args) -> Result<(), String> {
         println!("monitor: burn-rate detection and recovery proven");
         return Ok(());
     }
-    if slos.any_exhausted() {
-        let broke: Vec<&str> = reports
-            .iter()
-            .filter(|r| r.budget.exhausted)
-            .map(|r| r.name.as_str())
-            .collect();
-        return Err(format!("error budget exhausted: {}", broke.join(", ")));
-    }
+    budget_verdict(&reports)?;
     println!("monitor: worst SLO state {}", slos.worst_state().as_str());
     Ok(())
 }
@@ -720,14 +645,7 @@ fn serve(args: &Args) -> Result<(), String> {
             r.budget.remaining_fraction * 100.0
         );
     }
-    if slos.any_exhausted() {
-        let broke: Vec<&str> = reports
-            .iter()
-            .filter(|r| r.budget.exhausted)
-            .map(|r| r.name.as_str())
-            .collect();
-        return Err(format!("error budget exhausted: {}", broke.join(", ")));
-    }
+    budget_verdict(&reports)?;
     println!(
         "serve: clean shutdown, worst SLO state {}",
         slos.worst_state().as_str()
@@ -781,15 +699,10 @@ fn loadgen(args: &Args) -> Result<(), String> {
         return Err("need positive --seconds and --concurrency".into());
     }
 
-    let registry = fleet::registry();
-    let mut specs = Vec::new();
-    for name in mix_arg.split(',') {
-        let spec = registry
-            .iter()
-            .find(|s| s.name.eq_ignore_ascii_case(name.trim()))
-            .ok_or_else(|| format!("unknown service {name} in --mix"))?;
-        specs.push(spec.clone());
-    }
+    let specs: Vec<fleet::ServiceSpec> = mix_arg
+        .split(',')
+        .map(|name| fleet_service("mix", name))
+        .collect::<Result<_, _>>()?;
     println!(
         "loadgen: {} threads replaying [{}] against {addr} for {seconds}s (seed {seed})",
         concurrency, mix_arg
@@ -907,7 +820,7 @@ fn loadgen(args: &Args) -> Result<(), String> {
         let maddr: std::net::SocketAddr = maddr
             .parse()
             .map_err(|e| format!("bad metrics addr {maddr}: {e}"))?;
-        let metrics = server::client::http_get(maddr, "/metrics")
+        let metrics = telemetry::serve::http_get(maddr, "/metrics")
             .map_err(|e| format!("scrape /metrics: {e}"))?;
         for line in metrics.lines() {
             if line.starts_with("window_server_request_nanos_p99") {
@@ -915,7 +828,7 @@ fn loadgen(args: &Args) -> Result<(), String> {
             }
         }
         let slo =
-            server::client::http_get(maddr, "/slo").map_err(|e| format!("scrape /slo: {e}"))?;
+            telemetry::serve::http_get(maddr, "/slo").map_err(|e| format!("scrape /slo: {e}"))?;
         let worst = slo
             .split("\"worst\":\"")
             .nth(1)
@@ -927,6 +840,34 @@ fn loadgen(args: &Args) -> Result<(), String> {
         return Err(format!("{} request errors", total.errors));
     }
     Ok(())
+}
+
+/// The gate `monitor` and `serve` end on: `Err` naming every objective
+/// whose cumulative error budget is exhausted.
+fn budget_verdict(reports: &[telemetry::slo::SloReport]) -> Result<(), String> {
+    let broke: Vec<&str> = reports
+        .iter()
+        .filter(|r| r.budget.exhausted)
+        .map(|r| r.name.as_str())
+        .collect();
+    if broke.is_empty() {
+        return Ok(());
+    }
+    Err(format!("error budget exhausted: {}", broke.join(", ")))
+}
+
+/// The fleet service named `name` (any case); an unknown name is an
+/// error that lists the valid ones, naming the flag as `what`.
+fn fleet_service(what: &str, name: &str) -> Result<fleet::ServiceSpec, String> {
+    let registry = fleet::registry();
+    let names: Vec<String> = registry
+        .iter()
+        .map(|s| s.name.to_ascii_lowercase())
+        .collect();
+    registry
+        .into_iter()
+        .find(|s| s.name.eq_ignore_ascii_case(name.trim()))
+        .ok_or_else(|| format!("unknown {what} {name}; pick one of {}", names.join("|")))
 }
 
 fn algo(args: &Args) -> Result<Algorithm, String> {
@@ -1235,8 +1176,24 @@ mod tests {
         dir.join(name)
     }
 
-    fn run_cmd(argv: &[&str]) -> Result<(), String> {
-        run(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    /// Serializes the commands these tests run. They all report into
+    /// the process-global planes, and `monitor` gates on a latency SLO
+    /// over them: a concurrent `profile` (one thread per fleet service)
+    /// starves the replay thread enough to exhaust that budget.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static PLANES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        PLANES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn run_cmd(args: &[&str]) -> Result<(), String> {
+        let _serial = serial();
+        run(&argv(args))
     }
 
     #[test]
@@ -1339,10 +1296,7 @@ mod tests {
         assert!(run_cmd(&["fleet", "nope"])
             .unwrap_err()
             .contains("unknown fleet subcommand"));
-        assert!(run_cmd(&["telemetry", "--format", "xml"])
-            .unwrap_err()
-            .contains("unknown format"));
-        assert!(run_cmd(&["trace"]).unwrap_err().contains("usage"));
+        assert!(run_cmd(&["trace"]).unwrap_err().contains("unknown command"));
     }
 
     #[test]
@@ -1374,15 +1328,15 @@ mod tests {
 
     #[test]
     fn monitor_serves_endpoints_and_gates_on_slos() {
-        use std::io::{Read as _, Write as _};
-        use std::net::TcpStream;
         use std::time::{Duration, Instant};
+        use telemetry::serve::http_get;
 
+        let _serial = serial();
         let addr_file = tmp("monitor.addr");
         let _ = fs::remove_file(&addr_file);
         let af = addr_file.clone();
         let replay = std::thread::spawn(move || {
-            run_cmd(&[
+            run(&argv(&[
                 "monitor",
                 "--addr",
                 "127.0.0.1:0",
@@ -1392,27 +1346,21 @@ mod tests {
                 "cache1",
                 "--seconds",
                 "1.5",
-            ])
+            ]))
         });
         // Handshake: the command writes the resolved address once the
         // server is up and the SLOs are registered.
         let deadline = Instant::now() + Duration::from_secs(10);
         let addr = loop {
             if let Ok(s) = fs::read_to_string(&addr_file) {
-                if !s.is_empty() {
-                    break s;
+                if let Ok(addr) = s.parse::<std::net::SocketAddr>() {
+                    break addr;
                 }
             }
             assert!(Instant::now() < deadline, "monitor never wrote addr file");
             std::thread::sleep(Duration::from_millis(10));
         };
-        let fetch = |path: &str| -> String {
-            let mut conn = TcpStream::connect(&addr).expect("connect");
-            write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut out = String::new();
-            conn.read_to_string(&mut out).expect("read");
-            out
-        };
+        let fetch = |path: &str| http_get(addr, path).expect(path);
         // All four endpoints answer mid-replay. Windowed series appear
         // once the first block lands; poll briefly for them.
         let metrics = loop {
@@ -1422,7 +1370,6 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(20));
         };
-        assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(
             metrics.contains("window_managed_compress_nanos_p99"),
             "live windowed p99 missing mid-replay"
@@ -1431,7 +1378,7 @@ mod tests {
         assert!(metrics.contains("slo_budget_remaining{objective=\"managed.decompress.errors\"}"));
         let slo = fetch("/slo");
         assert!(slo.contains("\"managed.decompress.latency\""), "{slo}");
-        assert!(fetch("/healthz").ends_with("ok\n"));
+        assert_eq!(fetch("/healthz"), "ok\n");
         assert!(fetch("/trace.json").contains("traceEvents"));
         // Healthy replay: clean exit (no budget exhaustion).
         replay.join().unwrap().unwrap();
@@ -1501,17 +1448,22 @@ mod tests {
             prom.contains("codecs_compress_calls"),
             "prometheus text missing counters"
         );
-        // Dump variant runs in both formats.
-        run_cmd(&["telemetry"]).unwrap();
-        run_cmd(&["telemetry", "--format", "prom"]).unwrap();
+        // The file carries the live planes' series, as `/metrics` does.
+        for family in [
+            "window_span_seconds",
+            "requests_total",
+            "trace_dropped_total",
+        ] {
+            assert!(prom.contains(&format!("# TYPE {family} ")), "{family}");
+        }
     }
 
     #[test]
-    fn trace_subcommand_writes_chrome_trace_json() {
+    fn profile_trace_writes_chrome_trace_json() {
         // The only test in this binary that drains the global tracer
-        // (via the trace command / --trace hook).
+        // (via the --trace hook).
         let out = tmp("trace.json");
-        run_cmd(&["trace", out.to_str().unwrap(), "--units", "1"]).unwrap();
+        run_cmd(&["profile", "--units", "1", "--trace", out.to_str().unwrap()]).unwrap();
         let json = fs::read_to_string(&out).unwrap();
         // Structurally valid JSON (balanced braces/brackets/quotes);
         // the full-parser check lives in the workspace e2e test.

@@ -10,8 +10,6 @@
 //! datacomp gen        <class> <bytes> <out> [--seed N]
 //! datacomp fleet      [profile] [--units N]
 //! datacomp profile    [--units N]            (same as fleet profile)
-//! datacomp trace      <out.json> [--units N]
-//! datacomp telemetry  [--format json|prom]
 //! datacomp fault-inject [--seed N] [--injector A,B] [--algo X,Y] [--budget N]
 //!                     [--block-size BYTES] [--level N] [--checksums on|off]
 //! datacomp chaos      [--seed N] [--ops N] [--mix A,B] [--injector A,B]
@@ -37,11 +35,12 @@
 //! and recover, a brownout ladder that still round-trips). It exits
 //! non-zero on any violation.
 //!
-//! Every command also accepts `--telemetry <path>`, writing the process
-//! telemetry snapshot to `<path>` (JSON) and `<path>.prom` (Prometheus
-//! text) after the command completes, and `--trace <path>`, draining
-//! the flight recorder to `<path>` as Chrome trace-event JSON for
-//! Perfetto / `chrome://tracing`.
+//! Every command also accepts `--telemetry <path>`, writing the series
+//! `/metrics` would serve to `<path>` (JSON) and `<path>.prom`
+//! (Prometheus text) after the command completes, and `--trace <path>`,
+//! draining the flight recorder to `<path>` as Chrome trace-event JSON
+//! for Perfetto / `chrome://tracing`. `profile --trace <path>` adds
+//! CompOpt decision events to the profile's trace.
 
 mod args;
 mod commands;

@@ -1,9 +1,9 @@
-//! Blocking client for the daemon's binary protocol, plus the minimal
-//! HTTP GET the load harness uses to scrape the serving process's
-//! metrics endpoints.
+//! Blocking client for the daemon's binary protocol. The serving
+//! process's scrape endpoints speak HTTP; `telemetry::serve::http_get`
+//! reads them.
 
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use codecs::DecodeLimits;
@@ -112,32 +112,4 @@ impl Client {
             .map(|_| protocol::read_response(&mut self.reader, &self.limits))
             .collect()
     }
-}
-
-/// One-shot `GET path` against a scrape endpoint; returns the body.
-/// Just enough HTTP/1.1 for the load harness to pull `/metrics` and
-/// `/slo` from the serving process without an external client.
-///
-/// # Errors
-///
-/// Connect/IO failure or a non-200 status line.
-pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: datacomp\r\n\r\n")?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let Some((head, body)) = raw.split_once("\r\n\r\n") else {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "no header/body split in scrape response",
-        ));
-    };
-    if !head.starts_with("HTTP/1.1 200") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("scrape {path}: {}", head.lines().next().unwrap_or("")),
-        ));
-    }
-    Ok(body.to_string())
 }

@@ -8,10 +8,11 @@
 //!
 //! Architecture:
 //!
-//! * **Thread-per-core accept/worker loop.** Every worker owns a clone
-//!   of the listener and runs its own accept loop; a connection is
-//!   served to completion on the worker that accepted it. No async
-//!   runtime, no cross-thread handoff per request.
+//! * **Thread-per-core accept/worker loop.** The workers are the
+//!   accept threads of a [`telemetry::serve::Listener`] — the accept
+//!   loop and stop handshake the scrape server runs on too; a
+//!   connection is served to completion on the worker that accepted
+//!   it. No async runtime, no cross-thread handoff per request.
 //! * **Per-tenant sharded state.** Tenants map onto a fixed array of
 //!   mutex-guarded shards, each holding the tenant's
 //!   [`ManagedCompression`] instance (dictionary generations,
@@ -47,7 +48,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,6 +56,8 @@ use std::time::{Duration, Instant};
 use codecs::DecodeLimits;
 use managed::{AdmissionController, ManagedCompression, ManagedConfig, ManagedError};
 use protocol::{Op, Request, Response, Status, WireError};
+use telemetry::export::json_string;
+use telemetry::serve::Listener;
 use telemetry::{Counter, SloHandle, WindowedHistogram};
 
 /// Server configuration.
@@ -122,7 +125,6 @@ struct Shared {
     managed: ManagedConfig,
     limits: DecodeLimits,
     batch_max: usize,
-    stop: AtomicBool,
 }
 
 impl Shared {
@@ -135,9 +137,8 @@ impl Shared {
 
 /// The daemon: accept/worker threads over shared tenant shards.
 pub struct CompressionServer {
-    local_addr: std::net::SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl CompressionServer {
@@ -148,8 +149,6 @@ impl CompressionServer {
     ///
     /// Propagates bind/clone/spawn failures.
     pub fn bind(addr: &str, cfg: ServerConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let workers = if cfg.workers > 0 {
             cfg.workers
         } else {
@@ -162,28 +161,25 @@ impl CompressionServer {
             managed: cfg.managed,
             limits: cfg.limits,
             batch_max: cfg.batch_max.max(1),
-            stop: AtomicBool::new(false),
         });
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let listener = listener.try_clone()?;
-            let shared = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("datacomp-serve-{w}"))
-                    .spawn(move || worker_loop(listener, shared))?,
-            );
-        }
-        Ok(Self {
-            local_addr,
-            shared,
-            workers: handles,
-        })
+        let worker = Arc::clone(&shared);
+        // Bounded reads: an idle or stalled client wakes the worker
+        // periodically so shutdown is never held hostage by a socket.
+        let listener = Listener::bind(
+            addr,
+            |w| format!("datacomp-serve-{w}"),
+            workers,
+            Duration::from_millis(500),
+            move |stream, stop| {
+                let _ = serve_connection(stream, &worker, stop);
+            },
+        )?;
+        Ok(Self { listener, shared })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The shared admission controller. Holding permits on this handle
@@ -196,54 +192,14 @@ impl CompressionServer {
     /// Stops accepting, drains the workers, and joins them. Like
     /// [`telemetry::ScrapeServer::shutdown`]: deterministic — once this
     /// returns no connection receives another response.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // One unblock connect per worker: each lands on exactly one
-        // blocked accept. Retry transient failures so a missed connect
-        // cannot leave a worker parked in accept forever.
-        for _ in 0..self.workers.len() {
-            for _ in 0..8 {
-                if TcpStream::connect(self.local_addr).is_ok() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CompressionServer {
-    fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.stop_inner();
-        }
-    }
-}
-
-fn worker_loop(listener: TcpListener, shared: Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        // Bounded reads: an idle or stalled client wakes the worker
-        // periodically so shutdown is never held hostage by a socket.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let _ = serve_connection(stream, &shared);
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
 /// Serves one connection to completion: reads pipelined request
 /// batches, answers each, stops on EOF, protocol error, or shutdown.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut batch: Vec<Request> = Vec::new();
@@ -261,7 +217,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.stop.load(Ordering::SeqCst) {
+                if stop.load(Ordering::SeqCst) {
                     return Ok(());
                 }
                 continue;
@@ -291,7 +247,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         process_batch(shared, &batch, &mut out);
         // Deterministic shutdown: after stop is observed no response
         // leaves the server (mirrors ScrapeServer's contract).
-        if shared.stop.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         writer.write_all(&out)?;
@@ -419,9 +375,9 @@ fn record_request(tenant: &mut Tenant, req: &Request, resp: &Response) {
 /// Hand-rolled stats JSON: per-use-case counters for one tenant.
 fn stats_json(svc: &ManagedCompression, tenant: &str) -> String {
     let mut out = String::with_capacity(256);
-    out.push_str("{\"tenant\":\"");
-    json_escape(&mut out, tenant);
-    out.push_str("\",\"use_cases\":[");
+    out.push_str("{\"tenant\":");
+    json_string(&mut out, tenant);
+    out.push_str(",\"use_cases\":[");
     let mut cases = svc.use_cases();
     cases.sort_unstable();
     for (i, case) in cases.iter().enumerate() {
@@ -429,10 +385,10 @@ fn stats_json(svc: &ManagedCompression, tenant: &str) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"use_case\":\"");
-        json_escape(&mut out, case);
+        out.push_str("{\"use_case\":");
+        json_string(&mut out, case);
         out.push_str(&format!(
-            "\",\"compress_calls\":{},\"decompress_calls\":{},\"bytes_in\":{},\"bytes_out\":{},\"ratio\":{:.4},\"passthrough\":{},\"shed\":{},\"deadline_exceeded\":{},\"quarantined\":{},\"versions_trained\":{}}}",
+            ",\"compress_calls\":{},\"decompress_calls\":{},\"bytes_in\":{},\"bytes_out\":{},\"ratio\":{:.4},\"passthrough\":{},\"shed\":{},\"deadline_exceeded\":{},\"quarantined\":{},\"versions_trained\":{}}}",
             s.compress_calls,
             s.decompress_calls,
             s.bytes_in,
@@ -447,17 +403,6 @@ fn stats_json(svc: &ManagedCompression, tenant: &str) -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

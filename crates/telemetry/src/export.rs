@@ -1,6 +1,8 @@
 //! Machine-readable exporters.
 //!
-//! Two formats over the same [`Snapshot`]:
+//! Two formats over the same [`Snapshot`]. The one that carries every
+//! plane is [`Sources::snapshot`](crate::Sources::snapshot), so `/metrics`
+//! and the CLI's `--telemetry` files render the same series:
 //!
 //! * [`to_json`] — a self-describing JSON document (`{"version":1,
 //!   "series":[...]}`) with per-histogram p50/p90/p99/max, for artifact
@@ -76,7 +78,9 @@ pub fn to_json(snap: &Snapshot) -> String {
     out
 }
 
-pub(crate) fn json_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -114,14 +118,12 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
                 SeriesValue::Gauge(_) => "gauge",
                 SeriesValue::Histogram(_) => "histogram",
             };
-            // The registry carries no free-form descriptions, so HELP
-            // states the one thing the sanitized name can lose: the
-            // original dotted series name.
+            // Series carry no free-form descriptions, so HELP states
+            // the one thing the sanitized name can lose: the original
+            // dotted series name.
             let mut help = String::new();
             prom_help_escape(&mut help, &s.key.name);
-            out.push_str(&format!(
-                "# HELP {name} Cumulative {kind} \"{help}\" from the datacomp registry\n"
-            ));
+            out.push_str(&format!("# HELP {name} datacomp {kind} \"{help}\"\n"));
             out.push_str(&format!("# TYPE {name} {kind}\n"));
             last_name = Some(s.key.name.as_str());
         }
@@ -218,7 +220,7 @@ pub fn prom_help_escape(out: &mut String, value: &str) {
 /// Renders `{k="v",...}` for a series' labels plus `extra` pairs (a
 /// histogram's `le`, an exemplar's trace coordinates); empty when both
 /// are.
-pub(crate) fn prom_labels(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
+fn prom_labels(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
     if labels.is_empty() && extra.is_empty() {
         return String::new();
     }
@@ -274,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_strings() {
+    fn json_strings_are_escaped() {
         let reg = Registry::new();
         reg.counter("weird\"name", &[("k", "v\\w\n")]).inc();
         let json = to_json(&reg.snapshot());
@@ -286,10 +288,9 @@ mod tests {
     fn prometheus_lines_are_parseable() {
         let text = to_prometheus(&sample_snapshot());
         assert!(text.contains("# TYPE codecs_compress_calls counter\n"));
-        assert!(
-            text.contains("# HELP codecs_compress_calls Cumulative counter \"codecs.compress.calls\" from the datacomp registry\n")
-        );
-        assert!(text.contains("# HELP span_zstdx_match_find Cumulative histogram"));
+        assert!(text
+            .contains("# HELP codecs_compress_calls datacomp counter \"codecs.compress.calls\"\n"));
+        assert!(text.contains("# HELP span_zstdx_match_find datacomp histogram"));
         assert!(text.contains("codecs_compress_calls{algo=\"zstdx\",level=\"3\"} 7\n"));
         assert!(text.contains("# TYPE span_zstdx_match_find histogram\n"));
         assert!(text.contains("span_zstdx_match_find_bucket{le=\"+Inf\"} 3\n"));

@@ -30,7 +30,9 @@
 //!   [`SloHandle`]s and evaluated on read as multi-window burn rates
 //!   with error-budget accounting.
 //! * [`serve`] — a dependency-free HTTP scrape server exposing
-//!   `/metrics`, `/slo`, `/healthz`, and `/trace.json`.
+//!   `/metrics` (every plane through the one Prometheus writer),
+//!   `/slo`, `/healthz` and the JSON trace endpoints, on the accept
+//!   loop the compression daemon shares.
 //!
 //! The crate is dependency-free (std only) so every layer of the stack
 //! can use it without weight. Request paths hold handles (`Arc`s
@@ -77,9 +79,7 @@ pub use serve::{ScrapeServer, Sources};
 pub use slo::{Slo, SloConfig, SloHandle, SloKind, SloRegistry, SloState};
 pub use span::Stage;
 pub use trace::{global_tracer, Decision, EventRef, TraceEvent, TraceSnapshot, Tracer};
-pub use window::{
-    Exemplar, WindowConfig, WindowRegistry, WindowSnapshot, WindowedCounter, WindowedHistogram,
-};
+pub use window::{Exemplar, WindowConfig, WindowRegistry, WindowedCounter, WindowedHistogram};
 
 use std::sync::{Arc, OnceLock};
 

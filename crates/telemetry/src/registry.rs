@@ -330,6 +330,24 @@ pub struct Series {
     pub value: SeriesValue,
 }
 
+impl Series {
+    /// A counter series `name{labels}` holding `v`.
+    pub fn counter(name: &str, labels: &[(&str, &str)], v: u64) -> Self {
+        Self {
+            key: SeriesKey::new(name, labels),
+            value: SeriesValue::Counter(v),
+        }
+    }
+
+    /// A gauge series `name{labels}` holding `v`.
+    pub fn gauge(name: &str, labels: &[(&str, &str)], v: f64) -> Self {
+        Self {
+            key: SeriesKey::new(name, labels),
+            value: SeriesValue::Gauge(v),
+        }
+    }
+}
+
 /// The captured value of a series.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeriesValue {

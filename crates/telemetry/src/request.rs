@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 use crate::clock::Clock;
 use crate::export::json_string;
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::registry::Series;
 use crate::window::WindowConfig;
 
 /// Spans stored individually per request; further stage reports fold
@@ -513,11 +514,6 @@ impl RequestSampler {
         }
     }
 
-    /// The sampler configuration.
-    pub fn config(&self) -> SamplerConfig {
-        self.inner.cfg
-    }
-
     /// Opens a request context on the calling thread. Stage reports on
     /// this thread nest into its span tree until the guard drops.
     pub fn open(&self, service: &str, op: Op, payload_len: usize) -> RequestCtx {
@@ -771,41 +767,28 @@ impl RequestSampler {
         to_requests_json(&self.sampled(), &self.stats())
     }
 
-    /// Prometheus text for the sampler's health counters.
-    pub fn to_prometheus(&self) -> String {
+    /// Publishes the sampler's health counters: `requests.total`,
+    /// `requests.sampled_total{reason}`, `requests.dropped_total`,
+    /// `requests.evicted_total` and `request.spans_dropped_total`.
+    pub fn publish(&self, out: &mut Vec<Series>) {
         let s = self.stats();
-        let mut out = String::with_capacity(512);
-        out.push_str("# HELP requests_total Requests finished under a RequestCtx\n");
-        out.push_str("# TYPE requests_total counter\n");
-        out.push_str(&format!("requests_total {}\n", s.finished));
-        out.push_str("# HELP requests_sampled_total Requests kept by the tail sampler\n");
-        out.push_str("# TYPE requests_sampled_total counter\n");
-        for (reason, v) in [
-            ("error", s.kept_error),
-            ("slow", s.kept_slow),
-            ("baseline", s.kept_baseline),
-        ] {
-            out.push_str(&format!(
-                "requests_sampled_total{{reason=\"{reason}\"}} {v}\n"
-            ));
-        }
-        out.push_str("# HELP requests_dropped_total Requests finished but not sampled\n");
-        out.push_str("# TYPE requests_dropped_total counter\n");
-        out.push_str(&format!("requests_dropped_total {}\n", s.dropped));
-        out.push_str(
-            "# HELP requests_evicted_total Sampled requests evicted from the bounded store\n",
-        );
-        out.push_str("# TYPE requests_evicted_total counter\n");
-        out.push_str(&format!("requests_evicted_total {}\n", s.evicted));
-        out.push_str(
-            "# HELP request_spans_dropped_total Stage spans folded past the per-request cap\n",
-        );
-        out.push_str("# TYPE request_spans_dropped_total counter\n");
-        out.push_str(&format!(
-            "request_spans_dropped_total {}\n",
-            s.spans_dropped
-        ));
-        out
+        out.extend([
+            Series::counter("requests.total", &[], s.finished),
+            Series::counter(
+                "requests.sampled_total",
+                &[("reason", "error")],
+                s.kept_error,
+            ),
+            Series::counter("requests.sampled_total", &[("reason", "slow")], s.kept_slow),
+            Series::counter(
+                "requests.sampled_total",
+                &[("reason", "baseline")],
+                s.kept_baseline,
+            ),
+            Series::counter("requests.dropped_total", &[], s.dropped),
+            Series::counter("requests.evicted_total", &[], s.evicted),
+            Series::counter("request.spans_dropped_total", &[], s.spans_dropped),
+        ]);
     }
 }
 
@@ -1304,8 +1287,14 @@ mod tests {
         let pf = s.profile_json();
         assert!(pf.contains("\"attribution\":["));
         assert!(pf.contains("\"stage\":\"stage.q\""));
-        let prom = s.to_prometheus();
-        assert!(prom.contains("requests_total 1\n"));
-        assert!(prom.contains("requests_sampled_total{reason=\"error\"} 1\n"));
+        let mut series = Vec::new();
+        s.publish(&mut series);
+        series.sort_by(|a, b| a.key.cmp(&b.key));
+        let snap = crate::Snapshot { series };
+        assert_eq!(snap.counter("requests.total", &[]), 1);
+        assert_eq!(
+            snap.counter("requests.sampled_total", &[("reason", "error")]),
+            1
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Dependency-free HTTP scrape endpoint for the live observability
-//! plane.
+//! plane, and the accept loop it shares with the compression daemon.
 //!
 //! [`ScrapeServer`] is a tiny blocking HTTP/1.1 server on a std
 //! [`TcpListener`] — no async runtime, no HTTP crate — serving
@@ -7,9 +7,7 @@
 //!
 //! | path             | payload                                           |
 //! |------------------|---------------------------------------------------|
-//! | `/metrics`       | Prometheus text: cumulative series, `window_*`    |
-//! |                  | live views (with exemplars), `slo_*` gauges, and  |
-//! |                  | flight-recorder + request-sampler health counters |
+//! | `/metrics`       | Prometheus text of [`Sources::snapshot`]          |
 //! | `/slo`           | JSON error-budget report ([`crate::slo::to_json_reports`]) |
 //! | `/healthz`       | `ok` — liveness probe                             |
 //! | `/trace.json`    | Chrome trace-event JSON of the flight recorder,   |
@@ -17,28 +15,37 @@
 //! | `/profile.json`  | p99 stage-attribution report per service/op/size  |
 //! | `/requests.json` | tail-sampled request span trees                   |
 //!
-//! `/trace.json` uses the non-destructive [`Tracer::snapshot`], so
-//! scraping never steals events from a later `--trace` export.
+//! `/metrics` has one writer, [`to_prometheus`]: every live plane
+//! publishes its read-time view as ordinary series, so each family gets
+//! exactly one HELP/TYPE pair. `/trace.json` uses the non-destructive
+//! [`Tracer::snapshot`], so scraping never steals events from a later
+//! `--trace` export.
 //!
-//! One request per connection (`Connection: close`), GET only; a
-//! request-line parser of a dozen lines is the whole attack surface.
-//! Responses are built by the pure [`respond`] function, which unit
-//! tests exercise without sockets. [`ScrapeServer::shutdown`] flips a
-//! flag and self-connects to unblock `accept`.
+//! One request per connection (`Connection: close`), GET only. The
+//! request head is capped at 8 KiB and must arrive within 2 s of
+//! accept; past either limit the connection closes unanswered, so a
+//! trickling client cannot hold the single accept thread. Responses
+//! are built by the pure [`respond`] function, which unit tests
+//! exercise without sockets.
+//!
+//! [`Listener`] owns accept threads and the stop handshake; the scrape
+//! server runs one thread on it, `server::CompressionServer` one per
+//! worker.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::chrome::to_chrome_json_with_requests;
-use crate::export::{prom_labels, to_prometheus};
-use crate::registry::Registry;
+use crate::export::to_prometheus;
+use crate::registry::{Registry, Snapshot};
 use crate::request::RequestSampler;
-use crate::slo::{to_json_reports, SloRegistry, SloState};
+use crate::slo::{to_json_reports, SloRegistry};
 use crate::trace::Tracer;
-use crate::window::{to_prometheus_windows, WindowRegistry};
+use crate::window::WindowRegistry;
 
 /// The data planes a scrape serves from. All references are `'static`
 /// because the accept loop runs on its own thread for the process
@@ -67,6 +74,20 @@ impl Sources {
             tracer: crate::trace::global_tracer(),
             requests: crate::requests(),
         }
+    }
+
+    /// Every plane as one snapshot: the registry's series plus those
+    /// each live plane publishes at read time — windowed views, SLO
+    /// evaluations, flight-recorder and sampler health — sorted by key
+    /// so each family renders once.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = self.registry.snapshot();
+        self.windows.publish(&mut snap.series);
+        self.slos.publish(&mut snap.series);
+        self.tracer.publish(&mut snap.series);
+        self.requests.publish(&mut snap.series);
+        snap.series.sort_by(|a, b| a.key.cmp(&b.key));
+        snap
     }
 }
 
@@ -125,14 +146,7 @@ pub fn respond(method: &str, path: &str, sources: &Sources) -> Response {
     // Strip any query string; the endpoints take no parameters.
     let path = path.split('?').next().unwrap_or(path);
     match path {
-        "/metrics" => {
-            let mut body = to_prometheus(&sources.registry.snapshot());
-            body.push_str(&to_prometheus_windows(&sources.windows.snapshot()));
-            body.push_str(&slo_prometheus(sources.slos));
-            body.push_str(&trace_prometheus(sources.tracer));
-            body.push_str(&sources.requests.to_prometheus());
-            Response::new(200, PROM, body)
-        }
+        "/metrics" => Response::new(200, PROM, to_prometheus(&sources.snapshot())),
         "/slo" => Response::new(200, JSON, to_json_reports(&sources.slos.reports())),
         "/healthz" => Response::new(200, TEXT, "ok\n".into()),
         "/trace.json" => Response::new(
@@ -151,170 +165,168 @@ pub fn respond(method: &str, path: &str, sources: &Sources) -> Response {
     }
 }
 
-/// Renders SLO evaluations as Prometheus gauges: `slo_state` (0=ok,
-/// 1=warning, 2=burning), `slo_fast_burn`, `slo_slow_burn`, and
-/// `slo_budget_remaining`, one sample per objective.
-pub fn slo_prometheus(slos: &SloRegistry) -> String {
-    let reports = slos.reports();
-    if reports.is_empty() {
-        return String::new();
-    }
-    let mut out = String::with_capacity(reports.len() * 256);
-    out.push_str("# HELP slo_state Objective state: 0=ok 1=warning 2=burning\n");
-    out.push_str("# TYPE slo_state gauge\n");
-    for r in &reports {
-        let v = match r.state {
-            SloState::Ok => 0,
-            SloState::Warning => 1,
-            SloState::Burning => 2,
-        };
-        out.push_str(&format!(
-            "slo_state{} {v}\n",
-            prom_labels(&[], &[("objective", &r.name)])
-        ));
-    }
-    out.push_str("# HELP slo_fast_burn Error-budget burn rate over the fast window\n");
-    out.push_str("# TYPE slo_fast_burn gauge\n");
-    for r in &reports {
-        out.push_str(&format!(
-            "slo_fast_burn{} {}\n",
-            prom_labels(&[], &[("objective", &r.name)]),
-            r.fast_burn
-        ));
-    }
-    out.push_str("# HELP slo_slow_burn Error-budget burn rate over the slow window\n");
-    out.push_str("# TYPE slo_slow_burn gauge\n");
-    for r in &reports {
-        out.push_str(&format!(
-            "slo_slow_burn{} {}\n",
-            prom_labels(&[], &[("objective", &r.name)]),
-            r.slow_burn
-        ));
-    }
-    out.push_str("# HELP slo_budget_remaining Fraction of cumulative error budget left\n");
-    out.push_str("# TYPE slo_budget_remaining gauge\n");
-    for r in &reports {
-        out.push_str(&format!(
-            "slo_budget_remaining{} {}\n",
-            prom_labels(&[], &[("objective", &r.name)]),
-            r.budget.remaining_fraction
-        ));
-    }
-    out
+/// Accept threads over one bound socket plus their stop handshake.
+/// Each thread accepts on its own clone of the listener and hands every
+/// connection to the handler with the stop flag; a connection is
+/// served to completion on the thread that accepted it. Dropping (or
+/// [`Listener::shutdown`]) sets the flag, makes one unblocking connect
+/// per thread and joins them all: once it returns, no handler runs.
+#[derive(Debug)]
+pub struct Listener {
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// Renders flight-recorder health as Prometheus text:
-/// `trace_dropped_total` plus a `trace_track_dropped{track,tid}` line
-/// per registered track, so ring saturation is alertable.
-pub fn trace_prometheus(tracer: &Tracer) -> String {
-    let health = tracer.track_health();
-    let mut out = String::with_capacity(128 + health.len() * 64);
-    out.push_str("# HELP trace_dropped_total Flight-recorder events overwritten before export\n");
-    out.push_str("# TYPE trace_dropped_total counter\n");
-    let total: u64 = health.iter().map(|(_, _, d)| d).sum();
-    out.push_str(&format!("trace_dropped_total {total}\n"));
-    if !health.is_empty() {
-        out.push_str("# HELP trace_track_dropped Events overwritten per flight-recorder track\n");
-        out.push_str("# TYPE trace_track_dropped counter\n");
-        for (tid, name, dropped) in &health {
-            let label = prom_labels(&[], &[("track", name), ("tid", &tid.to_string())]);
-            out.push_str(&format!("trace_track_dropped{label} {dropped}\n"));
+impl Listener {
+    /// Binds `addr` (port 0 picks a free port) and starts `threads`
+    /// accept threads (at least one), the `i`-th named `name(i)`. Every
+    /// accepted stream gets `read_timeout` and a 10 s write timeout.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, clone and spawn failures.
+    pub fn bind<H>(
+        addr: &str,
+        name: fn(usize) -> String,
+        threads: usize,
+        read_timeout: Duration,
+        handler: H,
+    ) -> std::io::Result<Self>
+    where
+        H: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+    {
+        let socket = TcpListener::bind(addr)?;
+        let mut listener = Self {
+            local_addr: socket.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            threads: Vec::new(),
+        };
+        let handler = Arc::new(handler);
+        for i in 0..threads.max(1) {
+            let socket = socket.try_clone()?;
+            let stop = Arc::clone(&listener.stop);
+            let handler = Arc::clone(&handler);
+            let accept = move || {
+                for conn in socket.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    let _ = stream.set_read_timeout(Some(read_timeout));
+                    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+                    handler(stream, &stop);
+                }
+            };
+            let thread = std::thread::Builder::new().name(name(i)).spawn(accept)?;
+            listener.threads.push(thread);
+        }
+        Ok(listener)
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting and joins every thread, as dropping does.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // One connect per thread lands on exactly one blocked accept. A
+        // transient connect failure (e.g. backlog exhaustion) would
+        // leave a thread parked and the join below hung, so retry.
+        for _ in 0..self.threads.len() {
+            for _ in 0..8 {
+                if TcpStream::connect(self.local_addr).is_ok() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
-    out
 }
 
-/// The scrape server: an accept loop on a background thread.
+/// Largest request head (request line plus headers) the scrape server reads.
+const MAX_HEAD: usize = 8192;
+
+/// Time from accept within which the whole request head must arrive.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The scrape server: one accept thread on a [`Listener`].
 #[derive(Debug)]
 pub struct ScrapeServer {
-    local_addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl ScrapeServer {
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`; port 0 picks a free
     /// port) and starts serving `sources`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind and spawn failures.
     pub fn bind(addr: &str, sources: Sources) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("datacomp-scrape".into())
-            .spawn(move || accept_loop(listener, sources, stop_flag))?;
-        Ok(Self {
-            local_addr,
-            stop,
-            handle: Some(handle),
-        })
+        let handler = move |stream, stop: &AtomicBool| {
+            let _ = handle_connection(stream, &sources, stop);
+        };
+        let name = |_| "datacomp-scrape".to_string();
+        let listener = Listener::bind(addr, name, 1, HEAD_DEADLINE, handler)?;
+        Ok(Self { listener })
     }
 
     /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and joins the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock `accept` with a throwaway connection. A transient
-        // connect failure (e.g. backlog exhaustion) would leave the
-        // accept loop blocked and the join below hung, so retry a few
-        // times; once any connect lands the loop observes the flag.
-        for _ in 0..8 {
-            if TcpStream::connect(self.local_addr).is_ok() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
-impl Drop for ScrapeServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_inner();
+/// Reads the request head: `None` when it exceeds [`MAX_HEAD`] or has
+/// not ended (an empty line) by [`HEAD_DEADLINE`] after `accepted`.
+fn read_head(stream: &mut TcpStream, accepted: Instant) -> std::io::Result<Option<String>> {
+    let mut head = Vec::with_capacity(512);
+    let mut buf = [0u8; 512];
+    let ended =
+        |h: &[u8]| h.windows(2).any(|w| w == b"\n\n") || h.windows(3).any(|w| w == b"\n\r\n");
+    while !ended(&head) {
+        let left = HEAD_DEADLINE.saturating_sub(accepted.elapsed());
+        if left.is_zero() || head.len() >= MAX_HEAD {
+            return Ok(None);
         }
-    }
-}
-
-fn accept_loop(listener: TcpListener, sources: Sources, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
+        stream.set_read_timeout(Some(left))?;
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            break; // half-closed after the request: answer what arrived
         }
-        let Ok(stream) = conn else { continue };
-        // A stuck client must not wedge the (single-threaded) loop.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let _ = handle_connection(stream, &sources, &stop);
+        head.extend(buf.iter().take(n));
     }
+    Ok(Some(String::from_utf8_lossy(&head).into_owned()))
 }
 
 fn handle_connection(
-    stream: TcpStream,
+    mut stream: TcpStream,
     sources: &Sources,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.by_ref().take(8192).read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
+    let Some(head) = read_head(&mut stream, Instant::now())? else {
+        return Ok(());
+    };
+    let mut parts = head.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("/");
-    // Drain headers so well-behaved clients see a clean close.
-    let mut header = String::new();
-    while reader.by_ref().take(8192).read_line(&mut header)? > 2 {
-        header.clear();
-    }
     let response = respond(method, path, sources);
     // `stop()` may have landed while this request was being read — e.g.
     // its unblock connect raced an in-flight client. Re-check right
@@ -323,9 +335,32 @@ fn handle_connection(
     if stop.load(Ordering::SeqCst) {
         return Ok(());
     }
-    let mut stream = reader.into_inner();
     stream.write_all(response.to_http().as_bytes())?;
     stream.flush()
+}
+
+/// One-shot `GET path` against a scrape endpoint; returns the body.
+/// Just enough HTTP/1.1 for harnesses and tests to pull `/metrics`,
+/// `/slo` and the JSON endpoints without an external client.
+///
+/// # Errors
+///
+/// Connect/IO failure or a non-200 status line.
+pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: datacomp\r\n\r\n")?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let (head, body) = raw
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| invalid(format!("scrape {path}: no header/body split")))?;
+    if !head.starts_with("HTTP/1.1 200") {
+        let status = head.lines().next().unwrap_or("");
+        return Err(invalid(format!("scrape {path}: {status}")));
+    }
+    Ok(body.to_string())
 }
 
 #[cfg(test)]
@@ -377,7 +412,7 @@ mod tests {
         assert!(metrics.body.contains("trace_dropped_total 0\n"));
         assert!(metrics
             .body
-            .contains("trace_track_dropped{track=\"t\",tid=\"1\"} 0\n"));
+            .contains("trace_track_dropped{tid=\"1\",track=\"t\"} 0\n"));
         assert!(metrics.body.contains("requests_total 0\n"));
         assert!(metrics.body.contains("requests_dropped_total 0\n"));
 
@@ -478,4 +513,160 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn header_trickler_does_not_delay_a_concurrent_scrape() {
+        let server = ScrapeServer::bind("127.0.0.1:0", test_sources()).expect("bind");
+        let addr = server.local_addr();
+        // One header line every 100 ms for 6 s: every read lands well
+        // inside a per-read timeout, and every line is short.
+        let trickler = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            let _ = conn.write_all(b"GET /metrics HTTP/1.1\r\n");
+            for _ in 0..60 {
+                if conn.write_all(b"X-Pad: y\r\n").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let mut answer = String::new();
+            let _ = conn.read_to_string(&mut answer);
+            answer
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let start = Instant::now();
+        let health = http_get(addr, "/healthz").expect("healthz");
+        let waited = start.elapsed();
+        assert_eq!(health, "ok\n");
+        assert!(
+            waited < Duration::from_secs(3),
+            "a trickling client held /healthz for {waited:?}"
+        );
+        let answer = trickler.join().unwrap();
+        assert!(
+            !answer.contains("HTTP/1.1"),
+            "trickler was answered: {answer}"
+        );
+        server.shutdown();
+    }
+
+    /// `name{k="v",...}` with the labels sorted by key: a sample's
+    /// identity, independent of label order and value.
+    fn sample_identity(line: &str) -> String {
+        let (metric, _value) = line.rsplit_once(' ').expect("sample line");
+        let Some((name, labels)) = metric.split_once('{') else {
+            return format!("{metric}{{}}");
+        };
+        let labels = labels.strip_suffix('}').expect("closed label set");
+        let mut pairs: Vec<&str> = labels.split("\",").collect();
+        pairs.sort_unstable_by_key(|p| p.split_once('=').map(|(k, _)| k));
+        let pairs: Vec<String> = pairs
+            .iter()
+            .map(|p| format!("{}\"", p.trim_end_matches('"')))
+            .collect();
+        format!("{name}{{{}}}", pairs.join(","))
+    }
+
+    /// One series of every kind each plane exports, on a manual clock.
+    #[test]
+    fn metrics_exposition_is_pinned_and_well_formed() {
+        let s = test_sources();
+        s.registry
+            .counter("pin.calls", &[("algo", "zstdx"), ("level", "3")])
+            .add(3);
+        s.registry.gauge("pin.ratio", &[("tenant", "a")]).set(2.5);
+        let h = s.registry.histogram("pin.nanos", &[]);
+        h.observe(100);
+        h.observe(5000);
+        s.windows.counter("pin.ops", &[("tenant", "a")]).add(4);
+        let track = s.tracer.new_track("pin");
+        s.windows
+            .histogram("pin.latency", &[("tenant", "a")])
+            .observe_linked(700, || track.instant_ref("pin.sample"));
+        for _ in 0..70 {
+            track.instant("pin.mark");
+        }
+        s.slos
+            .register(SloConfig::latency("pin.slow", 1000, 0.99))
+            .record_latency(500);
+        s.slos
+            .register(SloConfig::error_rate("pin.errors", 0.9))
+            .record(false);
+        {
+            let ctx = s.requests.open("svc", crate::request::Op::Compress, 100);
+            ctx.mark_error("boom");
+        }
+        drop(s.requests.open("svc", crate::request::Op::Decompress, 100));
+
+        let body = respond("GET", "/metrics", &s).body;
+        let mut ids: Vec<String> = body
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(sample_identity)
+            .collect();
+        ids.sort();
+        assert_eq!(ids, PINNED_IDENTITIES, "{body}");
+
+        let mut families = std::collections::HashSet::new();
+        let mut family: Option<(&str, &str)> = None;
+        for line in body.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
+                assert!(families.insert(name), "family {name} declared twice");
+                family = Some((name, kind));
+                continue;
+            }
+            if line.starts_with('#') {
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap_or_default();
+            let (fam, kind) = family.unwrap_or_else(|| panic!("{name} before any TYPE"));
+            let belongs = name == fam
+                || (kind == "histogram"
+                    && ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .any(|suffix| name.strip_suffix(suffix) == Some(fam)));
+            assert!(belongs, "{name} is not a sample of family {fam} ({kind})");
+        }
+    }
+
+    /// The sample identities of the exposition above, pinned while each
+    /// plane still had its own Prometheus writer.
+    const PINNED_IDENTITIES: &[&str] = &[
+        r#"pin_calls{algo="zstdx",level="3"}"#,
+        r#"pin_nanos_bucket{le="+Inf"}"#,
+        r#"pin_nanos_bucket{le="127"}"#,
+        r#"pin_nanos_bucket{le="8191"}"#,
+        r#"pin_nanos_count{}"#,
+        r#"pin_nanos_sum{}"#,
+        r#"pin_ratio{tenant="a"}"#,
+        r#"request_spans_dropped_total{}"#,
+        r#"requests_dropped_total{}"#,
+        r#"requests_evicted_total{}"#,
+        r#"requests_sampled_total{reason="baseline"}"#,
+        r#"requests_sampled_total{reason="error"}"#,
+        r#"requests_sampled_total{reason="slow"}"#,
+        r#"requests_total{}"#,
+        r#"slo_budget_remaining{objective="pin.errors"}"#,
+        r#"slo_budget_remaining{objective="pin.slow"}"#,
+        r#"slo_fast_burn{objective="pin.errors"}"#,
+        r#"slo_fast_burn{objective="pin.slow"}"#,
+        r#"slo_slow_burn{objective="pin.errors"}"#,
+        r#"slo_slow_burn{objective="pin.slow"}"#,
+        r#"slo_state{objective="pin.errors"}"#,
+        r#"slo_state{objective="pin.slow"}"#,
+        r#"trace_dropped_total{}"#,
+        r#"trace_track_dropped{tid="1",track="pin"}"#,
+        r#"window_pin_latency_count{tenant="a"}"#,
+        r#"window_pin_latency_exemplar{seq="0",tenant="a",track="1"}"#,
+        r#"window_pin_latency_max{tenant="a"}"#,
+        r#"window_pin_latency_p50{tenant="a"}"#,
+        r#"window_pin_latency_p90{tenant="a"}"#,
+        r#"window_pin_latency_p99{tenant="a"}"#,
+        r#"window_pin_latency_rate{tenant="a"}"#,
+        r#"window_pin_latency_sum{tenant="a"}"#,
+        r#"window_pin_ops_rate{tenant="a"}"#,
+        r#"window_pin_ops{tenant="a"}"#,
+        r#"window_span_seconds{}"#,
+    ];
 }

@@ -27,10 +27,10 @@
 //!
 //! Request paths only [`record`](Slo::record), through an [`SloHandle`]
 //! resolved once; evaluation happens where state is read —
-//! [`Slo::report`] and everything built on it (`/slo`, the `slo_*`
-//! gauges on `/metrics`, the CLI verdicts). A transition is therefore
-//! stamped with the time of the read that observed it, not of the
-//! request that caused it.
+//! [`Slo::report`] and everything built on it (`/slo`, the `slo.*`
+//! gauges [`SloRegistry::publish`] adds to `/metrics`, the CLI
+//! verdicts). A transition is therefore stamped with the time of the
+//! read that observed it, not of the request that caused it.
 //!
 //! Everything rotates on the injected [`Clock`], so tests drive exact
 //! `Ok → Warning → Burning` sequences with a [`ManualClock`].
@@ -40,6 +40,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::clock::Clock;
 use crate::export::{json_number, json_string};
+use crate::registry::Series;
 use crate::window::{WindowConfig, WindowedCounter};
 
 /// What counts as a "good" event for an objective.
@@ -219,11 +220,6 @@ impl Slo {
             cfg,
             clock,
         }
-    }
-
-    /// The objective's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
     }
 
     /// Records a latency sample against a [`SloKind::Latency`]
@@ -446,9 +442,21 @@ impl SloRegistry {
             .collect()
     }
 
-    /// True if any objective has exhausted its cumulative budget.
-    pub fn any_exhausted(&self) -> bool {
-        self.reports().iter().any(|r| r.budget.exhausted)
+    /// Publishes each objective's evaluation as gauges labelled
+    /// `objective`: `slo.state` (0=ok 1=warning 2=burning),
+    /// `slo.fast_burn`, `slo.slow_burn` and `slo.budget_remaining`.
+    pub fn publish(&self, out: &mut Vec<Series>) {
+        for r in self.reports() {
+            let labels = [("objective", r.name.as_str())];
+            for (name, v) in [
+                ("slo.state", f64::from(r.state as u8)),
+                ("slo.fast_burn", r.fast_burn),
+                ("slo.slow_burn", r.slow_burn),
+                ("slo.budget_remaining", r.budget.remaining_fraction),
+            ] {
+                out.push(Series::gauge(name, &labels, v));
+            }
+        }
     }
 
     /// Worst current state across objectives ([`SloState::Ok`] when
@@ -670,7 +678,7 @@ mod tests {
             a.record(false);
         }
         assert_eq!(reg.worst_state(), SloState::Burning);
-        assert!(reg.any_exhausted());
+        assert!(reg.reports().iter().any(|r| r.budget.exhausted));
         let reports = reg.reports();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].name, "a");
@@ -732,7 +740,7 @@ mod tests {
         let clock = ManualClock::shared();
         let reg = SloRegistry::new(Arc::clone(&clock) as Arc<dyn Clock>);
         assert_eq!(reg.worst_state(), SloState::Ok);
-        assert!(!reg.any_exhausted());
+        assert!(!reg.reports().iter().any(|r| r.budget.exhausted));
         assert_eq!(
             to_json_reports(&reg.reports()),
             "{\"version\":1,\"worst\":\"ok\",\"objectives\":[]}"

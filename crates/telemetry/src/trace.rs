@@ -33,6 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::registry::Series;
+
 /// Default events per track ring. At ~112 bytes per fixed-size event
 /// this bounds a track at well under a megabyte.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -474,17 +476,19 @@ impl Tracer {
             .sum()
     }
 
-    /// Per-track health — `(tid, name, dropped)` for every registered
-    /// track, without copying any events. Feeds the
-    /// `trace_track_dropped` lines on `/metrics` so ring saturation is
-    /// alertable instead of silent.
-    pub fn track_health(&self) -> Vec<(u64, String, u64)> {
-        self.tracks
-            .lock()
-            .expect("tracer track list not poisoned")
-            .iter()
-            .map(|t| (t.tid(), t.name(), t.dropped()))
-            .collect()
+    /// Publishes flight-recorder health without copying any events:
+    /// `trace.dropped_total` plus one `trace.track_dropped{track,tid}`
+    /// counter per registered track, so ring saturation on `/metrics`
+    /// is alertable instead of silent.
+    pub fn publish(&self, out: &mut Vec<Series>) {
+        let tracks = self.tracks.lock().expect("tracer track list not poisoned");
+        let total = tracks.iter().map(|t| t.dropped()).sum();
+        out.push(Series::counter("trace.dropped_total", &[], total));
+        for t in tracks.iter() {
+            let (name, tid) = (t.name(), t.tid().to_string());
+            let labels = [("track", name.as_str()), ("tid", tid.as_str())];
+            out.push(Series::counter("trace.track_dropped", &labels, t.dropped()));
+        }
     }
 
     /// Copies every track's current events without clearing anything —

@@ -19,9 +19,9 @@
 //!   linking a p99 spike on `/metrics` directly to the flight-recorder
 //!   event that caused it.
 //! * [`WindowRegistry`] — a sharded `(name, labels)` table of windowed
-//!   series, mirroring the cumulative registry's API, with a
-//!   Prometheus-text export ([`to_prometheus_windows`]) that emits
-//!   `window_*` gauges (p50/p90/p99, rates, exemplar pointers).
+//!   series, mirroring the cumulative registry's API, that
+//!   [publishes](WindowRegistry::publish) `window.*` gauges (p50/p90/p99,
+//!   rates, exemplar pointers) for the registry's exporters.
 //!
 //! The clock is a trait so tests drive time by hand ([`ManualClock`])
 //! and window rotation is exact: a fixed event sequence produces exact
@@ -30,9 +30,8 @@
 use std::sync::{Arc, Mutex};
 
 use crate::clock::{Clock, ManualClock};
-use crate::export::{prom_labels, prom_name};
 use crate::histogram::{bucket_index, HistogramSnapshot, NUM_BUCKETS};
-use crate::registry::{SeriesKey, SeriesTable};
+use crate::registry::{Series, SeriesKey, SeriesTable, SeriesValue};
 use crate::trace::EventRef;
 
 /// How a windowed series buckets time: `sub_windows` rotating slots of
@@ -166,11 +165,6 @@ impl WindowedCounter {
         }
     }
 
-    /// The window configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.ring.cfg
-    }
-
     /// Adds 1.
     pub fn inc(&self) {
         self.add(1);
@@ -258,11 +252,6 @@ impl WindowedHistogram {
         Self {
             ring: Ring::new(cfg, clock),
         }
-    }
-
-    /// The window configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.ring.cfg
     }
 
     /// Records one value into the current sub-window.
@@ -370,11 +359,6 @@ impl WindowRegistry {
         (Self::new(cfg, Arc::clone(&clock) as Arc<dyn Clock>), clock)
     }
 
-    /// The registry-wide window configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
-    }
-
     /// Fetches (registering on first use) the windowed counter
     /// `name{labels}`.
     ///
@@ -426,158 +410,56 @@ impl WindowRegistry {
         self.table.len()
     }
 
-    /// A point-in-time merged view of every series, sorted by key.
-    pub fn snapshot(&self) -> WindowSnapshot {
-        let series = self
-            .table
-            .sorted(|metric| match metric {
-                WindowMetric::Counter(c) => WindowValue::Counter {
-                    total: c.total(),
-                    rate_per_sec: c.rate_per_sec(),
-                },
-                WindowMetric::Histogram(h) => WindowValue::Histogram(h.window_snapshot()),
-            })
-            .into_iter()
-            .map(|(key, value)| WindowSeries { key, value })
-            .collect();
-        WindowSnapshot {
-            series,
-            config: self.cfg,
-        }
-    }
-}
-
-/// One exported windowed series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSeries {
-    /// The series identity.
-    pub key: SeriesKey,
-    /// The merged live-window value.
-    pub value: WindowValue,
-}
-
-/// The merged live-window value of a series.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WindowValue {
-    /// Event count and rate over the window.
-    Counter {
-        /// Events in the live window.
-        total: u64,
-        /// Events per second over the window span.
-        rate_per_sec: f64,
-    },
-    /// Merged distribution over the window.
-    Histogram(WindowedHistogramSnapshot),
-}
-
-/// A point-in-time view of a [`WindowRegistry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSnapshot {
-    /// All series, sorted by key.
-    pub series: Vec<WindowSeries>,
-    /// The registry-wide window configuration.
-    pub config: WindowConfig,
-}
-
-impl WindowSnapshot {
-    /// Looks up one series value.
-    // indexing_slicing: `i` comes from `binary_search_by` on `series`.
-    #[allow(clippy::indexing_slicing)]
-    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&WindowValue> {
-        let key = SeriesKey::new(name, labels);
-        self.series
-            .binary_search_by(|s| s.key.cmp(&key))
-            .ok()
-            .map(|i| &self.series[i].value)
-    }
-
-    /// Windowed histogram snapshot of `name{labels}`, if present.
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<&WindowedHistogramSnapshot> {
-        match self.get(name, labels) {
-            Some(WindowValue::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Windowed counter total of `name{labels}`, 0 when absent.
-    pub fn counter_total(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.get(name, labels) {
-            Some(WindowValue::Counter { total, .. }) => *total,
-            _ => 0,
-        }
-    }
-}
-
-/// Serializes a window snapshot in the Prometheus text exposition
-/// format. Windowed series are namespaced `window_<name>_*` so they
-/// never collide with the cumulative series of the same base name, and
-/// everything is exported as gauges (a windowed value can go down):
-///
-/// * counters → `window_<name>{...}` (total) and
-///   `window_<name>_rate{...}` (events/s over the span);
-/// * histograms → `window_<name>_count/_sum/_p50/_p90/_p99/_max`, a
-///   `window_<name>_rate`, and — when an exemplar is live —
-///   `window_<name>_exemplar{track="..",seq=".."}` carrying the
-///   max-latency sample's value with its flight-recorder coordinates
-///   as labels (classic text format stays parseable; no OpenMetrics
-///   `#`-trailer syntax).
-///
-/// The window span is exported once as `window_span_seconds`.
-pub fn to_prometheus_windows(snap: &WindowSnapshot) -> String {
-    let mut out = String::with_capacity(snap.series.len() * 192 + 64);
-    out.push_str("# HELP window_span_seconds Live-window span all window_* series merge over\n");
-    out.push_str("# TYPE window_span_seconds gauge\n");
-    out.push_str(&format!(
-        "window_span_seconds {}\n",
-        snap.config.span_secs()
-    ));
-    let mut last_name: Option<&str> = None;
-    for s in &snap.series {
-        let name = format!("window_{}", prom_name(&s.key.name));
-        if last_name != Some(s.key.name.as_str()) {
-            out.push_str(&format!(
-                "# HELP {name} Windowed view of {} over the last {}s\n",
-                s.key.name,
-                snap.config.span_secs()
-            ));
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            last_name = Some(s.key.name.as_str());
-        }
-        let labels = prom_labels(&s.key.labels, &[]);
-        match &s.value {
-            WindowValue::Counter {
-                total,
-                rate_per_sec,
-            } => {
-                out.push_str(&format!("{name}{labels} {total}\n"));
-                out.push_str(&format!("{name}_rate{labels} {rate_per_sec}\n"));
-            }
-            WindowValue::Histogram(h) => {
-                let hist = &h.histogram;
-                out.push_str(&format!("{name}_count{labels} {}\n", hist.count()));
-                out.push_str(&format!("{name}_sum{labels} {}\n", hist.sum));
-                out.push_str(&format!("{name}_p50{labels} {}\n", hist.quantile(0.50)));
-                out.push_str(&format!("{name}_p90{labels} {}\n", hist.quantile(0.90)));
-                out.push_str(&format!("{name}_p99{labels} {}\n", hist.quantile(0.99)));
-                out.push_str(&format!("{name}_max{labels} {}\n", hist.max));
-                out.push_str(&format!("{name}_rate{labels} {}\n", h.rate_per_sec()));
-                if let Some(e) = &h.exemplar {
-                    let track = e.event.track.to_string();
-                    let seq = e.event.seq.to_string();
-                    let ex_labels = prom_labels(
-                        &s.key.labels,
-                        &[("track", track.as_str()), ("seq", seq.as_str())],
-                    );
-                    out.push_str(&format!("{name}_exemplar{ex_labels} {}\n", e.value));
+    /// Publishes every series' live window as gauges (a windowed value
+    /// can go down), namespaced `window.<name>` so they never collide
+    /// with the cumulative series of the same base name:
+    ///
+    /// * `window.span_seconds`, the span every series merges over;
+    /// * counters → `window.<name>` (total) and `window.<name>.rate`
+    ///   (events/s over the span);
+    /// * histograms → `window.<name>.{count,sum,p50,p90,p99,max,rate}`
+    ///   and, while an exemplar is live, `window.<name>.exemplar{track,seq}`
+    ///   carrying the max-latency sample's value with its
+    ///   flight-recorder coordinates as labels.
+    pub fn publish(&self, out: &mut Vec<Series>) {
+        let span = self.cfg.span_secs();
+        out.push(Series::gauge("window.span_seconds", &[], span));
+        for (key, metric) in self.table.sorted(WindowMetric::clone) {
+            let mut put = |suffix: &str, mut labels: Vec<(String, String)>, v: f64| {
+                labels.extend_from_slice(&key.labels);
+                labels.sort_unstable();
+                let name = format!("window.{}{suffix}", key.name);
+                let (key, value) = (SeriesKey { name, labels }, SeriesValue::Gauge(v));
+                out.push(Series { key, value });
+            };
+            match metric {
+                WindowMetric::Counter(c) => {
+                    put("", Vec::new(), c.total() as f64);
+                    put(".rate", Vec::new(), c.rate_per_sec());
+                }
+                WindowMetric::Histogram(h) => {
+                    let w = h.window_snapshot();
+                    let hist = &w.histogram;
+                    for (suffix, v) in [
+                        (".count", hist.count()),
+                        (".sum", hist.sum),
+                        (".p50", hist.quantile(0.50)),
+                        (".p90", hist.quantile(0.90)),
+                        (".p99", hist.quantile(0.99)),
+                        (".max", hist.max),
+                    ] {
+                        put(suffix, Vec::new(), v as f64);
+                    }
+                    put(".rate", Vec::new(), w.rate_per_sec());
+                    if let Some(e) = w.exemplar {
+                        let track = ("track".to_string(), e.event.track.to_string());
+                        let seq = ("seq".to_string(), e.event.seq.to_string());
+                        put(".exemplar", vec![track, seq], e.value as f64);
+                    }
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -706,7 +588,7 @@ mod tests {
         reg.counter("x", &[("a", "1")]).inc();
         reg.counter("x", &[("a", "1")]).inc();
         assert_eq!(reg.series_count(), 1);
-        assert_eq!(reg.snapshot().counter_total("x", &[("a", "1")]), 2);
+        assert_eq!(reg.counter("x", &[("a", "1")]).total(), 2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             reg.histogram("x", &[("a", "1")])
         }));
@@ -714,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_window_export_has_percentiles_rates_and_exemplars() {
+    fn published_window_series_render_percentiles_rates_and_exemplars() {
         let (reg, _clock) = manual(100, 4);
         let tracer = Tracer::with_capacity(8);
         let track = tracer.new_track("svc:CACHE1");
@@ -722,8 +604,13 @@ mod tests {
         let h = reg.histogram("decode.nanos", &[("service", "CACHE1")]);
         h.observe(100);
         h.observe_linked(5000, || track.instant_ref("decode.sample"));
-        let text = to_prometheus_windows(&reg.snapshot());
+        let mut series = Vec::new();
+        reg.publish(&mut series);
+        series.sort_by(|a, b| a.key.cmp(&b.key));
+        let text = crate::export::to_prometheus(&crate::Snapshot { series });
         assert!(text.contains("# TYPE window_reqs gauge\n"));
+        assert!(text.contains("# TYPE window_decode_nanos_p99 gauge\n"));
+        assert!(text.contains("window_span_seconds 0.4\n"));
         assert!(text.contains("window_reqs{service=\"CACHE1\"} 12\n"));
         assert!(text.contains("window_reqs_rate{service=\"CACHE1\"} 30\n")); // 12 / 0.4s
         assert!(text.contains("window_decode_nanos_count{service=\"CACHE1\"} 2\n"));
@@ -731,7 +618,7 @@ mod tests {
         assert!(text.contains("window_decode_nanos_max{service=\"CACHE1\"} 5000\n"));
         assert!(
             text.contains(
-                "window_decode_nanos_exemplar{service=\"CACHE1\",track=\"1\",seq=\"0\"} 5000\n"
+                "window_decode_nanos_exemplar{seq=\"0\",service=\"CACHE1\",track=\"1\"} 5000\n"
             ),
             "{text}"
         );

@@ -8,19 +8,8 @@
 //! coordinates land on a concrete `ph:"i"` event a human can open in
 //! Perfetto.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
+use telemetry::serve::http_get;
 use telemetry::{ScrapeServer, Sources};
-
-fn fetch(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).expect("read");
-    let (_, body) = out.split_once("\r\n\r\n").expect("http body");
-    body.to_string()
-}
 
 /// Pulls `key="value"` out of a Prometheus label set.
 fn label_value<'a>(labels: &'a str, key: &str) -> Option<&'a str> {
@@ -48,7 +37,7 @@ fn metrics_exemplar_resolves_to_a_real_event_in_the_chrome_trace() {
     let addr = server.local_addr();
 
     // 1. The scrape carries a windowed latency view with an exemplar.
-    let metrics = fetch(addr, "/metrics");
+    let metrics = http_get(addr, "/metrics").expect("/metrics");
     let exemplar_line = metrics
         .lines()
         .find(|l| l.starts_with("window_codecs_compress_nanos_exemplar{"))
@@ -71,7 +60,7 @@ fn metrics_exemplar_resolves_to_a_real_event_in_the_chrome_trace() {
 
     // 2. The same scrape surface exports the flight recorder; the
     //    exemplar's coordinates land on a real instant event.
-    let trace = fetch(addr, "/trace.json");
+    let trace = http_get(addr, "/trace.json").expect("/trace.json");
     server.shutdown();
     let needle = format!("\"args\":{{\"seq\":{seq}}},\"ts\":");
     let event = trace
@@ -107,8 +96,8 @@ fn slo_endpoint_reflects_fed_objectives_live() {
 
     let server = ScrapeServer::bind("127.0.0.1:0", Sources::global()).expect("bind");
     let addr = server.local_addr();
-    let slo_json = fetch(addr, "/slo");
-    let metrics = fetch(addr, "/metrics");
+    let slo_json = http_get(addr, "/slo").expect("/slo");
+    let metrics = http_get(addr, "/metrics").expect("/metrics");
     server.shutdown();
 
     let doc: serde_json::Value = serde_json::from_str(&slo_json).expect("valid /slo JSON");

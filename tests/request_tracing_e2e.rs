@@ -5,23 +5,13 @@
 //! the `/trace.json` Chrome export — the arrow a human follows in
 //! Perfetto from an SLO burn to the exact stage that ate the budget.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use telemetry::request::observe_stage;
+use telemetry::serve::http_get;
 use telemetry::{
     KeepReason, ManualClock, Op, RequestSampler, SamplerConfig, ScrapeServer, Sources, WindowConfig,
 };
-
-fn fetch(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    conn.read_to_string(&mut out).expect("read");
-    let (_, body) = out.split_once("\r\n\r\n").expect("http body");
-    body.to_string()
-}
 
 #[test]
 fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
@@ -93,8 +83,8 @@ fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
     };
     let server = ScrapeServer::bind("127.0.0.1:0", sources).expect("bind");
     let addr = server.local_addr();
-    let requests_json = fetch(addr, "/requests.json");
-    let trace_json = fetch(addr, "/trace.json");
+    let requests_json = http_get(addr, "/requests.json").expect("/requests.json");
+    let trace_json = http_get(addr, "/trace.json").expect("/trace.json");
     server.shutdown();
 
     let doc: serde_json::Value =

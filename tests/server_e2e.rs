@@ -10,9 +10,10 @@ use std::time::Duration;
 
 use datacomp::codecs::DecodeLimits;
 use datacomp::managed::{AdmissionConfig, ManagedConfig, PASSTHROUGH_MAGIC};
-use datacomp::server::client::{http_get, Client};
+use datacomp::server::client::Client;
 use datacomp::server::protocol::{self, Op, Request, Status};
 use datacomp::server::{CompressionServer, ServerConfig};
+use datacomp::telemetry::serve::http_get;
 
 /// The seeded 3-mix the load harness replays in CI: two cache-item
 /// shapes and the SST-block store.
