@@ -8,7 +8,6 @@
 //! stores blocks uncompressed, levels 1–9 deepen the match search —
 //! "Zlib offers ten compression levels from 0 to 9" (paper, §I).
 
-use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use entropy::bitio::{BitReader, BitReaderFast, BitSrc, BitWriter};
@@ -434,10 +433,6 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     (out.len() < data.len()).then_some(out)
 }
 
-static PAIR_BYPASS: LazyLock<Arc<telemetry::Counter>> = LazyLock::new(|| {
-    telemetry::global().counter("entropy.pair_table_bypass", &[("algo", "zlibx")])
-});
-
 #[deny(clippy::indexing_slicing)]
 fn decode_block<const FAST: bool>(
     c: &mut Cursor<'_>,
@@ -446,9 +441,6 @@ fn decode_block<const FAST: bool>(
 ) -> Result<()> {
     let lit_lens = read_nibble_lengths(c, LITLEN_ALPHABET)?;
     let lit_table = HuffmanTable::from_lengths(&lit_lens)?;
-    if FAST && !lit_table.has_pair_table() {
-        PAIR_BYPASS.inc();
-    }
     let dist_mode = c.read_u8()?;
     let (dist_table, fixed_dist) = match dist_mode {
         0 => (None, None),
@@ -494,9 +486,6 @@ fn decode_block4<const FAST: bool>(
 ) -> Result<()> {
     let lit_lens = read_nibble_lengths(c, LITLEN_ALPHABET)?;
     let lit_table = HuffmanTable::from_lengths(&lit_lens)?;
-    if FAST && !lit_table.has_pair_table() {
-        PAIR_BYPASS.inc();
-    }
     let dist_mode = c.read_u8()?;
     let (dist_table, fixed_dist) = match dist_mode {
         0 => (None, None),
@@ -1130,40 +1119,5 @@ mod multi_stream_tests {
         let enc = c.compress(&data);
         assert_eq!(enc[1], MAGIC_CK[1] | MAGIC_V4_BIT);
         assert_eq!(c.decompress(&enc).unwrap(), data);
-    }
-
-    #[test]
-    fn pair_table_bypass_counter_increments_on_deep_tables() {
-        // Uniform half-alphabet noise (no LZ matches to eat the
-        // literals) plus a few singleton symbols: the singletons get
-        // near-15-bit codes in type-1 blocks, whose tables build past
-        // PAIR_TABLE_MAX_BITS. The fast engine must fall back to
-        // symbol-at-a-time lookups and record the bypass on the
-        // telemetry counter.
-        let mut x = 0x9e37_79b9u32;
-        let mut data: Vec<u8> = (0..60_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                (x >> 8) as u8 & 0x7f
-            })
-            .collect();
-        for i in 0..8u8 {
-            data[i as usize * 7001] = 0x80 + i;
-        }
-        let c = Zlibx::new(6).with_stream_policy(StreamPolicy::Single);
-        let enc = c.compress(&data);
-        let before = telemetry::global()
-            .snapshot()
-            .counter("entropy.pair_table_bypass", &[("algo", "zlibx")]);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
-        let after = telemetry::global()
-            .snapshot()
-            .counter("entropy.pair_table_bypass", &[("algo", "zlibx")]);
-        assert!(
-            after > before,
-            "deep-table decode did not record a pair-table bypass"
-        );
     }
 }

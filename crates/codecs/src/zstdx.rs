@@ -22,7 +22,7 @@
 //! for its offset bits, as this format codes them.
 
 use std::borrow::Cow;
-use std::sync::{Arc, LazyLock, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use entropy::bitio::{BitWriter, RevBitSrc, ReverseBitReader, ReverseBitReaderFast};
@@ -935,7 +935,6 @@ fn decode_block_payload<const FAST: bool>(
             let body_len = c.read_varint()? as usize;
             let body = c.read_slice(body_len)?;
             if FAST {
-                note_pair_table_bypass(&table);
                 table.decode_fast(body, lit_len)?
             } else {
                 table.decode(body, lit_len)?
@@ -956,7 +955,6 @@ fn decode_block_payload<const FAST: bool>(
                 c.read_slice(s3)?,
             ];
             if FAST {
-                note_pair_table_bypass(&table);
                 table.decode_4stream_fast(bufs, lit_len)?
             } else {
                 table.decode_4stream(bufs, lit_len)?
@@ -1024,19 +1022,6 @@ fn decode_block_payload<const FAST: bool>(
     } else {
         let mut r = ReverseBitReader::from_sentinel(stream)?;
         decode_sequences::<_, FAST>(&c, &mut r, &ll_t, &ml_t, &of_t, &literals, n, out, decoded)
-    }
-}
-
-/// Counts fast-path literal decodes that cannot use the paired lookup
-/// table (code lengths above `PAIR_TABLE_MAX_BITS` force symbol-at-a-
-/// time lookups). Surfaced as `entropy.pair_table_bypass` on /metrics
-/// so a throughput regression can be attributed to bypassed tables.
-fn note_pair_table_bypass(table: &HuffmanTable) {
-    static BYPASS: LazyLock<Arc<telemetry::Counter>> = LazyLock::new(|| {
-        telemetry::global().counter("entropy.pair_table_bypass", &[("algo", "zstdx")])
-    });
-    if !table.has_pair_table() {
-        BYPASS.inc();
     }
 }
 

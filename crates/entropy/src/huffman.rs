@@ -12,45 +12,23 @@
 
 use std::sync::OnceLock;
 
-use crate::bitio::{quad_readers_fast, BitReader, BitReaderFast, BitSrc, BitWriter};
+use crate::bitio::{BitReader, BitReaderFast, BitSrc, BitWriter};
 use crate::{Error, Result};
 
 /// Upper bound on code length supported by the flat decode table.
 pub const MAX_CODE_BITS: u32 = 15;
 
-/// Codes at or below this length get a multi-symbol pair table: one
-/// `max_bits`-wide window lookup yields up to two decoded symbols. Above
-/// it the `1 << max_bits` pair table would outgrow L1 for diminishing
-/// double-hit rates.
-pub const PAIR_TABLE_MAX_BITS: u32 = 11;
-
-/// One slot of the multi-symbol decode table: up to two symbols resolved
-/// from a single `max_bits`-wide window.
-#[derive(Debug, Clone, Copy, Default)]
-struct PairEntry {
-    /// First decoded symbol (valid when `nsyms >= 1`).
-    sym1: u16,
-    /// Second decoded symbol (valid when `nsyms == 2`).
-    sym2: u16,
-    /// Code length of the first symbol.
-    len1: u8,
-    /// Code length of the second symbol.
-    len2: u8,
-    /// 0 = window invalid, 1 = only the first symbol is certain,
-    /// 2 = both symbols fit entirely inside the window.
-    nsyms: u8,
-}
-
 /// The decode-side tables of a [`HuffmanTable`]: derived from the
-/// lengths alone, and the expensive part of a table (`2 << max_bits`
+/// lengths alone, and the expensive part of a table (`1 << max_bits`
 /// slots against a few hundred lengths and codes).
 #[derive(Debug, Clone)]
 struct DecodeTables {
     /// Flat table of size `1 << max_bits`: window -> (symbol, len).
     flat: Vec<(u16, u8)>,
-    /// Multi-symbol table (same indexing), built when
-    /// `max_bits <= PAIR_TABLE_MAX_BITS`.
-    pair: Option<Vec<PairEntry>>,
+    /// Every window decodes and every present symbol fits in a byte:
+    /// no symbol read can fail while a whole window lies inside the
+    /// buffer, which is what the unchecked literal body relies on.
+    unchecked: bool,
 }
 
 impl DecodeTables {
@@ -72,8 +50,31 @@ impl DecodeTables {
                 idx += step;
             }
         }
-        let pair = (max_bits <= PAIR_TABLE_MAX_BITS).then(|| build_pair_table(&flat, max_bits));
-        Self { flat, pair }
+        let complete = flat.iter().all(|&(_, l)| l > 0);
+        let bytes = lens.iter().skip(256).all(|&l| l == 0);
+        Self {
+            flat,
+            unchecked: complete && bytes,
+        }
+    }
+}
+
+/// One cursor of the literal decoders: the unread part of its stream
+/// from the byte holding its bit position, that position's bit offset
+/// (`< 8`), and the output it has yet to fill.
+struct Lane<'a, 'o> {
+    buf: &'a [u8],
+    bit: u32,
+    out: &'o mut [u8],
+}
+
+impl Lane<'_, '_> {
+    /// The next 57+ stream bits, when 8 bytes of buffer remain under the
+    /// position and `per` output slots remain to fill.
+    #[inline]
+    fn word(&self, per: usize) -> Option<u64> {
+        let w = self.buf.first_chunk::<8>()?;
+        (self.out.len() >= per).then(|| u64::from_le_bytes(*w) >> self.bit)
     }
 }
 
@@ -316,67 +317,22 @@ impl HuffmanTable {
     }
 
     /// Decodes exactly `n` byte symbols from `buf` through the fast path:
-    /// a word-refilling [`BitReaderFast`] plus, when the code fits
-    /// [`PAIR_TABLE_MAX_BITS`], a multi-symbol table that resolves two
-    /// symbols per window lookup. Returns the same bytes — or the same
-    /// typed error — as [`Self::decode`] for every input; the failure
-    /// replay below consumes and range-checks symbols in exactly the
-    /// per-symbol order the slow path uses.
+    /// an unchecked multi-symbol body while 8 bytes of stream remain,
+    /// then the checked per-symbol loop of [`Self::decode`]. Returns the
+    /// same bytes, or the same error, as [`Self::decode`] for every input.
     ///
     /// # Errors
     ///
     /// Identical to [`Self::decode`].
-    // indexing_slicing: `window < 2^max_bits == pair.len()` (same bound
-    // as `read_symbol`); hot decode loop under the decode_guard budget.
-    #[allow(clippy::indexing_slicing)]
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_fast(&self, buf: &[u8], n: usize) -> Result<Vec<u8>> {
-        let mut r = BitReaderFast::new(buf, buf.len() * 8);
-        let mut out = Vec::with_capacity(n);
-        if let Some(pair) = &self.tables().pair {
-            while out.len() + 2 <= n {
-                let window = r.peek_bits_lenient(self.max_bits) as usize;
-                let e = pair[window];
-                if e.nsyms == 2 {
-                    // Replay the slow path's consume/range-check ordering
-                    // so truncation and oversize-symbol errors surface
-                    // identically.
-                    r.consume(e.len1 as u32)?;
-                    let b1 = u8::try_from(e.sym1)
-                        .map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-                    out.push(b1);
-                    r.consume(e.len2 as u32)?;
-                    let b2 = u8::try_from(e.sym2)
-                        .map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-                    out.push(b2);
-                } else if e.nsyms == 1 {
-                    r.consume(e.len1 as u32)?;
-                    let b1 = u8::try_from(e.sym1)
-                        .map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-                    out.push(b1);
-                } else {
-                    return Err(Error::CorruptData("invalid huffman window"));
-                }
-            }
-        }
-        // Tail (and the whole stream when no pair table): one symbol at a
-        // time through the shared per-symbol reader.
-        while out.len() < n {
-            let sym = self.read_symbol(&mut r)?;
-            let byte =
-                u8::try_from(sym).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-            out.push(byte);
-        }
+        let mut out = vec![0u8; n];
+        self.finish_lane(Lane {
+            buf,
+            bit: 0,
+            out: &mut out,
+        })?;
         Ok(out)
-    }
-
-    /// True when this table carries the multi-symbol pair table
-    /// ([`PAIR_TABLE_MAX_BITS`] permitting). When false, every
-    /// fast-path decode degrades to one symbol per lookup for the whole
-    /// stream — callers surface that via the
-    /// `entropy.pair_table_bypass` telemetry counter so affected
-    /// corpora are visible on `/metrics`.
-    pub fn has_pair_table(&self) -> bool {
-        self.max_bits <= PAIR_TABLE_MAX_BITS
     }
 
     /// Splits `data` into the four substreams of the multi-stream
@@ -415,117 +371,105 @@ impl HuffmanTable {
         Ok(out)
     }
 
-    /// Fast decode of four substreams: four word-refilling cursors
-    /// advance round-robin through the interleaved hot loop, one
-    /// pair-table lookup per cursor per iteration, so the CPU keeps
-    /// four independent dependency chains in flight. Per-stream
-    /// operation order matches [`Self::decode_fast`] exactly (pair
-    /// steps while two symbols remain, then the per-symbol tail), so
-    /// each stream succeeds or fails independently of scheduling and
-    /// the whole decode agrees with [`Self::decode_4stream`] on
-    /// success and on failure.
+    /// Fast decode of four substreams: the unchecked body runs the four
+    /// cursors in lockstep, so the CPU keeps four independent dependency
+    /// chains in flight, until one of them nears its end; then each
+    /// stream finishes in order, alone, as [`Self::decode_fast`] does.
+    /// The body cannot fail, so the first error is the first failing
+    /// stream's, as in [`Self::decode_4stream`], and so are the bytes.
     ///
     /// # Errors
     ///
-    /// Fails iff [`Self::decode_4stream`] fails on the same input
-    /// (possibly reporting a different failing stream's error; all
-    /// variants are entropy decode errors).
+    /// Identical to [`Self::decode_4stream`].
     #[deny(clippy::indexing_slicing)]
     pub fn decode_4stream_fast(&self, bufs: [&[u8]; 4], total: usize) -> Result<Vec<u8>> {
-        let [n0, n1, n2, n3] = four_stream_split(total);
+        let [n0, n1, n2, _] = four_stream_split(total);
         let mut out = vec![0u8; total];
         let (s0, rest) = out.split_at_mut(n0);
         let (s1, rest) = rest.split_at_mut(n1);
         let (s2, s3) = rest.split_at_mut(n2);
-        let [mut r0, mut r1, mut r2, mut r3] = quad_readers_fast(bufs, bufs.map(|b| b.len() * 8));
-        let (mut w0, mut w1, mut w2, mut w3) =
-            (s0.iter_mut(), s1.iter_mut(), s2.iter_mut(), s3.iter_mut());
-        let (mut m0, mut m1, mut m2, mut m3) = (n0, n1, n2, n3);
-        let pair = self.tables().pair.as_deref();
-        if let Some(pair) = pair {
-            while m0 >= 2 && m1 >= 2 && m2 >= 2 && m3 >= 2 {
-                self.pair_step(pair, &mut r0, &mut w0, &mut m0)?;
-                self.pair_step(pair, &mut r1, &mut w1, &mut m1)?;
-                self.pair_step(pair, &mut r2, &mut w2, &mut m2)?;
-                self.pair_step(pair, &mut r3, &mut w3, &mut m3)?;
-            }
+        let [b0, b1, b2, b3] = bufs;
+        let lane = |buf, out| Lane { buf, bit: 0, out };
+        let mut lanes = [lane(b0, s0), lane(b1, s1), lane(b2, s2), lane(b3, s3)];
+        self.decode_body(&mut lanes);
+        for lane in lanes {
+            self.finish_lane(lane)?;
         }
-        self.finish_stream(pair, &mut r0, &mut w0, &mut m0)?;
-        self.finish_stream(pair, &mut r1, &mut w1, &mut m1)?;
-        self.finish_stream(pair, &mut r2, &mut w2, &mut m2)?;
-        self.finish_stream(pair, &mut r3, &mut w3, &mut m3)?;
         Ok(out)
     }
 
-    /// One pair-table step of the interleaved loop: up to two symbols
-    /// from one cursor, replaying the slow path's consume/range-check
-    /// ordering so errors surface identically. Callers guarantee
-    /// `*rem >= 2` so the writer always has room.
+    /// Drains one cursor: the unchecked body while it can run, then,
+    /// from exactly its bit position, the checked per-symbol loop of
+    /// [`Self::decode`].
     #[deny(clippy::indexing_slicing)]
-    #[inline]
-    fn pair_step<R: BitSrc>(
-        &self,
-        pair: &[PairEntry],
-        r: &mut R,
-        w: &mut std::slice::IterMut<'_, u8>,
-        rem: &mut usize,
-    ) -> Result<()> {
-        let window = r.peek_bits_lenient(self.max_bits) as usize;
-        // The peek is masked to `max_bits`, so the lookup always hits.
-        let e = pair
-            .get(window)
-            .copied()
-            .ok_or(Error::CorruptData("invalid huffman window"))?;
-        if e.nsyms == 2 {
-            r.consume(e.len1 as u32)?;
-            let b1 =
-                u8::try_from(e.sym1).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-            *w.next()
-                .ok_or(Error::CorruptData("stream output overrun"))? = b1;
-            r.consume(e.len2 as u32)?;
-            let b2 =
-                u8::try_from(e.sym2).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-            *w.next()
-                .ok_or(Error::CorruptData("stream output overrun"))? = b2;
-            *rem -= 2;
-        } else if e.nsyms == 1 {
-            r.consume(e.len1 as u32)?;
-            let b1 =
-                u8::try_from(e.sym1).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-            *w.next()
-                .ok_or(Error::CorruptData("stream output overrun"))? = b1;
-            *rem -= 1;
-        } else {
-            return Err(Error::CorruptData("invalid huffman window"));
+    fn finish_lane(&self, lane: Lane<'_, '_>) -> Result<()> {
+        let mut lanes = [lane];
+        self.decode_body(&mut lanes);
+        let [Lane { buf, bit, out }] = lanes;
+        let mut r = BitReaderFast::new(buf, buf.len() * 8);
+        r.consume(bit)?;
+        for slot in out.iter_mut() {
+            let sym = self.read_symbol(&mut r)?;
+            *slot =
+                u8::try_from(sym).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
         }
         Ok(())
     }
 
-    /// Drains one substream after the interleaved loop: pair steps
-    /// while two symbols remain, then the shared per-symbol tail —
-    /// the same op sequence [`Self::decode_fast`] uses end-to-end.
-    #[deny(clippy::indexing_slicing)]
-    fn finish_stream<R: BitSrc>(
-        &self,
-        pair: Option<&[PairEntry]>,
-        r: &mut R,
-        w: &mut std::slice::IterMut<'_, u8>,
-        rem: &mut usize,
-    ) -> Result<()> {
-        if let Some(pair) = pair {
-            while *rem >= 2 {
-                self.pair_step(pair, r, w, rem)?;
+    /// The unchecked literal body over `N` cursors in lockstep. Each
+    /// round loads one little-endian word per cursor and decodes
+    /// `56 / max_bits` symbols out of it through the flat table, with
+    /// no per-symbol check: it runs only on tables where no window
+    /// fails and no symbol exceeds a byte, and only while every cursor
+    /// has 8 bytes of buffer and a round of output left, so every bit
+    /// it consumes lies inside the buffer. That is exactly the
+    /// condition under which the checked loop cannot fail either, so
+    /// the body decodes what the checked loop would, and an error can
+    /// only come from the checked tail.
+    // indexing_slicing: `flat` has `1 << max_bits` slots and every index
+    // is masked to `max_bits`; `word` let the round start only with
+    // `per <= out.len()`, and `i < per == head.len()`; `bits <= 7 + 56`,
+    // so `bits >> 3 <= 7 < 8 <= buf.len()`.
+    #[allow(clippy::indexing_slicing)]
+    #[inline]
+    fn decode_body<const N: usize>(&self, lanes: &mut [Lane<'_, '_>; N]) {
+        let tables = self.tables();
+        if !tables.unchecked {
+            return;
+        }
+        let flat = tables.flat.as_slice();
+        let per = (56 / self.max_bits) as usize;
+        let mask = (1u64 << self.max_bits) - 1;
+        let mut words = [0u64; N];
+        loop {
+            for (w, lane) in words.iter_mut().zip(lanes.iter()) {
+                match lane.word(per) {
+                    Some(word) => *w = word,
+                    None => return,
+                }
+            }
+            let mut heads = lanes.each_mut().map(|lane| {
+                let (head, rest) = std::mem::take(&mut lane.out).split_at_mut(per);
+                lane.out = rest;
+                head
+            });
+            let mut used = [0u32; N];
+            for i in 0..per {
+                let lanes = words.iter_mut().zip(&mut heads).zip(&mut used);
+                for ((word, head), used) in lanes {
+                    let (sym, len) = flat[(*word & mask) as usize];
+                    // The table holds byte symbols only (`unchecked`).
+                    head[i] = sym as u8;
+                    *word >>= len;
+                    *used += u32::from(len);
+                }
+            }
+            for (lane, used) in lanes.iter_mut().zip(used) {
+                let bits = lane.bit + used;
+                lane.buf = &lane.buf[(bits >> 3) as usize..];
+                lane.bit = bits & 7;
             }
         }
-        while *rem > 0 {
-            let sym = self.read_symbol(r)?;
-            let byte =
-                u8::try_from(sym).map_err(|_| Error::CorruptData("symbol out of byte range"))?;
-            *w.next()
-                .ok_or(Error::CorruptData("stream output overrun"))? = byte;
-            *rem -= 1;
-        }
-        Ok(())
     }
 }
 
@@ -538,38 +482,6 @@ impl HuffmanTable {
 pub fn four_stream_split(n: usize) -> [usize; 4] {
     let q = n / 4;
     [q, q, q, n - 3 * q]
-}
-
-/// Builds the multi-symbol table from a complete single-symbol table.
-///
-/// For window `w`: if `decode[w]` is invalid the pair slot is invalid
-/// (`nsyms == 0`). Otherwise the first symbol consumes `len1` bits and the
-/// second lookup indexes `w >> len1`. The second symbol is only certain
-/// when its entry is valid *and* `len1 + len2 <= max_bits` — i.e. every
-/// bit that determined it lay inside the original window. An invalid
-/// second entry does not make the slot invalid: the real next code may
-/// extend past the window, so the slot degrades to `nsyms == 1`.
-// indexing_slicing: `w` enumerates `pair`, which is sized from `decode`,
-// and `w >> len1 <= w`, so both lookups stay in-bounds.
-#[allow(clippy::indexing_slicing)]
-fn build_pair_table(decode: &[(u16, u8)], max_bits: u32) -> Vec<PairEntry> {
-    let mut pair = vec![PairEntry::default(); decode.len()];
-    for (w, slot) in pair.iter_mut().enumerate() {
-        let (sym1, len1) = decode[w];
-        if len1 == 0 {
-            continue;
-        }
-        slot.sym1 = sym1;
-        slot.len1 = len1;
-        slot.nsyms = 1;
-        let (sym2, len2) = decode[w >> len1];
-        if len2 > 0 && (len1 as u32 + len2 as u32) <= max_bits {
-            slot.sym2 = sym2;
-            slot.len2 = len2;
-            slot.nsyms = 2;
-        }
-    }
-    pair
 }
 
 /// Canonical code assignment (RFC 1951 style): shorter codes first,
@@ -848,7 +760,7 @@ mod tests {
 
     #[test]
     fn decode_fast_handles_odd_symbol_counts() {
-        // Odd n exercises the single-symbol tail after the pair loop.
+        // 255 symbols of 8 bits: 7 per body round, 3 left for the tail.
         let data: Vec<u8> = (0..=254u8).collect();
         let freqs = byte_histogram(&data);
         let table = HuffmanTable::build(&freqs, 11).unwrap();
@@ -1096,21 +1008,45 @@ mod tests {
     }
 
     #[test]
-    fn pair_table_presence_tracks_max_bits() {
-        // Fibonacci-ish weights force deep codes when the limit allows.
-        let mut freqs = vec![0u32; 24];
-        let (mut a, mut b) = (1u32, 1u32);
-        for f in freqs.iter_mut() {
-            *f = a;
-            let next = a.saturating_add(b);
-            a = b;
-            b = next;
-        }
-        let wide = HuffmanTable::build(&freqs, 15).unwrap();
-        assert!(wide.max_bits() > PAIR_TABLE_MAX_BITS);
-        assert!(!wide.has_pair_table());
-        let narrow = HuffmanTable::build(&freqs, 11).unwrap();
-        assert!(narrow.has_pair_table());
+    fn wide_alphabets_take_the_checked_loop_and_fail_alike() {
+        // zlibx's 310-symbol literal/length alphabet: a symbol above 255
+        // cannot be a byte, so the fast entries must not run the
+        // unchecked body and must report the reference's error.
+        let freqs: Vec<u32> = (0..310u32).map(|s| 1 + (s % 7) * (s % 3)).collect();
+        let table =
+            HuffmanTable::from_lengths(HuffmanTable::build(&freqs, 15).unwrap().lengths()).unwrap();
+        assert!(!table.tables().unchecked);
+        // The wide symbol comes early, where the body would decode it.
+        let syms: Vec<u16> = [7, 300]
+            .into_iter()
+            .chain((0..600).map(|i| i % 250))
+            .collect();
+        let stream = |syms: &[u16]| {
+            let mut w = BitWriter::new();
+            syms.iter().for_each(|&s| table.write_symbol(&mut w, s));
+            w.finish().0
+        };
+        let one = stream(&syms);
+        let wide = Err(Error::CorruptData("symbol out of byte range"));
+        assert_eq!(table.decode(&one, syms.len()), wide);
+        assert_eq!(table.decode_fast(&one, syms.len()), wide);
+        assert_eq!(table.decode_fast(&one, 1), Ok(vec![7]));
+        // Four streams, the wide symbol first in the third.
+        let [q, _, _, r] = four_stream_split(syms.len());
+        let mut third = syms[2..q + 2].to_vec();
+        third[0] = 300;
+        let quads = [
+            stream(&syms[2..q + 2]),
+            stream(&syms[2..q + 2]),
+            stream(&third),
+            stream(&syms[2..r + 2]),
+        ];
+        let bufs = [&quads[0][..], &quads[1][..], &quads[2][..], &quads[3][..]];
+        assert_eq!(table.decode_4stream(bufs, syms.len()), wide);
+        assert_eq!(table.decode_4stream_fast(bufs, syms.len()), wide);
+        // And an incomplete code cannot run the body either.
+        let lens = [1u8, 2];
+        assert!(!DecodeTables::new(&lens, &canonical_codes(&lens), 2).unchecked);
     }
 
     #[test]

@@ -207,7 +207,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) -> st
     loop {
         batch.clear();
         // Blocking read for the first request of a batch; a read
-        // timeout is the idle tick where shutdown is observed.
+        // timeout before a frame's first byte is the idle tick where
+        // shutdown is observed (one inside a frame is a framing error).
         match protocol::read_request(&mut reader, &shared.limits) {
             Ok(Some(req)) => batch.push(req),
             Ok(None) => return Ok(()), // clean close

@@ -183,6 +183,18 @@ fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
+/// `read_exact` after a frame's first byte. A read timeout here is not
+/// the caller's idle tick: the bytes read so far are gone, so the next
+/// read would start inside the frame. It fails as a framing error.
+fn read_in_frame<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            WireError::Malformed("frame stalled past the read timeout")
+        }
+        _ => WireError::Io(e),
+    })
+}
+
 /// Reads one request frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the client closed between requests).
 ///
@@ -190,8 +202,9 @@ fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
 ///
 /// [`WireError::TooLarge`] when the body length fails `limits` (checked
 /// before the body buffer is allocated), [`WireError::Malformed`] when
-/// the body layout is inconsistent, [`WireError::Io`] on transport
-/// failure or mid-frame EOF.
+/// the body layout is inconsistent or a read times out after the
+/// frame's first byte, [`WireError::Io`] on transport failure, on
+/// mid-frame EOF, or on a timeout before the first byte.
 pub fn read_request<R: BufRead>(
     r: &mut R,
     limits: &DecodeLimits,
@@ -200,7 +213,7 @@ pub fn read_request<R: BufRead>(
     // Distinguish clean close (no bytes) from a truncated prefix.
     match r.read(&mut len_bytes[..1])? {
         0 => return Ok(None),
-        _ => r.read_exact(&mut len_bytes[1..])?,
+        _ => read_in_frame(r, &mut len_bytes[1..])?,
     }
     let body_len = u32::from_le_bytes(len_bytes) as usize;
     // The declared body length is attacker-controlled: bound it like a
@@ -215,7 +228,7 @@ pub fn read_request<R: BufRead>(
         return Err(WireError::Malformed("body shorter than fixed header"));
     }
     let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
+    read_in_frame(r, &mut body)?;
 
     let op = Op::from_wire(body[0]).ok_or(WireError::Malformed("unknown op"))?;
     let tenant_len = body[1] as usize;

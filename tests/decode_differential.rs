@@ -10,7 +10,7 @@ use std::io;
 
 use datacomp::codecs::stream::{compress_stream, decompress_stream};
 use datacomp::codecs::{lz4x::Lz4x, zlibx::Zlibx, zstdx::Zstdx};
-use datacomp::codecs::{CodecError, Compressor, DecodeLimits};
+use datacomp::codecs::{CodecError, Compressor, DecodeLimits, StreamPolicy};
 use datacomp::faultline::{Injector, Rng};
 use proptest::prelude::*;
 
@@ -150,6 +150,38 @@ proptest! {
                 for (vi, variant) in inj.corrupt(&frame, &rng, 6).iter().enumerate() {
                     assert_agree(&e, variant, &limits, &format!("{inj} variant {vi}"));
                 }
+            }
+        }
+    }
+
+    /// zstdx's four-stream literal section under the injector matrix.
+    /// Skewed, literal-dominated payloads of 4 KiB and up (13 to 40
+    /// symbols, as `multistream_entropy` draws them): the `Auto` frame
+    /// differs from the `Single` one, so it carries `LIT_HUFFMAN4`, and
+    /// every corrupted variant of it decodes alike through both engines.
+    #[test]
+    fn zstdx_engines_agree_on_corrupted_four_stream_literals(
+        len in (4usize << 10)..(12 << 10),
+        alphabet in 13u32..=40,
+        seed in any::<u32>(),
+    ) {
+        let mut x = seed | 1;
+        let data: Vec<u8> = (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                ((x >> 16) % alphabet) as u8
+            })
+            .collect();
+        let single = Zstdx::new(3).with_checksum(true).with_stream_policy(StreamPolicy::Single);
+        let e = engines().into_iter().find(|e| e.name == "zstdx").unwrap();
+        let frame = (e.compress)(&data);
+        prop_assert_ne!(&frame, &single.compress(&data), "no four-stream section");
+        let limits = DecodeLimits::default();
+        assert_agree(&e, &frame, &limits, "valid frame");
+        for inj in Injector::ALL {
+            let rng = Rng::new(u64::from(seed) ^ 0x4157);
+            for (vi, variant) in inj.corrupt(&frame, &rng, 8).iter().enumerate() {
+                assert_agree(&e, variant, &limits, &format!("{inj} variant {vi}"));
             }
         }
     }

@@ -164,6 +164,42 @@ proptest! {
         }
     }
 
+    /// The fast literal decoders run an unchecked body while 8 bytes of
+    /// buffer remain under a cursor, then the checked per-symbol tail.
+    /// Wherever that switch lands they equal the reference decoders:
+    /// the same bytes, or the same error. Lengths sit on and around
+    /// multiples of the body's round (`56 / max_bits` symbols), streams
+    /// run from a few bytes (tail only) to a few KiB, and lopsided
+    /// inputs give four-stream sections whose first stream is shorter
+    /// than 8 bytes while the others are not.
+    #[test]
+    fn huffman_fast_decoders_equal_the_reference_at_body_tail_boundaries(
+        seed in any::<u64>(),
+        alphabet in 2usize..=256,
+        limit in 1u32..=15,
+        skew in 0u32..8,
+        rounds in prop_oneof![0usize..8, 0usize..400],
+        offset in 0usize..5,
+        lopsided in any::<bool>(),
+    ) {
+        let alphabet = alphabet.min(1 << limit);
+        let mut pool = skewed_bytes(seed, alphabet, skew, 2048);
+        pool[..2].copy_from_slice(&[0, 1]);
+        let t = HuffmanTable::build(&byte_histogram(&pool), limit).unwrap();
+        let per = (56 / t.max_bits()) as usize;
+        let n = (rounds * per + offset).saturating_sub(2).min(pool.len());
+        let mut data = pool[..n].to_vec();
+        if lopsided {
+            // The first quarter (stream 0) all in the shortest code.
+            let shortest = (0..=255u8)
+                .filter(|&b| t.lengths().get(b as usize).is_some_and(|&l| l > 0))
+                .min_by_key(|&b| t.lengths()[b as usize])
+                .unwrap();
+            data[..n / 4].fill(shortest);
+        }
+        fast_decoders_equal_the_reference(&t, &data, seed);
+    }
+
     #[test]
     fn fse_compresses_skewed_below_fixed_width(skew in 2u32..20) {
         // A 4-symbol alphabet where symbol 0 has `skew` times the mass:
@@ -209,6 +245,74 @@ fn huffman_lazy_decode_tables_survive_a_two_thread_race() {
                 assert_eq!(quad.join().unwrap().unwrap(), data);
                 assert_eq!(one.join().unwrap().unwrap(), data);
             });
+        }
+    }
+}
+
+/// `len` bytes below `alphabet`, each the least of `skew + 1` uniform
+/// draws: uniform at skew 0, leaning harder on the low symbols above.
+fn skewed_bytes(seed: u64, alphabet: usize, skew: u32, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut draw = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 11) % alphabet as u64
+    };
+    (0..len)
+        .map(|_| (0..=skew).map(|_| draw()).min().unwrap() as u8)
+        .collect()
+}
+
+/// `decode_fast` against `decode` and `decode_4stream_fast` against
+/// `decode_4stream` on `data`'s encoding, on every truncation prefix of
+/// every stream, and on sampled single bit flips: equal results, errors
+/// included.
+fn fast_decoders_equal_the_reference(t: &HuffmanTable, data: &[u8], seed: u64) {
+    let n = data.len();
+    // Sixteen hashed bit positions in a `len`-byte stream.
+    let flips = |len: usize, salt: u64| {
+        (0..16u64).filter(move |_| len > 0).map(move |i| {
+            let h = (seed ^ salt)
+                .wrapping_add(i)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (h >> 16) as usize % (len * 8)
+        })
+    };
+
+    let enc = t.encode(data);
+    assert_eq!(t.decode_fast(&enc, n).as_deref(), Ok(data));
+    assert_eq!(t.decode(&enc, n).as_deref(), Ok(data));
+    for k in 0..enc.len() {
+        let cut = &enc[..k];
+        assert_eq!(t.decode_fast(cut, n), t.decode(cut, n), "prefix {k}");
+    }
+    for bit in flips(enc.len(), 0) {
+        let mut bad = enc.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert_eq!(t.decode_fast(&bad, n), t.decode(&bad, n), "flip {bit}");
+    }
+
+    let streams = t.encode_4stream(data);
+    let both = |s: &[Vec<u8>; 4]| {
+        let bufs = [&s[0][..], &s[1][..], &s[2][..], &s[3][..]];
+        (t.decode_4stream_fast(bufs, n), t.decode_4stream(bufs, n))
+    };
+    let (fast, reference) = both(&streams);
+    assert_eq!(fast.as_deref(), Ok(data));
+    assert_eq!(reference.as_deref(), Ok(data));
+    for s in 0..4 {
+        for cut in 0..streams[s].len() {
+            let mut cut_streams = streams.clone();
+            cut_streams[s].truncate(cut);
+            let (fast, reference) = both(&cut_streams);
+            assert_eq!(fast, reference, "stream {s} prefix {cut}");
+        }
+        for bit in flips(streams[s].len(), s as u64 + 1) {
+            let mut bad = streams.clone();
+            bad[s][bit / 8] ^= 1 << (bit % 8);
+            let (fast, reference) = both(&bad);
+            assert_eq!(fast, reference, "stream {s} flip {bit}");
         }
     }
 }

@@ -1,12 +1,13 @@
 //! End-to-end contract for the compression daemon: a live port-0
 //! server sustains a seeded fleet-mix replay with per-tenant round-trip
 //! equality, walks the brownout ladder under forced overload, serves
-//! per-tenant counters on `/metrics`, and survives a faultline sweep of
-//! hostile protocol frames without a panic.
+//! per-tenant counters on `/metrics`, survives a faultline sweep of
+//! hostile protocol frames without a panic, and never resumes a stalled
+//! frame at a boundary inside its body.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use datacomp::codecs::DecodeLimits;
 use datacomp::managed::{AdmissionConfig, ManagedConfig, PASSTHROUGH_MAGIC};
@@ -239,5 +240,52 @@ fn length_inflation_is_rejected_before_allocation() {
     assert_eq!(resp.status, Status::TooLarge);
     let reason = String::from_utf8(resp.payload).unwrap();
     assert!(reason.contains("exceeds limit"), "{reason}");
+    server.shutdown();
+}
+
+#[test]
+fn a_stall_inside_a_frame_is_a_bad_frame_not_a_new_request() {
+    // Request A's payload ends with a complete request frame B. The
+    // client sends A up to where B begins, stalls past the workers'
+    // 500 ms read timeout, then sends B's bytes. A server that took the
+    // timeout for an idle tick would resume reading at B and answer it:
+    // B smuggled in, A never answered.
+    let server = CompressionServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let frame = |payload: Vec<u8>| {
+        let mut wire = Vec::new();
+        let req = Request {
+            op: Op::Compress,
+            tenant: "stall".into(),
+            use_case: "uc".into(),
+            payload,
+        };
+        protocol::encode_request(&mut wire, &req).unwrap();
+        wire
+    };
+    let inner = frame(b"smuggled request body".to_vec());
+    let mut payload = vec![b'a'; 64];
+    payload.extend_from_slice(&inner);
+    let outer = frame(payload);
+    let split = outer.len() - inner.len();
+
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    conn.write_all(&outer[..split]).unwrap();
+    std::thread::sleep(Duration::from_millis(900));
+    // The server may already have closed; a failed write is fine.
+    let _ = conn.write_all(&outer[split..]);
+    conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let start = Instant::now();
+    let mut reader = std::io::BufReader::new(conn);
+    let resp = protocol::read_response(&mut reader, &DecodeLimits::default()).expect("an answer");
+    assert_eq!(resp.status, Status::BadFrame, "B was served in A's place");
+    // Then the connection closes: EOF (or a reset, when B's bytes landed
+    // after the close), never a second answer and never a read timeout.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "a second answer followed"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    assert!(start.elapsed() < Duration::from_secs(2));
     server.shutdown();
 }
