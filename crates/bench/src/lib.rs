@@ -109,7 +109,7 @@ pub fn write_artifact(name: &str, json_lines: &str) {
     }
     if std::env::var_os("DATACOMP_TRACE").is_some_and(|v| v != "0") {
         let trace_path = dir.join(format!("{name}.trace.json"));
-        let json = telemetry::chrome::to_chrome_json(&telemetry::global_tracer().drain());
+        let json = telemetry::chrome::to_chrome_json(&telemetry::requests().sampled());
         match std::fs::write(&trace_path, json) {
             Ok(()) => println!("[artifact] {}", trace_path.display()),
             Err(e) => eprintln!("warn: cannot write {}: {e}", trace_path.display()),

@@ -16,10 +16,9 @@ const USAGE: &str =
 /// the snapshot `/metrics` would serve (the registry plus every live
 /// plane's series) is written to `<path>` as JSON and to `<path>.prom`
 /// in Prometheus text format. Every command also accepts `--trace
-/// <path>`: the flight recorder is drained after the command and
-/// written to `<path>` as Chrome trace-event JSON (open in Perfetto or
-/// `chrome://tracing`). The snapshot is taken first, because draining
-/// resets the per-track drop counters it reports.
+/// <path>`: the request plane's tail-sampled span trees are written to
+/// `<path>` as Chrome trace-event JSON (open in Perfetto or
+/// `chrome://tracing`). Neither write consumes what it reads.
 ///
 /// # Errors
 ///
@@ -72,48 +71,18 @@ fn write_telemetry(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Drains the global flight recorder and writes the events to `path`
-/// as Chrome trace-event JSON.
+/// Writes the tail-sampled requests to `path` as Chrome trace-event
+/// JSON.
 fn write_trace(path: &str) -> Result<(), String> {
-    let snap = telemetry::global_tracer().drain();
-    // Tail-sampled request span trees ride along as flow-linked
-    // events, so a slow or errored request is one arrow away from the
-    // raw per-thread timeline in Perfetto.
     let sampled = telemetry::requests().sampled();
-    fs::write(
-        path,
-        telemetry::chrome::to_chrome_json_with_requests(&snap, &sampled),
-    )
-    .map_err(|e| format!("cannot write {path}: {e}"))?;
+    fs::write(path, telemetry::chrome::to_chrome_json(&sampled))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    let spans: usize = sampled.iter().map(|r| r.spans.len()).sum();
     println!(
-        "trace: {} events on {} tracks ({} dropped), {} sampled requests -> {path}",
-        snap.event_count(),
-        snap.tracks.len(),
-        snap.dropped_total(),
+        "trace: {} sampled requests, {spans} spans -> {path}",
         sampled.len()
     );
     Ok(())
-}
-
-/// Runs a small CompOpt evaluation purely for its trace side effect:
-/// one decision event per candidate, so profile-style traces also
-/// explain what the optimizer would pick on representative data.
-fn trace_decision_demo() {
-    let samples: Vec<Vec<u8>> = (0..2)
-        .map(|i| corpus::silesia::generate(corpus::silesia::FileClass::Log, 16 * 1024, i))
-        .collect();
-    let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
-    let mut engine = CompEngine::new();
-    engine.add_levels(Algorithm::Zstdx, [1, 3]);
-    engine.add_levels(Algorithm::Lz4x, [1]);
-    let measured = engine.measure(&refs);
-    let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, 30.0);
-    let _ = evaluate_all(
-        &measured,
-        &params,
-        CostWeights::ALL,
-        &[Constraint::MinCompressionSpeedMbps(200.0)],
-    );
 }
 
 /// `datacomp fault-inject [--seed N] [--injector A,B] [--algo X,Y]
@@ -305,7 +274,7 @@ fn chaos(args: &Args) -> Result<(), String> {
 /// through the managed compression service until the deadline. Every
 /// replayed block feeds the windowed registries and the SLO burn-rate
 /// engine, so a Prometheus scrape during the run sees live `window_*`
-/// p99s (with trace exemplars) and `slo_*` gauges. Exits non-zero when
+/// p99s (with request exemplars) and `slo_*` gauges. Exits non-zero when
 /// any objective's cumulative error budget is exhausted, so the command
 /// doubles as a canary gate.
 ///
@@ -400,7 +369,6 @@ fn monitor(args: &Args) -> Result<(), String> {
         spec.name, spec.description
     );
 
-    telemetry::trace::set_track_name(&format!("monitor:{}", spec.name));
     let mut svc = managed::ManagedCompression::new(managed::ManagedConfig::default());
     let t0 = Instant::now();
     if let Some(seed) = chaos_seed {
@@ -1021,25 +989,44 @@ fn optimize(args: &Args) -> Result<(), String> {
         constraints.push(Constraint::MaxDecompressionLatencyMs(v));
     }
     let evals = evaluate_all(&measured, &params, weights, &constraints);
-    println!(
-        "{:>16} {:>7} {:>11} {:>14} {:>9}",
-        "config", "ratio", "comp MB/s", "cost", "feasible"
-    );
-    for e in &evals {
-        println!(
-            "{:>16} {:>7.2} {:>11.1} {:>14.3e} {:>9}",
-            e.label,
-            e.ratio,
-            e.compress_mbps,
-            e.total_cost,
-            if e.feasible { "yes" } else { "no" }
-        );
-    }
+    print!("{}", optimize_table(&evals));
     match optimum(&evals) {
         Some(best) => println!("\noptimal: {}", best.label),
         None => println!("\nno feasible configuration under the given constraints"),
     }
     Ok(())
+}
+
+/// The `optimize` table: per candidate, the Eq. 1–3 cost terms beside
+/// the weighted total, and the constraint that pruned it, if any.
+fn optimize_table(evals: &[Evaluation]) -> String {
+    let mut out = format!(
+        "{:>16} {:>7} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9}  {}\n",
+        "config",
+        "ratio",
+        "comp MB/s",
+        "c_compute",
+        "c_storage",
+        "c_network",
+        "cost",
+        "feasible",
+        "pruned_by"
+    );
+    for e in evals {
+        out.push_str(&format!(
+            "{:>16} {:>7.2} {:>11.1} {:>11.3e} {:>11.3e} {:>11.3e} {:>11.3e} {:>9}  {}\n",
+            e.label,
+            e.ratio,
+            e.compress_mbps,
+            e.costs.compute,
+            e.costs.storage,
+            e.costs.network,
+            e.total_cost,
+            if e.feasible { "yes" } else { "no" },
+            e.pruned_by.as_deref().unwrap_or("-")
+        ));
+    }
+    out
 }
 
 fn gen(args: &Args) -> Result<(), String> {
@@ -1097,11 +1084,6 @@ fn fleet_tables(args: &Args) -> Result<(), String> {
     // Publish per-service aggregates so a --telemetry snapshot taken
     // after this command carries the whole profile.
     profile.record_to(telemetry::global());
-    // A profile trace should also explain configuration choice: add
-    // decision events before the post-command drain writes the file.
-    if args.options.contains_key("trace") {
-        trace_decision_demo();
-    }
     println!(
         "fleet compression tax: {:.2}%",
         fleet::agg::fleet_compression_tax(&profile) * 100.0
@@ -1452,7 +1434,7 @@ mod tests {
         for family in [
             "window_span_seconds",
             "requests_total",
-            "trace_dropped_total",
+            "request_spans_dropped_total",
         ] {
             assert!(prom.contains(&format!("# TYPE {family} ")), "{family}");
         }
@@ -1460,8 +1442,6 @@ mod tests {
 
     #[test]
     fn profile_trace_writes_chrome_trace_json() {
-        // The only test in this binary that drains the global tracer
-        // (via the --trace hook).
         let out = tmp("trace.json");
         run_cmd(&["profile", "--units", "1", "--trace", out.to_str().unwrap()]).unwrap();
         let json = fs::read_to_string(&out).unwrap();
@@ -1471,19 +1451,16 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches('"').count() % 2, 0);
         assert!(json.contains("\"traceEvents\":["));
-        // One named track per profiled service.
-        for svc in ["DW1", "CACHE1", "LONGTAIL"] {
+        // Sampled requests render as `req:` threads of complete events;
+        // some sampled fleet compression carries the codec stages.
+        assert!(json.contains("\"args\":{\"name\":\"req:"));
+        for stage in ["zstdx.match_find", "zstdx.entropy"] {
             assert!(
-                json.contains(&format!("\"args\":{{\"name\":\"svc:{svc}\"}}")),
-                "missing track for {svc}"
+                json.contains(&format!(
+                    "\"name\":\"{stage}\",\"cat\":\"request\",\"ph\":\"X\""
+                )),
+                "no {stage} span in the trace"
             );
-        }
-        // Per-block codec stage pairs and CompOpt decisions made it in.
-        assert!(json.contains("\"name\":\"zstdx.match_find\",\"cat\":\"stage\",\"ph\":\"B\""));
-        assert!(json.contains("\"name\":\"zstdx.match_find\",\"cat\":\"stage\",\"ph\":\"E\""));
-        assert!(json.contains("\"name\":\"compopt.decision\""));
-        for term in ["c_compute", "c_storage", "c_network", "total_cost"] {
-            assert!(json.contains(term), "decision missing {term}");
         }
         // Every event carries the required Chrome fields.
         let events = json.split_once("\"traceEvents\":[").unwrap().1;
@@ -1492,13 +1469,45 @@ mod tests {
                 assert!(obj.contains(field), "missing {field} in {obj}");
             }
         }
-        // Round-trip: a second invocation starts from a drained
-        // recorder and still produces a complete file.
+        // Rendering consumes nothing: a second invocation still writes
+        // a complete file.
         let out2 = tmp("trace2.json");
         run_cmd(&["profile", "--units", "1", "--trace", out2.to_str().unwrap()]).unwrap();
         let json2 = fs::read_to_string(&out2).unwrap();
-        assert!(json2.contains("\"name\":\"compopt.decision\""));
-        assert!(json2.contains("svc:DW1"));
+        assert!(json2.contains("\"name\":\"zstdx.match_find\""));
+    }
+
+    #[test]
+    fn optimize_table_explains_a_pruned_candidate() {
+        let samples: Vec<Vec<u8>> = (0..2)
+            .map(|i| corpus::silesia::generate(corpus::silesia::FileClass::Log, 16 * 1024, i))
+            .collect();
+        let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
+        let mut engine = CompEngine::new();
+        engine.add_levels(Algorithm::Zstdx, [1, 3]);
+        let measured = engine.measure(&refs);
+        let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, 30.0);
+        let impossible = Constraint::MinCompressionSpeedMbps(1e9);
+        let evals = evaluate_all(&measured, &params, CostWeights::ALL, &[impossible]);
+        let table = optimize_table(&evals);
+        let mut lines = table.lines();
+        let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        for column in ["c_compute", "c_storage", "c_network", "cost", "pruned_by"] {
+            assert!(header.contains(&column), "{column} missing from {header:?}");
+        }
+        let row = lines.next().expect("one row per candidate");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        let e = &evals[0];
+        // label (two words), ratio, MB/s, then the three cost terms.
+        let terms: Vec<f64> = cells[4..7].iter().map(|c| c.parse().unwrap()).collect();
+        for (shown, exact) in terms
+            .iter()
+            .zip([e.costs.compute, e.costs.storage, e.costs.network])
+        {
+            assert!((shown - exact).abs() <= exact.abs() * 1e-3, "{row}");
+        }
+        assert_eq!(cells[8], "no", "{row}");
+        assert!(row.ends_with(&impossible.to_string()), "{row}");
     }
 
     #[test]

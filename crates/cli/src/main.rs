@@ -19,9 +19,9 @@
 //! ```
 //!
 //! `monitor` is the live observability plane: it registers managed-path
-//! SLOs, serves `/metrics` (Prometheus, with windowed views and trace
-//! exemplars), `/slo` (error-budget JSON), `/healthz`, and
-//! `/trace.json` on `--addr`, and replays a fleet workload through the
+//! SLOs, serves `/metrics` (Prometheus, with windowed views and request
+//! exemplars), `/slo` (error-budget JSON), `/healthz`, and the request
+//! endpoints on `--addr`, and replays a fleet workload through the
 //! managed compression service until `--seconds` elapse. It exits
 //! non-zero when any error budget is exhausted. With `--chaos-seed` it
 //! injects a deterministic mid-run fault burst instead and exits
@@ -38,9 +38,8 @@
 //! Every command also accepts `--telemetry <path>`, writing the series
 //! `/metrics` would serve to `<path>` (JSON) and `<path>.prom`
 //! (Prometheus text) after the command completes, and `--trace <path>`,
-//! draining the flight recorder to `<path>` as Chrome trace-event JSON
-//! for Perfetto / `chrome://tracing`. `profile --trace <path>` adds
-//! CompOpt decision events to the profile's trace.
+//! rendering the tail-sampled requests' span trees to `<path>` as Chrome
+//! trace-event JSON for Perfetto / `chrome://tracing`.
 
 mod args;
 mod commands;

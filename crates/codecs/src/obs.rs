@@ -14,10 +14,10 @@
 //! Alongside the cumulative series, each call also feeds the
 //! [time-windowed registry](telemetry::windows): the uncompressed-side
 //! byte counter and the latency histogram under the same names, the
-//! histogram linking its per-bucket max sample back to a trace instant
-//! (an exemplar) so a scrape-time p99 can be chased to the exact
-//! flight-recorder event that caused it — and the whole call is a
-//! `codec.compress` / `codec.decompress` stage of any open request.
+//! histogram's per-bucket max sample naming the request it ran in (an
+//! exemplar) so a scrape-time p99 can be chased to that request's span
+//! tree — and the whole call is a `codec.compress` /
+//! `codec.decompress` stage of any open request.
 //!
 //! That is six series per call. They are not looked up per call: each
 //! `(algorithm, level, direction)` resolves its handles once, on its
@@ -34,7 +34,7 @@ use telemetry::{Counter, Histogram, WindowedCounter, WindowedHistogram};
 
 use crate::Algorithm;
 
-/// Series and trace names of one direction.
+/// Series and stage names of one direction.
 struct Names {
     calls: &'static str,
     /// Uncompressed bytes: compress input, decompress output. Also
@@ -45,7 +45,6 @@ struct Names {
     /// Latency, cumulative and windowed.
     nanos: &'static str,
     stage: &'static str,
-    exemplar: &'static str,
 }
 
 const COMPRESS: Names = Names {
@@ -54,7 +53,6 @@ const COMPRESS: Names = Names {
     frame_bytes: Some("codecs.compress.bytes_out"),
     nanos: "codecs.compress.nanos",
     stage: "codec.compress",
-    exemplar: "codec.compress.window_max",
 };
 
 const DECOMPRESS: Names = Names {
@@ -63,7 +61,6 @@ const DECOMPRESS: Names = Names {
     frame_bytes: None,
     nanos: "codecs.decompress.nanos",
     stage: "codec.decompress",
-    exemplar: "codec.decompress.window_max",
 };
 
 /// The resolved handles of one `(algorithm, level, direction)`.
@@ -105,10 +102,7 @@ impl Bundle {
         }
         self.nanos.observe_duration(elapsed);
         self.window_raw_bytes.add(raw as u64);
-        self.window_nanos
-            .observe_linked(elapsed.as_nanos() as u64, || {
-                telemetry::trace::instant_ref(self.names.exemplar)
-            });
+        self.window_nanos.observe(elapsed.as_nanos() as u64);
     }
 }
 

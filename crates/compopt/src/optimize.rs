@@ -43,12 +43,9 @@ pub struct Evaluation {
 /// Evaluates every measured candidate under the cost model, weights,
 /// and constraints; returns evaluations sorted by total cost ascending.
 ///
-/// Every candidate additionally emits a [`decision`
-/// event](telemetry::trace::Decision) on the calling thread's trace
-/// track carrying its Eq. 1–3 cost terms, the Eq. 4 total, and whether
-/// it won the argmin or was pruned by a constraint — so a Perfetto
-/// trace of an optimization run explains the choice, not just the
-/// outcome.
+/// Each evaluation explains itself: its Eq. 1–3 cost terms
+/// ([`Evaluation::costs`]), the Eq. 4 total, whether it is feasible and,
+/// if not, the constraint that pruned it. The winner is [`optimum`].
 pub fn evaluate_all(
     measured: &[Measured],
     params: &CostParams,
@@ -82,19 +79,6 @@ pub fn evaluate_all(
         })
         .collect();
     evals.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
-    let winner = evals.iter().position(|e| e.feasible);
-    for (i, e) in evals.iter().enumerate() {
-        telemetry::trace::decision(telemetry::Decision {
-            label: e.label.as_str().into(),
-            compute: e.costs.compute,
-            storage: e.costs.storage,
-            network: e.costs.network,
-            total: e.total_cost,
-            feasible: e.feasible,
-            won: Some(i) == winner,
-            pruned_by: e.pruned_by.as_deref().unwrap_or("").into(),
-        });
-    }
     evals
 }
 
@@ -238,40 +222,25 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_emits_decision_events_with_cost_terms() {
-        // The only test in this binary that drains the global tracer.
-        let tid = telemetry::trace::current_track().tid();
-        let min_mbps = 1e9; // impossible: every candidate gets pruned
-        let evals = evaluations(&[Constraint::MinCompressionSpeedMbps(min_mbps)]);
-        let snap = telemetry::global_tracer().drain();
-        let track = snap
-            .tracks
-            .iter()
-            .find(|t| t.tid == tid)
-            .expect("this thread's track was drained");
-        let decisions: Vec<&telemetry::Decision> = track
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                telemetry::trace::EventKind::Decision(d) => Some(d),
-                _ => None,
-            })
-            .collect();
-        assert!(decisions.len() >= evals.len(), "one decision per candidate");
-        for d in &decisions {
+    fn evaluations_explain_their_cost_terms_and_pruning() {
+        let evals = evaluations(&[]);
+        for e in &evals {
+            let sum = e.costs.compute + e.costs.storage + e.costs.network;
             assert!(
-                (d.compute + d.storage + d.network - d.total).abs() <= d.total.abs() * 1e-9,
+                (sum - e.total_cost).abs() <= e.total_cost.abs() * 1e-9,
                 "cost terms of {} do not sum under ALL weights",
-                d.label
+                e.label
             );
         }
-        // Everything was pruned: no winner, and each decision says why.
-        let recent = &decisions[decisions.len() - evals.len()..];
-        assert!(recent.iter().all(|d| !d.won && !d.feasible));
-        assert!(recent.iter().all(|d| !d.pruned_by.is_empty()));
-        assert!(evals
+        assert!(optimum(&evals).is_some_and(|w| w.feasible && w.pruned_by.is_none()));
+        // Everything pruned: nothing wins, and each evaluation says why.
+        let min_mbps = 1e9; // impossible
+        let pruned = evaluations(&[Constraint::MinCompressionSpeedMbps(min_mbps)]);
+        assert!(pruned.iter().all(|e| !e.feasible));
+        assert!(pruned
             .iter()
             .all(|e| e.pruned_by.as_deref().is_some_and(|p| !p.is_empty())));
+        assert!(optimum(&pruned).is_none());
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub struct DayReport {
 pub fn simulate_days(config: &DriftConfig) -> Vec<DayReport> {
     (0..config.days)
         .map(|day| {
-            telemetry::trace::instant("fleet.drift.day");
             let profile = profile_fleet(&ProfileConfig {
                 work_units: config.work_units_per_day,
                 seed: config.seed.wrapping_add(day as u64 * 8191),

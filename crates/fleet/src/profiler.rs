@@ -185,12 +185,9 @@ pub fn profile_fleet(config: &ProfileConfig) -> FleetProfile {
 }
 
 fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec<Observation> {
-    // One flight-recorder track per service: this runs on its own
-    // crossbeam thread, so naming the thread's track gives the Perfetto
-    // export one timeline row per service.
-    telemetry::trace::set_track_name(&format!("svc:{}", spec.name));
     let mut rng = StdRng::seed_from_u64(config.seed ^ (salt << 32));
     let mut cells: HashMap<(Algorithm, i32), Observation> = HashMap::new();
+    let svc_labels = [("service", spec.name)];
 
     // Dictionary-compressed services train one dictionary up front from
     // a held-out unit (paper §IV-C: one dictionary per data type; we
@@ -230,12 +227,6 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
             });
 
         for block in &unit {
-            // Block boundary on the service's timeline; dictionary
-            // blocks additionally mark the dict hit.
-            telemetry::trace::instant("fleet.block");
-            if dictionary.is_some() && algorithm == Algorithm::Zstdx {
-                telemetry::trace::instant("fleet.dict_hit");
-            }
             let reads = sample_reads(spec.reads_per_write, &mut rng);
             let comp_elapsed;
             // Each block write is one compress request: the stage spans
@@ -249,6 +240,9 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
                 let req =
                     telemetry::requests().open(spec.name, telemetry::Op::Compress, block.len());
                 req.arm_deadline(config.stage_deadline_nanos);
+                if dictionary.is_some() && algorithm == Algorithm::Zstdx {
+                    telemetry::request::mark("fleet.dict_hit");
+                }
                 let frame = match (algorithm, &dictionary) {
                     (Algorithm::Zstdx, None) => {
                         let z = Zstdx::new(level);
@@ -282,9 +276,16 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
                 if config.stage_deadline_nanos > 0 && req.deadline_exceeded() {
                     req.mark_error("deadline");
                     telemetry::global()
-                        .counter("fleet.deadline_stage_expired", &[("service", spec.name)])
+                        .counter("fleet.deadline_stage_expired", &svc_labels)
                         .add(1);
                 }
+                // Live windowed view of the latency: the scrape endpoint
+                // reports a sliding-window p99 per service, and the
+                // slowest block in each sub-window names this request as
+                // its exemplar.
+                telemetry::windows()
+                    .histogram("fleet.compress.nanos", &svc_labels)
+                    .observe(comp_elapsed.as_nanos() as u64);
                 frame
             };
             let reader = algorithm.compressor(level);
@@ -301,24 +302,14 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
                 cell,
                 config.stage_deadline_nanos,
             );
-            let svc_labels = [("service", spec.name)];
             telemetry::global()
                 .histogram("fleet.compress.nanos", &svc_labels)
                 .observe_duration(comp_elapsed);
-            // Live windowed view of the same series: the scrape
-            // endpoint reports a sliding-window p99 per service, and
-            // the slowest block in each sub-window keeps a trace
-            // exemplar pointing at its flight-recorder instant.
-            let win = telemetry::windows();
-            win.counter("fleet.compress.bytes", &svc_labels)
+            telemetry::windows()
+                .counter("fleet.compress.bytes", &svc_labels)
                 .add(block.len() as u64);
-            win.histogram("fleet.compress.nanos", &svc_labels)
-                .observe_linked(comp_elapsed.as_nanos() as u64, || {
-                    telemetry::trace::instant_ref("fleet.compress.window_max")
-                });
             cell.bytes += block.len() as u64;
             cell.comp_calls += 1;
-            telemetry::trace::counter("fleet.bytes", cell.bytes as f64);
         }
     }
     cells.into_values().collect()
@@ -358,9 +349,7 @@ fn decompress_n(
             .observe_duration(elapsed);
         telemetry::windows()
             .histogram("fleet.decompress.nanos", &svc_labels)
-            .observe_linked(elapsed.as_nanos() as u64, || {
-                telemetry::trace::instant_ref("fleet.decompress.window_max")
-            });
+            .observe(elapsed.as_nanos() as u64);
         cell.decomp_calls += 1;
     }
 }
@@ -520,35 +509,36 @@ mod tests {
     }
 
     #[test]
-    fn profiling_records_one_trace_track_per_service() {
-        // The only test in this binary that drains the global tracer
-        // (a drain steals events from concurrent assertions).
+    fn profiling_attributes_every_service_and_links_its_exemplars() {
         let p = quick_profile();
-        let snap = telemetry::global_tracer().drain();
+        let rows = telemetry::requests().attribution();
         for spec in &p.services {
-            let name = format!("svc:{}", spec.name);
-            let track = snap
-                .tracks
-                .iter()
-                .find(|t| t.name == name)
-                .unwrap_or_else(|| panic!("no trace track for {name}"));
             assert!(
-                track.events.iter().any(|e| matches!(
-                    e.kind,
-                    telemetry::trace::EventKind::Instant {
-                        name: "fleet.block"
-                    }
-                )),
-                "{name} has no block-boundary instants"
+                rows.iter()
+                    .any(|r| r.service == spec.name && r.op == telemetry::Op::Compress),
+                "{} has no compress requests in the attribution report",
+                spec.name
             );
-            assert!(
-                track
-                    .events
-                    .windows(2)
-                    .all(|w| w[0].ts_nanos <= w[1].ts_nanos),
-                "{name} events out of order"
-            );
+            // The windowed compress latency is observed inside the
+            // block's request, so its exemplar names one.
+            let labels = [("service", spec.name)];
+            let window = telemetry::windows()
+                .histogram("fleet.compress.nanos", &labels)
+                .window_snapshot();
+            let exemplar = window
+                .exemplar
+                .unwrap_or_else(|| panic!("{} exemplar not linked to a request", spec.name));
+            assert!(exemplar.request > 0);
         }
+        // Dictionary services mark the hit on the block's request; the
+        // attribution report counts marks like any span, at zero self
+        // time.
+        let hit = rows
+            .iter()
+            .flat_map(|r| &r.stages)
+            .find(|st| st.stage == "fleet.dict_hit")
+            .expect("no fleet.dict_hit mark attributed");
+        assert!(hit.count > 0 && hit.self_sum == 0, "{hit:?}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   **quarantined** ([`ManagedError::Quarantined`]) rather than taking
 //!   the service down — all of it visible in telemetry
 //!   (`managed.passthrough`, `managed.decode_retries`,
-//!   `managed.quarantined`) and on the flight recorder.
+//!   `managed.quarantined`) and as marks on the requests it happened to.
 //!
 //! [`decompress`]: ManagedCompression::decompress
 //!

@@ -353,8 +353,8 @@ struct BreakerInner {
 /// A Closed → Open → HalfOpen circuit breaker over rolling error-rate
 /// windows. All time comes from the injected [`Clock`], so tests drive
 /// the full state walk with a [`ManualClock`](telemetry::ManualClock).
-/// Every transition drops a `resilience.breaker.*` instant on the
-/// calling thread's flight-recorder track.
+/// Every transition puts a `resilience.breaker.*` mark on the calling
+/// thread's open request.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
@@ -388,7 +388,7 @@ impl CircuitBreaker {
         inner
             .transitions
             .push(BreakerTransition { at_nanos: now, to });
-        telemetry::trace::instant(match to {
+        telemetry::request::mark(match to {
             BreakerState::Closed => "resilience.breaker.closed",
             BreakerState::Open => "resilience.breaker.open",
             BreakerState::HalfOpen => "resilience.breaker.half_open",
@@ -509,8 +509,8 @@ impl ServiceMode {
         }
     }
 
-    /// Flight-recorder instant name for a transition into this mode.
-    pub fn trace_name(&self) -> &'static str {
+    /// Request mark name for a transition into this mode.
+    pub fn mark_name(&self) -> &'static str {
         match self {
             ServiceMode::Normal => "resilience.mode.normal",
             ServiceMode::CheapLevel => "resilience.mode.cheap_level",

@@ -195,12 +195,11 @@ impl UseCaseObs {
         clock: &Arc<dyn Clock>,
     ) -> Self {
         let labels = [("use_case", use_case)];
-        let op = |op, calls, nanos, exemplar| OpObs {
+        let op = |op, calls, nanos| OpObs {
             op,
             calls: registry.counter(calls, &labels),
             nanos_name: nanos,
             nanos: registry.histogram(nanos, &labels),
-            exemplar,
             breaker: CircuitBreaker::new(config.resilience.breaker, Arc::clone(clock)),
             window_nanos: None,
             breaker_gauge: None,
@@ -215,13 +214,11 @@ impl UseCaseObs {
                 "compress",
                 "managed.compress.calls",
                 "managed.compress.nanos",
-                "managed.compress.window_max",
             ),
             decompress: op(
                 "decompress",
                 "managed.decompress.calls",
                 "managed.decompress.nanos",
-                "managed.decompress.window_max",
             ),
         }
     }
@@ -236,7 +233,6 @@ struct OpObs {
     calls: Arc<Counter>,
     nanos_name: &'static str,
     nanos: Arc<Histogram>,
-    exemplar: &'static str,
     breaker: CircuitBreaker,
     window_nanos: Option<Arc<WindowedHistogram>>,
     breaker_gauge: Option<Arc<Gauge>>,
@@ -244,16 +240,13 @@ struct OpObs {
 
 impl OpObs {
     /// Records the call's latency, cumulative and windowed; the
-    /// windowed sub-window max carries a trace exemplar.
+    /// windowed sub-window max names the open request as its exemplar.
     fn observe(&mut self, use_case: &str, elapsed: Duration) {
         self.nanos.observe_duration(elapsed);
         let name = self.nanos_name;
-        let exemplar = self.exemplar;
         self.window_nanos
             .get_or_insert_with(|| telemetry::windows().histogram(name, &[("use_case", use_case)]))
-            .observe_linked(elapsed.as_nanos() as u64, || {
-                telemetry::trace::instant_ref(exemplar)
-            });
+            .observe(elapsed.as_nanos() as u64);
     }
 
     /// Publishes breaker state to the global gauge the scrape endpoint
@@ -273,7 +266,7 @@ impl OpObs {
 
 /// The service-wide admission series, resolved at construction.
 struct LadderObs {
-    /// Last ladder mode, for transition instants/counters.
+    /// Last ladder mode, for transition marks/counters.
     last_mode: ServiceMode,
     mode: Arc<Gauge>,
     inflight: Arc<Gauge>,
@@ -292,12 +285,12 @@ impl LadderObs {
     }
 
     /// Records the ladder mode chosen for a request: the gauges every
-    /// time, a trace instant + transition counter on change.
+    /// time, a request mark + transition counter on change.
     fn note(&mut self, mode: ServiceMode, admission: &AdmissionController) {
         self.mode.set(mode.as_gauge());
         self.inflight.set(admission.inflight() as f64);
         if mode != self.last_mode {
-            telemetry::trace::instant(mode.trace_name());
+            telemetry::request::mark(mode.mark_name());
             telemetry::windows()
                 .counter("resilience.mode.transitions", &[("to", mode.as_str())])
                 .inc();
@@ -490,7 +483,7 @@ impl ManagedCompression {
             self.ladder.note(ServiceMode::Shed, &self.admission);
             self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
-            telemetry::trace::instant("resilience.shed");
+            telemetry::request::mark("resilience.shed");
             req.mark_error("overloaded");
             return Err(ManagedError::Overloaded {
                 use_case: use_case.to_string(),
@@ -559,7 +552,7 @@ impl ManagedCompression {
             telemetry::windows()
                 .counter("resilience.deadline_exceeded", &[])
                 .inc();
-            telemetry::trace::instant("resilience.deadline");
+            telemetry::request::mark("resilience.deadline");
             req.mark_error("deadline");
             let wall = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             return Err(ManagedError::DeadlineExceeded {
@@ -661,8 +654,8 @@ impl ManagedCompression {
     /// frame that still fails is pushed into a bounded
     /// per-use-case quarantine ([`Self::quarantined`]) and reported
     /// without affecting service health; the event increments
-    /// `managed.quarantined` and drops a `managed.quarantine` instant on
-    /// the calling thread's flight-recorder track.
+    /// `managed.quarantined` and puts a `managed.quarantine` mark on the
+    /// (errored, so always sampled) request.
     ///
     /// # Errors
     ///
@@ -697,7 +690,7 @@ impl ManagedCompression {
             self.ladder.note(ServiceMode::Shed, &self.admission);
             self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
-            telemetry::trace::instant("resilience.shed");
+            telemetry::request::mark("resilience.shed");
             req.mark_error("overloaded");
             return Err(ManagedError::Overloaded {
                 use_case: use_case.to_string(),
@@ -843,7 +836,7 @@ impl ManagedCompression {
                                 Some((v, data)) => {
                                     // Retry causality: which retained
                                     // generation saved this frame.
-                                    telemetry::trace::instant("managed.decode_retry.recovered");
+                                    telemetry::request::mark("managed.decode_retry.recovered");
                                     reg.counter("managed.decode_retry_recovered", &labels).inc();
                                     let generation = format!("v{v}");
                                     reg.counter(
@@ -906,7 +899,7 @@ impl ManagedCompression {
                     reg.counter("managed.quarantine_evicted", &labels).inc();
                 }
                 reg.counter("managed.quarantined", &labels).inc();
-                telemetry::trace::instant("managed.quarantine");
+                telemetry::request::mark("managed.quarantine");
                 Err(ManagedError::Quarantined {
                     use_case: use_case.to_string(),
                     source,

@@ -13,25 +13,25 @@
 //!   across threads because every cell is atomic).
 //! * [`Stage`] — stage timing through a `static` handle resolved on
 //!   first use: `MATCH_FIND.record(start, elapsed)` feeds the histogram
-//!   `span.zstdx.match_find`, the flight recorder and the open request.
+//!   `span.zstdx.match_find` and the open request.
 //! * [`export`] — machine-readable exporters: JSON (for `BENCH_*.json`
 //!   style cross-PR trend tracking) and the Prometheus text exposition
 //!   format.
-//! * [`trace`] — the flight recorder: always-on per-thread ring
-//!   buffers of fixed-size events (stage begin/end, instants, counter
-//!   samples, CompOpt decisions) with bounded memory and drop
-//!   counting. [`chrome`] serializes a drained trace to Chrome
-//!   trace-event JSON loadable in Perfetto.
+//! * [`request`] — the one store of per-event observations: requests
+//!   ([`requests`]) opened per operation collect their stages and
+//!   [marks](request::mark) into span trees, attributed over every
+//!   request and tail-sampled into a bounded store. [`chrome`] renders
+//!   the sampled trees as Chrome trace-event JSON loadable in Perfetto.
 //! * [`window`] — the live plane: sliding-window counters and
 //!   histograms ([`windows`]) rotated on an injectable [`clock`],
-//!   yielding per-window p50/p90/p99 and rates, with metric↔trace
-//!   exemplars pointing at flight-recorder events.
+//!   yielding per-window p50/p90/p99 and rates, with exemplars naming
+//!   the request each sub-window maximum was observed in.
 //! * [`slo`] — declarative objectives ([`slos`]) fed through
 //!   [`SloHandle`]s and evaluated on read as multi-window burn rates
 //!   with error-budget accounting.
 //! * [`serve`] — a dependency-free HTTP scrape server exposing
 //!   `/metrics` (every plane through the one Prometheus writer),
-//!   `/slo`, `/healthz` and the JSON trace endpoints, on the accept
+//!   `/slo`, `/healthz` and the JSON request endpoints, on the accept
 //!   loop the compression daemon shares.
 //!
 //! The crate is dependency-free (std only) so every layer of the stack
@@ -65,7 +65,6 @@ pub mod request;
 pub mod serve;
 pub mod slo;
 pub mod span;
-pub mod trace;
 pub mod window;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
@@ -78,7 +77,6 @@ pub use request::{
 pub use serve::{ScrapeServer, Sources};
 pub use slo::{Slo, SloConfig, SloHandle, SloKind, SloRegistry, SloState};
 pub use span::Stage;
-pub use trace::{global_tracer, Decision, EventRef, TraceEvent, TraceSnapshot, Tracer};
 pub use window::{Exemplar, WindowConfig, WindowRegistry, WindowedCounter, WindowedHistogram};
 
 use std::sync::{Arc, OnceLock};

@@ -1,11 +1,12 @@
-//! Request-scoped causal tracing with tail-based sampling.
+//! Request-scoped causal tracing with tail-based sampling: the one
+//! store of per-event observations.
 //!
 //! The aggregate planes answer *how much* (registry), *recently*
-//! (windows), and *against objective* (SLOs); the flight recorder
-//! answers *when*. None of them connect a burning p99 back to the
-//! concrete operations where the time went. This module closes that
-//! loop, mirroring the always-on sampled profiling the paper's fleet
-//! characterization rests on (§III-A), but per request:
+//! (windows), and *against objective* (SLOs). None of them connect a
+//! burning p99 back to the concrete operations where the time went.
+//! This module closes that loop, mirroring the always-on sampled
+//! profiling the paper's fleet characterization rests on (§III-A), but
+//! per request:
 //!
 //! * [`RequestCtx`] — a guard the managed service (and the fleet
 //!   profiler) opens per operation. While it is live on the thread,
@@ -13,7 +14,9 @@
 //!   [`Stage::record`](crate::span::Stage::record) (the codec block
 //!   loops' single instrumentation point) additionally becomes a node
 //!   in the request's span tree: span id, parent id, start offset,
-//!   total and self nanoseconds.
+//!   total and self nanoseconds. A [`mark`] is a zero-length node: a
+//!   point event (a shed, a quarantine, a breaker transition) placed on
+//!   the request it happened to.
 //! * [`RequestSampler`] — a deterministic tail-based sampler with a
 //!   bounded store. At request finish it keeps every errored request,
 //!   the slowest-N per sliding sub-window (rotated on the injected
@@ -24,7 +27,11 @@
 //!   split by `(service, op, size class)`, aggregated over *all*
 //!   finished requests (not just the sampled ones, so the report is
 //!   unbiased). Served as `/profile.json`; the sampled span trees as
-//!   `/requests.json`; both also flow-link into the Chrome export.
+//!   `/requests.json` and, rendered by [`crate::chrome`], as
+//!   `/trace.json`.
+//!
+//! Windowed-histogram exemplars link here too: a new sub-window maximum
+//! stores the [`current_id`] of the request it was observed in.
 //!
 //! Recording is sampling-gated by construction: a stage observation
 //! costs one thread-local `Option` check when no context is live, so
@@ -33,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::clock::Clock;
@@ -42,8 +49,8 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::registry::Series;
 use crate::window::WindowConfig;
 
-/// Spans stored individually per request; further stage reports fold
-/// into the per-name aggregate and count as dropped spans.
+/// Spans (marks included) stored individually per request; further
+/// reports fold into the per-name aggregate and count as dropped spans.
 pub const MAX_SPANS_PER_REQUEST: usize = 256;
 
 /// Default bound on retained sampled requests.
@@ -148,7 +155,7 @@ pub struct SpanNode {
 /// A finished request retained by the tail sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledRequest {
-    /// Process-unique request id (also the Chrome flow id).
+    /// Process-unique request id (also the Chrome export's `tid`).
     pub id: u64,
     /// Service / use-case name.
     pub service: String,
@@ -162,13 +169,10 @@ pub struct SampledRequest {
     pub reason: KeepReason,
     /// End-to-end latency on the sampler's clock.
     pub latency_nanos: u64,
-    /// Flight-recorder track id of the thread that ran the request
-    /// (the `tid` its stage events landed on).
-    pub track: u64,
-    /// Request open time on the flight-recorder timeline (nanoseconds
-    /// from the tracer epoch), anchoring the span tree in the Chrome
+    /// Request open time, nanoseconds from the process epoch the first
+    /// sampler was created at; anchors the span tree in the Chrome
     /// export.
-    pub trace_start_nanos: u64,
+    pub opened_at_nanos: u64,
     /// The span tree: root first, then stages in start order.
     pub spans: Vec<SpanNode>,
     /// Stage reports beyond [`MAX_SPANS_PER_REQUEST`] folded into the
@@ -262,8 +266,6 @@ struct ActiveRequest {
     open_clock_nanos: u64,
     /// Wall anchor for stage start offsets.
     open_instant: Instant,
-    track: u64,
-    trace_start_nanos: u64,
     spans: Vec<RawSpan>,
     /// Stage totals folded past the span cap, per name.
     overflow: HashMap<&'static str, (u64, u64)>, // (count, total_nanos)
@@ -292,7 +294,7 @@ pub struct RequestCtx {
 }
 
 impl RequestCtx {
-    /// The process-unique request id (also the Chrome flow id).
+    /// The process-unique request id.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -307,7 +309,7 @@ impl RequestCtx {
     }
 
     /// Marks the request failed; the label lands in `/requests.json`
-    /// and the Chrome export. An errored request is always sampled.
+    /// and `/trace.json`. An errored request is always sampled.
     pub fn mark_error(&self, label: &'static str) {
         self.with_top(|top| top.error = Some(label));
     }
@@ -332,8 +334,7 @@ impl RequestCtx {
             let Some(budget) = top.deadline_nanos else {
                 return false;
             };
-            let elapsed = top.open_instant.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            top.deadline_hit |= elapsed > budget;
+            top.deadline_hit |= nanos(top.open_instant.elapsed()) > budget;
             top.deadline_hit
         })
         .unwrap_or(false)
@@ -359,6 +360,20 @@ impl Drop for RequestCtx {
     }
 }
 
+/// Records a point event on the thread's open request, if any: a
+/// zero-length span at the current instant, nested under whichever
+/// stage encloses it. Costs one thread-local check when no request is
+/// live.
+pub fn mark(name: &'static str) {
+    observe_stage(name, Instant::now(), Duration::ZERO);
+}
+
+/// The id of the thread's innermost open request, if any — what a
+/// windowed-histogram exemplar links its sample to.
+pub fn current_id() -> Option<u64> {
+    ACTIVE.with(|cell| cell.borrow().last().map(|top| top.id))
+}
+
 /// Reports a completed stage into the thread's open request, if any.
 /// This is the hook [`Stage::record`](crate::span::Stage::record)
 /// calls; instrumentation that bypasses it (e.g. whole-call codec
@@ -368,12 +383,8 @@ pub fn observe_stage(name: &'static str, start: Instant, elapsed: Duration) {
     ACTIVE.with(|cell| {
         let mut stack = cell.borrow_mut();
         let Some(top) = stack.last_mut() else { return };
-        let start_nanos = start
-            .checked_duration_since(top.open_instant)
-            .unwrap_or_default()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        let total_nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        let start_nanos = nanos(start.saturating_duration_since(top.open_instant));
+        let total_nanos = nanos(elapsed);
         if let Some(budget) = top.deadline_nanos {
             if start_nanos.saturating_add(total_nanos) > budget {
                 top.deadline_hit = true;
@@ -490,6 +501,7 @@ pub struct RequestSampler {
 impl RequestSampler {
     /// Creates a sampler rotating its slowest-N window on `clock`.
     pub fn new(cfg: SamplerConfig, clock: Arc<dyn Clock>) -> Self {
+        process_epoch();
         let slots = cfg.window.sub_windows;
         Self {
             inner: Arc::new(Inner {
@@ -519,8 +531,6 @@ impl RequestSampler {
     pub fn open(&self, service: &str, op: Op, payload_len: usize) -> RequestCtx {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner.opened.fetch_add(1, Ordering::Relaxed);
-        let open_instant = Instant::now();
-        let track = crate::trace::current_track();
         let active = ActiveRequest {
             sampler: self.clone(),
             id,
@@ -528,9 +538,7 @@ impl RequestSampler {
             op,
             size_class: SizeClass::of(payload_len),
             open_clock_nanos: self.inner.clock.now_nanos(),
-            open_instant,
-            track: track.tid(),
-            trace_start_nanos: track.nanos_of(open_instant),
+            open_instant: Instant::now(),
             spans: Vec::new(),
             overflow: HashMap::new(),
             spans_dropped: 0,
@@ -542,7 +550,7 @@ impl RequestSampler {
         RequestCtx { id }
     }
 
-    fn finish(&self, active: ActiveRequest) {
+    fn finish(&self, mut active: ActiveRequest) {
         let inner = &self.inner;
         inner.finished.fetch_add(1, Ordering::Relaxed);
         inner
@@ -550,7 +558,7 @@ impl RequestSampler {
             .fetch_add(active.spans_dropped as u64, Ordering::Relaxed);
         let now = inner.clock.now_nanos();
         let latency = now.saturating_sub(active.open_clock_nanos);
-        let spans = build_tree(active.op.as_str(), latency, &active.spans);
+        let spans = build_tree(active.op.as_str(), latency, &mut active.spans);
 
         // Attribution aggregates over every finished request, so the
         // report is unbiased by the sampling decision below.
@@ -613,8 +621,11 @@ impl RequestSampler {
             error: active.error,
             reason,
             latency_nanos: latency,
-            track: active.track,
-            trace_start_nanos: active.trace_start_nanos,
+            opened_at_nanos: nanos(
+                active
+                    .open_instant
+                    .saturating_duration_since(process_epoch()),
+            ),
             spans,
             spans_dropped: active.spans_dropped,
         };
@@ -792,6 +803,17 @@ impl RequestSampler {
     }
 }
 
+/// The instant every [`SampledRequest::opened_at_nanos`] counts from:
+/// fixed when the first sampler is created, so it precedes every open.
+fn process_epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -804,25 +826,22 @@ fn splitmix64(mut x: u64) -> u64 {
 /// root spanning the whole request. Self-time is total minus direct
 /// children's totals, saturating (partial overlaps from timer jitter
 /// cannot drive it negative).
-fn build_tree(root_name: &'static str, latency: u64, raw: &[RawSpan]) -> Vec<SpanNode> {
-    let mut order: Vec<&RawSpan> = raw.iter().collect();
-    order.sort_by(|a, b| {
-        a.start_nanos
-            .cmp(&b.start_nanos)
-            .then((b.start_nanos + b.total_nanos).cmp(&(a.start_nanos + a.total_nanos)))
-    });
-    let mut nodes = vec![SpanNode {
+fn build_tree(root_name: &'static str, latency: u64, raw: &mut [RawSpan]) -> Vec<SpanNode> {
+    let end = |r: &RawSpan| r.start_nanos.saturating_add(r.total_nanos);
+    raw.sort_by(|a, b| a.start_nanos.cmp(&b.start_nanos).then(end(b).cmp(&end(a))));
+    let mut nodes = Vec::with_capacity(raw.len() + 1);
+    nodes.push(SpanNode {
         id: 1,
         parent: 0,
         name: root_name,
         start_nanos: 0,
         total_nanos: latency,
         self_nanos: latency,
-    }];
+    });
     // (node index, end nanos) of the open enclosing spans.
-    let mut stack: Vec<(usize, u64)> = vec![(0, u64::MAX)];
-    for r in order {
-        let end = r.start_nanos.saturating_add(r.total_nanos);
+    let mut stack: Vec<(usize, u64)> = Vec::with_capacity(raw.len() + 1);
+    stack.push((0, u64::MAX));
+    for r in raw.iter() {
         while stack.len() > 1 {
             let &(_, top_end) = stack.last().expect("stack non-empty");
             if r.start_nanos >= top_end {
@@ -845,7 +864,7 @@ fn build_tree(root_name: &'static str, latency: u64, raw: &[RawSpan]) -> Vec<Spa
         if let Some(parent) = nodes.get_mut(parent_idx) {
             parent.self_nanos = parent.self_nanos.saturating_sub(r.total_nanos);
         }
-        stack.push((idx, end));
+        stack.push((idx, end(r)));
     }
     nodes
 }
@@ -941,12 +960,11 @@ pub fn to_requests_json(sampled: &[SampledRequest], stats: &SamplerStats) -> Str
             json_string(&mut out, e);
         }
         out.push_str(&format!(
-            ",\"reason\":\"{}\",\"latency_nanos\":{},\"track\":{},\"trace_start_nanos\":{},\
+            ",\"reason\":\"{}\",\"latency_nanos\":{},\"opened_at_nanos\":{},\
              \"spans_dropped\":{},\"spans\":[",
             r.reason.as_str(),
             r.latency_nanos,
-            r.track,
-            r.trace_start_nanos,
+            r.opened_at_nanos,
             r.spans_dropped,
         ));
         for (j, s) in r.spans.iter().enumerate() {
@@ -1134,7 +1152,7 @@ mod tests {
 
     #[test]
     fn span_tree_nests_by_containment_and_self_times_sum() {
-        let raw = [
+        let mut raw = [
             // outer: [0, 10ms); inner a: [1ms, 4ms); inner b: [5ms, 8ms)
             RawSpan {
                 name: "outer",
@@ -1158,7 +1176,7 @@ mod tests {
                 total_nanos: 2 * MS,
             },
         ];
-        let nodes = build_tree("op", 16 * MS, &raw);
+        let nodes = build_tree("op", 16 * MS, &mut raw);
         assert_eq!(nodes.len(), 5);
         let by_name = |n: &str| *nodes.iter().find(|s| s.name == n).expect(n);
         let root = by_name("op");
@@ -1204,6 +1222,40 @@ mod tests {
         assert_eq!(names, vec!["compress", "stage.x", "stage.y"]);
         assert_eq!(r.latency_nanos, 6 * MS);
         assert_eq!(r.self_nanos_total(), r.latency_nanos);
+    }
+
+    #[test]
+    fn marks_are_zero_length_nodes_of_the_innermost_request() {
+        let (s, clock) = manual_sampler(SamplerConfig {
+            baseline_one_in: 1,
+            slowest_per_window: 0,
+            ..tight_cfg()
+        });
+        mark("orphan"); // no open request: a no-op
+        assert_eq!(current_id(), None);
+        let outer = s.open("svc", Op::Compress, 10);
+        let inner = s.open("svc", Op::Decompress, 10);
+        assert_eq!(current_id(), Some(inner.id()));
+        mark("inner.mark");
+        drop(inner);
+        assert_eq!(current_id(), Some(outer.id()));
+        let t0 = Instant::now();
+        mark("outer.mark");
+        observe_stage("stage", t0, Duration::from_secs(1));
+        clock.advance(2 * MS);
+        let outer_id = outer.id();
+        drop(outer);
+        let sampled = s.sampled();
+        let outer = sampled.iter().find(|r| r.id == outer_id).unwrap();
+        let m = outer.spans.iter().find(|n| n.name == "outer.mark").unwrap();
+        assert_eq!((m.total_nanos, m.self_nanos), (0, 0));
+        // Placed at its instant: inside the enclosing stage.
+        let stage = outer.spans.iter().find(|n| n.name == "stage").unwrap();
+        assert_eq!(m.parent, stage.id);
+        assert!(!outer.spans.iter().any(|n| n.name == "inner.mark"));
+        assert!(sampled
+            .iter()
+            .any(|r| r.spans.iter().any(|n| n.name == "inner.mark")));
     }
 
     #[test]

@@ -10,16 +10,14 @@
 //! | `/metrics`       | Prometheus text of [`Sources::snapshot`]          |
 //! | `/slo`           | JSON error-budget report ([`crate::slo::to_json_reports`]) |
 //! | `/healthz`       | `ok` — liveness probe                             |
-//! | `/trace.json`    | Chrome trace-event JSON of the flight recorder,   |
-//! |                  | with sampled request trees as flow-linked events  |
+//! | `/trace.json`    | Chrome trace-event JSON of the sampled requests   |
 //! | `/profile.json`  | p99 stage-attribution report per service/op/size  |
 //! | `/requests.json` | tail-sampled request span trees                   |
 //!
 //! `/metrics` has one writer, [`to_prometheus`]: every live plane
 //! publishes its read-time view as ordinary series, so each family gets
-//! exactly one HELP/TYPE pair. `/trace.json` uses the non-destructive
-//! [`Tracer::snapshot`], so scraping never steals events from a later
-//! `--trace` export.
+//! exactly one HELP/TYPE pair. `/trace.json`, `/requests.json` and
+//! `/profile.json` all read the request plane without consuming it.
 //!
 //! One request per connection (`Connection: close`), GET only. The
 //! request head is capped at 8 KiB and must arrive within 2 s of
@@ -39,12 +37,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::chrome::to_chrome_json_with_requests;
+use crate::chrome::to_chrome_json;
 use crate::export::to_prometheus;
 use crate::registry::{Registry, Snapshot};
 use crate::request::RequestSampler;
 use crate::slo::{to_json_reports, SloRegistry};
-use crate::trace::Tracer;
 use crate::window::WindowRegistry;
 
 /// The data planes a scrape serves from. All references are `'static`
@@ -58,8 +55,6 @@ pub struct Sources {
     pub windows: &'static WindowRegistry,
     /// SLO objectives.
     pub slos: &'static SloRegistry,
-    /// Flight recorder.
-    pub tracer: &'static Tracer,
     /// Tail-based request sampler.
     pub requests: &'static RequestSampler,
 }
@@ -71,20 +66,18 @@ impl Sources {
             registry: crate::global(),
             windows: crate::windows(),
             slos: crate::slos(),
-            tracer: crate::trace::global_tracer(),
             requests: crate::requests(),
         }
     }
 
     /// Every plane as one snapshot: the registry's series plus those
     /// each live plane publishes at read time — windowed views, SLO
-    /// evaluations, flight-recorder and sampler health — sorted by key
+    /// evaluations, sampler health — sorted by key
     /// so each family renders once.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         self.windows.publish(&mut snap.series);
         self.slos.publish(&mut snap.series);
-        self.tracer.publish(&mut snap.series);
         self.requests.publish(&mut snap.series);
         snap.series.sort_by(|a, b| a.key.cmp(&b.key));
         snap
@@ -149,11 +142,7 @@ pub fn respond(method: &str, path: &str, sources: &Sources) -> Response {
         "/metrics" => Response::new(200, PROM, to_prometheus(&sources.snapshot())),
         "/slo" => Response::new(200, JSON, to_json_reports(&sources.slos.reports())),
         "/healthz" => Response::new(200, TEXT, "ok\n".into()),
-        "/trace.json" => Response::new(
-            200,
-            JSON,
-            to_chrome_json_with_requests(&sources.tracer.snapshot(), &sources.requests.sampled()),
-        ),
+        "/trace.json" => Response::new(200, JSON, to_chrome_json(&sources.requests.sampled())),
         "/profile.json" => Response::new(200, JSON, sources.requests.profile_json()),
         "/requests.json" => Response::new(200, JSON, sources.requests.requests_json()),
         _ => Response::new(
@@ -383,7 +372,6 @@ mod tests {
             slos: Box::leak(Box::new(SloRegistry::new(
                 StdArc::clone(&clock) as StdArc<dyn crate::clock::Clock>
             ))),
-            tracer: Box::leak(Box::new(Tracer::with_capacity(64))),
             requests: Box::leak(Box::new(RequestSampler::new(
                 crate::request::SamplerConfig::default(),
                 StdArc::clone(&clock) as StdArc<dyn crate::clock::Clock>,
@@ -399,7 +387,10 @@ mod tests {
         s.slos
             .register(SloConfig::error_rate("errs", 0.9))
             .record(true);
-        s.tracer.new_track("t").instant("mark");
+        {
+            let _req = s.requests.open("svc", crate::request::Op::Compress, 100);
+            crate::request::mark("mark");
+        }
 
         let metrics = respond("GET", "/metrics", &s);
         assert_eq!(metrics.status, 200);
@@ -409,11 +400,7 @@ mod tests {
         assert!(metrics
             .body
             .contains("slo_budget_remaining{objective=\"errs\"} 1\n"));
-        assert!(metrics.body.contains("trace_dropped_total 0\n"));
-        assert!(metrics
-            .body
-            .contains("trace_track_dropped{tid=\"1\",track=\"t\"} 0\n"));
-        assert!(metrics.body.contains("requests_total 0\n"));
+        assert!(metrics.body.contains("requests_total 1\n"));
         assert!(metrics.body.contains("requests_dropped_total 0\n"));
 
         let slo = respond("GET", "/slo", &s);
@@ -423,6 +410,8 @@ mod tests {
         let health = respond("GET", "/healthz", &s);
         assert_eq!(health.body, "ok\n");
 
+        // The one request is kept: the first of its sub-window is among
+        // the slowest-N.
         let trace = respond("GET", "/trace.json", &s);
         assert!(trace.body.contains("\"name\":\"mark\""));
         // Non-destructive: a second scrape still sees the event.
@@ -579,12 +568,11 @@ mod tests {
         h.observe(100);
         h.observe(5000);
         s.windows.counter("pin.ops", &[("tenant", "a")]).add(4);
-        let track = s.tracer.new_track("pin");
-        s.windows
-            .histogram("pin.latency", &[("tenant", "a")])
-            .observe_linked(700, || track.instant_ref("pin.sample"));
-        for _ in 0..70 {
-            track.instant("pin.mark");
+        {
+            let _req = s.requests.open("svc", crate::request::Op::Compress, 100);
+            s.windows
+                .histogram("pin.latency", &[("tenant", "a")])
+                .observe(700);
         }
         s.slos
             .register(SloConfig::latency("pin.slow", 1000, 0.99))
@@ -631,7 +619,9 @@ mod tests {
     }
 
     /// The sample identities of the exposition above, pinned while each
-    /// plane still had its own Prometheus writer.
+    /// plane still had its own Prometheus writer, less the flight
+    /// recorder's `trace_*` series (deleted with it); the exemplar is
+    /// labelled with the request it was observed in.
     const PINNED_IDENTITIES: &[&str] = &[
         r#"pin_calls{algo="zstdx",level="3"}"#,
         r#"pin_nanos_bucket{le="+Inf"}"#,
@@ -655,10 +645,8 @@ mod tests {
         r#"slo_slow_burn{objective="pin.slow"}"#,
         r#"slo_state{objective="pin.errors"}"#,
         r#"slo_state{objective="pin.slow"}"#,
-        r#"trace_dropped_total{}"#,
-        r#"trace_track_dropped{tid="1",track="pin"}"#,
         r#"window_pin_latency_count{tenant="a"}"#,
-        r#"window_pin_latency_exemplar{seq="0",tenant="a",track="1"}"#,
+        r#"window_pin_latency_exemplar{request="1",tenant="a"}"#,
         r#"window_pin_latency_max{tenant="a"}"#,
         r#"window_pin_latency_p50{tenant="a"}"#,
         r#"window_pin_latency_p90{tenant="a"}"#,

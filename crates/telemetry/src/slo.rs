@@ -20,10 +20,8 @@
 //! * `Warning` — either window at or above the warn threshold;
 //! * `Ok` — otherwise.
 //!
-//! State transitions are appended to an inspectable log and emitted as
-//! trace instants (`slo.ok` / `slo.warning` / `slo.burning`) on the
-//! caller's flight-recorder track, so a budget burn lines up with the
-//! offending spans in the Chrome trace.
+//! State transitions are appended to an inspectable log
+//! ([`Slo::transitions`]).
 //!
 //! Request paths only [`record`](Slo::record), through an [`SloHandle`]
 //! resolved once; evaluation happens where state is read —
@@ -133,14 +131,6 @@ impl SloState {
             SloState::Ok => "ok",
             SloState::Warning => "warning",
             SloState::Burning => "burning",
-        }
-    }
-
-    fn trace_name(&self) -> &'static str {
-        match self {
-            SloState::Ok => "slo.ok",
-            SloState::Warning => "slo.warning",
-            SloState::Burning => "slo.burning",
         }
     }
 }
@@ -287,8 +277,7 @@ impl Slo {
     }
 
     /// Re-derives the state from current burn rates. On a change, the
-    /// transition is logged and an instant (`slo.ok` / `slo.warning` /
-    /// `slo.burning`) is recorded on the calling thread's trace track.
+    /// transition is logged ([`Slo::transitions`]).
     pub fn evaluate(&self) -> SloState {
         let (fast, slow) = self.burn_rates();
         let next = if fast >= self.cfg.page_burn && slow >= self.cfg.page_burn {
@@ -308,7 +297,6 @@ impl Slo {
                     from: *state,
                     to: next,
                 });
-            crate::trace::instant(next.trace_name());
             *state = next;
         }
         next
@@ -592,29 +580,6 @@ mod tests {
         assert_eq!(slo.transitions()[0].at_nanos, 500 * MS);
         assert_eq!(slo.transitions()[1].at_nanos, 600 * MS);
         assert_eq!(slo.transitions()[2].at_nanos, 3800 * MS);
-    }
-
-    #[test]
-    fn transitions_surface_as_trace_instants() {
-        let clock = ManualClock::shared();
-        let slo = test_slo(&clock);
-        record_mix(&slo, 0, 100);
-        slo.evaluate();
-        // The instant lands on this thread's global-tracer track.
-        let snap = crate::trace::global_tracer().snapshot();
-        let names: Vec<String> = snap
-            .tracks
-            .iter()
-            .flat_map(|t| t.events.iter())
-            .filter_map(|e| match &e.kind {
-                crate::trace::EventKind::Instant { name } => Some(name.to_string()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            names.iter().any(|n| n == "slo.burning"),
-            "expected slo.burning instant in {names:?}"
-        );
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! A [`Stage`] attributes externally timed intervals — the zstdx
 //! match-find/entropy split, the lz4x/zlibx stages — to a named stage.
-//! One [`Stage::record`] feeds three sinks from one instrumentation
+//! One [`Stage::record`] feeds two sinks from one instrumentation
 //! point: the global histogram `span.<name>` (call counts and
-//! p50/p90/p99/max), a begin/end pair on the calling thread's
-//! [flight-recorder track](crate::trace), and the open
-//! [request context](crate::request), if any. Declared as `static`s at
-//! the call site, a stage looks its histogram up on the first record
-//! only, so the per-block cost is the updates themselves.
+//! p50/p90/p99/max) and the thread's open
+//! [request context](crate::request), if any — the one store of
+//! per-event observations. Declared as `static`s at the call site, a
+//! stage looks its histogram up on the first record only, so the
+//! per-block cost is the histogram update plus one thread-local check.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -43,13 +43,12 @@ impl Stage {
         }
     }
 
-    /// Records one interval of this stage into the global registry, the
-    /// calling thread's trace track and its open request, if any.
+    /// Records one interval of this stage into the global registry and
+    /// the calling thread's open request, if any.
     pub fn record(&self, start: Instant, elapsed: Duration) {
         self.hist
             .get_or_init(|| crate::global().histogram(&format!("{SPAN_PREFIX}{}", self.name), &[]))
             .observe_duration(elapsed);
-        crate::trace::stage(self.name, start, elapsed);
         crate::request::observe_stage(self.name, start, elapsed);
     }
 }
@@ -57,9 +56,11 @@ impl Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, ManualClock};
+    use crate::request::{Op, RequestSampler, SamplerConfig};
 
     #[test]
-    fn stage_feeds_histogram_and_trace() {
+    fn stage_feeds_histogram_and_open_request() {
         static STAGE: Stage = Stage::new("test.stage");
         let count = || {
             crate::snapshot()
@@ -67,12 +68,19 @@ mod tests {
                 .map_or(0, |h| h.count())
         };
         let before = count();
+        let sampler = RequestSampler::new(
+            SamplerConfig {
+                baseline_one_in: 1,
+                ..SamplerConfig::default()
+            },
+            ManualClock::shared() as Arc<dyn Clock>,
+        );
+        let req = sampler.open("svc", Op::Compress, 10);
         STAGE.record(Instant::now(), Duration::from_nanos(900));
-        STAGE.record(Instant::now(), Duration::from_nanos(100));
+        drop(req);
+        STAGE.record(Instant::now(), Duration::from_nanos(100)); // no request open
         assert_eq!(count(), before + 2);
-        // The trace side lands on this thread's global track; a full
-        // drain assertion lives in the trace e2e test (the global
-        // tracer is shared across concurrently running tests).
-        assert!(crate::trace::global_tracer().track_count() >= 1);
+        let names: Vec<&str> = sampler.sampled()[0].spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["compress", "test.stage"]);
     }
 }

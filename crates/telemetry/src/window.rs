@@ -1,5 +1,5 @@
 //! Time-windowed metrics: sliding-window rate counters and
-//! ring-of-buckets histograms with trace exemplars.
+//! ring-of-buckets histograms with request exemplars.
 //!
 //! The cumulative [`Registry`](crate::Registry) answers "how much since
 //! process start"; it cannot answer the live-operations questions the
@@ -15,13 +15,13 @@
 //!   [`crate::histogram`]). Reads merge live buckets into one
 //!   [`HistogramSnapshot`], so per-window p50/p90/p99 come from the
 //!   existing quantile math. Each sub-window bucket also retains an
-//!   [`Exemplar`] — the trace [`EventRef`] of its max-latency sample —
-//!   linking a p99 spike on `/metrics` directly to the flight-recorder
-//!   event that caused it.
+//!   [`Exemplar`] — the id of the request its max-latency sample was
+//!   observed in — linking a p99 spike on `/metrics` to that request's
+//!   span tree in `/requests.json` and `/trace.json`.
 //! * [`WindowRegistry`] — a sharded `(name, labels)` table of windowed
 //!   series, mirroring the cumulative registry's API, that
 //!   [publishes](WindowRegistry::publish) `window.*` gauges (p50/p90/p99,
-//!   rates, exemplar pointers) for the registry's exporters.
+//!   rates, exemplar request ids) for the registry's exporters.
 //!
 //! The clock is a trait so tests drive time by hand ([`ManualClock`])
 //! and window rotation is exact: a fixed event sequence produces exact
@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 use crate::clock::{Clock, ManualClock};
 use crate::histogram::{bucket_index, HistogramSnapshot, NUM_BUCKETS};
 use crate::registry::{Series, SeriesKey, SeriesTable, SeriesValue};
-use crate::trace::EventRef;
 
 /// How a windowed series buckets time: `sub_windows` rotating slots of
 /// `sub_window_nanos` each; the live window spans their product.
@@ -82,16 +81,16 @@ impl Default for WindowConfig {
     }
 }
 
-/// A metric sample's link back to the flight recorder: the value plus
-/// the trace event recorded alongside it. `(event.track, event.seq)`
-/// resolves to exactly one event in a drained or snapshotted trace
-/// (and in the Chrome export, where instants carry `args.seq`).
+/// A metric sample's link to the request it was observed in: the value
+/// plus the request id ([`crate::request::current_id`]). The id names
+/// the request in `/requests.json` and its `req:<id>` thread in
+/// `/trace.json` while the tail sampler keeps it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exemplar {
     /// The observed value (e.g. latency in nanoseconds).
     pub value: u64,
-    /// The trace event recorded for this sample.
-    pub event: EventRef,
+    /// The id of the innermost request open when it was observed.
+    pub request: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -201,8 +200,8 @@ struct HistSlot {
     buckets: [u64; NUM_BUCKETS],
     sum: u64,
     max: u64,
-    /// The max-latency sample of this sub-window bucket, when the
-    /// recording site supplied a trace link.
+    /// The max-latency sample of this sub-window bucket, when it was
+    /// observed inside a request.
     exemplar: Option<Exemplar>,
 }
 
@@ -225,8 +224,9 @@ pub struct WindowedHistogramSnapshot {
     /// mean come from the usual [`HistogramSnapshot`] math.
     pub histogram: HistogramSnapshot,
     /// The max-value exemplar across the live window, when any
-    /// recording carried one. Its value equals `histogram.max` unless
-    /// only exemplar-less observations hit the maximum.
+    /// observation ran inside a request. Its value equals
+    /// `histogram.max` unless only observations outside any request hit
+    /// the maximum.
     pub exemplar: Option<Exemplar>,
     /// The window configuration the snapshot merged over.
     pub config: WindowConfig,
@@ -254,34 +254,21 @@ impl WindowedHistogram {
         }
     }
 
-    /// Records one value into the current sub-window.
-    pub fn observe(&self, v: u64) {
-        self.observe_inner(v, None::<fn() -> EventRef>);
-    }
-
-    /// Records one value; when it sets a new sub-window maximum,
-    /// `link` is invoked to mint the trace event whose [`EventRef`]
-    /// becomes the bucket's exemplar. The closure only runs for new
-    /// maxima, so the flight recorder sees at most one exemplar instant
-    /// per sub-window rotation per new peak — not one per observation.
-    pub fn observe_linked(&self, v: u64, link: impl FnOnce() -> EventRef) {
-        self.observe_inner(v, Some(link));
-    }
-
+    /// Records one value into the current sub-window. When it sets a
+    /// new sub-window maximum inside an open request, that request's id
+    /// becomes the bucket's exemplar; the thread-local lookup runs for
+    /// new maxima only.
     // indexing_slicing: `bucket_index` clamps to the last bucket.
     #[allow(clippy::indexing_slicing)]
-    fn observe_inner(&self, v: u64, link: Option<impl FnOnce() -> EventRef>) {
+    pub fn observe(&self, v: u64) {
         self.ring.update(|slot| {
             slot.buckets[bucket_index(v)] += 1;
             slot.sum = slot.sum.wrapping_add(v);
             let is_new_max = v >= slot.max && (v > 0 || slot.exemplar.is_none());
             slot.max = slot.max.max(v);
             if is_new_max {
-                if let Some(link) = link {
-                    slot.exemplar = Some(Exemplar {
-                        value: v,
-                        event: link(),
-                    });
+                if let Some(request) = crate::request::current_id() {
+                    slot.exemplar = Some(Exemplar { value: v, request });
                 }
             }
         });
@@ -418,9 +405,9 @@ impl WindowRegistry {
     /// * counters → `window.<name>` (total) and `window.<name>.rate`
     ///   (events/s over the span);
     /// * histograms → `window.<name>.{count,sum,p50,p90,p99,max,rate}`
-    ///   and, while an exemplar is live, `window.<name>.exemplar{track,seq}`
-    ///   carrying the max-latency sample's value with its
-    ///   flight-recorder coordinates as labels.
+    ///   and, while an exemplar is live, `window.<name>.exemplar{request}`
+    ///   carrying the max-latency sample's value with the id of the
+    ///   request it was observed in as a label.
     pub fn publish(&self, out: &mut Vec<Series>) {
         let span = self.cfg.span_secs();
         out.push(Series::gauge("window.span_seconds", &[], span));
@@ -452,9 +439,8 @@ impl WindowRegistry {
                     }
                     put(".rate", Vec::new(), w.rate_per_sec());
                     if let Some(e) = w.exemplar {
-                        let track = ("track".to_string(), e.event.track.to_string());
-                        let seq = ("seq".to_string(), e.event.seq.to_string());
-                        put(".exemplar", vec![track, seq], e.value as f64);
+                        let request = ("request".to_string(), e.request.to_string());
+                        put(".exemplar", vec![request], e.value as f64);
                     }
                 }
             }
@@ -465,7 +451,7 @@ impl WindowRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use crate::request::{Op, RequestSampler, SamplerConfig};
 
     const MS: u64 = 1_000_000;
 
@@ -556,24 +542,42 @@ mod tests {
         assert!((s.rate_per_sec() - 40.0).abs() < 1e-9);
     }
 
+    fn sampler(clock: &Arc<ManualClock>) -> RequestSampler {
+        RequestSampler::new(
+            SamplerConfig::default(),
+            Arc::clone(clock) as Arc<dyn Clock>,
+        )
+    }
+
     #[test]
     fn exemplar_tracks_sub_window_max_and_expires() {
         let (reg, clock) = manual(100, 2);
-        let tracer = Tracer::with_capacity(16);
-        let track = tracer.new_track("t");
+        let requests = sampler(&clock);
         let h = reg.histogram("lat", &[]);
-        h.observe_linked(100, || track.instant_ref("sample"));
-        h.observe_linked(900, || track.instant_ref("sample"));
-        h.observe_linked(300, || track.instant_ref("sample")); // not a new max: no event minted
-        let s = h.window_snapshot();
-        let e = s.exemplar.expect("exemplar retained");
-        assert_eq!(e.value, 900);
-        assert_eq!(e.event.track, track.tid());
-        // Only the two new-max observations minted trace events.
-        assert_eq!(tracer.drain().event_count(), 2);
+        h.observe(5000); // outside any request: no exemplar
+        assert!(h.window_snapshot().exemplar.is_none());
+        clock.advance(200 * MS);
+        let first = requests.open("svc", Op::Compress, 10);
+        h.observe(100);
+        h.observe(900);
+        let first_id = first.id();
+        drop(first);
+        let second = requests.open("svc", Op::Compress, 10);
+        h.observe(300); // not a new max: the exemplar stays
+        drop(second);
+        let e = h.window_snapshot().exemplar.expect("exemplar retained");
+        assert_eq!(
+            e,
+            Exemplar {
+                value: 900,
+                request: first_id
+            }
+        );
         // A bigger sample in the next sub-window takes over...
         clock.advance(100 * MS);
-        h.observe_linked(1500, || track.instant_ref("sample"));
+        let third = requests.open("svc", Op::Compress, 10);
+        h.observe(1500);
+        drop(third);
         assert_eq!(h.window_snapshot().exemplar.unwrap().value, 1500);
         // ...and expiry drops the old bucket's exemplar with it.
         clock.advance(100 * MS);
@@ -597,13 +601,15 @@ mod tests {
 
     #[test]
     fn published_window_series_render_percentiles_rates_and_exemplars() {
-        let (reg, _clock) = manual(100, 4);
-        let tracer = Tracer::with_capacity(8);
-        let track = tracer.new_track("svc:CACHE1");
+        let (reg, clock) = manual(100, 4);
+        let requests = sampler(&clock);
         reg.counter("reqs", &[("service", "CACHE1")]).add(12);
         let h = reg.histogram("decode.nanos", &[("service", "CACHE1")]);
         h.observe(100);
-        h.observe_linked(5000, || track.instant_ref("decode.sample"));
+        let req = requests.open("CACHE1", Op::Decompress, 10);
+        h.observe(5000);
+        let id = req.id();
+        drop(req);
         let mut series = Vec::new();
         reg.publish(&mut series);
         series.sort_by(|a, b| a.key.cmp(&b.key));
@@ -617,9 +623,9 @@ mod tests {
         assert!(text.contains("window_decode_nanos_p99{service=\"CACHE1\"} 5000\n"));
         assert!(text.contains("window_decode_nanos_max{service=\"CACHE1\"} 5000\n"));
         assert!(
-            text.contains(
-                "window_decode_nanos_exemplar{seq=\"0\",service=\"CACHE1\",track=\"1\"} 5000\n"
-            ),
+            text.contains(&format!(
+                "window_decode_nanos_exemplar{{request=\"{id}\",service=\"CACHE1\"}} 5000\n"
+            )),
             "{text}"
         );
         // Every sample line parses: name{...} value.

@@ -4,17 +4,24 @@
 //! tests do not see each other) pins what a request pays the allocator
 //! for its bookkeeping: nothing for an update through a resolved
 //! handle, nothing for a name lookup that hits — across sub-window
-//! rotations too — and a small, fixed number of allocations for a whole
-//! warm `ManagedCompression::decompress` of a dictionary frame, most of
+//! rotations too — nothing for a stage or a mark outside any request,
+//! an exact count for a request's own span tree, and a small, fixed
+//! number of allocations for a whole warm
+//! `ManagedCompression::decompress` of a dictionary frame, most of
 //! them the decoded output and the request's span tree. One codec-level
 //! count rides along: a warm dictionary compress, pinned exactly, so an
 //! entropy stage that builds tables only to discard them shows up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use datacomp::managed::{ManagedCompression, ManagedConfig, PASSTHROUGH_MAGIC};
-use datacomp::telemetry::{Registry, SloHandle, WindowConfig, WindowRegistry};
+use datacomp::telemetry::{
+    request, Clock, ManualClock, Op, Registry, RequestSampler, SamplerConfig, SloHandle, Stage,
+    WindowConfig, WindowRegistry,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -125,6 +132,60 @@ fn resolved_handles_and_warm_lookups_allocate_nothing() {
     assert_eq!(slo_reads, 0, "resolved SLO handle");
 }
 
+static MATCH_FIND: Stage = Stage::new("guard.match_find");
+static ENTROPY: Stage = Stage::new("guard.entropy");
+
+#[test]
+fn stages_and_marks_outside_a_request_allocate_nothing() {
+    // The first record resolves the stage's histogram.
+    MATCH_FIND.record(Instant::now(), Duration::from_nanos(1));
+    let outside = allocations(|| {
+        for _ in 0..64 {
+            MATCH_FIND.record(Instant::now(), Duration::from_nanos(300));
+            request::mark("guard.mark");
+        }
+    });
+    assert_eq!(outside, 0, "stage records and marks with no request open");
+}
+
+/// Allocations one finished, unsampled request with two stages makes:
+/// its service name, its raw span list, and the node list and nesting
+/// stack of its span tree. When every stage record also wrote into the
+/// thread's flight-recorder ring, the same request made 7 (8 whenever
+/// the ring grew): the tree was built through a sorted copy of the span
+/// list, and its node list and stack grew per span.
+const UNSAMPLED_REQUEST_ALLOCATIONS: u64 = 4;
+
+#[test]
+fn an_unsampled_request_allocates_its_span_tree_exactly() {
+    // A sampler that keeps nothing: no slowest-N, no baseline, and the
+    // requests do not error, so each is attributed and dropped.
+    let sampler = RequestSampler::new(
+        SamplerConfig {
+            slowest_per_window: 0,
+            baseline_one_in: 0,
+            ..SamplerConfig::default()
+        },
+        ManualClock::shared() as Arc<dyn Clock>,
+    );
+    let one = || {
+        let req = sampler.open("guard", Op::Compress, 512);
+        let t0 = Instant::now();
+        MATCH_FIND.record(t0, Duration::from_nanos(300));
+        ENTROPY.record(t0 + Duration::from_nanos(300), Duration::from_nanos(200));
+        drop(req);
+    };
+    // Warm: the attribution row, its stage cells and the thread's
+    // request stack exist after the first requests.
+    for _ in 0..4 {
+        one();
+    }
+    for _ in 0..16 {
+        assert_eq!(allocations(one), UNSAMPLED_REQUEST_ALLOCATIONS);
+    }
+    assert_eq!(sampler.stats().dropped, 20);
+}
+
 /// Allocations a warm codec-level dictionary compress of a CACHE1 item
 /// long enough for described sequence tables makes: the frame, the
 /// working buffer, the finder's tables, the parse (and its growth), the
@@ -173,10 +234,12 @@ fn warm_dictionary_compress_allocates_what_it_keeps() {
 
 /// Allocations a warm dictionary-frame decompress may make: the decoded
 /// output, the decoder's history and table buffers, and the request
-/// context (its service name, span list and span tree). At the parent
-/// of this guard the same call made ~60 more — one `String` per name and
-/// label per registry lookup, a dozen lookups per call.
-const WARM_DECOMPRESS_ALLOCATIONS: u64 = 9;
+/// context (its service name, span list and span tree). When the guard
+/// was written the same call made ~60 more — one `String` per name and
+/// label per registry lookup, a dozen lookups per call — and 9 while
+/// the span tree was built through a sorted copy of the span list and a
+/// nesting stack grown per span.
+const WARM_DECOMPRESS_ALLOCATIONS: u64 = 6;
 
 #[test]
 fn warm_managed_decompress_allocates_a_pinned_handful() {
@@ -202,9 +265,8 @@ fn warm_managed_decompress_allocates_a_pinned_handful() {
         assert_eq!(svc.decompress("events", &frame).unwrap(), data);
     }
     // The median call: the tail sampler keeps a few requests per
-    // sub-window (copying their span trees), and a new sub-window
-    // maximum mints an exemplar into the growing trace ring; neither is
-    // what a typical request pays.
+    // sub-window (copying their span trees), which is not what a
+    // typical request pays.
     let mut counts: Vec<u64> = (0..33)
         .map(|_| allocations(|| svc.decompress("events", &frame).unwrap()))
         .collect();

@@ -1,9 +1,6 @@
 //! Tier-1 e2e: the managed service survives a rollout with an injected
 //! corrupt frame — quarantine instead of outage, with the event visible
-//! in telemetry counters and on the flight recorder.
-//!
-//! Kept in its own test binary: it drains the global tracer, which is
-//! process-wide (only one test per binary may do that).
+//! in telemetry counters and as a mark on the errored request.
 
 use managed::{ManagedCompression, ManagedConfig, ManagedError};
 
@@ -73,12 +70,23 @@ fn service_survives_corrupt_frame_during_rollout() {
     let json = telemetry::export::to_json(&snap);
     assert!(json.contains("managed.quarantined"));
 
-    // ...and marked on the flight recorder as an instant event. (The
-    // one global-tracer drain in this binary.)
-    let trace = telemetry::global_tracer().drain();
-    let chrome = telemetry::chrome::to_chrome_json(&trace);
+    // ...and marked on the request it happened to: errored requests
+    // are always sampled, so /requests.json holds it with the mark as a
+    // zero-length node of its span tree.
+    let doc: serde_json::Value =
+        serde_json::from_str(&telemetry::requests().requests_json()).expect("valid JSON");
+    let quarantined = doc["requests"]
+        .as_array()
+        .expect("requests array")
+        .iter()
+        .find(|r| r["service"] == "orders" && r["error"] == "quarantined")
+        .expect("the quarantined decompress was not sampled");
+    assert_eq!(quarantined["op"], "decompress");
+    let spans = quarantined["spans"].as_array().expect("spans array");
     assert!(
-        chrome.contains("managed.quarantine"),
-        "quarantine instant missing from trace"
+        spans
+            .iter()
+            .any(|s| s["name"] == "managed.quarantine" && s["total"] == 0),
+        "quarantine mark missing from the errored request: {spans:?}"
     );
 }

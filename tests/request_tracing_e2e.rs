@@ -1,22 +1,21 @@
 //! End-to-end proof of the request-tracing plane: a deliberately slow,
 //! errored request under `ManualClock` is tail-sampled, its span tree's
-//! stage self-times sum to the recorded latency, and the same request
-//! id scraped from `/requests.json` resolves to flow-linked events in
-//! the `/trace.json` Chrome export — the arrow a human follows in
-//! Perfetto from an SLO burn to the exact stage that ate the budget.
+//! stage self-times sum to the recorded latency (a mark inside it adds
+//! a zero-length node and no time), and the same request id scraped
+//! from `/requests.json` resolves to its own thread in the `/trace.json`
+//! Chrome export — what a human opens in Perfetto to go from an SLO
+//! burn to the exact stage that ate the budget.
 
 use std::time::Duration;
 
-use telemetry::request::observe_stage;
+use telemetry::request::{mark, observe_stage};
 use telemetry::serve::http_get;
 use telemetry::{
     KeepReason, ManualClock, Op, RequestSampler, SamplerConfig, ScrapeServer, Sources, WindowConfig,
 };
 
 #[test]
-fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
-    telemetry::trace::set_track_name("e2e:reqtrace");
-
+fn slow_errored_request_is_sampled_and_rendered_on_its_own_trace_thread() {
     // A private sampler on a manual clock so latencies are exact, wired
     // into the scrape surface alongside the process-global planes.
     let clock = ManualClock::shared();
@@ -43,7 +42,7 @@ fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
     }
 
     // The victim: one deliberately slow request that also errors, with
-    // two instrumented stages inside it.
+    // two instrumented stages and one mark inside it.
     let req = sampler.open("kvcache", Op::Compress, 900);
     let victim_id = req.id();
     let start = std::time::Instant::now();
@@ -53,6 +52,7 @@ fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
         start + Duration::from_millis(2),
         Duration::from_nanos(2_500_000),
     );
+    mark("stage.retry");
     clock.advance(9_000_000); // 9ms — orders of magnitude over the herd
     req.mark_error("deadline exceeded");
     drop(req);
@@ -67,14 +67,29 @@ fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
     assert_eq!(victim.error, Some("deadline exceeded"));
     assert_eq!(victim.latency_nanos, 9_000_000);
 
-    // 2. The span tree is coherent: root plus both stages, and the
-    //    self-times partition the recorded latency exactly.
-    assert_eq!(victim.spans.len(), 3, "root + 2 stages: {:?}", victim.spans);
+    // 2. The span tree is coherent: root, both stages and the mark, and
+    //    the self-times partition the recorded latency exactly.
+    assert_eq!(
+        victim.spans.len(),
+        4,
+        "root + 2 stages + mark: {:?}",
+        victim.spans
+    );
     assert_eq!(victim.spans[0].parent, 0, "first span must be the root");
     assert_eq!(victim.self_nanos_total(), victim.latency_nanos);
     let stage_names: Vec<_> = victim.spans.iter().map(|s| s.name).collect();
     assert!(stage_names.contains(&"stage.entropy"), "{stage_names:?}");
     assert!(stage_names.contains(&"stage.match"), "{stage_names:?}");
+    let retry = victim
+        .spans
+        .iter()
+        .find(|s| s.name == "stage.retry")
+        .unwrap();
+    assert_eq!(
+        (retry.total_nanos, retry.self_nanos),
+        (0, 0),
+        "a mark is zero-length"
+    );
 
     // 3. Scrape the same story over real HTTP.
     let sources = Sources {
@@ -105,24 +120,34 @@ fn slow_errored_request_is_sampled_and_flow_linked_in_the_chrome_trace() {
         "scraped self-times don't sum to latency"
     );
 
-    // 4. The scraped id resolves to flow-linked events in the Chrome
-    //    export: a ph:"s" arrow from the origin track, its ph:"f"
-    //    landing on the request's synthetic thread, and one ph:"X"
-    //    complete event per span node carrying the request id.
     assert!(
-        trace_json.contains(&format!("\"ph\":\"s\",\"id\":{victim_id}")),
-        "no flow-start for request {victim_id} in /trace.json"
+        spans
+            .iter()
+            .any(|s| s["name"] == "stage.retry" && s["total"] == 0),
+        "mark missing from the scraped span tree"
     );
-    assert!(
-        trace_json.contains(&format!("\"ph\":\"f\",\"bp\":\"e\",\"id\":{victim_id}")),
-        "no flow-finish for request {victim_id} in /trace.json"
-    );
-    let span_events = trace_json
-        .matches(&format!("\"args\":{{\"request\":{victim_id},"))
-        .count();
-    assert_eq!(span_events, 3, "expected one complete event per span node");
-    assert!(
-        trace_json.contains("\"name\":\"stage.match\""),
-        "stage name missing from the Chrome export"
-    );
+
+    // 4. The scraped id resolves to the request's own thread in the
+    //    Chrome export: one ph:"X" complete event per timed span node
+    //    and a ph:"i" instant for the mark, all carrying the request id
+    //    on tid = request id.
+    let doc: serde_json::Value = serde_json::from_str(&trace_json).expect("valid /trace.json");
+    let events: Vec<&serde_json::Value> = doc["traceEvents"]
+        .as_array()
+        .expect("traceEvents array")
+        .iter()
+        .filter(|ev| ev["args"]["request"] == victim_id)
+        .collect();
+    assert_eq!(events.len(), 4, "one event per span node: {events:?}");
+    assert!(events.iter().all(|ev| ev["tid"] == victim_id));
+    let phase = |name: &str| {
+        events
+            .iter()
+            .find(|ev| ev["name"] == name)
+            .unwrap_or_else(|| panic!("{name} missing from /trace.json"))["ph"]
+            .clone()
+    };
+    assert_eq!(phase("stage.match"), "X");
+    assert_eq!(phase("compress"), "X");
+    assert_eq!(phase("stage.retry"), "i");
 }

@@ -1,187 +1,80 @@
-//! End-to-end flight-recorder tracing: profile the fleet and run a
-//! CompOpt evaluation, then drain the global tracer and check that the
-//! Chrome trace-event JSON parses with a real JSON parser and carries
-//! everything Perfetto needs — one track per service, matched
-//! begin/end stage pairs, and decision events with the full cost-term
-//! breakdown.
-//!
-//! NOTE: [`telemetry::Tracer::drain`] steals events process-wide, so
-//! exactly one test in this binary drains the global tracer. The
-//! property test below uses its own local tracers.
+//! End-to-end request-plane tracing: profile the fleet, then check that
+//! every service is attributed, that the tail sampler kept fleet
+//! compressions with their codec stages nested inside, and that the
+//! Chrome trace-event JSON of the sampled requests parses with a real
+//! JSON parser and carries everything Perfetto needs.
 
-use codecs::Algorithm;
-use compopt::prelude::*;
 use fleet::{profile_fleet, ProfileConfig};
-use proptest::prelude::*;
-use telemetry::trace::EventKind;
 
 #[test]
-fn fleet_profile_trace_exports_chrome_json_end_to_end() {
-    // Populate the global tracer: one profiled fleet pass plus a small
-    // CompOpt evaluation for decision events.
+fn fleet_profile_renders_sampled_requests_as_chrome_json() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: 1,
         seed: 7,
         stage_deadline_nanos: 0,
     });
     profile.record_to(telemetry::global());
-    let samples: Vec<Vec<u8>> = (0..2)
-        .map(|i| corpus::silesia::generate(corpus::silesia::FileClass::Log, 16 * 1024, i))
-        .collect();
-    let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
-    let mut engine = CompEngine::new();
-    engine.add_levels(Algorithm::Zstdx, [1, 3]);
-    engine.add_levels(Algorithm::Lz4x, [1]);
-    let measured = engine.measure(&refs);
-    let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, 30.0);
-    // Unconstrained, so the argmin always exists and exactly one
-    // candidate carries `won` regardless of how fast this machine is.
-    let evals = evaluate_all(&measured, &params, CostWeights::ALL, &[]);
-    assert!(!evals.is_empty());
+    let requests = telemetry::requests();
 
-    let snap = telemetry::global_tracer().drain();
-
-    // One track per profiled service, each carrying block-boundary
-    // instants, and matched begin/end pairs for the zstdx stages.
+    // Coverage of every service lives in the attribution report, which
+    // aggregates every finished request, sampled or not.
+    let rows = requests.attribution();
     for spec in fleet::registry() {
-        let want = format!("svc:{}", spec.name);
-        let track = snap
-            .tracks
-            .iter()
-            .find(|t| t.name == want)
-            .unwrap_or_else(|| panic!("no trace track for {want}"));
         assert!(
-            track.events.iter().any(|e| matches!(
-                e.kind,
-                EventKind::Instant {
-                    name: "fleet.block"
-                }
-            )),
-            "{want} has no fleet.block instants"
-        );
-        let begins = track
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Begin { .. }))
-            .count();
-        let ends = track
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::End { .. }))
-            .count();
-        assert_eq!(begins, ends, "{want}: unbalanced begin/end pairs");
-    }
-    let stage_names: Vec<&str> = snap
-        .tracks
-        .iter()
-        .flat_map(|t| &t.events)
-        .filter_map(|e| match e.kind {
-            EventKind::Begin { name } => Some(name),
-            _ => None,
-        })
-        .collect();
-    for stage in ["zstdx.match_find", "zstdx.entropy"] {
-        assert!(
-            stage_names.contains(&stage),
-            "no {stage} stage spans in the trace"
+            rows.iter()
+                .any(|r| r.service == spec.name && r.requests > 0),
+            "{} missing from the attribution report",
+            spec.name
         );
     }
 
-    // Every evaluated candidate produced a decision event whose cost
-    // terms are internally consistent (ALL weights: terms sum to the
-    // Eq. 4 total).
-    let decisions: Vec<_> = snap
-        .tracks
-        .iter()
-        .flat_map(|t| &t.events)
-        .filter_map(|e| match e.kind {
-            EventKind::Decision(d) => Some(d),
-            _ => None,
-        })
-        .collect();
+    // Some sampled fleet compression holds both zstdx stages.
+    let sampled = requests.sampled();
+    let staged = |r: &&telemetry::SampledRequest| {
+        ["zstdx.match_find", "zstdx.entropy"]
+            .iter()
+            .all(|stage| r.spans.iter().any(|s| s.name == *stage && s.parent != 0))
+    };
+    let with_stages: Vec<_> = sampled.iter().filter(staged).collect();
     assert!(
-        decisions.len() >= evals.len(),
-        "expected >= {} decision events, got {}",
-        evals.len(),
-        decisions.len()
+        !with_stages.is_empty(),
+        "no sampled request holds zstdx.match_find and zstdx.entropy spans"
     );
-    for d in &decisions {
-        let sum = d.compute + d.storage + d.network;
-        assert!(
-            (sum - d.total).abs() <= 1e-9 * sum.abs().max(1.0),
-            "decision terms {sum} != total {}",
-            d.total
-        );
-    }
-    assert!(decisions.iter().any(|d| d.won), "no winning decision");
 
     // The Chrome export parses as real JSON and every event carries the
     // fields Perfetto requires.
-    let json = telemetry::chrome::to_chrome_json(&snap);
+    let json = telemetry::chrome::to_chrome_json(&sampled);
     let doc: serde_json::Value = serde_json::from_str(&json).expect("chrome trace JSON parses");
     let events = doc["traceEvents"].as_array().expect("traceEvents array");
-    assert!(!events.is_empty());
     for ev in events {
         assert!(ev["ph"].is_string(), "event missing ph: {ev}");
         assert!(ev["ts"].is_number(), "event missing ts: {ev}");
         assert!(ev["pid"].is_u64(), "event missing pid: {ev}");
         assert!(ev["tid"].is_u64(), "event missing tid: {ev}");
     }
-    for spec in fleet::registry() {
-        let want = format!("svc:{}", spec.name);
-        assert!(
-            events.iter().any(|ev| ev["name"] == "thread_name"
-                && ev["ph"] == "M"
-                && ev["args"]["name"] == want.as_str()),
-            "no thread_name metadata for {want}"
-        );
-    }
-    let decision = events
-        .iter()
-        .find(|ev| ev["name"] == "compopt.decision")
-        .expect("at least one compopt.decision event");
-    for term in ["c_compute", "c_storage", "c_network", "total_cost"] {
-        assert!(
-            decision["args"][term].is_number(),
-            "decision missing {term}: {decision}"
-        );
-    }
-}
 
-proptest! {
-    /// Whatever mix of events lands on however many tracks — including
-    /// rings small enough to wrap — draining yields timestamps in
-    /// non-decreasing order within every track.
-    #[test]
-    fn drained_events_are_timestamp_ordered_per_track(
-        capacity in 1usize..16,
-        ops in proptest::collection::vec((0usize..3, 0u8..5), 0..200),
-    ) {
-        let tracer = telemetry::Tracer::with_capacity(capacity);
-        let tracks: Vec<_> = (0..3).map(|i| tracer.new_track(&format!("t{i}"))).collect();
-        for &(t, kind) in &ops {
-            let track = &tracks[t];
-            match kind {
-                0 => track.begin("op"),
-                1 => track.end("op"),
-                2 => track.instant("mark"),
-                3 => track.counter("gauge", t as f64),
-                _ => {
-                    let start = std::time::Instant::now();
-                    track.stage("stage", start, std::time::Duration::from_micros(5));
-                }
-            }
-        }
-        let snap = tracer.drain();
-        for track in &snap.tracks {
-            prop_assert!(track.events.len() <= capacity);
-            for pair in track.events.windows(2) {
-                prop_assert!(
-                    pair[0].ts_nanos <= pair[1].ts_nanos,
-                    "track {} out of order: {} then {}",
-                    track.name, pair[0].ts_nanos, pair[1].ts_nanos
-                );
-            }
-        }
-    }
+    // A staged request is a `req:` thread whose complete events carry
+    // the stages, and whose self-times sum to its root's latency.
+    let balanced = with_stages.iter().any(|r| {
+        let on_thread: Vec<&serde_json::Value> =
+            events.iter().filter(|ev| ev["tid"] == r.id).collect();
+        let named = on_thread.iter().any(|ev| {
+            ev["name"] == "thread_name"
+                && ev["args"]["name"]
+                    .as_str()
+                    .is_some_and(|n| n.starts_with(&format!("req:{} ", r.id)))
+        });
+        let spans: Vec<&&serde_json::Value> =
+            on_thread.iter().filter(|ev| ev["ph"] == "X").collect();
+        let has = |stage: &str| spans.iter().any(|ev| ev["name"] == stage);
+        let self_sum: u64 = on_thread
+            .iter()
+            .filter_map(|ev| ev["args"]["self_nanos"].as_u64())
+            .sum();
+        named && has("zstdx.match_find") && has("zstdx.entropy") && self_sum == r.latency_nanos
+    });
+    assert!(
+        balanced,
+        "no req: thread carries both stages with self-times summing to its latency"
+    );
 }
