@@ -118,7 +118,7 @@ pub fn write_artifact(name: &str, json_lines: &str) {
 }
 
 /// The artifact directory (`target/figures`).
-pub fn artifact_dir() -> PathBuf {
+fn artifact_dir() -> PathBuf {
     // CARGO_TARGET_DIR handling: fall back to ./target.
     std::env::var_os("CARGO_TARGET_DIR")
         .map(PathBuf::from)

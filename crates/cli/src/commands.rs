@@ -4,6 +4,7 @@ use std::fs;
 
 use codecs::{Algorithm, Dictionary};
 use compopt::prelude::*;
+use telemetry::request::{AttributionRow, SamplerStats};
 
 use crate::args::Args;
 
@@ -1096,27 +1097,31 @@ fn fleet_tables(args: &Args) -> Result<(), String> {
     for (s, f) in fleet::agg::service_zstd_cycles(&profile) {
         println!("  {s:<10} {:>5.1}%", f * 100.0);
     }
-    print_attribution();
+    let sampler = telemetry::requests();
+    print!(
+        "{}",
+        attribution_table(&sampler.attribution(), &sampler.stats())
+    );
     Ok(())
 }
 
-/// Prints the "where does p99 go" table: per `(service, op, size
-/// class)` row, the request-latency p99 and each codec stage's share
-/// of total self-time with its own self-time p99 — the request-scoped
-/// answer to Figure 7's stage split, fed by the contexts the fleet
-/// profiler (and any managed service in-process) opened.
-fn print_attribution() {
-    let sampler = telemetry::requests();
-    let rows = sampler.attribution();
+/// The "where does p99 go" table: per `(service, op, size class)` row,
+/// the request-latency p99 and each codec stage's share of total
+/// self-time with its own self-time p99 — the request-scoped answer to
+/// Figure 7's stage split, fed by the contexts the fleet profiler (and
+/// any managed service in-process) opened. Marks take no time, so they
+/// are not stage lines: the `marks` column counts them on each row's
+/// first line. Empty when no request finished.
+fn attribution_table(rows: &[AttributionRow], stats: &SamplerStats) -> String {
     if rows.is_empty() {
-        return;
+        return String::new();
     }
-    println!("\nwhere does p99 go (self-time per stage):");
-    println!(
-        "  {:<10} {:<10} {:<7} {:>8} {:>13}   {:<20} {:>6} {:>13}",
+    let mut out = String::from("\nwhere does p99 go (self-time per stage):\n");
+    out.push_str(&format!(
+        "  {:<10} {:<10} {:<7} {:>8} {:>13}   {:<20} {:>6} {:>13}   marks\n",
         "service", "op", "size", "reqs", "p99 ns", "stage", "share", "self p99 ns"
-    );
-    for row in &rows {
+    ));
+    for row in rows {
         let mut lead = format!(
             "  {:<10} {:<10} {:<7} {:>8} {:>13}",
             row.service,
@@ -1125,27 +1130,31 @@ fn print_attribution() {
             row.requests,
             row.latency.quantile(0.99),
         );
+        let mut marks: String = row.marks.iter().map(|(m, n)| format!("{m}={n} ")).collect();
         for s in &row.stages {
-            println!(
-                "{lead}   {:<20} {:>5.1}% {:>13}",
+            let line = format!(
+                "{lead}   {:<20} {:>5.1}% {:>13}   {marks}",
                 s.stage,
                 s.share * 100.0,
                 s.self_hist.quantile(0.99),
             );
+            out.push_str(line.trim_end());
+            out.push('\n');
             // Only the first stage line repeats the row columns.
             lead = format!("  {:<10} {:<10} {:<7} {:>8} {:>13}", "", "", "", "", "");
+            marks.clear();
         }
     }
-    let stats = sampler.stats();
-    println!(
-        "  tail sampler: {} requests, {} kept ({} error / {} slow / {} baseline), {} dropped",
+    out.push_str(&format!(
+        "  tail sampler: {} requests, {} kept ({} error / {} slow / {} baseline), {} dropped\n",
         stats.finished,
         stats.kept(),
         stats.kept_error,
         stats.kept_slow,
         stats.kept_baseline,
         stats.dropped
-    );
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -1475,6 +1484,51 @@ mod tests {
         run_cmd(&["profile", "--units", "1", "--trace", out2.to_str().unwrap()]).unwrap();
         let json2 = fs::read_to_string(&out2).unwrap();
         assert!(json2.contains("\"name\":\"zstdx.match_find\""));
+    }
+
+    #[test]
+    fn profile_table_counts_marks_instead_of_listing_them_as_stages() {
+        let _serial = serial();
+        let hits = |rows: &[AttributionRow]| -> u64 {
+            let marks = rows.iter().flat_map(|r| &r.marks);
+            marks
+                .filter(|(m, _)| *m == "fleet.dict_hit")
+                .map(|(_, n)| n)
+                .sum()
+        };
+        let sampler = telemetry::requests();
+        let before = hits(&sampler.attribution());
+        run(&argv(&["profile", "--units", "1"])).unwrap();
+        let rows = sampler.attribution();
+        // The profiler marks every block it compresses through a
+        // dictionary; the same profile, rerun, says how many there are.
+        let profile = fleet::profile_fleet(&fleet::ProfileConfig {
+            work_units: 1,
+            ..Default::default()
+        });
+        let dict = |name| {
+            profile
+                .services
+                .iter()
+                .any(|s| s.name == name && s.workload.uses_dictionary())
+        };
+        let expected: u64 = (profile.observations.iter())
+            .filter(|o| o.algorithm == Algorithm::Zstdx && dict(o.service))
+            .map(|o| o.comp_calls)
+            .sum();
+        assert!(expected > 0, "no dictionary blocks profiled");
+        assert_eq!(hits(&rows) - before, expected);
+
+        let table = attribution_table(&rows, &sampler.stats());
+        let mut shown = 0;
+        for cell in table.split_whitespace() {
+            let is_mark = rows.iter().any(|r| r.marks.iter().any(|(m, _)| *m == cell));
+            assert!(!is_mark, "a mark printed as a stage:\n{table}");
+            if let Some(n) = cell.strip_prefix("fleet.dict_hit=") {
+                shown += n.parse::<u64>().unwrap();
+            }
+        }
+        assert_eq!(shown, hits(&rows), "{table}");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! array indexed by a hash of the k-mer, not in a map — and the
 //! highest-scoring segments that still add new k-mers are concatenated,
 //! most valuable content last, where offsets into it are shortest. It
-//! costs a few table accesses per sample byte ([`train_work`]) and a
+//! costs a few table accesses per sample byte (a work count its tests
+//! hold to a multiple of the input size) and a
 //! count table of at most a megabyte whatever the input size; DESIGN.md
 //! §6 "Dictionary training" has the sizing rules and the measurements
 //! behind them.
@@ -245,7 +246,8 @@ thread_local! {
 /// work count, not a timing (compare `lzkit::positions_hashed`): tests
 /// hold it to a multiple of the input size, so neither pass can go
 /// super-linear unnoticed.
-pub fn train_work() -> u64 {
+#[cfg(test)]
+fn train_work() -> u64 {
     TRAIN_WORK.with(std::cell::Cell::get)
 }
 

@@ -8,42 +8,33 @@
 //! * `codecs.compress.calls` / `codecs.decompress.calls` — counters
 //! * `codecs.compress.bytes_in` / `codecs.compress.bytes_out` /
 //!   `codecs.decompress.bytes_out` — byte counters
-//! * `codecs.compress.nanos` / `codecs.decompress.nanos` — latency
-//!   histograms (p50/p90/p99/max at export)
 //!
-//! Alongside the cumulative series, each call also feeds the
-//! [time-windowed registry](telemetry::windows): the uncompressed-side
-//! byte counter and the latency histogram under the same names, the
-//! histogram's per-bucket max sample naming the request it ran in (an
-//! exemplar) so a scrape-time p99 can be chased to that request's span
-//! tree — and the whole call is a `codec.compress` /
-//! `codec.decompress` stage of any open request.
+//! and the whole call is a `codec.compress` / `codec.decompress` stage
+//! of any open request, which is where its latency is read (the
+//! attribution report, `/profile.json`).
 //!
-//! That is six series per call. They are not looked up per call: each
-//! `(algorithm, level, direction)` resolves its handles once, on its
-//! first call, into a bundle kept in a static table, so a call costs
-//! one table index, relaxed atomic adds, and the windowed histogram's
-//! slot lock. A level outside the table (only
+//! That is three series per compress and two per decompress. They are
+//! not looked up per call: each `(algorithm, level, direction)` resolves
+//! its handles once, on its first call, into a bundle kept in a static
+//! table, so a call costs one table index and relaxed atomic adds; it
+//! takes no lock. A level outside the table (only
 //! [`Zstdx::with_params`](crate::zstdx::Zstdx::with_params) can make
 //! one) resolves its handles on every call instead.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use telemetry::{Counter, Histogram, WindowedCounter, WindowedHistogram};
+use telemetry::Counter;
 
 use crate::Algorithm;
 
 /// Series and stage names of one direction.
 struct Names {
     calls: &'static str,
-    /// Uncompressed bytes: compress input, decompress output. Also
-    /// kept windowed.
+    /// Uncompressed bytes: compress input, decompress output.
     raw_bytes: &'static str,
     /// Compressed bytes, where the direction exports them.
     frame_bytes: Option<&'static str>,
-    /// Latency, cumulative and windowed.
-    nanos: &'static str,
     stage: &'static str,
 }
 
@@ -51,7 +42,6 @@ const COMPRESS: Names = Names {
     calls: "codecs.compress.calls",
     raw_bytes: "codecs.compress.bytes_in",
     frame_bytes: Some("codecs.compress.bytes_out"),
-    nanos: "codecs.compress.nanos",
     stage: "codec.compress",
 };
 
@@ -59,7 +49,6 @@ const DECOMPRESS: Names = Names {
     calls: "codecs.decompress.calls",
     raw_bytes: "codecs.decompress.bytes_out",
     frame_bytes: None,
-    nanos: "codecs.decompress.nanos",
     stage: "codec.decompress",
 };
 
@@ -69,40 +58,30 @@ struct Bundle {
     calls: Arc<Counter>,
     raw_bytes: Arc<Counter>,
     frame_bytes: Option<Arc<Counter>>,
-    nanos: Arc<Histogram>,
-    window_raw_bytes: Arc<WindowedCounter>,
-    window_nanos: Arc<WindowedHistogram>,
 }
 
 impl Bundle {
     fn resolve(names: &'static Names, algo: Algorithm, level: i32) -> Self {
         let level = level.to_string();
         let labels = [("algo", algo.name()), ("level", level.as_str())];
-        let (reg, win) = (telemetry::global(), telemetry::windows());
+        let reg = telemetry::global();
         Self {
             names,
             calls: reg.counter(names.calls, &labels),
             raw_bytes: reg.counter(names.raw_bytes, &labels),
             frame_bytes: names.frame_bytes.map(|name| reg.counter(name, &labels)),
-            nanos: reg.histogram(names.nanos, &labels),
-            window_raw_bytes: win.counter(names.raw_bytes, &labels),
-            window_nanos: win.histogram(names.nanos, &labels),
         }
     }
 
     fn emit(&self, raw: usize, frame: usize, start: Instant) {
-        let elapsed = start.elapsed();
         // Whole-call stage for any live request context (a thread-local
         // check when none is open, so raw codec paths pay nothing).
-        telemetry::request::observe_stage(self.names.stage, start, elapsed);
+        telemetry::request::observe_stage(self.names.stage, start, start.elapsed());
         self.calls.inc();
         self.raw_bytes.add(raw as u64);
         if let Some(c) = &self.frame_bytes {
             c.add(frame as u64);
         }
-        self.nanos.observe_duration(elapsed);
-        self.window_raw_bytes.add(raw as u64);
-        self.window_nanos.observe(elapsed.as_nanos() as u64);
     }
 }
 
@@ -203,10 +182,6 @@ mod tests {
                     >= before.counter("codecs.decompress.bytes_out", &l) + data.len() as u64,
                 "{algo} decompress bytes_out not recorded"
             );
-            let h = after
-                .histogram("codecs.compress.nanos", &l)
-                .expect("latency histogram");
-            assert!(h.count() >= 1);
         }
         // Decompress exports no compressed-bytes series.
         assert!(after

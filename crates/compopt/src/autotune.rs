@@ -10,7 +10,7 @@
 //! loop: feed it fresh traffic samples each round; it re-measures its
 //! candidate space, re-runs the cost model under the service's
 //! constraints, and switches configurations only when the improvement
-//! clears a hysteresis threshold (so measurement noise cannot flap the
+//! clears a fixed 5 % hysteresis (so measurement noise cannot flap the
 //! fleet between configs).
 
 use serde::Serialize;
@@ -34,15 +34,17 @@ pub struct TuneEvent {
     pub switched: bool,
 }
 
+/// Relative cost improvement a candidate needs over the current
+/// configuration, both priced on the same round's samples, before the
+/// tuner switches to it.
+const HYSTERESIS: f64 = 0.05;
+
 /// A cost/SLO-aware configuration auto-tuner.
 pub struct AutoTuner {
     configs: Vec<CompressionConfig>,
     params: CostParams,
     weights: CostWeights,
     constraints: Vec<Constraint>,
-    /// Relative cost improvement required to switch away from the
-    /// current configuration.
-    hysteresis: f64,
     current: Option<Evaluation>,
     history: Vec<TuneEvent>,
 }
@@ -60,7 +62,6 @@ impl AutoTuner {
             params,
             weights,
             constraints: Vec::new(),
-            hysteresis: 0.05,
             current: None,
             history: Vec::new(),
         }
@@ -70,17 +71,6 @@ impl AutoTuner {
     pub fn with_constraints(mut self, constraints: Vec<Constraint>) -> Self {
         self.constraints = constraints;
         self
-    }
-
-    /// Overrides the switch hysteresis (default 5%).
-    pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
-        self.hysteresis = hysteresis.max(0.0);
-        self
-    }
-
-    /// The currently selected configuration, if any round has run.
-    pub fn current(&self) -> Option<&Evaluation> {
-        self.current.as_ref()
     }
 
     /// All re-tuning rounds so far.
@@ -127,7 +117,7 @@ impl AutoTuner {
                     .find(|e| e.label == cur.label)
                     .map(|e| e.total_cost)
                     .unwrap_or(f64::INFINITY);
-                best.total_cost < cur_fresh * (1.0 - self.hysteresis)
+                best.total_cost < cur_fresh * (1.0 - HYSTERESIS)
             }
         };
 
@@ -209,11 +199,11 @@ mod tests {
         let s = text_samples();
         let refs: Vec<&[u8]> = s.iter().map(|v| v.as_slice()).collect();
         t.retune(&refs);
-        let first = t.current().unwrap().label.clone();
+        let first = t.history().last().unwrap().selected.clone();
         for _ in 0..3 {
             t.retune(&refs);
         }
-        assert_eq!(t.current().unwrap().label, first);
+        assert_eq!(t.history().last().unwrap().selected, first);
         assert!(
             t.history()[1..].iter().all(|e| !e.switched),
             "{:?}",
@@ -226,7 +216,7 @@ mod tests {
         // Move from compressible logs to incompressible binary: with
         // bytes priced, ratios collapse toward 1 for every candidate;
         // the tuner must keep functioning and keep a feasible config.
-        let mut t = tuner().with_hysteresis(0.01);
+        let mut t = tuner();
         let s1 = text_samples();
         let refs1: Vec<&[u8]> = s1.iter().map(|v| v.as_slice()).collect();
         t.retune(&refs1);
@@ -243,11 +233,11 @@ mod tests {
         let s = text_samples();
         let refs: Vec<&[u8]> = s.iter().map(|v| v.as_slice()).collect();
         t.retune(&refs);
-        let before = t.current().unwrap().label.clone();
+        let before = t.history().last().unwrap().selected.clone();
         // Impossible SLO from now on.
         t.constraints = vec![Constraint::MinCompressionRatio(1e12)];
         t.retune(&refs);
-        assert_eq!(t.current().unwrap().label, before);
+        assert_eq!(t.history().last().unwrap().selected, before);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl CompEngine {
         self
     }
 
-    /// Adds every level of `algorithm`.
-    pub fn add_all_levels(&mut self, algorithm: Algorithm) -> &mut Self {
-        self.add_levels(algorithm, algorithm.levels())
-    }
-
     /// Adds a simulated hardware candidate (CompSim).
     pub fn add_simulated(&mut self, sim: CompSim) -> &mut Self {
         self.candidates.push(Candidate::Simulated(sim));

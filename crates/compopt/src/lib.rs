@@ -21,8 +21,8 @@
 //!   cost sources).
 //! * [`constraints`] — service requirements (minimum compression speed,
 //!   maximum decompression latency) that gate feasibility.
-//! * [`optimize`] — exhaustive argmin (Eq. 4), plus the random-search and
-//!   hill-climbing extensions the paper mentions for larger spaces.
+//! * [`optimize`] — exhaustive argmin (Eq. 4), the search the paper
+//!   finds sufficient (§V-A).
 //! * [`compsim`] — [`CompSim`]: the hardware-accelerator modeling
 //!   interface (speed multiplier γ, accelerator α_compute, restricted
 //!   match window).
@@ -70,6 +70,6 @@ pub mod prelude {
     pub use crate::constraints::Constraint;
     pub use crate::engine::{CompEngine, Measured};
     pub use crate::model::{CostParams, CostWeights, Costs};
-    pub use crate::optimize::{evaluate_all, optimum, pareto_front, Evaluation};
+    pub use crate::optimize::{evaluate_all, optimum, Evaluation};
     pub use crate::pricing::Pricing;
 }

@@ -37,11 +37,6 @@ pub struct CostParams {
     pub beta: f64,
     /// Average data retention `R`, in days.
     pub retention_days: f64,
-    /// Extension (not in the paper's equations): count decompression
-    /// time into `c_compute`, weighted by reads per write. The paper's
-    /// Figure 3 shows reads dominate many services; `0.0` reproduces the
-    /// paper's model exactly.
-    pub reads_per_write: f64,
 }
 
 impl CostParams {
@@ -54,14 +49,7 @@ impl CostParams {
             base: 1.0,
             beta,
             retention_days,
-            reads_per_write: 0.0,
         }
-    }
-
-    /// Builder-style override of the decompression-cost extension.
-    pub fn with_reads_per_write(mut self, rpw: f64) -> Self {
-        self.reads_per_write = rpw;
-        self
     }
 
     /// Builder-style override of `α_compute` (used by CompSim to price
@@ -75,7 +63,7 @@ impl CostParams {
 /// Per-resource costs of one configuration (Equations 1–3).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Costs {
-    /// Equation (1), plus the optional decompression extension.
+    /// Equation (1).
     pub compute: f64,
     /// Equation (2).
     pub storage: f64,
@@ -87,9 +75,8 @@ impl Costs {
     /// Computes the three cost terms from measured metrics.
     pub fn from_metrics(m: &CompressionMetrics, p: &CostParams) -> Self {
         let scale = p.base / p.beta;
-        let compute_secs = m.compress_secs + p.reads_per_write * m.decompress_secs;
         Self {
-            compute: p.alpha_compute * scale * compute_secs,
+            compute: p.alpha_compute * scale * m.compress_secs,
             storage: p.alpha_storage * scale * p.retention_days * m.compressed_bytes as f64,
             network: p.alpha_network * scale * m.compressed_bytes as f64,
         }
@@ -199,31 +186,6 @@ mod tests {
         assert!((c60.storage - 2.0 * c30.storage).abs() < 1e-15);
         assert_eq!(c30.network, c60.network);
         assert_eq!(c30.compute, c60.compute);
-    }
-
-    #[test]
-    fn reads_per_write_extension_adds_decompression() {
-        let m = metrics(500_000, 0.01, 0.002);
-        let p0 = params();
-        let p5 = params().with_reads_per_write(5.0);
-        let c0 = Costs::from_metrics(&m, &p0);
-        let c5 = Costs::from_metrics(&m, &p5);
-        assert!(c5.compute > c0.compute);
-        let expected = p0.alpha_compute * (0.01 + 5.0 * 0.002);
-        assert!((c5.compute - expected).abs() < 1e-15);
-    }
-
-    #[test]
-    fn storage_medium_shifts_the_balance() {
-        // The same measurement priced on flash vs HDD: storage dominates
-        // sooner on flash, so compression's byte savings are worth more.
-        let m = metrics(500_000, 0.01, 0.001);
-        let flash = CostParams::from_pricing(&Pricing::aws_2023_flash(), 1.0, 30.0);
-        let hdd = CostParams::from_pricing(&Pricing::aws_2023_hdd(), 1.0, 30.0);
-        let cf = Costs::from_metrics(&m, &flash);
-        let ch = Costs::from_metrics(&m, &hdd);
-        assert!(cf.storage > 4.0 * ch.storage);
-        assert_eq!(cf.compute, ch.compute);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Configuration search — Equation (4) and its extensions.
+//! Configuration search — Equation (4).
 //!
 //! "The goal of CompOpt is to find the optimal compression configuration
 //! x_opt, which minimizes the overall cost... With more compression
 //! parameters in the compression configuration, one might need to adopt
 //! efficient search methods based on random sampling, gradient-descent,
 //! or genetic algorithm, but the exhaustive search is sufficient for our
-//! study." (paper, §V-A). [`evaluate_all`] + [`optimum`] are the
-//! exhaustive path; [`random_search`] and [`hill_climb`] implement the
-//! suggested extensions for larger spaces.
+//! study." (paper, §V-A). [`evaluate_all`] + [`optimum`] are that
+//! exhaustive search: every candidate is measured and priced.
 
 use serde::Serialize;
 
@@ -88,87 +87,6 @@ pub fn optimum(evals: &[Evaluation]) -> Option<&Evaluation> {
     evals.iter().find(|e| e.feasible)
 }
 
-/// Pareto front over (ratio, compression speed): candidates no other
-/// candidate dominates on both axes. Sorted by descending speed.
-pub fn pareto_front(measured: &[Measured]) -> Vec<&Measured> {
-    let mut by_speed: Vec<&Measured> = measured.iter().collect();
-    by_speed.sort_by(|a, b| {
-        b.metrics
-            .compress_mbps()
-            .total_cmp(&a.metrics.compress_mbps())
-    });
-    let mut front = Vec::new();
-    let mut best_ratio = f64::NEG_INFINITY;
-    for m in by_speed {
-        if m.metrics.ratio() > best_ratio {
-            best_ratio = m.metrics.ratio();
-            front.push(m);
-        }
-    }
-    front
-}
-
-/// Random-sampling search: evaluates `k` uniformly chosen candidates
-/// and returns the best feasible one. A cheap stand-in for exhaustive
-/// search on large spaces.
-pub fn random_search(evals: &[Evaluation], k: usize, seed: u64) -> Option<&Evaluation> {
-    if evals.is_empty() || k == 0 {
-        return None;
-    }
-    // Deterministic LCG so results are reproducible without rand.
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    let mut best: Option<&Evaluation> = None;
-    for _ in 0..k {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let idx = (state >> 33) as usize % evals.len();
-        let e = &evals[idx];
-        if !e.feasible {
-            continue;
-        }
-        if best.is_none_or(|b| e.total_cost < b.total_cost) {
-            best = Some(e);
-        }
-    }
-    best
-}
-
-/// Hill climbing over the evaluation list treated as a 1-D neighborhood
-/// (candidates must be inserted in parameter order, e.g. by level).
-/// Starts at `start` and moves to the cheaper feasible neighbor until a
-/// local optimum is reached.
-pub fn hill_climb(evals_in_param_order: &[Evaluation], start: usize) -> Option<&Evaluation> {
-    if evals_in_param_order.is_empty() {
-        return None;
-    }
-    let cost = |i: usize| {
-        let e = &evals_in_param_order[i];
-        if e.feasible {
-            e.total_cost
-        } else {
-            f64::INFINITY
-        }
-    };
-    let mut i = start.min(evals_in_param_order.len() - 1);
-    loop {
-        let mut next = i;
-        if i > 0 && cost(i - 1) < cost(next) {
-            next = i - 1;
-        }
-        if i + 1 < evals_in_param_order.len() && cost(i + 1) < cost(next) {
-            next = i + 1;
-        }
-        if next == i {
-            break;
-        }
-        i = next;
-    }
-    evals_in_param_order[i]
-        .feasible
-        .then(|| &evals_in_param_order[i])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,275 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn pareto_front_is_monotone() {
-        let samples: Vec<Vec<u8>> = (0..2)
-            .map(|i| corpus::silesia::generate(corpus::silesia::FileClass::Xml, 16 * 1024, i))
-            .collect();
-        let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
-        let mut e = CompEngine::new();
-        e.add_levels(Algorithm::Zstdx, [1, 3, 6, 9]);
-        let measured = e.measure(&refs);
-        let front = pareto_front(&measured);
-        assert!(!front.is_empty());
-        for w in front.windows(2) {
-            assert!(w[0].metrics.compress_mbps() >= w[1].metrics.compress_mbps());
-            assert!(w[0].metrics.ratio() <= w[1].metrics.ratio());
-        }
-    }
-
-    #[test]
-    fn random_search_finds_good_candidate() {
-        let evals = evaluations(&[]);
-        let exhaustive = optimum(&evals).unwrap().total_cost;
-        // Sampling the whole space repeatedly must find the optimum.
-        let found = random_search(&evals, 64, 9).unwrap().total_cost;
-        assert!((found - exhaustive).abs() <= f64::EPSILON.max(exhaustive * 1e-12));
-    }
-
-    #[test]
-    fn hill_climb_reaches_local_optimum() {
-        let evals = evaluations(&[]);
-        // Re-sort by label to get a stable "parameter order".
-        let mut ordered = evals.clone();
-        ordered.sort_by(|a, b| a.label.cmp(&b.label));
-        let best = hill_climb(&ordered, 0).unwrap();
-        let i = ordered.iter().position(|e| e.label == best.label).unwrap();
-        if i > 0 {
-            assert!(ordered[i - 1].total_cost >= best.total_cost);
-        }
-        if i + 1 < ordered.len() {
-            assert!(ordered[i + 1].total_cost >= best.total_cost);
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(optimum(&[]).is_none());
-        assert!(random_search(&[], 10, 1).is_none());
-        assert!(hill_climb(&[], 0).is_none());
-        assert!(pareto_front(&[]).is_empty());
-    }
-}
-
-/// Genetic-algorithm search over a *structured* configuration space —
-/// the third search method the paper names for larger spaces ("random
-/// sampling, gradient-descent, or genetic algorithm", §V-A).
-///
-/// Individuals are indices into axis value lists (algorithm × level ×
-/// block size); fitness is the weighted cost, with infeasible
-/// individuals heavily penalized. The evaluator is a callback so tests
-/// can drive it with a synthetic landscape and real users with a
-/// measure-and-price closure.
-pub mod genetic {
-    use codecs::Algorithm;
-
-    use crate::config::CompressionConfig;
-
-    /// The discrete search space: one value list per axis.
-    #[derive(Debug, Clone)]
-    pub struct Space {
-        /// Candidate algorithms.
-        pub algorithms: Vec<Algorithm>,
-        /// Candidate levels (clamped per algorithm on use).
-        pub levels: Vec<i32>,
-        /// Candidate block sizes (`None` = whole-sample).
-        pub block_sizes: Vec<Option<usize>>,
-    }
-
-    impl Space {
-        /// Number of points in the space.
-        pub fn len(&self) -> usize {
-            self.algorithms.len() * self.levels.len() * self.block_sizes.len()
-        }
-
-        /// True when any axis is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        fn config(&self, genome: [usize; 3]) -> CompressionConfig {
-            let mut c = CompressionConfig::new(
-                self.algorithms[genome[0] % self.algorithms.len()],
-                self.levels[genome[1] % self.levels.len()],
-            );
-            if let Some(bs) = self.block_sizes[genome[2] % self.block_sizes.len()] {
-                c = c.with_block_size(bs);
-            }
-            c
-        }
-    }
-
-    /// GA hyper-parameters.
-    #[derive(Debug, Clone, Copy)]
-    pub struct GaParams {
-        /// Individuals per generation.
-        pub population: usize,
-        /// Generations to run.
-        pub generations: usize,
-        /// Per-gene mutation probability (0..1).
-        pub mutation_rate: f64,
-        /// RNG seed (deterministic runs).
-        pub seed: u64,
-    }
-
-    impl Default for GaParams {
-        fn default() -> Self {
-            Self {
-                population: 12,
-                generations: 10,
-                mutation_rate: 0.2,
-                seed: 7,
-            }
-        }
-    }
-
-    /// Runs the GA; `fitness` maps a configuration to a cost (lower is
-    /// better; return `f64::INFINITY` for infeasible configs).
-    /// Returns the best configuration and its cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space or population is empty.
-    pub fn search(
-        space: &Space,
-        params: &GaParams,
-        mut fitness: impl FnMut(&CompressionConfig) -> f64,
-    ) -> (CompressionConfig, f64) {
-        assert!(!space.is_empty(), "empty search space");
-        assert!(params.population >= 2, "population too small");
-
-        // Small deterministic xorshift RNG: the GA needs reproducibility
-        // more than statistical quality.
-        let mut state = params.seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let axes = [
-            space.algorithms.len(),
-            space.levels.len(),
-            space.block_sizes.len(),
-        ];
-
-        let mut population: Vec<[usize; 3]> = (0..params.population)
-            .map(|_| [0, 1, 2].map(|a| next() as usize % axes[a]))
-            .collect();
-        let mut best: Option<([usize; 3], f64)> = None;
-        // Memoize: fitness evaluations are expensive (real measurements).
-        let mut cache: std::collections::HashMap<[usize; 3], f64> = Default::default();
-
-        for _ in 0..params.generations {
-            let mut scored: Vec<([usize; 3], f64)> = population
-                .iter()
-                .map(|&g| {
-                    let cost = *cache.entry(g).or_insert_with(|| fitness(&space.config(g)));
-                    (g, cost)
-                })
-                .collect();
-            scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-            if best.is_none() || scored[0].1 < best.expect("set").1 {
-                best = Some(scored[0]);
-            }
-            // Elitist reproduction: top half survives, children from
-            // uniform crossover + mutation fill the rest.
-            let survivors = params.population / 2;
-            let parents: Vec<[usize; 3]> =
-                scored[..survivors.max(2)].iter().map(|&(g, _)| g).collect();
-            population = parents.clone();
-            while population.len() < params.population {
-                let a = parents[next() as usize % parents.len()];
-                let b = parents[next() as usize % parents.len()];
-                let mut child = [0usize; 3];
-                for (i, c) in child.iter_mut().enumerate() {
-                    *c = if next() % 2 == 0 { a[i] } else { b[i] };
-                    if (next() % 1000) as f64 / 1000.0 < params.mutation_rate {
-                        *c = next() as usize % axes[i];
-                    }
-                }
-                population.push(child);
-            }
-        }
-        let (genome, cost) = best.expect("at least one generation ran");
-        (space.config(genome), cost)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn space() -> Space {
-            Space {
-                algorithms: vec![Algorithm::Zstdx, Algorithm::Lz4x, Algorithm::Zlibx],
-                levels: vec![-1, 1, 3, 5, 7, 9],
-                block_sizes: vec![None, Some(4 << 10), Some(16 << 10), Some(64 << 10)],
-            }
-        }
-
-        #[test]
-        fn finds_global_optimum_of_synthetic_landscape() {
-            // Fitness with a unique known minimum at (zstdx, 5, 16K).
-            let target = CompressionConfig::new(Algorithm::Zstdx, 5).with_block_size(16 << 10);
-            let fit = |c: &CompressionConfig| {
-                let mut d = 0.0;
-                if c.algorithm != target.algorithm {
-                    d += 10.0;
-                }
-                d += (c.level - target.level).abs() as f64;
-                d += match (c.block_size, target.block_size) {
-                    (Some(a), Some(b)) => (a as f64).log2().abs() - (b as f64).log2().abs(),
-                    (None, Some(_)) | (Some(_), None) => 5.0,
-                    (None, None) => 0.0,
-                }
-                .abs();
-                d
-            };
-            let (best, cost) = search(
-                &space(),
-                &GaParams {
-                    population: 16,
-                    generations: 25,
-                    ..Default::default()
-                },
-                fit,
-            );
-            assert_eq!(best, target, "cost {cost}");
-            assert_eq!(cost, 0.0);
-        }
-
-        #[test]
-        fn deterministic_for_a_seed() {
-            let fit = |c: &CompressionConfig| c.level.abs() as f64;
-            let a = search(&space(), &GaParams::default(), fit);
-            let b = search(&space(), &GaParams::default(), fit);
-            assert_eq!(a.0, b.0);
-        }
-
-        #[test]
-        fn penalized_configs_are_avoided() {
-            // Everything infeasible except lz4x.
-            let fit = |c: &CompressionConfig| {
-                if c.algorithm == Algorithm::Lz4x {
-                    c.level as f64
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let (best, cost) = search(&space(), &GaParams::default(), fit);
-            assert_eq!(best.algorithm, Algorithm::Lz4x);
-            assert!(cost.is_finite());
-        }
-
-        #[test]
-        #[should_panic(expected = "empty search space")]
-        fn empty_space_panics() {
-            let s = Space {
-                algorithms: vec![],
-                levels: vec![1],
-                block_sizes: vec![None],
-            };
-            let _ = search(&s, &GaParams::default(), |_| 0.0);
-        }
     }
 }

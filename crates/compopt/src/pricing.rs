@@ -37,44 +37,9 @@ impl Pricing {
     }
 }
 
-impl Pricing {
-    /// Flash-backed persistent storage (EBS gp3-class, ~$0.08/GB-month):
-    /// the paper notes "the storage cost of a service using Flash as its
-    /// persistent store is different from that of a service using Hard
-    /// Disk Drive" (§V) — compression pays off faster on flash.
-    pub fn aws_2023_flash() -> Self {
-        Self {
-            storage_per_byte_day: 0.08 / (1024.0 * 1024.0 * 1024.0) / 30.0,
-            ..Self::aws_2023()
-        }
-    }
-
-    /// Cold HDD-backed storage (sc1-class, ~$0.015/GB-month).
-    pub fn aws_2023_hdd() -> Self {
-        Self {
-            storage_per_byte_day: 0.015 / (1024.0 * 1024.0 * 1024.0) / 30.0,
-            ..Self::aws_2023()
-        }
-    }
-}
-
-impl Default for Pricing {
-    fn default() -> Self {
-        Self::aws_2023()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn media_variants_ordered() {
-        let flash = Pricing::aws_2023_flash();
-        let hdd = Pricing::aws_2023_hdd();
-        assert!(flash.storage_per_byte_day > hdd.storage_per_byte_day);
-        assert_eq!(flash.compute_per_cpu_second, hdd.compute_per_cpu_second);
-    }
 
     #[test]
     fn rates_are_positive_and_ordered() {

@@ -17,19 +17,6 @@ pub fn to_json_lines<T: Serialize>(rows: &[T]) -> String {
         .join("\n")
 }
 
-/// Formats a float column with sensible width for table output.
-pub fn fmt_f(v: f64) -> String {
-    if v == 0.0 {
-        "0".into()
-    } else if v.abs() >= 100.0 {
-        format!("{v:.0}")
-    } else if v.abs() >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,13 +42,5 @@ mod tests {
         let s = to_json_lines(&rows);
         assert_eq!(s.lines().count(), 2);
         assert!(s.lines().next().unwrap().contains("\"a\""));
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(fmt_f(0.0), "0");
-        assert_eq!(fmt_f(123.456), "123");
-        assert_eq!(fmt_f(12.345), "12.35");
-        assert_eq!(fmt_f(0.01234), "0.0123");
     }
 }

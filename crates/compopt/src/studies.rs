@@ -93,7 +93,7 @@ fn summarize(rows: Vec<Evaluation>) -> StudyResult {
 }
 
 /// ADS1 sample set: a traffic-weighted mix of the three models.
-pub fn ads1_samples(scale: &StudyScale) -> Vec<Vec<u8>> {
+fn ads1_samples(scale: &StudyScale) -> Vec<Vec<u8>> {
     use corpus::mlreq::{generate_requests, Model};
     let mut samples = Vec::new();
     // Model A carries the most traffic (paper, §IV-D).

@@ -54,7 +54,7 @@ impl PageMix {
 }
 
 /// Generates one page of the given class.
-pub fn generate_page(class: PageClass, seed: u64) -> Vec<u8> {
+fn generate_page(class: PageClass, seed: u64) -> Vec<u8> {
     let mut r = rng(seed ^ 0x9a9e);
     let mut page = vec![0u8; PAGE_SIZE];
     match class {

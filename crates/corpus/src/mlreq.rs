@@ -45,7 +45,8 @@ impl Model {
     }
 
     /// Average request size in bytes (approximate target).
-    pub fn request_size(&self) -> usize {
+    #[cfg(test)]
+    fn request_size(&self) -> usize {
         match self {
             Model::A => 48 * 48 * 1024,
             Model::B => 12 * 4 * 1024,
@@ -54,7 +55,7 @@ impl Model {
     }
 
     /// Fraction of the feature payload that is sparse embeddings.
-    pub fn sparse_fraction(&self) -> f64 {
+    fn sparse_fraction(&self) -> f64 {
         match self {
             Model::A => 0.5,
             Model::B | Model::C => 0.8,

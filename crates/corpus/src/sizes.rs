@@ -44,7 +44,8 @@ impl LogNormal {
     }
 
     /// Draws `n` sizes.
-    pub fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<usize> {
+    #[cfg(test)]
+    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<usize> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 }

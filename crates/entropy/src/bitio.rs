@@ -68,7 +68,7 @@ impl BitWriter {
     }
 
     /// Total number of bits written so far.
-    pub fn bit_len(&self) -> usize {
+    fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.nbits as usize
     }
 

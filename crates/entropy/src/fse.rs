@@ -396,7 +396,7 @@ impl<'t> FseDecoder<'t> {
 
     /// True when the state equals the encoder's canonical initial state —
     /// a cheap end-of-stream integrity check.
-    pub fn at_initial_state(&self) -> bool {
+    fn at_initial_state(&self) -> bool {
         self.state == 1 << self.table.table_log
     }
 }

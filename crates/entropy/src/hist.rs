@@ -50,12 +50,6 @@ pub fn cardinality(freqs: &[u32]) -> usize {
     freqs.iter().filter(|&&c| c > 0).count()
 }
 
-/// Index of the most frequent symbol, or `None` for an all-zero histogram.
-pub fn dominant_symbol(freqs: &[u32]) -> Option<usize> {
-    let (idx, &max) = freqs.iter().enumerate().max_by_key(|&(_, &c)| c)?;
-    (max > 0).then_some(idx)
-}
-
 /// Shannon entropy of the histogram, in bits per symbol.
 ///
 /// Returns 0.0 for empty histograms.
@@ -191,12 +185,6 @@ mod tests {
         assert_eq!(h[b'l' as usize], 2);
         assert_eq!(h[b'h' as usize], 1);
         assert_eq!(cardinality(&h), 4);
-        assert_eq!(dominant_symbol(&h), Some(b'l' as usize));
-    }
-
-    #[test]
-    fn dominant_of_empty_is_none() {
-        assert_eq!(dominant_symbol(&[0, 0, 0]), None);
     }
 
     #[test]

@@ -336,7 +336,8 @@ impl HuffmanTable {
     }
 
     /// Splits `data` into the four substreams of the multi-stream
-    /// literals layout (see [`four_stream_split`]) and encodes each
+    /// literals layout (three streams of `n / 4` symbols, the fourth
+    /// the remainder) and encodes each
     /// independently. Decode with [`Self::decode_4stream`] or
     /// [`Self::decode_4stream_fast`].
     pub fn encode_4stream(&self, data: &[u8]) -> [Vec<u8>; 4] {
@@ -479,7 +480,7 @@ impl HuffmanTable {
 /// non-negative for every `n` — both sides derive it from the symbol
 /// count alone, no sizes on the wire beyond the per-stream byte
 /// lengths.
-pub fn four_stream_split(n: usize) -> [usize; 4] {
+fn four_stream_split(n: usize) -> [usize; 4] {
     let q = n / 4;
     [q, q, q, n - 3 * q]
 }

@@ -133,11 +133,6 @@ impl OpFaultPlan {
         self.active.store(false, Ordering::Release);
     }
 
-    /// Resumes injecting; idempotent.
-    pub fn activate(&self) {
-        self.active.store(true, Ordering::Release);
-    }
-
     /// Attempts consulted while active.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Acquire)
@@ -262,8 +257,6 @@ mod tests {
         plan.deactivate();
         assert!(consult(&plan, 64).iter().all(|f| !*f));
         assert_eq!(plan.injected(), 4);
-        plan.activate();
-        assert!(consult(&plan, 1).first().copied().unwrap_or(false));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! consume.
 
 use crate::profiler::{profile_fleet, FleetProfile, ProfileConfig};
-use crate::services::registry;
 
 /// Configuration of a drift simulation.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +56,8 @@ pub struct DayReport {
 /// Each day re-profiles the fleet with fresh data; aggregate ratios move
 /// day to day as content drifts, which is exactly the signal an
 /// auto-tuner watches. Every day's report is also published into the
-/// [global telemetry registry](telemetry::global) (see
-/// [`record_day_to`]), so drift shows up in `--telemetry` snapshots
-/// instead of being print-only.
+/// [global telemetry registry](telemetry::global), so drift shows up in
+/// `--telemetry` snapshots instead of being print-only.
 pub fn simulate_days(config: &DriftConfig) -> Vec<DayReport> {
     (0..config.days)
         .map(|day| {
@@ -78,7 +76,7 @@ pub fn simulate_days(config: &DriftConfig) -> Vec<DayReport> {
 /// Publishes one day's report into `reg`: fleet-level gauges labeled
 /// `{day=...}` plus a per-service compression-seconds gauge labeled
 /// `{day=..., service=...}`.
-pub fn record_day_to(reg: &telemetry::Registry, report: &DayReport, profile: &FleetProfile) {
+fn record_day_to(reg: &telemetry::Registry, report: &DayReport, profile: &FleetProfile) {
     let day = report.day.to_string();
     let fleet = [("day", day.as_str())];
     reg.gauge("fleet.drift.tax", &fleet).set(report.fleet_tax);
@@ -146,11 +144,6 @@ fn profile_seed(day: usize, name: &str) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
     h ^ (day as u64) << 17
-}
-
-/// Convenience: the number of Table-I-plus-filler services simulated.
-pub fn fleet_size() -> usize {
-    registry().len()
 }
 
 #[cfg(test)]
@@ -240,10 +233,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fleet_size_counts_registry() {
-        assert_eq!(fleet_size(), crate::services::registry().len());
     }
 }

@@ -87,12 +87,6 @@ impl MatchParams {
         }
     }
 
-    /// Builder-style override of the repeat-offset parse preference.
-    pub fn with_rep_preference(mut self, rep_preference: bool) -> Self {
-        self.rep_preference = rep_preference;
-        self
-    }
-
     /// Builder-style override of the window log.
     pub fn with_window_log(mut self, window_log: u32) -> Self {
         self.window_log = window_log;

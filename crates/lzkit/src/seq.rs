@@ -64,11 +64,6 @@ impl ParsedBlock {
                 .sum::<usize>()
     }
 
-    /// Total literal bytes consumed by sequences (excludes the tail).
-    pub fn sequence_literal_len(&self) -> usize {
-        self.sequences.iter().map(|s| s.literal_len as usize).sum()
-    }
-
     /// Fraction of output bytes covered by matches (0.0 = all literals).
     pub fn match_coverage(&self) -> f64 {
         let total = self.decoded_len();

@@ -279,7 +279,8 @@ impl RetryBudget {
     }
 
     /// Tokens currently available.
-    pub fn tokens(&self) -> f64 {
+    #[cfg(test)]
+    fn tokens(&self) -> f64 {
         self.tokens_milli.load(Ordering::Acquire) as f64 / 1000.0
     }
 }
@@ -499,16 +500,6 @@ impl ServiceMode {
         }
     }
 
-    /// Gauge encoding: normal 0, cheap 1, passthrough 2, shed 3.
-    pub fn as_gauge(&self) -> f64 {
-        match self {
-            ServiceMode::Normal => 0.0,
-            ServiceMode::CheapLevel => 1.0,
-            ServiceMode::Passthrough => 2.0,
-            ServiceMode::Shed => 3.0,
-        }
-    }
-
     /// Request mark name for a transition into this mode.
     pub fn mark_name(&self) -> &'static str {
         match self {
@@ -561,7 +552,8 @@ impl AdmissionController {
     }
 
     /// Requests currently holding permits.
-    pub fn inflight(&self) -> usize {
+    #[cfg(test)]
+    fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
     }
 

@@ -195,10 +195,10 @@ impl UseCaseObs {
         clock: &Arc<dyn Clock>,
     ) -> Self {
         let labels = [("use_case", use_case)];
-        let op = |op, calls, nanos| OpObs {
+        let op = |op, calls, nanos, windowed: bool| OpObs {
             op,
             calls: registry.counter(calls, &labels),
-            nanos_name: nanos,
+            window_name: windowed.then_some(nanos),
             nanos: registry.histogram(nanos, &labels),
             breaker: CircuitBreaker::new(config.resilience.breaker, Arc::clone(clock)),
             window_nanos: None,
@@ -214,24 +214,29 @@ impl UseCaseObs {
                 "compress",
                 "managed.compress.calls",
                 "managed.compress.nanos",
+                true,
             ),
             decompress: op(
                 "decompress",
                 "managed.decompress.calls",
                 "managed.decompress.nanos",
+                false,
             ),
         }
     }
 }
 
 /// One operation of one use case: its per-instance series, its breaker
-/// over the zstdx codec, and the two process-global series it exports,
-/// which are registered on first use so `/metrics` lists exactly the
-/// series traffic produced.
+/// over the zstdx codec, and the process-global series it exports (the
+/// breaker gauge, and for compress the windowed latency), which are
+/// registered on first use so `/metrics` lists exactly the series
+/// traffic produced.
 struct OpObs {
     op: &'static str,
     calls: Arc<Counter>,
-    nanos_name: &'static str,
+    /// Name of the windowed latency histogram; compress only, since
+    /// its exemplars are what `/metrics` links to `/requests.json`.
+    window_name: Option<&'static str>,
     nanos: Arc<Histogram>,
     breaker: CircuitBreaker,
     window_nanos: Option<Arc<WindowedHistogram>>,
@@ -239,11 +244,14 @@ struct OpObs {
 }
 
 impl OpObs {
-    /// Records the call's latency, cumulative and windowed; the
-    /// windowed sub-window max names the open request as its exemplar.
+    /// Records the call's latency, cumulative and, where the op has a
+    /// windowed series, windowed; the windowed sub-window max names the
+    /// open request as its exemplar.
     fn observe(&mut self, use_case: &str, elapsed: Duration) {
         self.nanos.observe_duration(elapsed);
-        let name = self.nanos_name;
+        let Some(name) = self.window_name else {
+            return;
+        };
         self.window_nanos
             .get_or_insert_with(|| telemetry::windows().histogram(name, &[("use_case", use_case)]))
             .observe(elapsed.as_nanos() as u64);
@@ -268,27 +276,20 @@ impl OpObs {
 struct LadderObs {
     /// Last ladder mode, for transition marks/counters.
     last_mode: ServiceMode,
-    mode: Arc<Gauge>,
-    inflight: Arc<Gauge>,
     admitted: Arc<WindowedCounter>,
 }
 
 impl LadderObs {
     fn new() -> Self {
-        let g = telemetry::global();
         Self {
             last_mode: ServiceMode::Normal,
-            mode: g.gauge("resilience.admission.mode", &[]),
-            inflight: g.gauge("resilience.admission.inflight", &[]),
             admitted: telemetry::windows().counter("resilience.admitted", &[]),
         }
     }
 
-    /// Records the ladder mode chosen for a request: the gauges every
-    /// time, a request mark + transition counter on change.
-    fn note(&mut self, mode: ServiceMode, admission: &AdmissionController) {
-        self.mode.set(mode.as_gauge());
-        self.inflight.set(admission.inflight() as f64);
+    /// Records the ladder mode chosen for a request: a request mark and
+    /// a transition counter when it differs from the last one.
+    fn note(&mut self, mode: ServiceMode) {
         if mode != self.last_mode {
             telemetry::request::mark(mode.mark_name());
             telemetry::windows()
@@ -395,11 +396,6 @@ impl ManagedCompression {
         self.admission = admission;
     }
 
-    /// Retry-budget tokens currently available.
-    pub fn retry_budget_tokens(&self) -> f64 {
-        self.retry_budget.tokens()
-    }
-
     fn breaker_of(&self, use_case: &str, op: &str) -> Option<&CircuitBreaker> {
         let obs = &self.use_cases.get(use_case)?.obs;
         match op {
@@ -480,7 +476,7 @@ impl ManagedCompression {
 
         // Admission first: a shed request does no work at all.
         let Some(permit) = self.admission.try_acquire() else {
-            self.ladder.note(ServiceMode::Shed, &self.admission);
+            self.ladder.note(ServiceMode::Shed);
             self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::request::mark("resilience.shed");
@@ -490,7 +486,7 @@ impl ManagedCompression {
             });
         };
         let mode = permit.mode();
-        self.ladder.note(mode, &self.admission);
+        self.ladder.note(mode);
         self.ladder.admitted.inc();
         self.retry_budget.deposit();
 
@@ -687,7 +683,7 @@ impl ManagedCompression {
         // (There is no cheaper decode — the frame dictates the work —
         // so the ladder's intermediate rungs do not apply here.)
         let Some(_permit) = self.admission.try_acquire() else {
-            self.ladder.note(ServiceMode::Shed, &self.admission);
+            self.ladder.note(ServiceMode::Shed);
             self.registry.counter("managed.shed", &labels).inc();
             telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::request::mark("resilience.shed");

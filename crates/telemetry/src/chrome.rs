@@ -63,7 +63,7 @@ fn request_events(out: &mut String, first: &mut bool, r: &SampledRequest) {
     for s in &r.spans {
         event_open(out, first);
         field_str(out, "name", s.name);
-        if s.total_nanos == 0 && s.parent != 0 {
+        if s.is_mark() {
             out.push_str(",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\"");
         } else {
             out.push_str(&format!(

@@ -194,7 +194,7 @@ pub fn prom_name(name: &str) -> String {
 /// Escapes a label value per the exposition format: backslash, double
 /// quote, and newline (the three characters that would otherwise break
 /// the `name{label="value"} sample` line structure).
-pub fn prom_escape(out: &mut String, value: &str) {
+fn prom_escape(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -207,7 +207,7 @@ pub fn prom_escape(out: &mut String, value: &str) {
 
 /// Escapes HELP text per the exposition format: backslash and newline
 /// (double quotes are legal inside HELP lines).
-pub fn prom_help_escape(out: &mut String, value: &str) {
+fn prom_help_escape(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),

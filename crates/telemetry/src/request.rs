@@ -23,11 +23,11 @@
 //!   [`Clock`], so tests drive it with [`ManualClock`]
 //!   (crate::ManualClock)), and a seed-driven 1-in-k probabilistic
 //!   baseline. Everything else is dropped — counted, never silent.
-//! * an **attribution report** — running p99 self-time per stage,
-//!   split by `(service, op, size class)`, aggregated over *all*
-//!   finished requests (not just the sampled ones, so the report is
-//!   unbiased). Served as `/profile.json`; the sampled span trees as
-//!   `/requests.json` and, rendered by [`crate::chrome`], as
+//! * an **attribution report** — running p99 self-time per stage, and
+//!   a count per mark, split by `(service, op, size class)`, aggregated
+//!   over *all* finished requests (not just the sampled ones, so the
+//!   report is unbiased). Served as `/profile.json`; the sampled span
+//!   trees as `/requests.json` and, rendered by [`crate::chrome`], as
 //!   `/trace.json`.
 //!
 //! Windowed-histogram exemplars link here too: a new sub-window maximum
@@ -38,7 +38,7 @@
 //! the raw codec paths (and the decode-guard bench) pay nothing
 //! measurable.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -150,6 +150,13 @@ pub struct SpanNode {
     pub total_nanos: u64,
     /// Total minus the sum of direct children's totals (saturating).
     pub self_nanos: u64,
+}
+
+impl SpanNode {
+    /// True for a [`mark`]: a zero-length span below the root.
+    pub(crate) fn is_mark(&self) -> bool {
+        self.total_nanos == 0 && self.parent != 0
+    }
 }
 
 /// A finished request retained by the tail sampler.
@@ -422,6 +429,7 @@ struct AttrCell {
     errors: u64,
     latency: Histogram,
     stages: HashMap<&'static str, StageCell>,
+    marks: BTreeMap<&'static str, u64>,
 }
 
 /// One `(service, op, size class)` row of the attribution report.
@@ -440,7 +448,11 @@ pub struct AttributionRow {
     /// End-to-end latency distribution.
     pub latency: HistogramSnapshot,
     /// Per-stage self-time aggregates, largest self-time sum first.
+    /// Marks take no time and are not stages: they are in `marks`.
     pub stages: Vec<StageAttribution>,
+    /// Marks recorded on this row's requests, `(name, count)` sorted
+    /// by name.
+    pub marks: Vec<(&'static str, u64)>,
 }
 
 /// Self-time aggregate for one stage within an attribution row.
@@ -581,12 +593,22 @@ impl RequestSampler {
             }
             cell.latency.observe(latency);
             for s in &spans {
+                if s.is_mark() {
+                    *cell.marks.entry(s.name).or_default() += 1;
+                    continue;
+                }
                 let sc = cell.stages.entry(s.name).or_default();
                 sc.count += 1;
                 sc.self_hist.observe(s.self_nanos);
                 sc.self_sum += s.self_nanos;
             }
             for (name, (count, total)) in &active.overflow {
+                // A name whose overflowed reports all had zero length
+                // was marked, not timed.
+                if *total == 0 {
+                    *cell.marks.entry(name).or_default() += count;
+                    continue;
+                }
                 let sc = cell.stages.entry(name).or_default();
                 sc.count += count;
                 sc.self_hist.observe(*total);
@@ -755,6 +777,7 @@ impl RequestSampler {
                     errors: cell.errors,
                     latency: cell.latency.snapshot(),
                     stages,
+                    marks: cell.marks.iter().map(|(&name, &n)| (name, n)).collect(),
                 }
             })
             .collect();
@@ -890,7 +913,7 @@ fn push_stats(out: &mut String, stats: &SamplerStats) {
 
 /// Renders the attribution report plus sampler counters as JSON — the
 /// `/profile.json` payload.
-pub fn to_profile_json(rows: &[AttributionRow], stats: &SamplerStats) -> String {
+fn to_profile_json(rows: &[AttributionRow], stats: &SamplerStats) -> String {
     let mut out = String::with_capacity(rows.len() * 512 + 256);
     out.push_str("{\"version\":1,");
     push_stats(&mut out, stats);
@@ -930,7 +953,15 @@ pub fn to_profile_json(rows: &[AttributionRow], stats: &SamplerStats) -> String 
                 s.share,
             ));
         }
-        out.push_str("]}");
+        out.push_str("],\"marks\":{");
+        for (j, (name, n)) in row.marks.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            json_string(&mut out, name);
+            out.push_str(&format!(":{n}"));
+        }
+        out.push_str("}}");
     }
     out.push_str("]}");
     out
@@ -938,7 +969,7 @@ pub fn to_profile_json(rows: &[AttributionRow], stats: &SamplerStats) -> String 
 
 /// Renders the sampled span trees as JSON — the `/requests.json`
 /// payload.
-pub fn to_requests_json(sampled: &[SampledRequest], stats: &SamplerStats) -> String {
+fn to_requests_json(sampled: &[SampledRequest], stats: &SamplerStats) -> String {
     let mut out = String::with_capacity(sampled.len() * 512 + 256);
     out.push_str("{\"version\":1,");
     push_stats(&mut out, stats);
@@ -1241,10 +1272,20 @@ mod tests {
         assert_eq!(current_id(), Some(outer.id()));
         let t0 = Instant::now();
         mark("outer.mark");
+        mark("outer.mark");
         observe_stage("stage", t0, Duration::from_secs(1));
         clock.advance(2 * MS);
         let outer_id = outer.id();
         drop(outer);
+        // The attribution report counts marks per row and keeps them
+        // out of the timed stages.
+        let rows = s.attribution();
+        let compress = rows.iter().find(|r| r.op == Op::Compress).unwrap();
+        assert_eq!(compress.marks, vec![("outer.mark", 2)]);
+        assert!(compress.stages.iter().all(|st| st.stage != "outer.mark"));
+        let decompress = rows.iter().find(|r| r.op == Op::Decompress).unwrap();
+        assert_eq!(decompress.marks, vec![("inner.mark", 1)]);
+        assert!(s.profile_json().contains("\"marks\":{\"outer.mark\":2}"));
         let sampled = s.sampled();
         let outer = sampled.iter().find(|r| r.id == outer_id).unwrap();
         let m = outer.spans.iter().find(|n| n.name == "outer.mark").unwrap();
@@ -1274,12 +1315,15 @@ mod tests {
                 Duration::from_nanos(10),
             );
         }
+        // Marks past the cap fold too, and still count as marks.
+        mark("late.mark");
+        mark("late.mark");
         clock.advance(MS);
         drop(ctx);
         let r = &s.sampled()[0];
         assert_eq!(r.spans.len(), MAX_SPANS_PER_REQUEST + 1, "root + cap");
-        assert_eq!(r.spans_dropped, 10);
-        assert_eq!(s.stats().spans_dropped, 10);
+        assert_eq!(r.spans_dropped, 12);
+        assert_eq!(s.stats().spans_dropped, 12);
         let attr = s.attribution();
         let stage = attr[0]
             .stages
@@ -1287,6 +1331,8 @@ mod tests {
             .find(|st| st.stage == "stage.many")
             .expect("stage aggregated");
         assert_eq!(stage.count as usize, MAX_SPANS_PER_REQUEST + 10);
+        assert_eq!(attr[0].marks, vec![("late.mark", 2)]);
+        assert!(attr[0].stages.iter().all(|st| st.stage != "late.mark"));
     }
 
     #[test]

@@ -620,8 +620,9 @@ mod tests {
 
     /// The sample identities of the exposition above, pinned while each
     /// plane still had its own Prometheus writer, less the flight
-    /// recorder's `trace_*` series (deleted with it); the exemplar is
-    /// labelled with the request it was observed in.
+    /// recorder's `trace_*` series (deleted with it) and the unread
+    /// `slo_{fast,slow}_burn` gauges; the exemplar is labelled with the
+    /// request it was observed in.
     const PINNED_IDENTITIES: &[&str] = &[
         r#"pin_calls{algo="zstdx",level="3"}"#,
         r#"pin_nanos_bucket{le="+Inf"}"#,
@@ -639,10 +640,6 @@ mod tests {
         r#"requests_total{}"#,
         r#"slo_budget_remaining{objective="pin.errors"}"#,
         r#"slo_budget_remaining{objective="pin.slow"}"#,
-        r#"slo_fast_burn{objective="pin.errors"}"#,
-        r#"slo_fast_burn{objective="pin.slow"}"#,
-        r#"slo_slow_burn{objective="pin.errors"}"#,
-        r#"slo_slow_burn{objective="pin.slow"}"#,
         r#"slo_state{objective="pin.errors"}"#,
         r#"slo_state{objective="pin.slow"}"#,
         r#"window_pin_latency_count{tenant="a"}"#,

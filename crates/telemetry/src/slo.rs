@@ -106,7 +106,8 @@ impl SloConfig {
     }
 
     /// Overrides the burn thresholds.
-    pub fn with_burns(mut self, page: f64, warn: f64) -> Self {
+    #[cfg(test)]
+    fn with_burns(mut self, page: f64, warn: f64) -> Self {
         self.page_burn = page;
         self.warn_burn = warn;
         self
@@ -431,15 +432,14 @@ impl SloRegistry {
     }
 
     /// Publishes each objective's evaluation as gauges labelled
-    /// `objective`: `slo.state` (0=ok 1=warning 2=burning),
-    /// `slo.fast_burn`, `slo.slow_burn` and `slo.budget_remaining`.
+    /// `objective`: `slo.state` (0=ok 1=warning 2=burning) and
+    /// `slo.budget_remaining`. The burn rates behind the state are read
+    /// from `/slo` and the CLI verdict tables.
     pub fn publish(&self, out: &mut Vec<Series>) {
         for r in self.reports() {
             let labels = [("objective", r.name.as_str())];
             for (name, v) in [
                 ("slo.state", f64::from(r.state as u8)),
-                ("slo.fast_burn", r.fast_burn),
-                ("slo.slow_burn", r.slow_burn),
                 ("slo.budget_remaining", r.budget.remaining_fraction),
             ] {
                 out.push(Series::gauge(name, &labels, v));

@@ -65,7 +65,7 @@ impl WindowConfig {
     }
 
     /// Total window span in seconds.
-    pub fn span_secs(&self) -> f64 {
+    fn span_secs(&self) -> f64 {
         self.span_nanos() as f64 / 1e9
     }
 
@@ -184,7 +184,7 @@ impl WindowedCounter {
     /// (before one full span has elapsed) this under-reports by design:
     /// the denominator is always the span, keeping the value exact and
     /// deterministic rather than dependent on process start time.
-    pub fn rate_per_sec(&self) -> f64 {
+    fn rate_per_sec(&self) -> f64 {
         self.total() as f64 / self.ring.cfg.span_secs()
     }
 }
@@ -234,7 +234,7 @@ pub struct WindowedHistogramSnapshot {
 
 impl WindowedHistogramSnapshot {
     /// Observations per second over the window span.
-    pub fn rate_per_sec(&self) -> f64 {
+    fn rate_per_sec(&self) -> f64 {
         self.histogram.count() as f64 / self.config.span_secs()
     }
 }

@@ -126,3 +126,104 @@ fn slo_endpoint_reflects_fed_objectives_live() {
     assert_eq!(mine["budget"]["exhausted"], false);
     assert!(metrics.contains("slo_state{objective=\"e2e.decode.errors\"} 0\n"));
 }
+
+/// The families DESIGN.md §6's series ledger marked as read by nothing,
+/// deleted with the code that fed them.
+const DELETED_FAMILIES: [&str; 11] = [
+    "codecs_compress_nanos",
+    "codecs_decompress_nanos",
+    "window_codecs_compress_bytes_in",
+    "window_codecs_compress_nanos",
+    "window_codecs_decompress_bytes_out",
+    "window_codecs_decompress_nanos",
+    "window_managed_decompress_nanos",
+    "resilience_admission_mode",
+    "resilience_admission_inflight",
+    "slo_fast_burn",
+    "slo_slow_burn",
+];
+
+/// The suffixes a windowed histogram exports, one gauge family each.
+const WINDOWED: &[&str] = &["_count", "_sum", "_p50", "_p90", "_p99", "_max", "_rate"];
+
+/// Every family the ledger names a reader for, with its suffixes.
+const READ_FAMILIES: &[(&str, &[&str])] = &[
+    ("codecs_compress_bytes_in", &[""]),
+    ("codecs_compress_bytes_out", &[""]),
+    ("codecs_compress_calls", &[""]),
+    ("codecs_decompress_bytes_out", &[""]),
+    ("codecs_decompress_calls", &[""]),
+    ("resilience_breaker_state", &[""]),
+    ("server_requests", &[""]),
+    ("span_zstdx_entropy", &[""]),
+    ("span_zstdx_match_find", &[""]),
+    ("window_span_seconds", &[""]),
+    ("window_managed_compress_nanos", WINDOWED),
+    ("window_managed_compress_nanos", &["_exemplar"]),
+    ("window_resilience_admitted", &["", "_rate"]),
+    ("window_server_request_nanos", WINDOWED),
+    ("slo_state", &[""]),
+    ("slo_budget_remaining", &[""]),
+    ("requests_total", &[""]),
+    ("requests_sampled_total", &[""]),
+    ("requests_dropped_total", &[""]),
+    ("requests_evicted_total", &[""]),
+    ("request_spans_dropped_total", &[""]),
+];
+
+#[test]
+fn metrics_export_every_read_family_and_none_of_the_unread_ones() {
+    telemetry::slos().register(telemetry::SloConfig::error_rate(
+        "e2e.families.errors",
+        0.99,
+    ));
+    let items = corpus::cache::generate_items(&corpus::cache::cache1_profile(), 40, 11);
+    // Managed traffic in-process, both directions, then the same items
+    // through the daemon over a real socket.
+    let mut svc = ManagedCompression::new(ManagedConfig::default());
+    let config = server::ServerConfig {
+        workers: 1,
+        ..server::ServerConfig::default()
+    };
+    let daemon = server::CompressionServer::bind("127.0.0.1:0", config).expect("bind daemon");
+    let mut client = server::client::Client::connect(daemon.local_addr()).expect("connect");
+    for item in &items {
+        let frame = svc.compress("e2e.families", &item.data).expect("admitted");
+        assert_eq!(
+            svc.decompress("e2e.families", &frame).expect("decoded"),
+            item.data
+        );
+        let frame = client
+            .compress("CACHE1", "items", &item.data)
+            .expect("compress");
+        let back = client.decompress("CACHE1", "items", &frame.payload);
+        assert_eq!(back.expect("decompress").payload, item.data);
+    }
+    drop(client);
+    daemon.shutdown();
+
+    let scrape = ScrapeServer::bind("127.0.0.1:0", Sources::global()).expect("bind");
+    let metrics = http_get(scrape.local_addr(), "/metrics").expect("/metrics");
+    scrape.shutdown();
+    let mut families = std::collections::BTreeSet::new();
+    for family in metrics.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let family = family.split(' ').next().expect("TYPE line names a family");
+        assert!(families.insert(family), "{family} declared twice");
+    }
+    for gone in DELETED_FAMILIES {
+        let stale = |f: &&&str| {
+            f.strip_prefix(gone)
+                .is_some_and(|s| s.is_empty() || s.starts_with('_'))
+        };
+        let stale: Vec<&&str> = families.iter().filter(stale).collect();
+        assert!(stale.is_empty(), "unread family still exported: {stale:?}");
+    }
+    for (base, suffixes) in READ_FAMILIES {
+        for family in suffixes.iter().map(|suffix| format!("{base}{suffix}")) {
+            assert!(
+                families.contains(family.as_str()),
+                "{family} missing: {families:?}"
+            );
+        }
+    }
+}
