@@ -17,7 +17,6 @@ fn main() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: scale.pick(10, 3),
         seed: 31,
-        stage_deadline_nanos: 0,
     });
     let rows: Vec<Row> = fleet::agg::comp_decomp_split(&profile)
         .into_iter()

@@ -18,7 +18,6 @@ fn main() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: scale.pick(10, 3),
         seed: 33,
-        stage_deadline_nanos: 0,
     });
     let mut rows: Vec<Row> = fleet::agg::service_block_sizes(&profile)
         .into_iter()

@@ -18,7 +18,6 @@ fn main() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: scale.pick(10, 3),
         seed: 34,
-        stage_deadline_nanos: 0,
     });
     let rows: Vec<Row> = fleet::agg::service_zstd_cycles(&profile)
         .into_iter()

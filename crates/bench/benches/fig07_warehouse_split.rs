@@ -23,7 +23,6 @@ fn main() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: scale.pick(10, 3),
         seed: 35,
-        stage_deadline_nanos: 0,
     });
     let rows: Vec<Row> = fleet::agg::warehouse_split(&profile)
         .into_iter()

@@ -21,7 +21,6 @@ fn main() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: scale.pick(10, 3),
         seed: 36,
-        stage_deadline_nanos: 0,
     });
     let tax = fleet::agg::fleet_compression_tax(&profile);
     let mut rows = vec![Row {

@@ -234,25 +234,6 @@ fn chaos(args: &Args) -> Result<(), String> {
     let report = faultline::chaos_run(&cfg);
     print!("{}", report.render_table());
 
-    // Publish the sweep outcome so a `--telemetry` snapshot (or a live
-    // `/metrics` scrape in the same process) carries the verdicts.
-    let reg = telemetry::global();
-    for cell in &report.cells {
-        let labels = [("injector", cell.injector.name()), ("mix", cell.mix)];
-        reg.counter("resilience.chaos.requests", &labels)
-            .add(cell.requests);
-        reg.counter("resilience.chaos.typed_errors", &labels)
-            .add(cell.typed_errors as u64);
-        reg.counter("resilience.chaos.injected", &labels)
-            .add(cell.injected);
-        reg.counter("resilience.chaos.retries_granted", &labels)
-            .add(cell.retries_granted);
-        reg.counter("resilience.chaos.violations", &labels)
-            .add(cell.violations.len() as u64);
-    }
-    reg.counter("resilience.chaos.cells", &[])
-        .add(report.cells.len() as u64);
-
     if report.violations() > 0 {
         return Err(format!(
             "{} resilience-invariant violations across {} cells",
@@ -1080,7 +1061,6 @@ fn fleet_tables(args: &Args) -> Result<(), String> {
     let profile = fleet::profile_fleet(&fleet::ProfileConfig {
         work_units: units,
         seed: 30,
-        stage_deadline_nanos: 0,
     });
     // Publish per-service aggregates so a --telemetry snapshot taken
     // after this command carries the whole profile.
@@ -1580,10 +1560,6 @@ mod tests {
         for svc in ["DW1", "CACHE1", "LONGTAIL"] {
             assert!(json.contains(svc), "fleet snapshot missing service {svc}");
         }
-        assert!(
-            json.contains("fleet.compress.nanos"),
-            "missing latency histograms"
-        );
         assert!(
             json.contains("span.zstdx.match_find"),
             "missing stage spans"

@@ -50,13 +50,9 @@ pub struct AutoTuner {
 }
 
 impl AutoTuner {
-    /// Creates a tuner over a candidate space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
+    /// Creates a tuner over a candidate space. An empty space has no
+    /// feasible candidate, so every round behaves as an infeasible one.
     pub fn new(configs: Vec<CompressionConfig>, params: CostParams, weights: CostWeights) -> Self {
-        assert!(!configs.is_empty(), "autotuner needs candidates");
         Self {
             configs,
             params,
@@ -241,9 +237,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "autotuner needs candidates")]
-    fn empty_space_panics() {
+    fn empty_space_is_an_infeasible_round() {
         let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, 1.0);
-        let _ = AutoTuner::new(vec![], params, CostWeights::ALL);
+        let mut t = AutoTuner::new(vec![], params, CostWeights::ALL);
+        let s = text_samples();
+        let refs: Vec<&[u8]> = s.iter().map(|v| v.as_slice()).collect();
+        assert!(t.retune(&refs).is_none());
+        assert!(t.history().is_empty());
     }
 }

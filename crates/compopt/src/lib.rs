@@ -12,9 +12,9 @@
 //!                          (+ CompSim simulated accelerators)
 //! ```
 //!
-//! * [`config`] — [`CompressionConfig`]: the tuple *(algorithm, level,
+//! * [`config`] — [`CompressionConfig`](config::CompressionConfig): the tuple *(algorithm, level,
 //!   block size)* the paper optimizes over.
-//! * [`engine`] — [`CompEngine`]: enumerates candidate configurations and
+//! * [`engine`] — [`CompEngine`](engine::CompEngine): enumerates candidate configurations and
 //!   measures them on user-supplied sample data.
 //! * [`model`] — the analytical cost model, Equations (1)–(4) verbatim.
 //! * [`pricing`] — AWS EC2/EIA/S3-derived cost rates (the paper's §V-B
@@ -23,7 +23,7 @@
 //!   maximum decompression latency) that gate feasibility.
 //! * [`optimize`] — exhaustive argmin (Eq. 4), the search the paper
 //!   finds sufficient (§V-A).
-//! * [`compsim`] — [`CompSim`]: the hardware-accelerator modeling
+//! * [`compsim`] — [`CompSim`](compsim::CompSim): the hardware-accelerator modeling
 //!   interface (speed multiplier γ, accelerator α_compute, restricted
 //!   match window).
 //! * [`studies`] — the three sensitivity studies of §V-B as reusable

@@ -13,7 +13,7 @@
 //! `Size(s)/CompSpeed(x,s)` is the measured compression time of `s` and
 //! `Size(s)/CompRatio(x,s)` its measured compressed size, so the sums
 //! are computed directly from aggregated
-//! [`CompressionMetrics`](codecs::CompressionMetrics).
+//! [`CompressionMetrics`].
 
 use codecs::CompressionMetrics;
 use serde::{Deserialize, Serialize};

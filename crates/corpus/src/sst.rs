@@ -4,7 +4,7 @@
 //! block size of 16KB or 64KB) and compressed in a block granularity."
 //! (paper, §IV-E). Keys are sorted with heavy shared prefixes; values
 //! are JSON-ish documents — the classic RocksDB workload shape from the
-//! paper's reference [20].
+//! paper's reference \[20\].
 
 use rand::Rng;
 

@@ -191,7 +191,7 @@ impl<'a> BitReader<'a> {
 ///
 /// Every read refills from a single unaligned 64-bit load while at
 /// least 8 bytes of buffer remain under the read position; the final
-/// bytes fall back to the byte-looped [`extract_bits`], so the two
+/// bytes fall back to the byte-looped `extract_bits`, so the two
 /// readers return the same values and the same errors for every input.
 #[derive(Debug, Clone)]
 pub struct BitReaderFast<'a> {

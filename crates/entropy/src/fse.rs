@@ -13,7 +13,7 @@
 //!   table).
 //! * The encoder processes symbols in **reverse** and the decoder reads
 //!   the bitstream back-to-front via
-//!   [`ReverseBitReader`](crate::bitio::ReverseBitReader), exactly like
+//!   [`ReverseBitReader`], exactly like
 //!   the reference FSE.
 //!
 //! Multiple streams (zstdx uses three: literal-length, match-length,

@@ -4,8 +4,7 @@
 //! corrupt *operations* — they model the failure weather a managed
 //! compression deployment lives in (flaky dependencies, latency
 //! spikes, error bursts, clock skew) by driving the service's
-//! [`FaultHook`](managed::FaultHook) and a shared
-//! [`ManualClock`](telemetry::ManualClock). Like everything in
+//! [`FaultHook`] and a shared [`ManualClock`]. Like everything in
 //! `faultline`, a plan is a pure function of its seed and call index:
 //! the same seed replays the same fault schedule byte for byte.
 
@@ -34,7 +33,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// An operational fault strategy over a stream of codec attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpInjectorKind {
-    /// Every 7th attempt stalls [`SPIKE_NANOS`] on the shared manual
+    /// Every 7th attempt stalls 5 ms on the shared manual
     /// clock and then fails (a dependency that timed out); other
     /// attempts see small jittered latency and succeed.
     LatencySpike,
@@ -45,7 +44,7 @@ pub enum OpInjectorKind {
     /// every 40 (a dependency flapping hard, then recovering).
     ErrorBurst,
     /// No failures, but 1-in-16 attempts jump the shared clock forward
-    /// [`SKEW_NANOS`] — stressing every time-based window and cooldown.
+    /// 250 ms — stressing every time-based window and cooldown.
     ClockSkew,
 }
 

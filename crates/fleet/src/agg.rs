@@ -268,7 +268,6 @@ mod tests {
             profile_fleet(&ProfileConfig {
                 work_units: 3,
                 seed: 99,
-                stage_deadline_nanos: 0,
             })
         })
     }

@@ -55,44 +55,17 @@ pub struct DayReport {
 ///
 /// Each day re-profiles the fleet with fresh data; aggregate ratios move
 /// day to day as content drifts, which is exactly the signal an
-/// auto-tuner watches. Every day's report is also published into the
-/// [global telemetry registry](telemetry::global), so drift shows up in
-/// `--telemetry` snapshots instead of being print-only.
+/// auto-tuner watches. The returned reports are the record of the run.
 pub fn simulate_days(config: &DriftConfig) -> Vec<DayReport> {
     (0..config.days)
         .map(|day| {
             let profile = profile_fleet(&ProfileConfig {
                 work_units: config.work_units_per_day,
                 seed: config.seed.wrapping_add(day as u64 * 8191),
-                stage_deadline_nanos: 0,
             });
-            let report = day_report(day, &profile);
-            record_day_to(telemetry::global(), &report, &profile);
-            report
+            day_report(day, &profile)
         })
         .collect()
-}
-
-/// Publishes one day's report into `reg`: fleet-level gauges labeled
-/// `{day=...}` plus a per-service compression-seconds gauge labeled
-/// `{day=..., service=...}`.
-fn record_day_to(reg: &telemetry::Registry, report: &DayReport, profile: &FleetProfile) {
-    let day = report.day.to_string();
-    let fleet = [("day", day.as_str())];
-    reg.gauge("fleet.drift.tax", &fleet).set(report.fleet_tax);
-    reg.gauge("fleet.drift.zstd_share", &fleet)
-        .set(report.zstd_share);
-    reg.gauge("fleet.drift.low_level_share", &fleet)
-        .set(report.low_level_share);
-    reg.gauge("fleet.drift.achieved_ratio", &fleet)
-        .set(report.achieved_ratio);
-    for spec in &profile.services {
-        reg.gauge(
-            "fleet.drift.compression_secs",
-            &[("day", day.as_str()), ("service", spec.name)],
-        )
-        .set(profile.compression_secs(spec.name));
-    }
 }
 
 fn day_report(day: usize, profile: &FleetProfile) -> DayReport {
@@ -201,37 +174,5 @@ mod tests {
         let max = ratios.iter().cloned().fold(f64::MIN, f64::max);
         assert!(max > min, "no drift at all: {ratios:?}");
         assert!(max / min < 2.0, "implausible drift: {ratios:?}");
-    }
-
-    #[test]
-    fn day_reports_land_in_global_registry() {
-        let reports = simulate_days(&DriftConfig {
-            days: 2,
-            work_units_per_day: 1,
-            seed: 11,
-        });
-        let snap = telemetry::snapshot();
-        for r in &reports {
-            let day = r.day.to_string();
-            let fleet = [("day", day.as_str())];
-            let tax = snap
-                .get("fleet.drift.tax", &fleet)
-                .unwrap_or_else(|| panic!("day {day} tax gauge missing"));
-            match tax {
-                telemetry::SeriesValue::Gauge(v) => assert!(*v > 0.0),
-                other => panic!("unexpected series {other:?}"),
-            }
-            for spec in crate::services::registry() {
-                assert!(
-                    snap.get(
-                        "fleet.drift.compression_secs",
-                        &[("day", day.as_str()), ("service", spec.name)],
-                    )
-                    .is_some(),
-                    "day {day} missing per-service gauge for {}",
-                    spec.name
-                );
-            }
-        }
     }
 }

@@ -6,16 +6,19 @@
 //! stacks for compression APIs, and aggregate cycles spent in relevant
 //! compression function calls including Zstd, Zlib, and LZ4." Here the
 //! "call stacks" are real invocations of our codecs; services profile in
-//! parallel (one thread each, via crossbeam) and the observations are
-//! merged under a `parking_lot` mutex, like a profiling daemon's
-//! aggregation table.
+//! parallel (one scoped thread each) and the observations are merged
+//! under a mutex, like a profiling daemon's aggregation table. That
+//! table ([`Observation`]) is the one record of a profiled call: each
+//! block write and read-back is also a request on the request plane,
+//! whose spans `/profile.json` attributes, but no metric series copies
+//! the numbers.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use codecs::zstdx::Zstdx;
-use codecs::{Algorithm, Compressor, Dictionary};
-use parking_lot::Mutex;
+use codecs::{Algorithm, Dictionary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,13 +32,6 @@ pub struct ProfileConfig {
     pub work_units: usize,
     /// Base seed for workload generation and mix sampling.
     pub seed: u64,
-    /// Per-request stage deadline armed on every profiled request
-    /// (nanoseconds). A stage that ends past the budget marks the
-    /// request with a `deadline` error and bumps the
-    /// `fleet.deadline_stage_expired{service=...}` counter, so the
-    /// attribution report shows which services blow their budgets.
-    /// Zero (the default) disarms: profiling runs unbounded.
-    pub stage_deadline_nanos: u64,
 }
 
 impl Default for ProfileConfig {
@@ -43,7 +39,6 @@ impl Default for ProfileConfig {
         Self {
             work_units: 12,
             seed: 30,
-            stage_deadline_nanos: 0,
         }
     }
 }
@@ -102,11 +97,8 @@ impl FleetProfile {
     }
 
     /// Publishes this profile into a telemetry registry: per-service
-    /// call/byte counters and seconds gauges, labeled `{service=...}`.
-    /// Per-call latency histograms (`fleet.compress.nanos`,
-    /// `fleet.decompress.nanos`) are recorded live during profiling into
-    /// the global registry; this publishes the aggregated totals, so a
-    /// snapshot taken afterwards carries the whole profile.
+    /// call/byte counters and seconds gauges, labeled `{service=...}`,
+    /// so a snapshot taken afterwards carries the whole profile.
     pub fn record_to(&self, reg: &telemetry::Registry) {
         for spec in &self.services {
             let labels = [("service", spec.name)];
@@ -145,19 +137,23 @@ pub fn profile_fleet(config: &ProfileConfig) -> FleetProfile {
     let services = registry();
     let results: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
 
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every thread and re-raises a profiler panic.
+    std::thread::scope(|scope| {
         for (si, spec) in services.iter().enumerate() {
             let results = &results;
-            let config = *config;
-            scope.spawn(move |_| {
-                let obs = profile_service(spec, &config, si as u64);
-                results.lock().extend(obs);
+            scope.spawn(move || {
+                let obs = profile_service(spec, config, si as u64);
+                results
+                    .lock()
+                    .expect("no profiler thread panics holding the table")
+                    .extend(obs);
             });
         }
-    })
-    .expect("profiler threads do not panic");
+    });
 
-    let observations = results.into_inner();
+    let observations = results
+        .into_inner()
+        .expect("no profiler thread panics holding the table");
 
     // Derive each service's application time from its declared tax:
     // tax = comp / (comp + app)  =>  app = comp * (1 - tax) / tax.
@@ -182,7 +178,6 @@ pub fn profile_fleet(config: &ProfileConfig) -> FleetProfile {
 fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec<Observation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ (salt << 32));
     let mut cells: HashMap<(Algorithm, i32), Observation> = HashMap::new();
-    let svc_labels = [("service", spec.name)];
 
     // Dictionary-compressed services train one dictionary up front from
     // a held-out unit (paper §IV-C: one dictionary per data type; we
@@ -223,7 +218,6 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
 
         for block in &unit {
             let reads = sample_reads(spec.reads_per_write, &mut rng);
-            let comp_elapsed;
             // Each block write is one compress request: the stage spans
             // the codec records (match-find, entropy, whole-call) nest
             // under this context, so `datacomp profile` populates the
@@ -232,13 +226,12 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
             // the read-back decompressions below are their own
             // requests.
             let frame = {
-                let req =
+                let _req =
                     telemetry::requests().open(spec.name, telemetry::Op::Compress, block.len());
-                req.arm_deadline(config.stage_deadline_nanos);
                 if dictionary.is_some() && algorithm == Algorithm::Zstdx {
                     telemetry::request::mark("fleet.dict_hit");
                 }
-                let frame = match (algorithm, &dictionary) {
+                match (algorithm, &dictionary) {
                     (Algorithm::Zstdx, None) => {
                         let z = Zstdx::new(level);
                         let (frame, timing) = z.compress_timed(block);
@@ -246,7 +239,6 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
                         cell.match_find_secs += timing.match_find.as_secs_f64();
                         cell.entropy_secs += timing.entropy.as_secs_f64();
                         cell.stage_blocks += timing.blocks;
-                        comp_elapsed = timing.total;
                         frame
                     }
                     (Algorithm::Zstdx, Some(d)) => {
@@ -256,97 +248,38 @@ fn profile_service(spec: &ServiceSpec, config: &ProfileConfig, salt: u64) -> Vec
                         cell.match_find_secs += timing.match_find.as_secs_f64();
                         cell.entropy_secs += timing.entropy.as_secs_f64();
                         cell.stage_blocks += timing.blocks;
-                        comp_elapsed = timing.total;
                         frame
                     }
                     (algo, _) => {
                         let c = algo.compressor(level);
                         let t0 = Instant::now();
                         let frame = c.compress(block);
-                        comp_elapsed = t0.elapsed();
-                        cell.compress_secs += comp_elapsed.as_secs_f64();
+                        cell.compress_secs += t0.elapsed().as_secs_f64();
                         frame
                     }
-                };
-                if config.stage_deadline_nanos > 0 && req.deadline_exceeded() {
-                    req.mark_error("deadline");
-                    telemetry::global()
-                        .counter("fleet.deadline_stage_expired", &svc_labels)
-                        .add(1);
                 }
-                // Live windowed view of the latency: the scrape endpoint
-                // reports a sliding-window p99 per service, and the
-                // slowest block in each sub-window names this request as
-                // its exemplar.
-                telemetry::windows()
-                    .histogram("fleet.compress.nanos", &svc_labels)
-                    .observe(comp_elapsed.as_nanos() as u64);
-                frame
             };
+            // Every read-back is a decompress request of its own, so read
+            // amplification shows up as request volume in the attribution
+            // report exactly as it does in the paper's fleet mix.
             let reader = algorithm.compressor(level);
-            let read_dict = if algorithm == Algorithm::Zstdx {
-                dictionary.as_ref()
-            } else {
-                None
-            };
-            decompress_n(
-                reader.as_ref(),
-                &frame,
-                read_dict,
-                reads,
-                cell,
-                config.stage_deadline_nanos,
-            );
-            telemetry::global()
-                .histogram("fleet.compress.nanos", &svc_labels)
-                .observe_duration(comp_elapsed);
-            telemetry::windows()
-                .counter("fleet.compress.bytes", &svc_labels)
-                .add(block.len() as u64);
+            for _ in 0..reads {
+                let _req =
+                    telemetry::requests().open(spec.name, telemetry::Op::Decompress, frame.len());
+                let t0 = Instant::now();
+                let out = match (algorithm, &dictionary) {
+                    (Algorithm::Zstdx, Some(d)) => reader.decompress_with_dict(&frame, d),
+                    _ => reader.decompress(&frame),
+                };
+                cell.decompress_secs += t0.elapsed().as_secs_f64();
+                out.expect("own frames round-trip");
+                cell.decomp_calls += 1;
+            }
             cell.bytes += block.len() as u64;
             cell.comp_calls += 1;
         }
     }
     cells.into_values().collect()
-}
-
-fn decompress_n(
-    comp: &dyn Compressor,
-    frame: &[u8],
-    dict: Option<&Dictionary>,
-    reads: u64,
-    cell: &mut Observation,
-    stage_deadline_nanos: u64,
-) {
-    for _ in 0..reads {
-        // Every read-back is a decompress request of its own, so read
-        // amplification shows up as request volume in the attribution
-        // report exactly as it does in the paper's fleet mix.
-        let req = telemetry::requests().open(cell.service, telemetry::Op::Decompress, frame.len());
-        req.arm_deadline(stage_deadline_nanos);
-        let t0 = Instant::now();
-        let out = match dict {
-            Some(d) => comp.decompress_with_dict(frame, d),
-            None => comp.decompress(frame),
-        };
-        let elapsed = t0.elapsed();
-        cell.decompress_secs += elapsed.as_secs_f64();
-        out.expect("own frames round-trip");
-        if stage_deadline_nanos > 0 && req.deadline_exceeded() {
-            req.mark_error("deadline");
-            telemetry::global()
-                .counter("fleet.deadline_stage_expired", &[("service", cell.service)])
-                .add(1);
-        }
-        let svc_labels = [("service", cell.service)];
-        telemetry::global()
-            .histogram("fleet.decompress.nanos", &svc_labels)
-            .observe_duration(elapsed);
-        telemetry::windows()
-            .histogram("fleet.decompress.nanos", &svc_labels)
-            .observe(elapsed.as_nanos() as u64);
-        cell.decomp_calls += 1;
-    }
 }
 
 fn sample_mix<T: Copy>(mix: &[(T, f64)], rng: &mut StdRng) -> T {
@@ -369,12 +302,17 @@ fn sample_reads(reads_per_write: f64, rng: &mut StdRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn quick_profile() -> FleetProfile {
-        profile_fleet(&ProfileConfig {
-            work_units: 2,
-            seed: 7,
-            stage_deadline_nanos: 0,
+    /// One small profile of the whole fleet, shared by every test that
+    /// only reads it.
+    fn quick_profile() -> &'static FleetProfile {
+        static P: OnceLock<FleetProfile> = OnceLock::new();
+        P.get_or_init(|| {
+            profile_fleet(&ProfileConfig {
+                work_units: 2,
+                seed: 7,
+            })
         })
     }
 
@@ -494,18 +432,10 @@ mod tests {
                 spec.name
             );
         }
-        // Live per-call latency histograms land in the global registry.
-        let global = telemetry::snapshot();
-        assert!(
-            global
-                .histogram("fleet.compress.nanos", &[("service", "DW1")])
-                .is_some_and(|h| h.count() > 0),
-            "profiling left no latency histogram for DW1"
-        );
     }
 
     #[test]
-    fn profiling_attributes_every_service_and_links_its_exemplars() {
+    fn profiling_attributes_every_service_and_counts_its_dict_hits() {
         let p = quick_profile();
         let rows = telemetry::requests().attribution();
         for spec in &p.services {
@@ -515,16 +445,6 @@ mod tests {
                 "{} has no compress requests in the attribution report",
                 spec.name
             );
-            // The windowed compress latency is observed inside the
-            // block's request, so its exemplar names one.
-            let labels = [("service", spec.name)];
-            let window = telemetry::windows()
-                .histogram("fleet.compress.nanos", &labels)
-                .window_snapshot();
-            let exemplar = window
-                .exemplar
-                .unwrap_or_else(|| panic!("{} exemplar not linked to a request", spec.name));
-            assert!(exemplar.request > 0);
         }
         // Dictionary services mark the hit on the block's request; the
         // attribution report counts marks per row, apart from the timed
@@ -540,22 +460,6 @@ mod tests {
             .iter()
             .flat_map(|r| &r.stages)
             .all(|st| st.stage != "fleet.dict_hit"));
-    }
-
-    #[test]
-    fn stage_deadline_marks_and_counts_expiries() {
-        // A 1ns budget cannot survive any real codec call, so every
-        // service must record at least one expiry. Counters are
-        // cumulative per process; assert on the delta.
-        let labels = [("service", "DW1")];
-        let before = telemetry::snapshot().counter("fleet.deadline_stage_expired", &labels);
-        profile_fleet(&ProfileConfig {
-            work_units: 1,
-            seed: 13,
-            stage_deadline_nanos: 1,
-        });
-        let after = telemetry::snapshot().counter("fleet.deadline_stage_expired", &labels);
-        assert!(after > before, "1ns stage budget never expired for DW1");
     }
 
     #[test]

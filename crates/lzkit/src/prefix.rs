@@ -74,8 +74,9 @@ fn link_at<L: Link + Into<u32> + PartialEq>(table: &[L], i: usize) -> u32 {
     }
 }
 
-/// Hash-chain index over one dictionary's content. See the
-/// [module docs](self).
+/// Hash-chain index over one dictionary's content, built once and
+/// attached read-only by the match finders, which keep per-call tables
+/// only for the bytes that change between calls.
 #[derive(Debug, Clone)]
 pub struct PrefixIndex {
     content_len: usize,

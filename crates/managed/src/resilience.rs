@@ -25,7 +25,7 @@
 //!   sheds with a typed [`ManagedError::Overloaded`].
 //!
 //! Everything here is policy + mechanism only; the wiring through
-//! `compress`/`decompress` lives in [`crate::service`].
+//! `compress`/`decompress` lives in [`ManagedCompression`](crate::ManagedCompression).
 //!
 //! [`ManagedError::DeadlineExceeded`]: crate::ManagedError::DeadlineExceeded
 //! [`ManagedError::Overloaded`]: crate::ManagedError::Overloaded
@@ -602,8 +602,8 @@ pub struct FaultSite<'a> {
 /// An injectable operational fault hook, consulted before every codec
 /// attempt. Returning `true` injects a transient failure for that
 /// attempt (the codec is not called). Hooks own their side effects —
-/// the chaos injectors advance a shared [`ManualClock`]
-/// (telemetry::ManualClock) here to model latency spikes and clock
+/// the chaos injectors advance a shared
+/// [`ManualClock`](telemetry::ManualClock) here to model latency spikes and clock
 /// skew. Production services leave the hook unset; it costs one
 /// `Option` check.
 pub type FaultHook = Arc<dyn Fn(&FaultSite<'_>) -> bool + Send + Sync>;

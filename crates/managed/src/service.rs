@@ -6,13 +6,12 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use codecs::zstdx::Zstdx;
 use codecs::{Compressor, Dictionary};
 use telemetry::{
-    Clock, Counter, Gauge, Histogram, Registry, RequestSampler, SloHandle, WindowedCounter,
-    WindowedHistogram,
+    Clock, Counter, Gauge, Registry, RequestSampler, SloHandle, WindowedCounter, WindowedHistogram,
 };
 
 use crate::reservoir::Reservoir;
@@ -182,9 +181,12 @@ struct UseCaseObs {
     bytes_out: Arc<Counter>,
     passthrough: Arc<Counter>,
     versions_trained: Arc<Counter>,
-    retrain_nanos: Arc<Histogram>,
     compress: OpObs,
     decompress: OpObs,
+    /// `managed.compress.nanos{use_case}`, windowed: its exemplars are
+    /// what `/metrics` links to `/requests.json`. Registered on first
+    /// use, so `/metrics` lists exactly the series traffic produced.
+    window_nanos: Option<Arc<WindowedHistogram>>,
 }
 
 impl UseCaseObs {
@@ -195,13 +197,10 @@ impl UseCaseObs {
         clock: &Arc<dyn Clock>,
     ) -> Self {
         let labels = [("use_case", use_case)];
-        let op = |op, calls, nanos, windowed: bool| OpObs {
+        let op = |op, calls| OpObs {
             op,
             calls: registry.counter(calls, &labels),
-            window_name: windowed.then_some(nanos),
-            nanos: registry.histogram(nanos, &labels),
             breaker: CircuitBreaker::new(config.resilience.breaker, Arc::clone(clock)),
-            window_nanos: None,
             breaker_gauge: None,
         };
         Self {
@@ -209,54 +208,24 @@ impl UseCaseObs {
             bytes_out: registry.counter("managed.bytes_out", &labels),
             passthrough: registry.counter("managed.passthrough", &labels),
             versions_trained: registry.counter("managed.versions_trained", &labels),
-            retrain_nanos: registry.histogram("managed.retrain.nanos", &labels),
-            compress: op(
-                "compress",
-                "managed.compress.calls",
-                "managed.compress.nanos",
-                true,
-            ),
-            decompress: op(
-                "decompress",
-                "managed.decompress.calls",
-                "managed.decompress.nanos",
-                false,
-            ),
+            compress: op("compress", "managed.compress.calls"),
+            decompress: op("decompress", "managed.decompress.calls"),
+            window_nanos: None,
         }
     }
 }
 
-/// One operation of one use case: its per-instance series, its breaker
-/// over the zstdx codec, and the process-global series it exports (the
-/// breaker gauge, and for compress the windowed latency), which are
-/// registered on first use so `/metrics` lists exactly the series
-/// traffic produced.
+/// One operation of one use case: its per-instance call counter, its
+/// breaker over the zstdx codec, and the process-global breaker gauge,
+/// registered on first use.
 struct OpObs {
     op: &'static str,
     calls: Arc<Counter>,
-    /// Name of the windowed latency histogram; compress only, since
-    /// its exemplars are what `/metrics` links to `/requests.json`.
-    window_name: Option<&'static str>,
-    nanos: Arc<Histogram>,
     breaker: CircuitBreaker,
-    window_nanos: Option<Arc<WindowedHistogram>>,
     breaker_gauge: Option<Arc<Gauge>>,
 }
 
 impl OpObs {
-    /// Records the call's latency, cumulative and, where the op has a
-    /// windowed series, windowed; the windowed sub-window max names the
-    /// open request as its exemplar.
-    fn observe(&mut self, use_case: &str, elapsed: Duration) {
-        self.nanos.observe_duration(elapsed);
-        let Some(name) = self.window_name else {
-            return;
-        };
-        self.window_nanos
-            .get_or_insert_with(|| telemetry::windows().histogram(name, &[("use_case", use_case)]))
-            .observe(elapsed.as_nanos() as u64);
-    }
-
     /// Publishes breaker state to the global gauge the scrape endpoint
     /// exports (`resilience_breaker_state{use_case,op,codec}`).
     fn publish_breaker(&mut self, use_case: &str) {
@@ -426,12 +395,13 @@ impl ManagedCompression {
     }
 
     /// The per-instance telemetry registry backing [`Self::stats`]:
-    /// `managed.compress.calls`, `managed.decompress.calls`,
-    /// `managed.versions_trained`, `managed.bytes_in`,
-    /// `managed.bytes_out` counters and `managed.compress.nanos` /
-    /// `managed.decompress.nanos` latency histograms, plus
-    /// `managed.retrain.nanos` (one observation per dictionary
-    /// training), all labeled `{use_case=...}`.
+    /// one counter per event, labeled `{use_case=...}` —
+    /// `managed.{compress,decompress}.calls`, `managed.bytes_in`,
+    /// `managed.bytes_out`, `managed.versions_trained`,
+    /// `managed.passthrough` and the resilience outcomes (`managed.shed`,
+    /// `managed.deadline_exceeded`, `managed.retry_attempts`, ...).
+    /// Latencies are not here: each call's is its request's, on the
+    /// request plane.
     pub fn telemetry(&self) -> &Registry {
         &self.registry
     }
@@ -478,7 +448,6 @@ impl ManagedCompression {
         let Some(permit) = self.admission.try_acquire() else {
             self.ladder.note(ServiceMode::Shed);
             self.registry.counter("managed.shed", &labels).inc();
-            telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::request::mark("resilience.shed");
             req.mark_error("overloaded");
             return Err(ManagedError::Overloaded {
@@ -514,16 +483,13 @@ impl ManagedCompression {
                 .map(|v| v.as_slice())
                 .collect();
             let version = case.next_version;
-            // Once per `retrain_interval` calls, so reporting it costs
-            // the hot path nothing: a stage in the request's span tree
-            // (`/profile.json` attributes a slow call to training) and
-            // a histogram `managed.retrain_share` can be read from.
+            // Once per `retrain_interval` calls: a stage in the
+            // request's span tree, so `/profile.json` attributes a slow
+            // call to training.
             let train_start = Instant::now();
             let dict =
                 codecs::dict::train(&refs, config.dict_size, Self::dict_id(use_case, version));
-            let train_elapsed = train_start.elapsed();
-            telemetry::request::observe_stage("dict.train", train_start, train_elapsed);
-            case.obs.retrain_nanos.observe_duration(train_elapsed);
+            telemetry::request::observe_stage("dict.train", train_start, train_start.elapsed());
             if !dict.is_empty() {
                 // Only the newest generation compresses; the one it
                 // supersedes keeps its content for decoding and gives
@@ -545,9 +511,6 @@ impl ManagedCompression {
         // codec below): abandon rather than run long.
         if deadline.expired() || req.deadline_exceeded() {
             reg.counter("managed.deadline_exceeded", &labels).inc();
-            telemetry::windows()
-                .counter("resilience.deadline_exceeded", &[])
-                .inc();
             telemetry::request::mark("resilience.deadline");
             req.mark_error("deadline");
             let wall = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -574,9 +537,6 @@ impl ManagedCompression {
         let frame = if mode == ServiceMode::Passthrough || decision == BreakerDecision::FastFail {
             if decision == BreakerDecision::FastFail {
                 reg.counter("managed.breaker_fast_fail", &labels).inc();
-                telemetry::windows()
-                    .counter("resilience.breaker.fast_fail", &[])
-                    .inc();
             }
             case.obs.passthrough.inc();
             stored(data)
@@ -591,15 +551,11 @@ impl ManagedCompression {
             // compress degrades to a stored frame and the breaker sees
             // the failure.
             breaker.record(false);
-            reg.counter("managed.faults_injected", &labels).inc();
             case.obs.passthrough.inc();
             stored(data)
         } else {
             let level = if mode == ServiceMode::CheapLevel {
                 reg.counter("managed.degraded", &labels).inc();
-                telemetry::windows()
-                    .counter("resilience.degraded", &[])
-                    .inc();
                 policy.admission.cheap_level
             } else {
                 config.level
@@ -631,7 +587,13 @@ impl ManagedCompression {
         case.obs.compress.publish_breaker(use_case);
         case.obs.bytes_out.add(frame.len() as u64);
         let elapsed = start.elapsed();
-        case.obs.compress.observe(use_case, elapsed);
+        // The sub-window max names this request as its exemplar.
+        case.obs
+            .window_nanos
+            .get_or_insert_with(|| {
+                telemetry::windows().histogram("managed.compress.nanos", &labels)
+            })
+            .observe(elapsed.as_nanos() as u64);
         if let Some(slo) = self.slos.compress_latency.get(telemetry::slos()) {
             slo.record_latency(elapsed.as_nanos() as u64);
         }
@@ -685,7 +647,6 @@ impl ManagedCompression {
         let Some(_permit) = self.admission.try_acquire() else {
             self.ladder.note(ServiceMode::Shed);
             self.registry.counter("managed.shed", &labels).inc();
-            telemetry::windows().counter("resilience.shed", &[]).inc();
             telemetry::request::mark("resilience.shed");
             req.mark_error("overloaded");
             return Err(ManagedError::Overloaded {
@@ -701,7 +662,6 @@ impl ManagedCompression {
         // Stored frames decode by stripping the passthrough magic.
         if let Some(raw) = frame.strip_prefix(&PASSTHROUGH_MAGIC) {
             let elapsed = start.elapsed();
-            case.obs.decompress.observe(use_case, elapsed);
             let slos = telemetry::slos();
             if let Some(slo) = self.slos.decompress_latency.get(slos) {
                 slo.record_latency(elapsed.as_nanos() as u64);
@@ -738,7 +698,6 @@ impl ManagedCompression {
                     break;
                 }
                 breaker.record(false);
-                reg.counter("managed.faults_injected", &labels).inc();
                 attempt += 1;
                 if decision == BreakerDecision::FastFail
                     || attempt >= policy.retry.max_attempts
@@ -749,16 +708,10 @@ impl ManagedCompression {
                 }
                 if !budget.try_spend() {
                     reg.counter("managed.retry_budget_denied", &labels).inc();
-                    telemetry::windows()
-                        .counter("resilience.retry.denied", &[])
-                        .inc();
                     injected_failure = true;
                     break;
                 }
                 reg.counter("managed.retry_attempts", &labels).inc();
-                telemetry::windows()
-                    .counter("resilience.retry.attempts", &[])
-                    .inc();
                 sleeper(backoff.next_delay_nanos());
             }
         }
@@ -800,9 +753,6 @@ impl ManagedCompression {
                             let mut expired = false;
                             if decision == BreakerDecision::FastFail {
                                 reg.counter("managed.breaker_fast_fail", &labels).inc();
-                                telemetry::windows()
-                                    .counter("resilience.breaker.fast_fail", &[])
-                                    .inc();
                             } else if Zstdx::frame_has_checksum(frame) {
                                 for (v, dict) in case.versions.iter().rev() {
                                     if deadline.expired() || req.deadline_exceeded() {
@@ -811,9 +761,6 @@ impl ManagedCompression {
                                     }
                                     if !budget.try_spend() {
                                         reg.counter("managed.retry_budget_denied", &labels).inc();
-                                        telemetry::windows()
-                                            .counter("resilience.retry.denied", &[])
-                                            .inc();
                                         break;
                                     }
                                     reg.counter("managed.decode_retries", &labels).inc();
@@ -914,12 +861,6 @@ impl ManagedCompression {
             });
         }
         let elapsed = start.elapsed();
-        case.obs.decompress.observe(use_case, elapsed);
-        if out.is_err() {
-            telemetry::windows()
-                .counter("managed.decompress.errors", &labels)
-                .inc();
-        }
         let slos = telemetry::slos();
         if let Some(slo) = self.slos.decompress_latency.get(slos) {
             slo.record_latency(elapsed.as_nanos() as u64);
@@ -1123,16 +1064,12 @@ mod tests {
             assert_eq!(req.self_nanos_total(), req.latency_nanos, "call {call}");
         }
         // What `/profile.json` serves attributes the time to the stage,
-        // and the service's own registry holds the retrain's duration.
+        // and the service's own counters hold the one retrain.
         let rows = sampler.attribution();
         assert!(rows
             .iter()
             .any(|row| row.stages.iter().any(|s| s.stage == "dict.train")));
-        let snap = svc.telemetry().snapshot();
-        let retrains = snap
-            .histogram("managed.retrain.nanos", &[("use_case", "events")])
-            .expect("retrain histogram");
-        assert_eq!(retrains.count(), 1);
+        assert_eq!(svc.stats("events").unwrap().versions_trained, 1);
     }
 
     #[test]
@@ -1548,10 +1485,6 @@ mod tests {
         let labels = [("use_case", "s")];
         assert_eq!(sa.counter("managed.compress.calls", &labels), 3);
         assert_eq!(sb.counter("managed.compress.calls", &labels), 1);
-        let h = sa
-            .histogram("managed.compress.nanos", &labels)
-            .expect("latency histogram");
-        assert_eq!(h.count(), 3);
         // The snapshot serializes through both exporters.
         assert!(telemetry::export::to_json(&sa).contains("managed.compress.calls"));
         assert!(telemetry::export::to_prometheus(&sa).contains("managed_compress_calls"));

@@ -366,11 +366,6 @@ fn record_request(tenant: &mut Tenant, req: &Request, resp: &Response) {
         })
         .inc();
     }
-    if resp.status == Status::Shed {
-        telemetry::windows()
-            .counter("server.shed", &[("tenant", req.tenant.as_str())])
-            .inc();
-    }
 }
 
 /// Hand-rolled stats JSON: per-use-case counters for one tenant.

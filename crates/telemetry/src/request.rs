@@ -20,8 +20,8 @@
 //! * [`RequestSampler`] — a deterministic tail-based sampler with a
 //!   bounded store. At request finish it keeps every errored request,
 //!   the slowest-N per sliding sub-window (rotated on the injected
-//!   [`Clock`], so tests drive it with [`ManualClock`]
-//!   (crate::ManualClock)), and a seed-driven 1-in-k probabilistic
+//!   [`Clock`], so tests drive it with
+//!   [`ManualClock`](crate::ManualClock)), and a seed-driven 1-in-k probabilistic
 //!   baseline. Everything else is dropped — counted, never silent.
 //! * an **attribution report** — running p99 self-time per stage, and
 //!   a count per mark, split by `(service, op, size class)`, aggregated

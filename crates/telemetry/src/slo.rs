@@ -31,7 +31,7 @@
 //! read that observed it, not of the request that caused it.
 //!
 //! Everything rotates on the injected [`Clock`], so tests drive exact
-//! `Ok → Warning → Burning` sequences with a [`ManualClock`].
+//! `Ok → Warning → Burning` sequences with a [`ManualClock`](crate::ManualClock).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};

@@ -275,7 +275,7 @@ impl WindowedHistogram {
     }
 
     /// Merges the live sub-windows into one snapshot.
-    pub fn window_snapshot(&self) -> WindowedHistogramSnapshot {
+    fn window_snapshot(&self) -> WindowedHistogramSnapshot {
         let init = (HistogramSnapshot::default(), None::<Exemplar>);
         let (histogram, exemplar) = self.ring.fold(init, |(mut merged, mut exemplar), slot| {
             for (a, b) in merged.buckets.iter_mut().zip(&slot.buckets) {

@@ -75,7 +75,6 @@ fn fleet_profile_feeds_all_figure_queries() {
     let profile = fleet::profile_fleet(&fleet::ProfileConfig {
         work_units: 2,
         seed: 5,
-        stage_deadline_nanos: 0,
     });
     assert!(fleet::agg::fleet_compression_tax(&profile) > 0.0);
     assert_eq!(fleet::agg::category_zstd_cycles(&profile).len(), 6);
@@ -119,7 +118,6 @@ fn stage_timing_flows_from_codec_to_fleet_figure() {
     let profile = fleet::profile_fleet(&fleet::ProfileConfig {
         work_units: 2,
         seed: 6,
-        stage_deadline_nanos: 0,
     });
     let rows = fleet::agg::warehouse_split(&profile);
     let dw1 = rows.iter().find(|r| r.service == "DW1").unwrap();

@@ -8,12 +8,24 @@
 //! windowed p99 is not a dead end — its exemplar's request id lands on
 //! a concrete span tree a human can open in Perfetto.
 
-use managed::{ManagedCompression, ManagedConfig};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use managed::{ManagedCompression, ManagedConfig, ManagedError, PASSTHROUGH_MAGIC};
+use server::protocol::Status;
 use telemetry::serve::http_get;
-use telemetry::{ScrapeServer, Sources};
+use telemetry::{ScrapeServer, SeriesValue, Sources, WindowConfig};
+
+/// The exemplar test needs its calls among the sampler's slowest of a
+/// sub-window, where the family ledger's fleet profile would crowd them.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn metrics_exemplar_resolves_to_a_sampled_request_and_its_trace_thread() {
+    let _serial = serial();
     // Real traffic into the global planes: each managed call opens a
     // request, and the windowed latency histogram names the request
     // its sub-window maximum ran in. One large payload among small ones
@@ -129,7 +141,7 @@ fn slo_endpoint_reflects_fed_objectives_live() {
 
 /// The families DESIGN.md §6's series ledger marked as read by nothing,
 /// deleted with the code that fed them.
-const DELETED_FAMILIES: [&str; 11] = [
+const DELETED_FAMILIES: &[&str] = &[
     "codecs_compress_nanos",
     "codecs_decompress_nanos",
     "window_codecs_compress_bytes_in",
@@ -141,6 +153,18 @@ const DELETED_FAMILIES: [&str; 11] = [
     "resilience_admission_inflight",
     "slo_fast_burn",
     "slo_slow_burn",
+    // Second copies of events a kept record holds (DESIGN.md §6, "Second sinks").
+    "window_resilience_shed",
+    "window_resilience_deadline_exceeded",
+    "window_resilience_breaker_fast_fail",
+    "window_resilience_degraded",
+    "window_resilience_retry_denied",
+    "window_resilience_retry_attempts",
+    "window_managed_decompress_errors",
+    "window_server_shed",
+    "fleet_compress_nanos",
+    "fleet_decompress_nanos",
+    "window_fleet",
 ];
 
 /// The suffixes a windowed histogram exports, one gauge family each.
@@ -171,12 +195,24 @@ const READ_FAMILIES: &[(&str, &[&str])] = &[
     ("request_spans_dropped_total", &[""]),
 ];
 
+/// A typed record under 128 bytes, so its frame's dictionary id is at 6..10.
+fn record(i: usize) -> Vec<u8> {
+    format!("{{\"schema\":\"event.click.v7\",\"session\":{i},\"ts\":{i}7}}").into_bytes()
+}
+
 #[test]
 fn metrics_export_every_read_family_and_none_of_the_unread_ones() {
+    let _serial = serial();
     telemetry::slos().register(telemetry::SloConfig::error_rate(
         "e2e.families.errors",
         0.99,
     ));
+    let profile = fleet::profile_fleet(&fleet::ProfileConfig {
+        work_units: 1,
+        seed: 5,
+    });
+    let profiled = Instant::now();
+    assert!(profile.observations.iter().all(|o| o.comp_calls > 0));
     let items = corpus::cache::generate_items(&corpus::cache::cache1_profile(), 40, 11);
     // Managed traffic in-process, both directions, then the same items
     // through the daemon over a real socket.
@@ -199,11 +235,96 @@ fn metrics_export_every_read_family_and_none_of_the_unread_ones() {
         let back = client.decompress("CACHE1", "items", &frame.payload);
         assert_eq!(back.expect("decompress").payload, item.data);
     }
+    // A forced shed through the daemon: every admission permit held.
+    let admission = daemon.admission();
+    let held: Vec<_> = std::iter::from_fn(|| admission.try_acquire()).collect();
+    let data = &items[0].data;
+    let compress = client.compress("CACHE1", "items", data);
+    let decompress = client.decompress("CACHE1", "items", data);
+    for shed in [compress, decompress] {
+        assert_eq!(shed.expect("transport").status, Status::Shed);
+    }
+    drop(held);
+    let stats = String::from_utf8(client.stats("CACHE1").unwrap().payload).unwrap();
     drop(client);
     daemon.shutdown();
+    let stats: serde_json::Value = serde_json::from_str(&stats).expect("stats JSON");
+    assert_eq!(stats["use_cases"][0]["use_case"], "items");
+    assert_eq!(stats["use_cases"][0]["shed"], 2);
+
+    // Overload in-process. Two retry tokens: the decode-retry recovery
+    // spends one, a faulted decode's first retry the other, and its
+    // second retry is denied.
+    let case = "e2e.overload";
+    let mut config = ManagedConfig::default();
+    config.resilience.retry.budget_cap = 2.0;
+    let mut overload = ManagedCompression::new(config);
+    let mut good = Vec::new();
+    for i in 0..30 {
+        good = overload.compress(case, &record(i)).unwrap();
+    }
+    // Decode-retry recovery: the frame names generation 2 (the low byte
+    // of its dictionary id), which this service never trained; the one
+    // it did has the same content.
+    let mut forged = good.clone();
+    assert_eq!(forged[4] & 1, 1, "a dictionary frame");
+    assert_eq!(forged[6], 1, "of generation 1");
+    forged[6] = 2;
+    assert_eq!(overload.decompress(case, &forged).unwrap(), record(29));
+    // The cheap-level rung (occupancy past `degrade_at`), then a shed.
+    let admission = overload.admission();
+    let mut held: Vec<_> = (0..admission.config().degrade_at)
+        .map_while(|_| admission.try_acquire())
+        .collect();
+    let cheap = overload.compress(case, &record(30));
+    assert!(cheap.is_ok(), "degraded, not shed");
+    held.extend(std::iter::from_fn(|| admission.try_acquire()));
+    let overloaded = |r| matches!(r, Err(ManagedError::Overloaded { .. }));
+    assert!(overloaded(overload.compress(case, &record(31))));
+    assert!(overloaded(overload.decompress(case, &good)));
+    drop(held);
+    // Injected faults: the decode retries once, is denied a second retry and is
+    // quarantined; compresses fail until the breaker opens and fast-fails one.
+    overload.set_sleeper(Arc::new(|_| {}));
+    overload.set_fault_hook(Some(Arc::new(|_| true)));
+    let quarantined = overload.decompress(case, &good);
+    assert!(matches!(quarantined, Err(ManagedError::Quarantined { .. })));
+    for i in 0..256 {
+        if overload.stats(case).unwrap().breaker_fast_fail > 0 {
+            break;
+        }
+        let stored = overload.compress(case, &record(i)).unwrap();
+        assert!(stored.starts_with(&PASSTHROUGH_MAGIC));
+    }
+    config.resilience.deadline_nanos = 1;
+    let mut deadline = ManagedCompression::new(config);
+    let expired = deadline.compress(case, &record(0));
+    assert!(matches!(
+        expired,
+        Err(ManagedError::DeadlineExceeded { .. })
+    ));
+    // Each event is in the service's own counters, which are counters
+    // only: no per-instance latency copies.
+    let st = overload.stats(case).unwrap();
+    assert_eq!(st.decode_retry_recovered, 1);
+    assert_eq!(st.shed, 2);
+    assert_eq!(st.retry_attempts, 1);
+    assert_eq!(st.retry_budget_denied, 1);
+    assert_eq!(st.quarantined, 1);
+    assert_eq!(st.breaker_fast_fail, 1);
+    assert_eq!(deadline.stats(case).unwrap().deadline_exceeded, 1);
+    let own = overload.telemetry().snapshot();
+    assert_eq!(own.counter("managed.degraded", &[("use_case", case)]), 1);
+    let counters = |s: &telemetry::Snapshot| {
+        s.series
+            .iter()
+            .all(|s| matches!(s.value, SeriesValue::Counter(_)))
+    };
+    assert!(counters(&own) && counters(&deadline.telemetry().snapshot()));
 
     let scrape = ScrapeServer::bind("127.0.0.1:0", Sources::global()).expect("bind");
     let metrics = http_get(scrape.local_addr(), "/metrics").expect("/metrics");
+    let requests = http_get(scrape.local_addr(), "/requests.json").expect("/requests.json");
     scrape.shutdown();
     let mut families = std::collections::BTreeSet::new();
     for family in metrics.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
@@ -226,4 +347,33 @@ fn metrics_export_every_read_family_and_none_of_the_unread_ones() {
             );
         }
     }
+    let shed = "server_requests{op=\"compress\",status=\"shed\",tenant=\"CACHE1\"} 1";
+    assert!(metrics.lines().any(|l| l == shed), "no {shed}");
+    // Errored requests are always sampled, with their marks.
+    let requests: serde_json::Value = serde_json::from_str(&requests).expect("valid JSON");
+    let marked = |service: &str, mark: &str| {
+        let mut kept = requests["requests"].as_array().unwrap().iter();
+        kept.any(|r| {
+            r["service"] == service
+                && r["spans"]
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .any(|s| s["name"] == mark)
+        })
+    };
+    for mark in [
+        "resilience.shed",
+        "resilience.deadline",
+        "managed.quarantine",
+    ] {
+        assert!(marked(case, mark), "no {mark} mark in /requests.json");
+    }
+    assert!(marked("items", "resilience.shed"), "no daemon shed mark");
+
+    // The profile's slow blocks hold the sampler's slowest-N slots for
+    // the sub-window they finished in; let it pass before the exemplar
+    // test runs.
+    let sub_window = Duration::from_nanos(WindowConfig::DEFAULT.sub_window_nanos);
+    std::thread::sleep(sub_window.saturating_sub(profiled.elapsed()));
 }

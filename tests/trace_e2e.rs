@@ -11,7 +11,6 @@ fn fleet_profile_renders_sampled_requests_as_chrome_json() {
     let profile = profile_fleet(&ProfileConfig {
         work_units: 1,
         seed: 7,
-        stage_deadline_nanos: 0,
     });
     profile.record_to(telemetry::global());
     let requests = telemetry::requests();
