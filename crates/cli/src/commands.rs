@@ -1060,7 +1060,7 @@ fn fleet_tables(args: &Args) -> Result<(), String> {
     let units = args.opt_or("units", 4usize)?;
     let profile = fleet::profile_fleet(&fleet::ProfileConfig {
         work_units: units,
-        seed: 30,
+        ..fleet::ProfileConfig::default()
     });
     // Publish per-service aggregates so a --telemetry snapshot taken
     // after this command carries the whole profile.

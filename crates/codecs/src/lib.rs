@@ -36,7 +36,6 @@ pub mod lz4x;
 pub mod metrics;
 mod obs;
 pub mod parallel;
-pub mod stream;
 pub mod timing;
 pub mod varint;
 pub mod xxhash;
@@ -250,6 +249,37 @@ pub(crate) fn initial_capacity(declared: usize, src_len: usize, limits: &DecodeL
     declared
         .min(limits.max_output)
         .min(src_len.saturating_mul(512).saturating_add(4096))
+}
+
+/// Reads a frame's declared content size and checks it, in the order
+/// every codec's header checks it: implausible sizes first, then the
+/// caller's budget.
+///
+/// # Errors
+///
+/// The varint's [`CodecError`], [`CodecError::BadFrame`] above
+/// [`MAX_CONTENT_SIZE`], then [`CodecError::LimitExceeded`].
+pub(crate) fn read_content_size(c: &mut varint::Cursor, limits: &DecodeLimits) -> Result<usize> {
+    let content = c.read_varint()? as usize;
+    if content > MAX_CONTENT_SIZE {
+        return Err(CodecError::BadFrame("content size implausible"));
+    }
+    limits.check_output(content)?;
+    Ok(content)
+}
+
+/// Compares a frame's stored content checksum with that of the decoded
+/// `content`.
+///
+/// # Errors
+///
+/// [`CodecError::ChecksumMismatch`] when they differ.
+pub(crate) fn verify_checksum(expected: u32, content: &[u8]) -> Result<()> {
+    let got = xxhash::content_checksum(content);
+    if expected != got {
+        return Err(CodecError::ChecksumMismatch { expected, got });
+    }
+    Ok(())
 }
 
 /// Appends `len` bytes copied from `offset` back in `out` — the LZ match

@@ -91,11 +91,7 @@ impl Lz4x {
             m if m == MAGIC_CK => true,
             _ => return Err(CodecError::BadFrame("lz4x magic mismatch")),
         };
-        let content = c.read_varint()? as usize;
-        if content > crate::MAX_CONTENT_SIZE {
-            return Err(CodecError::BadFrame("content size implausible"));
-        }
-        limits.check_output(content)?;
+        let content = crate::read_content_size(&mut c, limits)?;
         let header = c.position();
         let mut body = c.read_slice_remaining()?;
         let mut want = 0u32;
@@ -151,13 +147,7 @@ impl Lz4x {
             ));
         }
         if has_checksum {
-            let got = crate::xxhash::content_checksum(&out);
-            if want != got {
-                return Err(CodecError::ChecksumMismatch {
-                    expected: want,
-                    got,
-                });
-            }
+            crate::verify_checksum(want, &out)?;
         }
         crate::obs::record_decompress(Algorithm::Lz4x, self.level, out.len(), start);
         Ok(out)

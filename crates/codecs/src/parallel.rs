@@ -42,7 +42,7 @@ pub fn compress_parallel(codec: &Zstdx, src: &[u8], threads: usize) -> crate::Re
                         .iter()
                         .map(|block| {
                             let mut b = Vec::with_capacity(block.len() / 2 + 64);
-                            let v4 = codec.write_block(block, 0, None, false, &mut b, None);
+                            let v4 = codec.write_block(block, 0, None, &mut b, None);
                             (b, v4)
                         })
                         .collect::<Vec<_>>()

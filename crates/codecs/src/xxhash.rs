@@ -105,8 +105,8 @@ pub fn content_checksum(data: &[u8]) -> u32 {
     xxh64(data, 0) as u32
 }
 
-/// Incremental XXH64 state, for streaming compression where the content
-/// is never materialized in one buffer.
+/// Incremental XXH64 state, for content that arrives in pieces (the
+/// managed reservoir's digests, for one).
 ///
 /// # Example
 ///

@@ -125,11 +125,7 @@ impl Zlibx {
             }
             _ => return Err(CodecError::BadFrame("zlibx magic mismatch")),
         };
-        let content = c.read_varint()? as usize;
-        if content > crate::MAX_CONTENT_SIZE {
-            return Err(CodecError::BadFrame("content size implausible"));
-        }
-        limits.check_output(content)?;
+        let content = crate::read_content_size(&mut c, limits)?;
         let mut out = Vec::with_capacity(crate::initial_capacity(content, src.len(), limits));
         while out.len() < content {
             let decoded_len = c.read_varint()? as usize;
@@ -158,14 +154,7 @@ impl Zlibx {
             }
         }
         if has_checksum {
-            let want = c.read_u32()?;
-            let got = crate::xxhash::content_checksum(&out);
-            if want != got {
-                return Err(CodecError::ChecksumMismatch {
-                    expected: want,
-                    got,
-                });
-            }
+            crate::verify_checksum(c.read_u32()?, &out)?;
         }
         crate::obs::record_decompress(Algorithm::Zlibx, self.level, out.len(), begin);
         Ok(out)

@@ -37,7 +37,7 @@ use crate::codes::{
 };
 use crate::dict::Dictionary;
 use crate::timing::StageTiming;
-use crate::varint::{read_varint, write_varint, Cursor};
+use crate::varint::{write_varint, Cursor};
 use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
 
 /// Frame magic ("ZSXD").
@@ -50,7 +50,8 @@ const MIN_MATCH: u32 = 3;
 /// Frame flag: a 4-byte XXH64 content checksum trails the blocks.
 pub(crate) const FLAG_CHECKSUM: u8 = 2;
 /// Frame flag: no content size; blocks carry a last-block marker
-/// instead (streaming frames, see [`crate::stream`]).
+/// instead. No writer emits these *streaming frames*; they are read so
+/// that frames written by earlier versions still decode.
 const FLAG_STREAMING: u8 = 4;
 /// Frame flag: at least one block uses the v4 multi-stream entropy
 /// layout ([`LIT_HUFFMAN4`] literals). Old decoders reject such frames
@@ -62,7 +63,8 @@ pub(crate) const FLAG_V4: u8 = 8;
 const BLOCK_RAW: u8 = 0;
 const BLOCK_RLE: u8 = 1;
 const BLOCK_COMPRESSED: u8 = 2;
-/// Block-type bit marking the final block of a streaming frame.
+/// Block-type bit marking the final block of a streaming frame (read
+/// side only).
 const BLOCK_LAST: u8 = 0x80;
 
 const LIT_RAW: u8 = 0;
@@ -216,7 +218,7 @@ impl Zstdx {
                     .filter(|d| end - start <= d.len())
                     .map(Dictionary::index);
                 let block = buf.get(..end).unwrap_or_default();
-                any_v4 |= self.write_block(block, start, index, false, out, timing.as_deref_mut());
+                any_v4 |= self.write_block(block, start, index, out, timing.as_deref_mut());
             }
             any_v4
         });
@@ -236,7 +238,12 @@ impl Zstdx {
         blocks: impl FnOnce(&mut Vec<u8>) -> bool,
     ) -> Vec<u8> {
         let mut out = Vec::with_capacity(src.len() / 2 + 32);
-        self.write_header(&mut out, Some(src.len()), dict);
+        out.extend_from_slice(&MAGIC);
+        out.push(u8::from(dict.is_some()) | if self.checksum { FLAG_CHECKSUM } else { 0 });
+        write_varint(&mut out, src.len() as u64);
+        if let Some(d) = dict {
+            out.extend_from_slice(&d.id().to_le_bytes());
+        }
         // The flag byte is patched after the fact: only frames that
         // actually contain a v4 block advertise the format, so
         // sub-threshold output stays byte-identical to older encoders.
@@ -245,51 +252,17 @@ impl Zstdx {
                 *f |= FLAG_V4;
             }
         }
-        self.write_trailer(&mut out, || crate::xxhash::content_checksum(src));
-        out
-    }
-
-    /// Appends a frame header declaring `content` bytes, or a streaming
-    /// header for `None`. A streaming header goes out before any block
-    /// is encoded, so under [`StreamPolicy::Auto`] it declares v4 up
-    /// front: the bit *permits* multi-stream blocks, it does not require
-    /// them.
-    pub(crate) fn write_header(
-        &self,
-        out: &mut Vec<u8>,
-        content: Option<usize>,
-        dict: Option<&Dictionary>,
-    ) {
-        let flags = u8::from(dict.is_some()) | if self.checksum { FLAG_CHECKSUM } else { 0 };
-        out.extend_from_slice(&MAGIC);
-        match content {
-            Some(len) => {
-                out.push(flags);
-                write_varint(out, len as u64);
-            }
-            None if self.streams == StreamPolicy::Auto => {
-                out.push(flags | FLAG_STREAMING | FLAG_V4);
-            }
-            None => out.push(flags | FLAG_STREAMING),
-        }
-        if let Some(d) = dict {
-            out.extend_from_slice(&d.id().to_le_bytes());
-        }
-    }
-
-    /// Appends the content checksum `digest()` if this codec writes one.
-    pub(crate) fn write_trailer(&self, out: &mut Vec<u8>, digest: impl FnOnce() -> u32) {
         if self.checksum {
-            out.extend_from_slice(&digest().to_le_bytes());
+            out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
         }
+        out
     }
 
     /// Compresses `buf[start..]`, with `buf[..start]` as history, into one
     /// block: raw, RLE or compressed, whichever is smallest. `prefix` is
     /// an optional prepared index over the head of `buf` for the match
-    /// finder to attach; `last` sets the streaming last-block marker.
-    /// Returns whether the block uses the v4 layout (its frame header
-    /// must then carry [`FLAG_V4`]).
+    /// finder to attach. Returns whether the block uses the v4 layout
+    /// (its frame header must then carry [`FLAG_V4`]).
     // indexing_slicing: encode side — `start <= buf.len()` is the frame
     // writers' block-split invariant, and `data[0]` and `data[..1]` sit
     // behind the `data.len() >= 2` RLE check.
@@ -299,15 +272,13 @@ impl Zstdx {
         buf: &[u8],
         start: usize,
         prefix: Option<&PrefixIndex>,
-        last: bool,
         out: &mut Vec<u8>,
         timing: Option<&mut StageTiming>,
     ) -> bool {
         let data = &buf[start..];
-        // The block header: type (with the last-block marker), decoded
-        // size, payload size.
+        // The block header: type, decoded size, payload size.
         let mut emit = |kind: u8, payload: &[u8]| {
-            out.push(if last { kind | BLOCK_LAST } else { kind });
+            out.push(kind);
             write_varint(out, data.len() as u64);
             write_varint(out, payload.len() as u64);
             out.extend_from_slice(payload);
@@ -397,68 +368,16 @@ impl Zstdx {
         if let Some(d) = dict {
             out.extend_from_slice(d.as_bytes());
         }
-        while frame.read_block::<FAST, _>(&mut c, &mut out)? {}
-        frame.check_trailer(&mut c, || {
-            crate::xxhash::content_checksum(out.get(base..).unwrap_or(&[]))
-        })?;
+        while frame.read_block::<FAST>(&mut c, &mut out)? {}
+        frame.check_trailer(&mut c, out.get(base..).unwrap_or(&[]))?;
         out.drain(..base);
         Ok(out)
     }
 }
 
-/// Where the frame grammar reads its bytes from: a [`Cursor`] over a
-/// whole frame, or the stream under a
-/// [`DecompressReader`](crate::stream::DecompressReader).
-pub(crate) trait FrameSource {
-    /// What a read fails with; every [`CodecError`] converts into it.
-    type Error: From<CodecError>;
-
-    /// The next `n` bytes. Callers bound `n` before asking.
-    fn read_slice(&mut self, n: usize) -> std::result::Result<&[u8], Self::Error>;
-
-    /// Bytes consumed so far: the offset a [`CodecError::Corrupt`] names.
-    fn position(&self) -> usize;
-
-    /// The next `N` bytes.
-    fn read_array<const N: usize>(&mut self) -> std::result::Result<[u8; N], Self::Error> {
-        let mut b = [0u8; N];
-        b.copy_from_slice(self.read_slice(N)?);
-        Ok(b)
-    }
-
-    /// The next varint: its bytes, ten at most, parsed by
-    /// [`crate::varint::read_varint`]'s canonical-form rules.
-    fn read_varint(&mut self) -> std::result::Result<u64, Self::Error> {
-        let at = self.position();
-        let mut bytes = [0u8; 10];
-        let mut n = 0;
-        for b in &mut bytes {
-            [*b] = self.read_array()?;
-            n += 1;
-            if *b & 0x80 == 0 {
-                break;
-            }
-        }
-        let (v, _) = read_varint(bytes.get(..n).unwrap_or_default()).map_err(|e| e.rebase(at))?;
-        Ok(v)
-    }
-}
-
-impl FrameSource for Cursor<'_> {
-    type Error = CodecError;
-
-    fn read_slice(&mut self, n: usize) -> Result<&[u8]> {
-        Cursor::read_slice(self, n)
-    }
-
-    fn position(&self) -> usize {
-        Cursor::position(self)
-    }
-}
-
 /// A frame being decoded: what its header declares, and how far its
 /// blocks have got. The one parser of the zstdx frame grammar, shared
-/// by the slice decoders and the streaming reader.
+/// by the fast and the reference decode engines.
 pub(crate) struct Frame {
     /// Declared content size; `None` for a streaming frame.
     content: Option<usize>,
@@ -475,29 +394,21 @@ impl Frame {
     /// Reads a frame header and checks it: the magic, the declared
     /// content size against `limits`, and the dictionary id against
     /// `dict_id`, the id of the dictionary the caller holds.
-    pub(crate) fn read<S: FrameSource>(
-        s: &mut S,
-        dict_id: Option<u32>,
-        limits: DecodeLimits,
-    ) -> std::result::Result<Self, S::Error> {
-        if s.read_slice(MAGIC.len())? != MAGIC {
-            return Err(CodecError::BadFrame("zstdx magic mismatch").into());
+    pub(crate) fn read(c: &mut Cursor, dict_id: Option<u32>, limits: DecodeLimits) -> Result<Self> {
+        if c.read_slice(MAGIC.len())? != MAGIC {
+            return Err(CodecError::BadFrame("zstdx magic mismatch"));
         }
-        let [flags] = s.read_array()?;
+        let flags = c.read_u8()?;
         let content = if flags & FLAG_STREAMING == 0 {
-            Some(s.read_varint()? as usize)
+            Some(crate::read_content_size(c, &limits)?)
         } else {
             None
         };
-        if content.unwrap_or(0) > crate::MAX_CONTENT_SIZE {
-            return Err(CodecError::BadFrame("content size implausible").into());
-        }
-        limits.check_output(content.unwrap_or(0))?;
         if flags & 1 != 0 {
-            let expected = u32::from_le_bytes(s.read_array()?);
+            let expected = c.read_u32()?;
             if dict_id != Some(expected) {
                 let got = dict_id;
-                return Err(CodecError::UnknownDictVersion { expected, got }.into());
+                return Err(CodecError::UnknownDictVersion { expected, got });
             }
         }
         Ok(Self {
@@ -519,38 +430,38 @@ impl Frame {
     /// payload <= decoded), and the content so far within the limits,
     /// the only bound a streaming frame has.
     #[deny(clippy::indexing_slicing)]
-    pub(crate) fn read_block<const FAST: bool, S: FrameSource>(
+    pub(crate) fn read_block<const FAST: bool>(
         &mut self,
-        s: &mut S,
+        c: &mut Cursor,
         out: &mut Vec<u8>,
-    ) -> std::result::Result<bool, S::Error> {
+    ) -> Result<bool> {
         let room = match self.content {
-            Some(c) if self.produced >= c => return Ok(false),
+            Some(n) if self.produced >= n => return Ok(false),
             None if self.last => return Ok(false),
-            Some(c) => (c - self.produced).min(BLOCK_SIZE),
+            Some(n) => (n - self.produced).min(BLOCK_SIZE),
             None => BLOCK_SIZE,
         };
-        let [type_byte] = s.read_array()?;
-        let decoded = s.read_varint()?;
-        let payload_len = s.read_varint()?;
+        let type_byte = c.read_u8()?;
+        let decoded = c.read_varint()?;
+        let payload_len = c.read_varint()?;
         self.last = type_byte & BLOCK_LAST != 0;
         let kind = type_byte & !BLOCK_LAST;
         let payload_fits = match kind {
             BLOCK_RAW => payload_len == decoded,
             BLOCK_RLE => payload_len == 1,
             BLOCK_COMPRESSED => payload_len <= decoded,
-            _ => return Err(CodecError::corrupt("zstdx bad block type", s.position()).into()),
+            _ => return Err(c.corrupt("zstdx bad block type")),
         };
         let may_be_empty = self.last && self.content.is_none();
         if decoded > room as u64 || !payload_fits || (decoded == 0 && !may_be_empty) {
-            return Err(CodecError::corrupt("zstdx bad block size", s.position()).into());
+            return Err(c.corrupt("zstdx bad block size"));
         }
         let decoded = decoded as usize;
         self.produced += decoded;
         self.limits.check_output(self.produced)?;
 
-        let at = s.position();
-        let payload = s.read_slice(payload_len as usize)?;
+        let at = c.position();
+        let payload = c.read_slice(payload_len as usize)?;
         match (kind, payload) {
             (BLOCK_RAW, _) => out.extend_from_slice(payload),
             (BLOCK_RLE, &[b]) => out.resize(out.len() + decoded, b),
@@ -561,18 +472,10 @@ impl Frame {
     }
 
     /// Reads the checksum trailer, if the frame declares one, and
-    /// compares it with `got()`, the checksum of the decoded content.
-    pub(crate) fn check_trailer<S: FrameSource>(
-        &self,
-        s: &mut S,
-        got: impl FnOnce() -> u32,
-    ) -> std::result::Result<(), S::Error> {
+    /// compares it with the checksum of the decoded `content`.
+    pub(crate) fn check_trailer(&self, c: &mut Cursor, content: &[u8]) -> Result<()> {
         if self.checksum {
-            let expected = u32::from_le_bytes(s.read_array()?);
-            let got = got();
-            if expected != got {
-                return Err(CodecError::ChecksumMismatch { expected, got }.into());
-            }
+            crate::verify_checksum(c.read_u32()?, content)?;
         }
         Ok(())
     }
@@ -1405,6 +1308,23 @@ mod tests {
         let enc = c.compress(&data);
         assert!(enc.len() < data.len() / 5);
         assert_eq!(c.decompress(&enc).unwrap(), data);
+    }
+
+    /// A streaming block header declaring a payload of 2^40 (or
+    /// `u64::MAX`) bytes is a typed error, found before anything is
+    /// read or allocated for the payload.
+    #[test]
+    fn huge_declared_payload_is_a_typed_error() {
+        let c = Zstdx::new(3);
+        for len in [1u64 << 40, u64::MAX] {
+            let flags = FLAG_STREAMING | FLAG_CHECKSUM;
+            let mut frame = [&MAGIC[..], &[flags, BLOCK_RAW | BLOCK_LAST, 0]].concat();
+            write_varint(&mut frame, len);
+            let reference = c.decompress_reference(&frame, &DecodeLimits::default());
+            for err in [c.decompress(&frame).unwrap_err(), reference.unwrap_err()] {
+                assert_eq!(err.kind(), "corrupt", "len {len}");
+            }
+        }
     }
 
     #[test]

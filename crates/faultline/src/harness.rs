@@ -401,35 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_over_multi_block_streaming_frames_finds_no_violations() {
-        // Two and a quarter blocks of text through the streaming writer
-        // (history across blocks, the last-block marker after full ones),
-        // every corrupted variant read back through `DecompressReader`:
-        // the original bytes or an error, never a panic, an abort or
-        // wrong bytes.
-        let size = 2 * codecs::zstdx::BLOCK_SIZE + (32 << 10);
-        let block = corpus::silesia::generate(corpus::silesia::FileClass::Text, size, 0xfa04);
-        let frame = codecs::stream::compress_stream(&block, 3);
-        let _quiet = QuietPanics::install();
-        let mut cell = Cell::default();
-        for inj in Injector::ALL {
-            let rng = Rng::new(0x5157).derive(inj_tag(inj));
-            for variant in inj.corrupt(&frame, &rng, 16) {
-                let outcome =
-                    match panic::catch_unwind(|| codecs::stream::decompress_stream(&variant)) {
-                        Err(_) => Outcome::Panicked,
-                        Ok(Err(_)) => Outcome::ErrorDetected,
-                        Ok(Ok(out)) if out == block => Outcome::OkIntact,
-                        Ok(Ok(_)) => Outcome::SilentCorruption,
-                    };
-                cell.record(outcome, None);
-            }
-        }
-        assert!(cell.cases > 0);
-        assert_eq!(cell.violations(), 0, "{cell:?}");
-    }
-
-    #[test]
     fn check_decode_classifies_intact_frames() {
         let comp = Algorithm::Zstdx.compressor(3);
         let data = b"hello faultline hello faultline".to_vec();

@@ -26,16 +26,6 @@ pub struct DriftConfig {
     pub seed: u64,
 }
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            days: 30,
-            work_units_per_day: 4,
-            seed: 99,
-        }
-    }
-}
-
 /// One day's fleet-level aggregates.
 #[derive(Debug, Clone)]
 pub struct DayReport {
@@ -122,15 +112,25 @@ fn profile_seed(day: usize, name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One simulation shared by every test: each day profiles the whole
+    /// fleet, which is most of what this crate's tests cost.
+    fn reports() -> &'static [DayReport] {
+        static R: OnceLock<Vec<DayReport>> = OnceLock::new();
+        R.get_or_init(|| {
+            simulate_days(&DriftConfig {
+                days: 4,
+                work_units_per_day: 2,
+                seed: 7,
+            })
+        })
+    }
 
     #[test]
     fn produces_one_report_per_day() {
-        let reports = simulate_days(&DriftConfig {
-            days: 3,
-            work_units_per_day: 1,
-            seed: 5,
-        });
-        assert_eq!(reports.len(), 3);
+        let reports = reports();
+        assert_eq!(reports.len(), 4);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.day, i);
             assert!(
@@ -145,12 +145,7 @@ mod tests {
 
     #[test]
     fn low_levels_dominate_every_day() {
-        let reports = simulate_days(&DriftConfig {
-            days: 2,
-            work_units_per_day: 2,
-            seed: 6,
-        });
-        for r in &reports {
+        for r in reports() {
             assert!(
                 r.low_level_share > 0.5,
                 "day {}: {}",
@@ -164,12 +159,7 @@ mod tests {
     fn content_drift_moves_ratio() {
         // Fresh content each day: the achieved ratio fluctuates (no two
         // days identical) while staying in a plausible band.
-        let reports = simulate_days(&DriftConfig {
-            days: 4,
-            work_units_per_day: 1,
-            seed: 7,
-        });
-        let ratios: Vec<f64> = reports.iter().map(|r| r.achieved_ratio).collect();
+        let ratios: Vec<f64> = reports().iter().map(|r| r.achieved_ratio).collect();
         let min = ratios.iter().cloned().fold(f64::MAX, f64::min);
         let max = ratios.iter().cloned().fold(f64::MIN, f64::max);
         assert!(max > min, "no drift at all: {ratios:?}");

@@ -3,16 +3,16 @@
 //! tables) must be observationally identical to the reference decoders
 //! that predate them — identical bytes on success, identical typed
 //! error on failure — over both valid frames and the full faultline
-//! injector matrix. The same contract holds zstdx's two frame readers
-//! together: the slice decoder and the streaming `DecompressReader`.
+//! injector matrix. zstdx's engines are held to it on streaming frames
+//! too, which no writer emits any more but which must still decode.
 
-use std::io;
-
-use datacomp::codecs::stream::{compress_stream, decompress_stream};
 use datacomp::codecs::{lz4x::Lz4x, zlibx::Zlibx, zstdx::Zstdx};
 use datacomp::codecs::{CodecError, Compressor, DecodeLimits, StreamPolicy};
 use datacomp::faultline::{Injector, Rng};
 use proptest::prelude::*;
+
+#[path = "common/streaming.rs"]
+mod streaming;
 
 type CompressFn = Box<dyn Fn(&[u8]) -> Vec<u8>>;
 type DecodeFn = Box<dyn Fn(&[u8], &DecodeLimits) -> Result<Vec<u8>, CodecError>>;
@@ -51,28 +51,15 @@ fn engines() -> Vec<Engine> {
     ]
 }
 
-/// zstdx streaming frames, read by the slice decoder ("fast") and by
-/// `DecompressReader` ("reference"). The reader takes no limits, so both
-/// sides decode under the default ones.
+/// zstdx streaming frames (the removed writer's, as
+/// `common/streaming.rs` models them), read by the two slice engines.
 fn stream_engine() -> Engine {
     Engine {
         name: "zstdx-stream",
-        compress: Box::new(|d| compress_stream(d, 3)),
-        fast: Box::new(|d, _| Zstdx::new(3).decompress_limited(d, &DecodeLimits::default())),
-        reference: Box::new(|d, _| read_stream(d)),
+        compress: Box::new(|d| streaming::streaming_frame(d, 3)),
+        fast: Box::new(|d, l| Zstdx::new(3).decompress_limited(d, l)),
+        reference: Box::new(|d, l| Zstdx::new(3).decompress_reference(d, l)),
     }
-}
-
-/// `DecompressReader`'s outcome as a codec result: a malformed frame is
-/// the `CodecError` its `io::Error` wraps, a short one `Truncated`.
-fn read_stream(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decompress_stream(frame).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => CodecError::Truncated("stream"),
-        _ => *e
-            .into_inner()
-            .and_then(|i| i.downcast().ok())
-            .expect("a CodecError inside"),
-    })
 }
 
 /// Asserts the two engines agree on one input: equal bytes on `Ok`,
@@ -218,10 +205,11 @@ proptest! {
 }
 
 /// Multi-block streaming frames — history across blocks, the last-block
-/// marker after full ones — compressible and literal-heavy: both readers
-/// reproduce the input. A streaming header declares v4 up front, so the
-/// literal-heavy frame shows it holds v4 blocks by failing to decode
-/// once the bit is cleared.
+/// marker after full ones — compressible and literal-heavy, and the
+/// empty and one-byte ones: both engines reproduce the input. A
+/// streaming header declares v4 up front, so the literal-heavy frame
+/// shows it holds v4 blocks by failing to decode once the bit is
+/// cleared.
 #[test]
 fn stream_readers_agree_on_multi_block_frames() {
     let (e, limits) = (stream_engine(), DecodeLimits::default());
@@ -238,15 +226,22 @@ fn stream_readers_agree_on_multi_block_frames() {
         frame[4] &= !8;
         assert_eq!((e.fast)(&frame, &limits).is_err(), v4, "v4 blocks: {v4}");
     }
+    for data in [&b""[..], b"x"] {
+        let frame = (e.compress)(data);
+        assert_eq!(frame[4] & 4, 4, "a streaming frame");
+        assert_eq!((e.fast)(&frame, &limits).unwrap(), data);
+        assert_agree(&e, &frame, &limits, "short frame");
+    }
 }
 
 /// A block size written `85 00` — five, with a redundant zero group —
-/// is corrupt to both readers.
+/// is corrupt to both engines.
 #[test]
 fn stream_readers_agree_on_an_overlong_varint() {
     let mut frame = vec![0x5a, 0x53, 0x58, 0x44, 0x04, 0x80, 0x05, 0x85, 0x00];
     frame.extend_from_slice(b"hello");
-    let e = stream_engine();
-    assert_agree(&e, &frame, &DecodeLimits::default(), "overlong varint");
-    assert_eq!(read_stream(&frame).unwrap_err().kind(), "corrupt");
+    let (e, limits) = (stream_engine(), DecodeLimits::default());
+    assert_agree(&e, &frame, &limits, "overlong varint");
+    let err = (e.reference)(&frame, &limits).unwrap_err();
+    assert_eq!(err.kind(), "corrupt");
 }

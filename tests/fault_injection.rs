@@ -2,11 +2,15 @@
 //!
 //! Complements the unit tests inside `codecs` and `faultline` with
 //! cross-crate sweeps: every-prefix truncation per codec, checksum
-//! detection of payload corruption, and the full injector × codec ×
-//! corpus sweep at fixed seeds.
+//! detection of payload corruption, the full injector × codec × corpus
+//! sweep at fixed seeds, and a sweep over multi-block zstdx streaming
+//! frames.
 
 use codecs::{Algorithm, CodecError, DecodeLimits};
-use faultline::{sweep, Injector, SweepConfig};
+use faultline::{check_decode, sweep, Injector, Outcome, Rng, SweepConfig};
+
+#[path = "common/streaming.rs"]
+mod streaming;
 
 fn corpus_blocks(size: usize) -> Vec<Vec<u8>> {
     corpus::silesia::FileClass::ALL
@@ -93,6 +97,32 @@ fn sweep_all_injectors_all_codecs_zero_violations() {
         "decode-contract violations:\n{}",
         report.render_table()
     );
+}
+
+/// Two and a quarter blocks of text as a streaming frame (history
+/// across blocks, the last-block marker after full ones), every
+/// corrupted variant decoded under the input's size as the budget: the
+/// original bytes or an error, never a panic or wrong bytes.
+#[test]
+fn sweep_over_multi_block_streaming_frames_finds_no_violations() {
+    let size = 2 * codecs::zstdx::BLOCK_SIZE + (32 << 10);
+    let block = corpus::silesia::generate(corpus::silesia::FileClass::Text, size, 0xfa04);
+    let frame = streaming::streaming_frame(&block, 3);
+    let comp = codecs::zstdx::Zstdx::new(3);
+    let limits = DecodeLimits::with_max_output(size);
+    let mut cases = 0;
+    for (i, inj) in Injector::ALL.into_iter().enumerate() {
+        let rng = Rng::new(0x5157).derive(i as u64);
+        for variant in inj.corrupt(&frame, &rng, 16) {
+            let (outcome, _) = check_decode(&comp, &variant, &block, &limits);
+            assert!(
+                matches!(outcome, Outcome::ErrorDetected | Outcome::OkIntact),
+                "{inj}: {outcome:?}"
+            );
+            cases += 1;
+        }
+    }
+    assert!(cases > 0);
 }
 
 /// Checksum verification is frame-driven, not constructor-driven: a

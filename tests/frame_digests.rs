@@ -28,14 +28,16 @@
 use datacomp::codecs::dict::{train, Dictionary};
 use datacomp::codecs::lz4x::Lz4x;
 use datacomp::codecs::parallel::compress_parallel;
-use datacomp::codecs::stream::{compress_stream, decompress_stream};
 use datacomp::codecs::xxhash::Xxh64;
 use datacomp::codecs::zlibx::Zlibx;
 use datacomp::codecs::zstdx::Zstdx;
-use datacomp::codecs::{Compressor, StreamPolicy};
+use datacomp::codecs::{Compressor, DecodeLimits, StreamPolicy};
 use datacomp::corpus::cache::{cache1_profile, generate_items};
 use datacomp::corpus::orc::generate_blocks;
 use datacomp::corpus::sst::generate_sst;
+
+#[path = "common/streaming.rs"]
+mod streaming;
 
 const SEED: u64 = 20823;
 const LEVELS: [i32; 4] = [1, 3, 7, 13];
@@ -191,14 +193,17 @@ fn writer_rows(write: impl Fn(i32, &[u8]) -> Vec<u8>) -> Vec<(String, u64)> {
     got
 }
 
-/// Streaming frames (`compress_stream`), pinned on the commit before
-/// the streaming writer began sharing the block writer of the sized
-/// frames: the refactor had to leave them byte-identical.
+/// Streaming frames, pinned from the streaming writer on the commit
+/// before it began sharing the block writer of the sized frames. The
+/// writer is gone; its frames now come from the test-side model
+/// (`tests/common/streaming.rs`), which must reproduce every pin, and
+/// decode through both slice engines.
 #[test]
 fn streaming_frames_are_byte_identical_to_the_pinned_parent() {
     let got = writer_rows(|level, p| {
-        let f = compress_stream(p, level);
-        assert_eq!(decompress_stream(&f).unwrap(), p);
+        let f = streaming::streaming_frame(p, level);
+        let reference = Zstdx::new(level).decompress_reference(&f, &DecodeLimits::default());
+        assert_eq!(reference.unwrap(), p);
         f
     });
     check("streaming frame", &got, &STREAM);
