@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod codes;
+mod container;
 pub mod dict;
 pub mod lz4x;
 pub mod metrics;
@@ -42,6 +43,7 @@ pub mod xxhash;
 pub mod zlibx;
 pub mod zstdx;
 
+pub use container::FrameHeader;
 pub use dict::Dictionary;
 pub use metrics::{measure, measure_blocks, CompressionMetrics};
 
@@ -249,37 +251,6 @@ pub(crate) fn initial_capacity(declared: usize, src_len: usize, limits: &DecodeL
     declared
         .min(limits.max_output)
         .min(src_len.saturating_mul(512).saturating_add(4096))
-}
-
-/// Reads a frame's declared content size and checks it, in the order
-/// every codec's header checks it: implausible sizes first, then the
-/// caller's budget.
-///
-/// # Errors
-///
-/// The varint's [`CodecError`], [`CodecError::BadFrame`] above
-/// [`MAX_CONTENT_SIZE`], then [`CodecError::LimitExceeded`].
-pub(crate) fn read_content_size(c: &mut varint::Cursor, limits: &DecodeLimits) -> Result<usize> {
-    let content = c.read_varint()? as usize;
-    if content > MAX_CONTENT_SIZE {
-        return Err(CodecError::BadFrame("content size implausible"));
-    }
-    limits.check_output(content)?;
-    Ok(content)
-}
-
-/// Compares a frame's stored content checksum with that of the decoded
-/// `content`.
-///
-/// # Errors
-///
-/// [`CodecError::ChecksumMismatch`] when they differ.
-pub(crate) fn verify_checksum(expected: u32, content: &[u8]) -> Result<()> {
-    let got = xxhash::content_checksum(content);
-    if expected != got {
-        return Err(CodecError::ChecksumMismatch { expected, got });
-    }
-    Ok(())
 }
 
 /// Appends `len` bytes copied from `offset` back in `out` — the LZ match
@@ -579,7 +550,7 @@ impl Algorithm {
     /// Instantiates a compressor at `level` with content checksums
     /// enabled, so decoders detect payload corruption that preserves
     /// valid framing. Zstdx frames carry a checksum by default; lz4x and
-    /// zlibx opt in here via their checksummed frame magic.
+    /// zlibx opt in here via their frame's checksum bit.
     pub fn compressor_checked(&self, level: i32) -> Box<dyn Compressor> {
         let level = level.clamp(*self.levels().start(), *self.levels().end());
         match self {

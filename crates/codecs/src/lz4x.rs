@@ -17,16 +17,10 @@ use std::time::Instant;
 
 use lzkit::{MatchParams, ParsedBlock, Strategy};
 
-use crate::varint::{write_varint, Cursor};
-use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result};
+use crate::container;
+use crate::varint::Cursor;
+use crate::{Algorithm, Compressor, DecodeLimits, Result};
 
-/// Frame magic ("X4").
-const MAGIC: [u8; 2] = [0x58, 0x34];
-/// Frame magic of a checksummed frame ("X4" with the high bit of the
-/// second byte set): a 4-byte XXH64 content checksum trails the body.
-/// Plain-magic frames keep decoding unchanged — the checksum is opt-in
-/// and backward compatible.
-const MAGIC_CK: [u8; 2] = [0x58, 0xb4];
 /// Format minimum match length (as in LZ4).
 const MIN_MATCH: u32 = 4;
 /// Offsets are encoded in 2 bytes.
@@ -52,8 +46,8 @@ impl Lz4x {
     }
 
     /// Builder-style checksum toggle (`false` by default, matching LZ4's
-    /// checksum-free block format). Checksummed frames carry a distinct
-    /// magic plus a trailing XXH64 content checksum; frames written
+    /// checksum-free block format). Checksummed frames set the header's
+    /// checksum bit and end in an XXH64 content checksum; frames written
     /// either way decode everywhere.
     pub fn with_checksum(mut self, checksum: bool) -> Self {
         self.checksum = checksum;
@@ -86,50 +80,23 @@ impl Lz4x {
     ) -> Result<Vec<u8>> {
         let start = Instant::now();
         let mut c = Cursor::new(src);
-        let has_checksum = match c.read_slice(2)? {
-            m if m == MAGIC => false,
-            m if m == MAGIC_CK => true,
-            _ => return Err(CodecError::BadFrame("lz4x magic mismatch")),
-        };
-        let content = crate::read_content_size(&mut c, limits)?;
-        let header = c.position();
-        let mut body = c.read_slice_remaining()?;
-        let mut want = 0u32;
-        if has_checksum {
-            let n = body
-                .len()
-                .checked_sub(4)
-                .ok_or(CodecError::Truncated("lz4x checksum trailer"))?;
-            let (rest, trailer) = body.split_at(n);
-            body = rest;
-            want = u32::from_le_bytes(
-                trailer
-                    .try_into()
-                    .map_err(|_| CodecError::Truncated("lz4x checksum trailer"))?,
-            );
-        }
-        let mut c = Cursor::new(body);
+        let header = container::read_header(Algorithm::Lz4x, &mut c, limits)?;
+        let content = header.content;
         let mut out = Vec::with_capacity(crate::initial_capacity(content, src.len(), limits));
         while out.len() < content {
             let token = c.read_u8()?;
             let ll = read_ext_len(&mut c, (token >> 4) as u32)? as usize;
             out.extend_from_slice(c.read_slice(ll)?);
-            if c.remaining() == 0 {
+            if out.len() == content {
                 break; // literals-only tail
             }
             let offset = c.read_u16()? as usize;
             let ml = read_ext_len(&mut c, (token & 0x0f) as u32)? as usize + MIN_MATCH as usize;
             if offset == 0 || offset > out.len() {
-                return Err(CodecError::corrupt(
-                    "lz4x offset out of range",
-                    header + c.position(),
-                ));
+                return Err(c.corrupt("lz4x offset out of range"));
             }
             if out.len() + ml > content {
-                return Err(CodecError::corrupt(
-                    "lz4x match overruns content",
-                    header + c.position(),
-                ));
+                return Err(c.corrupt("lz4x match overruns content"));
             }
             // Offset and length were validated against `out` and
             // `content` just above — the region the copy touches is
@@ -140,15 +107,7 @@ impl Lz4x {
                 crate::lz_copy_checked(&mut out, offset, ml);
             }
         }
-        if out.len() != content {
-            return Err(CodecError::corrupt(
-                "lz4x decoded length mismatch",
-                header + c.position(),
-            ));
-        }
-        if has_checksum {
-            crate::verify_checksum(want, &out)?;
-        }
+        header.finish(&mut c, &out)?;
         crate::obs::record_decompress(Algorithm::Lz4x, self.level, out.len(), start);
         Ok(out)
     }
@@ -234,8 +193,8 @@ fn encode_block(block: &ParsedBlock, out: &mut Vec<u8>) {
             write_ext_len(out, ml);
         }
     }
-    // Tail literals: token with zero match nibble, terminated by end of
-    // input (as in LZ4, the last sequence is literals-only).
+    // Tail literals: token with zero match nibble and no offset, ended
+    // by the content size (as in LZ4, the last sequence is literals-only).
     let tail = &lits[lit_pos..];
     if !tail.is_empty() {
         let ll = tail.len() as u32;
@@ -258,20 +217,17 @@ impl Compressor for Lz4x {
 
     fn compress(&self, src: &[u8]) -> Vec<u8> {
         let start = Instant::now();
-        let mut out = Vec::with_capacity(src.len() / 2 + 16);
-        out.extend_from_slice(if self.checksum { &MAGIC_CK } else { &MAGIC });
-        write_varint(&mut out, src.len() as u64);
         static MATCH_FIND: telemetry::Stage = telemetry::Stage::new("lz4x.match_find");
         static ENCODE: telemetry::Stage = telemetry::Stage::new("lz4x.encode");
-        let mf_start = Instant::now();
-        let block = lzkit::parse(src, 0, &self.params);
-        MATCH_FIND.record(mf_start, mf_start.elapsed());
-        let enc_start = Instant::now();
-        encode_block(&block, &mut out);
-        ENCODE.record(enc_start, enc_start.elapsed());
-        if self.checksum {
-            out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
-        }
+        let out = container::write_frame(Algorithm::Lz4x, src, self.checksum, None, |out| {
+            let mf_start = Instant::now();
+            let block = lzkit::parse(src, 0, &self.params);
+            MATCH_FIND.record(mf_start, mf_start.elapsed());
+            let enc_start = Instant::now();
+            encode_block(&block, out);
+            ENCODE.record(enc_start, enc_start.elapsed());
+            false
+        });
         crate::obs::record_compress(Algorithm::Lz4x, self.level, src.len(), out.len(), start);
         out
     }
@@ -284,6 +240,7 @@ impl Compressor for Lz4x {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodecError;
 
     fn sample() -> Vec<u8> {
         (0..400u32)
@@ -351,8 +308,8 @@ mod tests {
         assert!(c.decompress(b"").is_err());
         assert!(c.decompress(b"zz\x05hello").is_err());
         // Valid magic, bogus offset.
-        let mut frame = MAGIC.to_vec();
-        write_varint(&mut frame, 20);
+        let mut frame = b"X4".to_vec();
+        crate::varint::write_varint(&mut frame, 20);
         frame.push(0x14); // 1 literal, match len 8
         frame.push(b'a');
         frame.extend_from_slice(&500u16.to_le_bytes()); // offset 500 > out

@@ -4,8 +4,8 @@
 //! threads; blocks do not back-reference earlier blocks, trading a
 //! little ratio (no cross-block matches) for near-linear speedup. Each
 //! worker runs the codec's own block writer, with all of its settings
-//! (checksum, repeat offsets, stream policy), and the codec writes the
-//! frame around the blocks, so the output is the frame the serial
+//! (checksum, repeat offsets, stream policy), and the frame container
+//! writes the frame around the blocks, so the output is the frame the serial
 //! writer would produce for the same blocks; on one block, it is that
 //! frame byte for byte.
 //!
@@ -14,6 +14,7 @@
 //! introduced here is exactly what parallel hardware engines need too.
 
 use crate::zstdx::{Zstdx, BLOCK_SIZE};
+use crate::{container, Algorithm};
 
 /// Compresses `src` with `threads` workers into a standard zstdx frame.
 ///
@@ -54,18 +55,18 @@ pub fn compress_parallel(codec: &Zstdx, src: &[u8], threads: usize) -> crate::Re
             .flat_map(|h| h.join().expect("compression workers do not panic"))
             .collect()
     });
-    Ok(codec.write_frame(src, None, |out| {
+    let frame = container::write_frame(Algorithm::Zstdx, src, codec.checksum, None, |out| {
         encoded.iter().fold(false, |any_v4, (b, v4)| {
             out.extend_from_slice(b);
             any_v4 | v4
         })
-    }))
+    });
+    Ok(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zstdx::{FLAG_CHECKSUM, MAGIC};
     use crate::Compressor;
 
     fn sample(n: usize) -> Vec<u8> {
@@ -86,7 +87,7 @@ mod tests {
         ] {
             for threads in [1, 2, 4, 7] {
                 let frame = compress_parallel(&z, &data, threads).unwrap();
-                assert!(!v4 || frame[4] & crate::zstdx::FLAG_V4 != 0);
+                assert!(!v4 || Algorithm::Zstdx.frame_header(&frame).unwrap().v4);
                 assert_eq!(z.decompress(&frame).unwrap(), data, "threads={threads}");
             }
         }
@@ -201,9 +202,9 @@ mod tests {
         let frame = compress_parallel(&z, &[], 4).unwrap();
         assert_eq!(z.decompress(&frame).unwrap(), Vec::<u8>::new());
         // And it matches what the serial compressor-independent layout
-        // promises: magic, checksum flag, zero content size, checksum.
-        assert_eq!(&frame[..4], &MAGIC);
-        assert_eq!(frame[4], FLAG_CHECKSUM);
-        assert_eq!(frame[5], 0);
+        // promises: a checksummed header of zero content size.
+        let header = Algorithm::Zstdx.frame_header(&frame).unwrap();
+        assert!(header.checksum && !header.v4 && header.content == 0);
+        assert_eq!(frame.len(), 4 + 1 + 1 + 4, "magic, flags, size, checksum");
     }
 }

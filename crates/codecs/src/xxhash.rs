@@ -1,8 +1,8 @@
 //! XXH64 — the non-cryptographic checksum zstd frames carry.
 //!
-//! Implemented from the xxHash specification; `zstdx` appends the low 32
-//! bits of the content digest to each frame (as real zstd does) so
-//! decoders detect corruption that happens to parse.
+//! Implemented from the xxHash specification; a checksummed frame of any
+//! codec ends in the low 32 bits of the content digest (as real zstd
+//! frames do) so decoders detect corruption that happens to parse.
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -22,8 +22,8 @@ fn merge_round(h: u64, v: u64) -> u64 {
     (h ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-// indexing_slicing: every caller checks `b.len() >= 8` first (loop
-// conditions in `xxh64`/`digest`, 32-byte stripes in `consume_stripe`).
+// indexing_slicing: every caller checks `b.len() >= 8` first (the loop
+// conditions in `xxh64`).
 #[allow(clippy::indexing_slicing)]
 #[inline]
 fn read_u64(b: &[u8]) -> u64 {
@@ -105,138 +105,6 @@ pub fn content_checksum(data: &[u8]) -> u32 {
     xxh64(data, 0) as u32
 }
 
-/// Incremental XXH64 state, for content that arrives in pieces (the
-/// managed reservoir's digests, for one).
-///
-/// # Example
-///
-/// ```
-/// use codecs::xxhash::{xxh64, Xxh64};
-///
-/// let mut h = Xxh64::new(0);
-/// h.update(b"hello ");
-/// h.update(b"world");
-/// assert_eq!(h.digest(), xxh64(b"hello world", 0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Xxh64 {
-    seed: u64,
-    v: [u64; 4],
-    /// Partial stripe awaiting 32 bytes.
-    buf: [u8; 32],
-    buf_len: usize,
-    total_len: u64,
-}
-
-impl Xxh64 {
-    /// Starts a new digest with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            v: [
-                seed.wrapping_add(P1).wrapping_add(P2),
-                seed.wrapping_add(P2),
-                seed,
-                seed.wrapping_sub(P1),
-            ],
-            buf: [0; 32],
-            buf_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Feeds more content.
-    // indexing_slicing: `take = min(data.len(), 32 - buf_len)`, so the
-    // `buf` copy stays inside the 32-byte stripe buffer and `data[take..]`
-    // is in-bounds; the final tail copy is `< 32` bytes because the
-    // preceding loop drained every full stripe.
-    #[allow(clippy::indexing_slicing)]
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len += data.len() as u64;
-        // Top up a partial stripe first.
-        if self.buf_len > 0 {
-            let take = data.len().min(32 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 32 {
-                let stripe = self.buf;
-                self.consume_stripe(&stripe);
-                self.buf_len = 0;
-            } else {
-                // Data exhausted before completing the stripe.
-                return;
-            }
-        }
-        while data.len() >= 32 {
-            let (stripe, rest) = data.split_at(32);
-            let stripe: [u8; 32] = stripe.try_into().expect("32 bytes");
-            self.consume_stripe(&stripe);
-            data = rest;
-        }
-        self.buf[..data.len()].copy_from_slice(data);
-        self.buf_len = data.len();
-    }
-
-    fn consume_stripe(&mut self, stripe: &[u8; 32]) {
-        self.v[0] = round(self.v[0], read_u64(&stripe[0..]));
-        self.v[1] = round(self.v[1], read_u64(&stripe[8..]));
-        self.v[2] = round(self.v[2], read_u64(&stripe[16..]));
-        self.v[3] = round(self.v[3], read_u64(&stripe[24..]));
-    }
-
-    /// Finishes and returns the digest (the state stays reusable for
-    /// further updates, matching `XXH64_digest` semantics).
-    // indexing_slicing: `buf_len <= 32` is the struct invariant
-    // (`update` resets it whenever it reaches 32), and the `rest[k..]`
-    // advances sit behind `rest.len() >= 8/4` conditions.
-    #[allow(clippy::indexing_slicing)]
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = if self.total_len >= 32 {
-            let mut h = self.v[0]
-                .rotate_left(1)
-                .wrapping_add(self.v[1].rotate_left(7))
-                .wrapping_add(self.v[2].rotate_left(12))
-                .wrapping_add(self.v[3].rotate_left(18));
-            for &v in &self.v {
-                h = merge_round(h, v);
-            }
-            h
-        } else {
-            self.seed.wrapping_add(P5)
-        };
-        h = h.wrapping_add(self.total_len);
-
-        let mut rest = &self.buf[..self.buf_len];
-        while rest.len() >= 8 {
-            h = (h ^ round(0, read_u64(rest)))
-                .rotate_left(27)
-                .wrapping_mul(P1)
-                .wrapping_add(P4);
-            rest = &rest[8..];
-        }
-        if rest.len() >= 4 {
-            h = (h ^ u64::from(read_u32(rest)).wrapping_mul(P1))
-                .rotate_left(23)
-                .wrapping_mul(P2)
-                .wrapping_add(P3);
-            rest = &rest[4..];
-        }
-        for &b in rest {
-            h = (h ^ u64::from(b).wrapping_mul(P5))
-                .rotate_left(11)
-                .wrapping_mul(P1);
-        }
-
-        h ^= h >> 33;
-        h = h.wrapping_mul(P2);
-        h ^= h >> 29;
-        h = h.wrapping_mul(P3);
-        h ^= h >> 32;
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,24 +129,6 @@ mod tests {
         for n in [0usize, 1, 3, 4, 7, 8, 15, 31, 32, 33, 63, 64, 100] {
             assert!(digests.insert(xxh64(&data[..n], 0)), "collision at len {n}");
         }
-    }
-
-    #[test]
-    fn streaming_matches_oneshot_for_any_split() {
-        let data: Vec<u8> = (0..500u32).flat_map(|i| i.to_le_bytes()).collect();
-        let expect = xxh64(&data, 7);
-        for chunk in [1usize, 3, 7, 31, 32, 33, 100, 2000] {
-            let mut h = Xxh64::new(7);
-            for c in data.chunks(chunk) {
-                h.update(c);
-            }
-            assert_eq!(h.digest(), expect, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn streaming_empty_matches() {
-        assert_eq!(Xxh64::new(0).digest(), xxh64(b"", 0));
     }
 
     #[test]

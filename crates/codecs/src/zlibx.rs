@@ -17,24 +17,10 @@ use lzkit::{MatchParams, Strategy};
 use crate::codes::{
     ml_code, ml_extra, of_code, of_extra, read_nibble_lengths, write_nibble_lengths,
 };
+use crate::container;
 use crate::varint::{write_varint, Cursor};
-use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
+use crate::{Algorithm, Compressor, DecodeLimits, Result, StreamPolicy};
 
-/// Frame magic ("XZ").
-const MAGIC: [u8; 2] = [0x58, 0x5a];
-/// Frame magic of a checksummed frame ("XZ" with the high bit of the
-/// second byte set): a 4-byte XXH64 content checksum trails the blocks.
-/// Plain-magic frames keep decoding unchanged — the checksum is opt-in
-/// and backward compatible.
-const MAGIC_CK: [u8; 2] = [0x58, 0xda];
-/// Version bit in the second magic byte: the frame may contain type-2
-/// (four-substream) blocks. Composes with the checksum bit, so the
-/// second byte is one of `0x5a | {0x80} | {0x01}`. Old frames (bit
-/// clear) decode unchanged; type-2 blocks without the bit are rejected.
-const MAGIC_V4_BIT: u8 = 0x01;
-/// Bits of the second magic byte that carry frame options rather than
-/// identity.
-const MAGIC_FLAG_MASK: u8 = 0x80 | MAGIC_V4_BIT;
 /// DEFLATE-style window: 32 KiB.
 const WINDOW_LOG: u32 = 15;
 /// Format minimum match length (as in DEFLATE).
@@ -75,8 +61,8 @@ impl Zlibx {
     }
 
     /// Builder-style checksum toggle (`false` by default, matching
-    /// zlib's raw-deflate mode). Checksummed frames carry a distinct
-    /// magic plus a trailing XXH64 content checksum; frames written
+    /// zlib's raw-deflate mode). Checksummed frames set the header's
+    /// checksum bit and end in an XXH64 content checksum; frames written
     /// either way decode everywhere.
     pub fn with_checksum(mut self, checksum: bool) -> Self {
         self.checksum = checksum;
@@ -119,13 +105,8 @@ impl Zlibx {
     ) -> Result<Vec<u8>> {
         let begin = Instant::now();
         let mut c = Cursor::new(src);
-        let (has_checksum, v4) = match c.read_slice(2)? {
-            [b0, b1] if *b0 == MAGIC[0] && b1 & !MAGIC_FLAG_MASK == MAGIC[1] => {
-                (b1 & 0x80 != 0, b1 & MAGIC_V4_BIT != 0)
-            }
-            _ => return Err(CodecError::BadFrame("zlibx magic mismatch")),
-        };
-        let content = crate::read_content_size(&mut c, limits)?;
+        let header = container::read_header(Algorithm::Zlibx, &mut c, limits)?;
+        let content = header.content;
         let mut out = Vec::with_capacity(crate::initial_capacity(content, src.len(), limits));
         while out.len() < content {
             let decoded_len = c.read_varint()? as usize;
@@ -142,7 +123,7 @@ impl Zlibx {
                     decode_block::<FAST>(&mut bc, &mut out, decoded_len)
                         .map_err(|e| e.rebase(body_at))?;
                 }
-                2 if v4 => {
+                2 if header.v4 => {
                     let body_len = c.read_varint()? as usize;
                     let body_at = c.position();
                     let body = c.read_slice(body_len)?;
@@ -153,9 +134,7 @@ impl Zlibx {
                 _ => return Err(c.corrupt("zlibx bad block type")),
             }
         }
-        if has_checksum {
-            crate::verify_checksum(c.read_u32()?, &out)?;
-        }
+        header.finish(&mut c, &out)?;
         crate::obs::record_decompress(Algorithm::Zlibx, self.level, out.len(), begin);
         Ok(out)
     }
@@ -732,51 +711,42 @@ impl Compressor for Zlibx {
     #[allow(clippy::indexing_slicing)]
     fn compress(&self, src: &[u8]) -> Vec<u8> {
         let begin = Instant::now();
-        let mut out = Vec::with_capacity(src.len() / 2 + 32);
-        out.extend_from_slice(if self.checksum { &MAGIC_CK } else { &MAGIC });
-        write_varint(&mut out, src.len() as u64);
-        let mut start = 0usize;
-        let mut any_v4 = false;
-        while start < src.len() {
-            let end = (start + BLOCK_SIZE).min(src.len());
-            let mut four = false;
-            let encoded = self.params.as_ref().and_then(|p| {
-                let block = parse_block(src, start, end, p);
-                let data = &src[start..end];
-                four = match self.streams {
-                    StreamPolicy::Single => false,
-                    StreamPolicy::Auto => auto_quad(&block, end - start),
-                };
-                if four {
-                    encode_block4(data, &block)
-                } else {
-                    encode_block(data, &block)
+        let out = container::write_frame(Algorithm::Zlibx, src, self.checksum, None, |out| {
+            let mut any_v4 = false;
+            let mut start = 0usize;
+            while start < src.len() {
+                let end = (start + BLOCK_SIZE).min(src.len());
+                let mut four = false;
+                let encoded = self.params.as_ref().and_then(|p| {
+                    let block = parse_block(src, start, end, p);
+                    let data = &src[start..end];
+                    four = match self.streams {
+                        StreamPolicy::Single => false,
+                        StreamPolicy::Auto => auto_quad(&block, end - start),
+                    };
+                    if four {
+                        encode_block4(data, &block)
+                    } else {
+                        encode_block(data, &block)
+                    }
+                });
+                write_varint(out, (end - start) as u64);
+                match encoded {
+                    Some(body) => {
+                        out.push(if four { 2 } else { 1 });
+                        any_v4 |= four;
+                        write_varint(out, body.len() as u64);
+                        out.extend_from_slice(&body);
+                    }
+                    None => {
+                        out.push(0);
+                        out.extend_from_slice(&src[start..end]);
+                    }
                 }
-            });
-            write_varint(&mut out, (end - start) as u64);
-            match encoded {
-                Some(body) => {
-                    out.push(if four { 2 } else { 1 });
-                    any_v4 |= four;
-                    write_varint(&mut out, body.len() as u64);
-                    out.extend_from_slice(&body);
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&src[start..end]);
-                }
+                start = end;
             }
-            start = end;
-        }
-        // Patch the version bit only when a type-2 block was actually
-        // written, so sub-threshold frames stay byte-identical to the
-        // legacy encoder's output.
-        if any_v4 {
-            out[1] |= MAGIC_V4_BIT;
-        }
-        if self.checksum {
-            out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
-        }
+            any_v4
+        });
         crate::obs::record_compress(Algorithm::Zlibx, self.level, src.len(), out.len(), begin);
         out
     }
@@ -789,6 +759,7 @@ impl Compressor for Zlibx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodecError;
 
     fn sample() -> Vec<u8> {
         (0..900u32)
@@ -927,6 +898,10 @@ mod tests {
 mod multi_stream_tests {
     use super::*;
 
+    fn is_v4(frame: &[u8]) -> bool {
+        Algorithm::Zlibx.frame_header(frame).unwrap().v4
+    }
+
     fn sample(n: usize) -> Vec<u8> {
         (0..n / 30 + 1)
             .flat_map(|i| format!("<row id='{}'><v>{}</v></row>", i % 61, i % 13).into_bytes())
@@ -966,11 +941,7 @@ mod multi_stream_tests {
         let data = noise(120_000);
         let c = Zlibx::new(6);
         let enc = c.compress(&data);
-        assert_ne!(
-            enc[1] & MAGIC_V4_BIT,
-            0,
-            "literal-heavy block should go type-2"
-        );
+        assert!(is_v4(&enc), "literal-heavy block should go type-2");
         assert_eq!(c.decompress(&enc).unwrap(), data);
         assert_eq!(
             c.decompress_reference(&enc, &DecodeLimits::default())
@@ -987,11 +958,7 @@ mod multi_stream_tests {
         let data = sample(120_000);
         let c = Zlibx::new(6);
         let enc = c.compress(&data);
-        assert_eq!(
-            enc[1] & MAGIC_V4_BIT,
-            0,
-            "match-heavy block must stay single"
-        );
+        assert!(!is_v4(&enc), "match-heavy block must stay single");
         let single = Zlibx::new(6)
             .with_stream_policy(StreamPolicy::Single)
             .compress(&data);
@@ -1003,7 +970,7 @@ mod multi_stream_tests {
         let data = sample(120_000);
         let c = Zlibx::new(6).with_stream_policy(StreamPolicy::Single);
         let enc = c.compress(&data);
-        assert_eq!(enc[1], MAGIC[1]);
+        assert_eq!(enc[..2], *b"XZ");
         assert_eq!(c.decompress(&enc).unwrap(), data);
     }
 
@@ -1015,7 +982,7 @@ mod multi_stream_tests {
             .with_stream_policy(StreamPolicy::Single)
             .compress(&data);
         assert_eq!(auto, single);
-        assert_eq!(auto[1], MAGIC[1]);
+        assert_eq!(auto[..2], *b"XZ");
     }
 
     #[test]
@@ -1025,7 +992,7 @@ mod multi_stream_tests {
             for n in [AUTO_SPLIT, AUTO_SPLIT + 1, 40_000, 70_000, 200_000] {
                 let data = lit_heavy(n);
                 let enc = c.compress(&data);
-                assert_ne!(enc[1] & MAGIC_V4_BIT, 0, "level {level} n {n} must be v4");
+                assert!(is_v4(&enc), "level {level} n {n} must be v4");
                 assert_eq!(c.decompress(&enc).unwrap(), data, "level {level} n {n}");
                 assert_eq!(
                     c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1054,7 +1021,7 @@ mod multi_stream_tests {
         data.truncate(180_000);
         let c = Zlibx::new(9);
         let enc = c.compress(&data);
-        assert_ne!(enc[1] & MAGIC_V4_BIT, 0, "must be v4");
+        assert!(is_v4(&enc), "must be v4");
         assert_eq!(c.decompress(&enc).unwrap(), data);
         assert_eq!(
             c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1063,19 +1030,17 @@ mod multi_stream_tests {
         );
     }
 
+    /// A plain frame, so the v4 gate rejects it, not the checksum.
     #[test]
     fn type2_blocks_without_version_bit_are_rejected() {
-        let data = lit_heavy(120_000);
         let c = Zlibx::new(6);
-        let mut enc = c.compress(&data);
-        assert_ne!(enc[1] & MAGIC_V4_BIT, 0);
-        enc[1] &= !MAGIC_V4_BIT;
+        let mut enc = c.compress(&lit_heavy(120_000));
+        assert!(is_v4(&enc));
+        enc[1] ^= 0x01;
+        assert!(!is_v4(&enc), "0x01 is the v4 bit");
         assert!(c.decompress(&enc).is_err(), "fast engine must reject");
-        assert!(
-            c.decompress_reference(&enc, &DecodeLimits::default())
-                .is_err(),
-            "reference engine must reject"
-        );
+        let reference = c.decompress_reference(&enc, &DecodeLimits::default());
+        assert!(reference.is_err(), "reference engine must reject");
     }
 
     #[test]
@@ -1083,7 +1048,7 @@ mod multi_stream_tests {
         let data = lit_heavy(AUTO_SPLIT + 1000);
         let c = Zlibx::new(6);
         let enc = c.compress(&data);
-        assert_ne!(enc[1] & MAGIC_V4_BIT, 0);
+        assert!(is_v4(&enc));
         for cut in 0..enc.len() {
             let fast = c.decompress(&enc[..cut]);
             let reference = c.decompress_reference(&enc[..cut], &DecodeLimits::default());
@@ -1106,7 +1071,8 @@ mod multi_stream_tests {
         let data = noise(150_000);
         let c = Zlibx::new(5).with_checksum(true);
         let enc = c.compress(&data);
-        assert_eq!(enc[1], MAGIC_CK[1] | MAGIC_V4_BIT);
+        let header = Algorithm::Zlibx.frame_header(&enc).unwrap();
+        assert!(header.checksum && header.v4);
         assert_eq!(c.decompress(&enc).unwrap(), data);
     }
 }

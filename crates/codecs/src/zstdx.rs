@@ -35,36 +35,23 @@ use crate::codes::{
     predefined_of, read_nibble_lengths, write_nibble_lengths, RepHistory, MAX_LL_CODE, MAX_ML_CODE,
     OF_ALPHABET, OF_REP_BASE,
 };
+use crate::container::{self, FrameHeader};
 use crate::dict::Dictionary;
 use crate::timing::StageTiming;
 use crate::varint::{write_varint, Cursor};
 use crate::{Algorithm, CodecError, Compressor, DecodeLimits, Result, StreamPolicy};
 
-/// Frame magic ("ZSXD").
-pub(crate) const MAGIC: [u8; 4] = [0x5a, 0x53, 0x58, 0x44];
 /// Maximum decoded bytes per block (as in zstd).
 pub const BLOCK_SIZE: usize = 128 * 1024;
 /// Format minimum match length.
 const MIN_MATCH: u32 = 3;
 
-/// Frame flag: a 4-byte XXH64 content checksum trails the blocks.
-pub(crate) const FLAG_CHECKSUM: u8 = 2;
-/// Frame flag: no content size; blocks carry a last-block marker
-/// instead. No writer emits these *streaming frames*; they are read so
-/// that frames written by earlier versions still decode.
-const FLAG_STREAMING: u8 = 4;
-/// Frame flag: at least one block uses the v4 multi-stream entropy
-/// layout ([`LIT_HUFFMAN4`] literals). Old decoders reject such frames
-/// up front instead of tripping over an unknown literal mode
-/// mid-stream; frames without the flag are byte-identical to pre-v4
-/// encoders' output.
-pub(crate) const FLAG_V4: u8 = 8;
-
 const BLOCK_RAW: u8 = 0;
 const BLOCK_RLE: u8 = 1;
 const BLOCK_COMPRESSED: u8 = 2;
 /// Block-type bit marking the final block of a streaming frame (read
-/// side only).
+/// side only: no writer emits streaming frames; frames of earlier
+/// writers still decode).
 const BLOCK_LAST: u8 = 0x80;
 
 const LIT_RAW: u8 = 0;
@@ -88,7 +75,7 @@ const MODES_RESERVED: u8 = 0xc0;
 pub struct Zstdx {
     level: i32,
     params: MatchParams,
-    checksum: bool,
+    pub(crate) checksum: bool,
     rep_offsets: bool,
     streams: StreamPolicy,
 }
@@ -177,18 +164,6 @@ impl Zstdx {
         )
     }
 
-    /// Whether `frame` is a zstdx frame declaring a trailing content
-    /// checksum. Callers that retry a dictionary miss with *rebound*
-    /// dictionary content (same bytes, different id) use the checksum
-    /// as the correctness guard, so only checksummed frames are
-    /// eligible for that fan-out.
-    pub fn frame_has_checksum(frame: &[u8]) -> bool {
-        frame.get(..MAGIC.len()).is_some_and(|m| m == MAGIC)
-            && frame
-                .get(MAGIC.len())
-                .is_some_and(|f| f & FLAG_CHECKSUM != 0)
-    }
-
     /// Compresses `src`, with `dict` as history, timing the stages into
     /// `timing` when given, and records the call.
     fn compress_impl(
@@ -204,7 +179,8 @@ impl Zstdx {
             Cow::Owned([d.as_bytes(), src].concat())
         });
         let base = dict.map_or(0, Dictionary::len);
-        let out = self.write_frame(src, dict, |out| {
+        let dict_id = dict.map(Dictionary::id);
+        let out = container::write_frame(Algorithm::Zstdx, src, self.checksum, dict_id, |out| {
             let mut any_v4 = false;
             for start in (base..buf.len()).step_by(BLOCK_SIZE) {
                 let end = (start + BLOCK_SIZE).min(buf.len());
@@ -229,40 +205,11 @@ impl Zstdx {
         out
     }
 
-    /// Writes the sized frame of `src` around the blocks that `blocks`
-    /// appends; `blocks` returns whether any of them uses the v4 layout.
-    pub(crate) fn write_frame(
-        &self,
-        src: &[u8],
-        dict: Option<&Dictionary>,
-        blocks: impl FnOnce(&mut Vec<u8>) -> bool,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(src.len() / 2 + 32);
-        out.extend_from_slice(&MAGIC);
-        out.push(u8::from(dict.is_some()) | if self.checksum { FLAG_CHECKSUM } else { 0 });
-        write_varint(&mut out, src.len() as u64);
-        if let Some(d) = dict {
-            out.extend_from_slice(&d.id().to_le_bytes());
-        }
-        // The flag byte is patched after the fact: only frames that
-        // actually contain a v4 block advertise the format, so
-        // sub-threshold output stays byte-identical to older encoders.
-        if blocks(&mut out) {
-            if let Some(f) = out.get_mut(MAGIC.len()) {
-                *f |= FLAG_V4;
-            }
-        }
-        if self.checksum {
-            out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
-        }
-        out
-    }
-
     /// Compresses `buf[start..]`, with `buf[..start]` as history, into one
     /// block: raw, RLE or compressed, whichever is smallest. `prefix` is
     /// an optional prepared index over the head of `buf` for the match
     /// finder to attach. Returns whether the block uses the v4 layout
-    /// (its frame header must then carry [`FLAG_V4`]).
+    /// (its frame header must then carry the v4 bit).
     // indexing_slicing: encode side — `start <= buf.len()` is the frame
     // writers' block-split invariant, and `data[0]` and `data[..1]` sit
     // behind the `data.len() >= 2` RLE check.
@@ -360,91 +307,56 @@ impl Zstdx {
         limits: &DecodeLimits,
     ) -> Result<Vec<u8>> {
         let mut c = Cursor::new(src);
-        let mut frame = Frame::read(&mut c, dict.map(Dictionary::id), *limits)?;
+        let header = container::read_header(Algorithm::Zstdx, &mut c, limits)?;
+        if let Some(expected) = header.dict_id {
+            let got = dict.map(Dictionary::id);
+            if got != Some(expected) {
+                return Err(CodecError::UnknownDictVersion { expected, got });
+            }
+        }
         let base = dict.map_or(0, |d| d.as_bytes().len());
-        let declared = frame.content.unwrap_or(0);
         let mut out =
-            Vec::with_capacity(base + crate::initial_capacity(declared, src.len(), limits));
+            Vec::with_capacity(base + crate::initial_capacity(header.content, src.len(), limits));
         if let Some(d) = dict {
             out.extend_from_slice(d.as_bytes());
         }
-        while frame.read_block::<FAST>(&mut c, &mut out)? {}
-        frame.check_trailer(&mut c, out.get(base..).unwrap_or(&[]))?;
+        read_blocks::<FAST>(&header, limits, &mut c, &mut out)?;
+        header.finish(&mut c, out.get(base..).unwrap_or(&[]))?;
         out.drain(..base);
         Ok(out)
     }
 }
 
-/// A frame being decoded: what its header declares, and how far its
-/// blocks have got. The one parser of the zstdx frame grammar, shared
-/// by the fast and the reference decode engines.
-pub(crate) struct Frame {
-    /// Declared content size; `None` for a streaming frame.
-    content: Option<usize>,
-    checksum: bool,
-    v4: bool,
-    limits: DecodeLimits,
-    /// Content bytes the blocks read so far declare.
-    produced: usize,
-    /// Whether the last block read carried [`BLOCK_LAST`].
-    last: bool,
-}
-
-impl Frame {
-    /// Reads a frame header and checks it: the magic, the declared
-    /// content size against `limits`, and the dictionary id against
-    /// `dict_id`, the id of the dictionary the caller holds.
-    pub(crate) fn read(c: &mut Cursor, dict_id: Option<u32>, limits: DecodeLimits) -> Result<Self> {
-        if c.read_slice(MAGIC.len())? != MAGIC {
-            return Err(CodecError::BadFrame("zstdx magic mismatch"));
-        }
-        let flags = c.read_u8()?;
-        let content = if flags & FLAG_STREAMING == 0 {
-            Some(crate::read_content_size(c, &limits)?)
-        } else {
-            None
-        };
-        if flags & 1 != 0 {
-            let expected = c.read_u32()?;
-            if dict_id != Some(expected) {
-                let got = dict_id;
-                return Err(CodecError::UnknownDictVersion { expected, got });
-            }
-        }
-        Ok(Self {
-            content,
-            checksum: flags & FLAG_CHECKSUM != 0,
-            v4: flags & FLAG_V4 != 0,
-            limits,
-            produced: 0,
-            last: false,
-        })
-    }
-
-    /// Reads the next block and appends its content to `out`; `false`
-    /// once the frame's blocks are done. The block header is checked
-    /// before anything is read or allocated for the payload: a known
-    /// type, a decoded size within [`BLOCK_SIZE`] and within what a
-    /// sized frame still declares (empty only as a streaming frame's
-    /// last block), a payload its type allows (every writer keeps
-    /// payload <= decoded), and the content so far within the limits,
-    /// the only bound a streaming frame has.
-    #[deny(clippy::indexing_slicing)]
-    pub(crate) fn read_block<const FAST: bool>(
-        &mut self,
-        c: &mut Cursor,
-        out: &mut Vec<u8>,
-    ) -> Result<bool> {
-        let room = match self.content {
-            Some(n) if self.produced >= n => return Ok(false),
-            None if self.last => return Ok(false),
-            Some(n) => (n - self.produced).min(BLOCK_SIZE),
-            None => BLOCK_SIZE,
+/// Reads the blocks of a frame whose header is `header` and appends
+/// their content to `out`: the one parser of the zstdx block sequence,
+/// shared by the fast and the reference decode engines. Each block
+/// header is checked before anything is read or allocated for its
+/// payload: a known type, a decoded size within [`BLOCK_SIZE`] and
+/// within what a sized frame still declares (empty only as a streaming
+/// frame's last block), a payload its type allows (every writer keeps
+/// payload <= decoded), and the content so far within the limits, the
+/// only bound a streaming frame has.
+#[deny(clippy::indexing_slicing)]
+fn read_blocks<const FAST: bool>(
+    header: &FrameHeader,
+    limits: &DecodeLimits,
+    c: &mut Cursor,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    // Content bytes the blocks so far declare, and whether the last one
+    // carried [`BLOCK_LAST`].
+    let (mut produced, mut last) = (0usize, false);
+    loop {
+        let room = match (header.streaming, header.content) {
+            (true, _) if last => return Ok(()),
+            (true, _) => BLOCK_SIZE,
+            (false, n) if produced >= n => return Ok(()),
+            (false, n) => (n - produced).min(BLOCK_SIZE),
         };
         let type_byte = c.read_u8()?;
         let decoded = c.read_varint()?;
         let payload_len = c.read_varint()?;
-        self.last = type_byte & BLOCK_LAST != 0;
+        last = type_byte & BLOCK_LAST != 0;
         let kind = type_byte & !BLOCK_LAST;
         let payload_fits = match kind {
             BLOCK_RAW => payload_len == decoded,
@@ -452,32 +364,22 @@ impl Frame {
             BLOCK_COMPRESSED => payload_len <= decoded,
             _ => return Err(c.corrupt("zstdx bad block type")),
         };
-        let may_be_empty = self.last && self.content.is_none();
+        let may_be_empty = last && header.streaming;
         if decoded > room as u64 || !payload_fits || (decoded == 0 && !may_be_empty) {
             return Err(c.corrupt("zstdx bad block size"));
         }
         let decoded = decoded as usize;
-        self.produced += decoded;
-        self.limits.check_output(self.produced)?;
+        produced += decoded;
+        limits.check_output(produced)?;
 
         let at = c.position();
         let payload = c.read_slice(payload_len as usize)?;
         match (kind, payload) {
             (BLOCK_RAW, _) => out.extend_from_slice(payload),
             (BLOCK_RLE, &[b]) => out.resize(out.len() + decoded, b),
-            _ => decode_block_payload::<FAST>(payload, out, decoded, self.v4)
+            _ => decode_block_payload::<FAST>(payload, out, decoded, header.v4)
                 .map_err(|e| e.rebase(at))?,
         }
-        Ok(true)
-    }
-
-    /// Reads the checksum trailer, if the frame declares one, and
-    /// compares it with the checksum of the decoded `content`.
-    pub(crate) fn check_trailer(&self, c: &mut Cursor, content: &[u8]) -> Result<()> {
-        if self.checksum {
-            crate::verify_checksum(c.read_u32()?, content)?;
-        }
-        Ok(())
     }
 }
 
@@ -1317,8 +1219,8 @@ mod tests {
     fn huge_declared_payload_is_a_typed_error() {
         let c = Zstdx::new(3);
         for len in [1u64 << 40, u64::MAX] {
-            let flags = FLAG_STREAMING | FLAG_CHECKSUM;
-            let mut frame = [&MAGIC[..], &[flags, BLOCK_RAW | BLOCK_LAST, 0]].concat();
+            // Flags: streaming (0x04) and checksummed (0x02).
+            let mut frame = [&b"ZSXD\x06"[..], &[BLOCK_RAW | BLOCK_LAST, 0]].concat();
             write_varint(&mut frame, len);
             let reference = c.decompress_reference(&frame, &DecodeLimits::default());
             for err in [c.decompress(&frame).unwrap_err(), reference.unwrap_err()] {
@@ -1459,6 +1361,10 @@ mod multi_stream_tests {
     use super::tests::sample;
     use super::*;
 
+    fn is_v4(frame: &[u8]) -> bool {
+        Algorithm::Zstdx.frame_header(frame).unwrap().v4
+    }
+
     /// Huffman-compressible 7-bit noise: essentially no matches, so the
     /// block is literal-dominated and Auto must take the 4-stream split.
     fn noise(n: usize) -> Vec<u8> {
@@ -1478,9 +1384,8 @@ mod multi_stream_tests {
         let data = noise(120_000);
         let c = Zstdx::new(6);
         let enc = c.compress(&data);
-        assert_ne!(
-            enc[MAGIC.len()] & FLAG_V4,
-            0,
+        assert!(
+            is_v4(&enc),
             "literal-heavy block should trip the auto multi-stream gate"
         );
         assert_eq!(c.decompress(&enc).unwrap(), data);
@@ -1499,11 +1404,7 @@ mod multi_stream_tests {
         let data = sample();
         let c = Zstdx::new(6);
         let enc = c.compress(&data);
-        assert_eq!(
-            enc[MAGIC.len()] & FLAG_V4,
-            0,
-            "match-heavy must stay legacy"
-        );
+        assert!(!is_v4(&enc), "match-heavy must stay legacy");
         let single = Zstdx::new(6)
             .with_stream_policy(StreamPolicy::Single)
             .compress(&data);
@@ -1515,7 +1416,7 @@ mod multi_stream_tests {
         let data = sample();
         let c = Zstdx::new(6).with_stream_policy(StreamPolicy::Single);
         let enc = c.compress(&data);
-        assert_eq!(enc[MAGIC.len()] & FLAG_V4, 0);
+        assert!(!is_v4(&enc));
         assert_eq!(c.decompress(&enc).unwrap(), data);
     }
 
@@ -1533,7 +1434,7 @@ mod multi_stream_tests {
             .with_stream_policy(StreamPolicy::Single)
             .compress(&data);
         assert_eq!(auto, single);
-        assert_eq!(auto[MAGIC.len()] & FLAG_V4, 0);
+        assert!(!is_v4(&auto));
     }
 
     /// Literal-dominated but Huffman-compressible bytes ([`noise`])
@@ -1552,8 +1453,7 @@ mod multi_stream_tests {
     /// checksum-free, dictionary-free frame.
     fn modes_byte_offset(frame: &[u8]) -> usize {
         let mut c = Cursor::new(frame);
-        c.advance(MAGIC.len() + 1).unwrap();
-        c.read_varint().unwrap(); // content size
+        container::read_header(Algorithm::Zstdx, &mut c, &DecodeLimits::default()).unwrap();
         assert_eq!(c.read_u8().unwrap(), BLOCK_COMPRESSED);
         c.read_varint().unwrap(); // decoded size
         c.read_varint().unwrap(); // payload size
@@ -1583,7 +1483,7 @@ mod multi_stream_tests {
         for len in [1536, 2048, 4096, 9000] {
             let data = lit_heavy(len);
             let enc = c.compress(&data);
-            assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0, "len {len} must be v4");
+            assert!(is_v4(&enc), "len {len} must be v4");
             assert_eq!(c.decompress(&enc).unwrap(), data, "len {len}");
             assert_eq!(
                 c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1600,7 +1500,7 @@ mod multi_stream_tests {
         for level in [-3, 1, 5, 9, 13, 19] {
             let c = Zstdx::new(level);
             let enc = c.compress(&data);
-            assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0, "level {level} must be v4");
+            assert!(is_v4(&enc), "level {level} must be v4");
             assert_eq!(c.decompress(&enc).unwrap(), data, "level {level}");
             assert_eq!(
                 c.decompress_reference(&enc, &DecodeLimits::default())
@@ -1611,19 +1511,17 @@ mod multi_stream_tests {
         }
     }
 
+    /// A plain frame, so the v4 gate rejects it, not the checksum.
     #[test]
     fn v4_blocks_without_frame_flag_are_rejected() {
-        let data = lit_heavy(8192);
         let c = Zstdx::new(6).with_checksum(false);
-        let mut enc = c.compress(&data);
-        assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0);
-        enc[MAGIC.len()] &= !FLAG_V4;
+        let mut enc = c.compress(&lit_heavy(8192));
+        assert!(is_v4(&enc));
+        enc[4] ^= 0x08;
+        assert!(!is_v4(&enc), "0x08 is the v4 flag");
         assert!(c.decompress(&enc).is_err(), "fast engine must reject");
-        assert!(
-            c.decompress_reference(&enc, &DecodeLimits::default())
-                .is_err(),
-            "reference engine must reject"
-        );
+        let reference = c.decompress_reference(&enc, &DecodeLimits::default());
+        assert!(reference.is_err(), "reference engine must reject");
     }
 
     #[test]
@@ -1637,7 +1535,7 @@ mod multi_stream_tests {
         let data = lit_heavy(8192);
         for (name, c) in [("v4", &v4), ("v3", &v3)] {
             let enc = c.compress(&data);
-            assert_eq!(enc[MAGIC.len()] & FLAG_V4 != 0, name == "v4", "{name}");
+            assert_eq!(is_v4(&enc), name == "v4", "{name}");
             let at = modes_byte_offset(&enc);
             assert_eq!(enc[at] & MODES_RESERVED, 0, "{name}");
             for bit in [0x40u8, 0x80] {
@@ -1669,7 +1567,7 @@ mod multi_stream_tests {
         let data = noise(400_000);
         let c = Zstdx::new(5);
         let enc = c.compress(&data);
-        assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0);
+        assert!(is_v4(&enc));
         assert_eq!(c.decompress(&enc).unwrap(), data);
 
         let dict = Dictionary::new(sample()[..4096].to_vec(), 42);
@@ -1683,7 +1581,7 @@ mod multi_stream_tests {
         let data = lit_heavy(3000);
         let c = Zstdx::new(6);
         let enc = c.compress(&data);
-        assert_ne!(enc[MAGIC.len()] & FLAG_V4, 0);
+        assert!(is_v4(&enc));
         for cut in 0..enc.len() {
             let _ = c.decompress(&enc[..cut]);
             let _ = c.decompress_reference(&enc[..cut], &DecodeLimits::default());

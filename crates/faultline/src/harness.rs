@@ -378,11 +378,12 @@ mod tests {
         let zs = Algorithm::Zstdx
             .compressor_checked(cfg.level)
             .compress(&block);
-        assert_ne!(zs[4] & 8, 0, "zstdx frame must carry FLAG_V4");
+        let v4 = |algo: Algorithm, frame: &[u8]| algo.frame_header(frame).unwrap().v4;
+        assert!(v4(Algorithm::Zstdx, &zs), "zstdx frame must be v4");
         let zl = Algorithm::Zlibx
             .compressor_checked(cfg.level)
             .compress(&block);
-        assert_ne!(zl[1] & 1, 0, "zlibx frame must carry the v4 magic bit");
+        assert!(v4(Algorithm::Zlibx, &zl), "zlibx frame must be v4");
         assert!(zs.len() < block.len() && zl.len() < block.len());
 
         let report = sweep(

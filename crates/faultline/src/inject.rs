@@ -8,8 +8,10 @@
 use crate::rng::Rng;
 
 /// Maximum header prefix (bytes) targeted by header-focused injectors.
-/// Covers magic, flags, content-size varint, and dictionary id in every
-/// datacomp frame format.
+/// Covers every datacomp frame header: zstdx's 4-byte magic, flag
+/// byte, content-size varint and 4-byte dictionary id (at most 14
+/// bytes), and lz4x's and zlibx's 2-byte magic, whose second byte holds
+/// the flags, and content-size varint.
 const HEADER_WINDOW: usize = 24;
 
 /// A corruption strategy over an encoded frame.
@@ -182,8 +184,9 @@ fn length_inflations(frame: &[u8], budget: usize) -> Vec<Vec<u8>> {
 // `hi <= frame.len()` and `frame.len() > 3 == lo` checked above.
 #[allow(clippy::indexing_slicing)]
 fn dict_skews(frame: &[u8], rng: &Rng, budget: usize) -> Vec<Vec<u8>> {
-    // The dictionary id lives just past the 2-byte magic + flags in the
-    // datacomp frame formats; perturb that region with nonzero XORs.
+    // A zstdx frame's dictionary id follows its 4-byte magic, flag byte
+    // and content-size varint; perturb bytes 3.. of the header window
+    // with nonzero XORs, which covers the id and what precedes it.
     if frame.len() <= 3 {
         return Vec::new();
     }

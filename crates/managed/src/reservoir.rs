@@ -108,12 +108,12 @@ mod tests {
 
     /// Digest of the retained samples, lengths included.
     fn digest(r: &Reservoir) -> u64 {
-        let mut h = codecs::xxhash::Xxh64::new(0);
+        let mut buf = Vec::new();
         for s in r.samples() {
-            h.update(&(s.len() as u64).to_le_bytes());
-            h.update(s);
+            buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            buf.extend_from_slice(s);
         }
-        h.digest()
+        codecs::xxhash::xxh64(&buf, 0)
     }
 
     fn filled(capacity: usize, window: usize, seed: u64, payloads: &[Vec<u8>]) -> Reservoir {

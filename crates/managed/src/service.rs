@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codecs::zstdx::Zstdx;
-use codecs::{Compressor, Dictionary};
+use codecs::{Algorithm, Compressor, Dictionary};
 use telemetry::{
     Clock, Counter, Gauge, Registry, RequestSampler, SloHandle, WindowedCounter, WindowedHistogram,
 };
@@ -753,7 +753,10 @@ impl ManagedCompression {
                             let mut expired = false;
                             if decision == BreakerDecision::FastFail {
                                 reg.counter("managed.breaker_fast_fail", &labels).inc();
-                            } else if Zstdx::frame_has_checksum(frame) {
+                            } else if Algorithm::Zstdx
+                                .frame_header(frame)
+                                .is_ok_and(|h| h.checksum)
+                            {
                                 for (v, dict) in case.versions.iter().rev() {
                                     if deadline.expired() || req.deadline_exceeded() {
                                         expired = true;
@@ -1136,13 +1139,14 @@ mod tests {
             }
         }
         let mut frame = first_dict_frame.expect("a dictionary-compressed v1 frame was captured");
-        // Strip the content checksum flag: a non-checksummed frame is
-        // ineligible for rebind recovery (no correctness guard), so its
-        // rolled-past generation must surface as RetiredDictionary.
-        // (With the checksum intact the service may legitimately
-        // recover the frame through a newer generation whose trained
-        // content converged — that path is covered separately.)
+        // Strip the content checksum flag and its trailer: a
+        // non-checksummed frame is ineligible for rebind recovery (no
+        // correctness guard), so its rolled-past generation must surface
+        // as RetiredDictionary. (With the checksum intact the service may
+        // legitimately recover the frame through a newer generation whose
+        // trained content converged — that path is covered separately.)
         frame[4] &= !0x02;
+        frame.truncate(frame.len() - 4);
         let out = svc.decompress("events", &frame);
         assert!(
             matches!(out, Err(ManagedError::RetiredDictionary { .. })),

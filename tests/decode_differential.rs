@@ -3,14 +3,17 @@
 //! tables) must be observationally identical to the reference decoders
 //! that predate them — identical bytes on success, identical typed
 //! error on failure — over both valid frames and the full faultline
-//! injector matrix. zstdx's engines are held to it on streaming frames
-//! too, which no writer emits any more but which must still decode.
+//! injector matrix, and over every frame of the container fault table.
+//! zstdx's engines are held to it on streaming frames too, which no
+//! writer emits any more but which must still decode.
 
 use datacomp::codecs::{lz4x::Lz4x, zlibx::Zlibx, zstdx::Zstdx};
 use datacomp::codecs::{CodecError, Compressor, DecodeLimits, StreamPolicy};
 use datacomp::faultline::{Injector, Rng};
 use proptest::prelude::*;
 
+#[path = "common/header_faults.rs"]
+mod header_faults;
 #[path = "common/streaming.rs"]
 mod streaming;
 
@@ -231,6 +234,18 @@ fn stream_readers_agree_on_multi_block_frames() {
         assert_eq!(frame[4] & 4, 4, "a streaming frame");
         assert_eq!((e.fast)(&frame, &limits).unwrap(), data);
         assert_agree(&e, &frame, &limits, "short frame");
+    }
+}
+
+/// Flag bits flipped and bytes appended (`common/header_faults.rs`):
+/// the engines agree on every case. What each case must decode to is
+/// `fault_injection::flag_bit_flips_and_appended_bytes_are_typed_errors`.
+#[test]
+fn engines_agree_on_header_faults() {
+    let (engines, limits) = (engines(), DecodeLimits::default());
+    for case in header_faults::cases() {
+        let e = engines.iter().find(|e| e.name == case.algo.name()).unwrap();
+        assert_agree(e, &case.frame, &limits, &case.what);
     }
 }
 

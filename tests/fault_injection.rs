@@ -3,12 +3,14 @@
 //! Complements the unit tests inside `codecs` and `faultline` with
 //! cross-crate sweeps: every-prefix truncation per codec, checksum
 //! detection of payload corruption, the full injector × codec × corpus
-//! sweep at fixed seeds, and a sweep over multi-block zstdx streaming
-//! frames.
+//! sweep at fixed seeds, a sweep over multi-block zstdx streaming
+//! frames, and the frame container's header and end-of-frame rules.
 
 use codecs::{Algorithm, CodecError, DecodeLimits};
 use faultline::{check_decode, sweep, Injector, Outcome, Rng, SweepConfig};
 
+#[path = "common/header_faults.rs"]
+mod header_faults;
 #[path = "common/streaming.rs"]
 mod streaming;
 
@@ -128,7 +130,9 @@ fn sweep_over_multi_block_streaming_frames_finds_no_violations() {
 /// Checksum verification is frame-driven, not constructor-driven: a
 /// decoder built without `with_checksum(true)` must still verify (and a
 /// checksum-configured decoder must still accept plain frames). The
-/// frame magic alone decides whether a trailer is present and checked.
+/// frame header alone decides whether a trailer is present and checked,
+/// and clearing its checksum bit leaves 4 bytes after the frame, an
+/// error, not an unchecked decode.
 #[test]
 fn checksum_verification_follows_the_frame_not_the_constructor() {
     use codecs::Compressor;
@@ -162,10 +166,16 @@ fn checksum_verification_follows_the_frame_not_the_constructor() {
         }
         // A corrupted checksummed frame is rejected by BOTH reader
         // configs — verification cannot be disabled by construction.
+        // Nor by clearing the frame's checksum bit.
         let frame = checked.compress(&input);
         let mut bad = frame.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xff; // trailer byte: guaranteed checksum-stage hit
+        let mut stripped = frame.clone();
+        match checked.name() {
+            "zstdx" => stripped[4] ^= 0x02,
+            _ => stripped[1] ^= 0x80,
+        }
         for reader in [checked, plain] {
             assert!(
                 matches!(
@@ -175,8 +185,42 @@ fn checksum_verification_follows_the_frame_not_the_constructor() {
                 "{}: corrupted trailer not flagged as checksum mismatch",
                 reader.name()
             );
+            assert!(
+                matches!(reader.decompress(&stripped), Err(CodecError::BadFrame(_))),
+                "{}: a cleared checksum bit must not skip the check",
+                reader.name()
+            );
         }
     }
+}
+
+/// The frame container's rules (DESIGN.md §6): each flag bit flipped,
+/// and bytes appended, in every codec, plain and checksummed. A bit the
+/// codec does not know and bytes after the frame are `BadFrame`; every
+/// other flip is a typed error, except the one named no-op, a v4 bit
+/// set on a frame with no v4 block. Lists every case that breaks the
+/// rules.
+#[test]
+fn flag_bit_flips_and_appended_bytes_are_typed_errors() {
+    use header_faults::Expect;
+    let cases = header_faults::cases();
+    let mut wrong = Vec::new();
+    for case in &cases {
+        // `Ok(true)`: read back intact; `Ok(false)`: wrong bytes.
+        let got = case.algo.compressor(6).decompress(&case.frame);
+        let got = got.map(|out| out == case.input);
+        match (case.expect, &got) {
+            (Expect::Intact, Ok(true))
+            | (Expect::BadFrame, Err(CodecError::BadFrame(_)))
+            | (Expect::Error, Err(_)) => {}
+            _ => wrong.push(format!(
+                "{}: want {:?}, got {got:?}",
+                case.what, case.expect
+            )),
+        }
+    }
+    let n = (wrong.len(), cases.len());
+    assert!(wrong.is_empty(), "{n:?} wrong:\n{}", wrong.join("\n"));
 }
 
 /// Hostile declared sizes are rejected against the caller's budget

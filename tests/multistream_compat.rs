@@ -2,11 +2,13 @@
 //! format (v4): frames written by pre-v4 encoders — modeled exactly by
 //! `StreamPolicy::Single`, which byte-for-byte reproduces the legacy
 //! writers — must keep decoding on current engines, sub-threshold Auto
-//! frames must stay byte-identical to legacy output, and the v4 format
-//! bit must gate the new block types in both directions.
+//! frames must stay byte-identical to legacy output, the v4 format bit
+//! must gate the new block types in both directions, and a flag bit a
+//! decoder does not know fails the frame on its header, so the next
+//! format bit is rejected cleanly by the decoders that predate it.
 
 use datacomp::codecs::{zlibx::Zlibx, zstdx::Zstdx};
-use datacomp::codecs::{Compressor, DecodeLimits, StreamPolicy};
+use datacomp::codecs::{Algorithm, CodecError, Compressor, DecodeLimits, StreamPolicy};
 
 fn corpus() -> Vec<Vec<u8>> {
     vec![
@@ -156,4 +158,30 @@ fn v4_blocks_require_the_version_bit() {
     zl[1] &= !0x01;
     assert!(Zlibx::new(6).decompress_limited(&zl, &limits).is_err());
     assert!(Zlibx::new(6).decompress_reference(&zl, &limits).is_err());
+}
+
+/// A flag bit the codec does not know fails the frame on its header:
+/// the frame cut right after its flag byte fails the same way as the
+/// whole frame, with `BadFrame`, so no block is read. The bits are the
+/// next free zstdx flag, a zlibx magic bit, and zlibx's v4 bit on an
+/// lz4x frame, whose codec has no v4 layout.
+#[test]
+fn unknown_flag_bits_fail_on_the_header() {
+    let data = literal_heavy(16 << 10);
+    for (algo, at, bit) in [
+        (Algorithm::Zstdx, 4, 0x10),
+        (Algorithm::Zlibx, 1, 0x02),
+        (Algorithm::Lz4x, 1, 0x01),
+    ] {
+        let codec = algo.compressor(6);
+        let mut frame = codec.compress(&data);
+        frame[at] ^= bit;
+        for cut in [&frame[..], &frame[..=at]] {
+            assert!(
+                matches!(codec.decompress(cut), Err(CodecError::BadFrame(_))),
+                "{algo}: bit {bit:#04x}, {} bytes",
+                cut.len()
+            );
+        }
+    }
 }
