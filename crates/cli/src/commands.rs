@@ -9,7 +9,7 @@ use telemetry::request::{AttributionRow, SamplerStats};
 use crate::args::Args;
 
 const USAGE: &str =
-    "datacomp <compress|decompress|bench|train-dict|optimize|gen|fleet|profile|fault-inject|chaos|monitor|serve|loadgen> ...";
+    "datacomp <compress|decompress|bench|train-dict|optimize|gen|fleet|profile|fault-inject|chaos|serve|loadgen> ...";
 
 /// Dispatches a parsed command line.
 ///
@@ -40,7 +40,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "fleet" | "profile" => fleet_tables(&args),
         "fault-inject" => fault_inject(&args),
         "chaos" => chaos(&args),
-        "monitor" => monitor(&args),
         "serve" => serve(&args),
         "loadgen" => loadgen(&args),
         other => Err(format!("unknown command {other}; usage: {USAGE}")),
@@ -248,238 +247,6 @@ fn chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `datacomp monitor [--addr HOST:PORT] [--workload NAME] [--seconds S]
-/// [--slo-ms MS] [--slo-target F] [--error-target F] [--addr-file PATH]`
-/// — the live observability plane in one command: registers latency and
-/// error-rate SLOs, starts the HTTP scrape server (`/metrics`, `/slo`,
-/// `/healthz`, `/trace.json`), and replays one fleet service's workload
-/// through the managed compression service until the deadline. Every
-/// replayed block feeds the windowed registries and the SLO burn-rate
-/// engine, so a Prometheus scrape during the run sees live `window_*`
-/// p99s (with request exemplars) and `slo_*` gauges. Exits non-zero when
-/// any objective's cumulative error budget is exhausted, so the command
-/// doubles as a canary gate.
-///
-/// `--addr 127.0.0.1:0` picks a free port; `--addr-file` writes the
-/// resolved address for scripted scrapers (tests, CI smoke jobs).
-///
-/// `--chaos-seed N` replays the same traffic with operational faults: a
-/// seed-deterministic error burst is injected into the managed service
-/// mid-run (via its fault hook), the SLO windows are shrunk so burn
-/// rates move within the run, and the exit gate flips from "budget
-/// intact" to "the error SLO left Ok (Warning or Burning) during the
-/// burst and recovered to Ok by the end" — proving the burn-rate
-/// machinery detects and releases a real incident. Needs `--seconds`
-/// of at least 5 so the recovery window can drain.
-fn monitor(args: &Args) -> Result<(), String> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let addr = args
-        .options
-        .get("addr")
-        .map_or("127.0.0.1:9184", String::as_str);
-    let workload = args
-        .options
-        .get("workload")
-        .map_or("cache1", String::as_str);
-    let seconds: f64 = args.opt_or("seconds", 10.0)?;
-    if !seconds.is_finite() || seconds <= 0.0 {
-        return Err(format!("bad --seconds {seconds}; need a positive number"));
-    }
-    let slo_ms: f64 = args.opt_or("slo-ms", 5.0)?;
-    let slo_target: f64 = args.opt_or("slo-target", 0.99)?;
-    let error_target: f64 = args.opt_or("error-target", 0.999)?;
-    let chaos_seed: Option<u64> = match args.options.get("chaos-seed") {
-        None => None,
-        Some(s) => Some(
-            s.parse()
-                .map_err(|e| format!("bad --chaos-seed {s}: {e}"))?,
-        ),
-    };
-    if chaos_seed.is_some() && seconds < 5.0 {
-        return Err(format!(
-            "--chaos-seed needs --seconds >= 5 to fit the fault burst and the recovery window (got {seconds})"
-        ));
-    }
-
-    let spec = fleet_service("workload", workload)?;
-
-    // Declare the objectives the managed service feeds by well-known
-    // name. Registration must precede the replay (and the addr-file
-    // handshake) so every sample lands in an SLO window.
-    let slos = telemetry::slos();
-    let threshold = (slo_ms * 1e6) as u64;
-    // Chaos runs shrink both burn windows so a mid-run fault burst can
-    // push an objective through Warning/Burning *and* drain back to Ok
-    // within a single short replay.
-    let shaped = |cfg: telemetry::SloConfig| {
-        if chaos_seed.is_some() {
-            cfg.with_windows(
-                telemetry::WindowConfig::new(200_000_000, 10), // 2 s fast
-                telemetry::WindowConfig::new(300_000_000, 10), // 3 s slow
-            )
-        } else {
-            cfg
-        }
-    };
-    slos.register(shaped(telemetry::SloConfig::latency(
-        "managed.compress.latency",
-        threshold,
-        slo_target,
-    )));
-    slos.register(shaped(telemetry::SloConfig::latency(
-        "managed.decompress.latency",
-        threshold,
-        slo_target,
-    )));
-    slos.register(shaped(telemetry::SloConfig::error_rate(
-        "managed.decompress.errors",
-        error_target,
-    )));
-
-    let server = telemetry::ScrapeServer::bind(addr, telemetry::Sources::global())
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    let local = server.local_addr();
-    if let Some(path) = args.options.get("addr-file") {
-        fs::write(path, local.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    println!("monitor: serving /metrics /slo /healthz /trace.json on http://{local}/");
-    println!(
-        "monitor: replaying {} ({}) for {seconds}s",
-        spec.name, spec.description
-    );
-
-    let mut svc = managed::ManagedCompression::new(managed::ManagedConfig::default());
-    let t0 = Instant::now();
-    if let Some(seed) = chaos_seed {
-        // Operational fault burst: between 15% and 40% of the run,
-        // ~70% of decode attempts (seed-deterministic per consult)
-        // fail transiently. The service's own resilience machinery
-        // (retries under budget, breakers, quarantine) responds; what
-        // leaks through drives the error-rate SLO into its burn.
-        let consults = Arc::new(AtomicU64::new(0));
-        let (burst_from, burst_to) = (seconds * 0.15, seconds * 0.40);
-        let hook: managed::FaultHook = Arc::new(move |site| {
-            if site.op != "decompress" {
-                return false;
-            }
-            let t = t0.elapsed().as_secs_f64();
-            if t < burst_from || t > burst_to {
-                return false;
-            }
-            let n = consults.fetch_add(1, Ordering::Relaxed);
-            faultline::opfault::splitmix64(seed ^ n) % 100 < 70
-        });
-        svc.set_fault_hook(Some(hook));
-        println!(
-            "monitor: chaos seed {seed} — decode fault burst in [{burst_from:.1}s, {burst_to:.1}s]"
-        );
-    }
-    // Honor the service's read/write mix so decompression windows (and
-    // the decode-error SLO) see realistic traffic.
-    let reads_per_write = spec.reads_per_write.round().max(1.0) as usize;
-    let deadline = t0 + Duration::from_secs_f64(seconds);
-    let (mut units, mut blocks, mut bytes) = (0u64, 0u64, 0u64);
-    let mut chaos_errors = 0u64;
-    let mut worst_seen = telemetry::SloState::Ok;
-    'replay: while Instant::now() < deadline {
-        for block in spec.workload.generate_unit(units) {
-            let frame = match svc.compress(spec.name, &block) {
-                Ok(f) => f,
-                // Typed resilience errors (shed, deadline) are expected
-                // traffic under chaos; anything else is still fatal.
-                Err(e) if chaos_seed.is_some() => {
-                    chaos_errors += 1;
-                    let _ = e;
-                    continue;
-                }
-                Err(e) => return Err(format!("replay compress failed on {}: {e}", spec.name)),
-            };
-            for _ in 0..reads_per_write {
-                match svc.decompress(spec.name, &frame) {
-                    Ok(_) => {}
-                    Err(e) if chaos_seed.is_some() => {
-                        chaos_errors += 1;
-                        let _ = e;
-                    }
-                    Err(e) => {
-                        return Err(format!("replay decode failed on {}: {e}", spec.name));
-                    }
-                }
-            }
-            blocks += 1;
-            bytes += block.len() as u64;
-            if chaos_seed.is_some() {
-                let state = slos.worst_state();
-                if state > worst_seen {
-                    println!(
-                        "monitor: SLO state -> {} at {:.1}s",
-                        state.as_str(),
-                        t0.elapsed().as_secs_f64()
-                    );
-                    worst_seen = state;
-                }
-            }
-            if Instant::now() >= deadline {
-                break 'replay;
-            }
-        }
-        units += 1;
-    }
-    server.shutdown();
-    println!("monitor: replayed {blocks} blocks ({bytes} bytes) across {units} work units");
-    if chaos_seed.is_some() {
-        println!("monitor: {chaos_errors} chaos-injected request errors tolerated");
-    }
-
-    // Final verdict: one line per objective, then the gate.
-    let reports = slos.reports();
-    println!(
-        "{:<32} {:>8} {:>10} {:>10} {:>8}",
-        "objective", "state", "fast_burn", "slow_burn", "budget"
-    );
-    for r in &reports {
-        println!(
-            "{:<32} {:>8} {:>10.2} {:>10.2} {:>7.0}%",
-            r.name,
-            r.state.as_str(),
-            r.fast_burn,
-            r.slow_burn,
-            r.budget.remaining_fraction * 100.0
-        );
-    }
-    if let Some(seed) = chaos_seed {
-        // Chaos verdict: the burn-rate machinery must have seen the
-        // incident (left Ok) and released it (back to Ok by the end).
-        // The cumulative-budget gate is expected to blow under an
-        // injected burst, so it does not apply here.
-        let final_state = slos.worst_state();
-        println!(
-            "monitor: chaos verdict (seed {seed}): worst state {} during burst, {} at end",
-            worst_seen.as_str(),
-            final_state.as_str()
-        );
-        if worst_seen == telemetry::SloState::Ok {
-            return Err(
-                "chaos run never left Ok: the fault burst did not move the burn rate".to_string(),
-            );
-        }
-        if final_state != telemetry::SloState::Ok {
-            return Err(format!(
-                "chaos run did not recover: worst state still {} at end",
-                final_state.as_str()
-            ));
-        }
-        println!("monitor: burn-rate detection and recovery proven");
-        return Ok(());
-    }
-    budget_verdict(&reports)?;
-    println!("monitor: worst SLO state {}", slos.worst_state().as_str());
-    Ok(())
-}
-
 /// `datacomp serve [--addr 127.0.0.1:9185] [--metrics-addr 127.0.0.1:0]
 /// [--addr-file path] [--seconds 0] [--workers 0] [--slo-ms 5.0]
 /// [--slo-target 0.99] [--error-target 0.999] [--max-frame bytes]
@@ -505,6 +272,11 @@ fn serve(args: &Args) -> Result<(), String> {
         .get("metrics-addr")
         .map_or("127.0.0.1:0", String::as_str);
     let seconds: f64 = args.opt_or("seconds", 0.0)?;
+    if !seconds.is_finite() || seconds < 0.0 {
+        return Err(format!(
+            "bad --seconds {seconds}; need 0 (until killed) or a positive number"
+        ));
+    }
     let slo_ms: f64 = args.opt_or("slo-ms", 5.0)?;
     let slo_target: f64 = args.opt_or("slo-target", 0.99)?;
     let error_target: f64 = args.opt_or("error-target", 0.999)?;
@@ -595,7 +367,15 @@ fn serve(args: &Args) -> Result<(), String> {
             r.budget.remaining_fraction * 100.0
         );
     }
-    budget_verdict(&reports)?;
+    // The gate: an exhausted cumulative error budget fails the exit.
+    let broke: Vec<&str> = reports
+        .iter()
+        .filter(|r| r.budget.exhausted)
+        .map(|r| r.name.as_str())
+        .collect();
+    if !broke.is_empty() {
+        return Err(format!("error budget exhausted: {}", broke.join(", ")));
+    }
     println!(
         "serve: clean shutdown, worst SLO state {}",
         slos.worst_state().as_str()
@@ -790,20 +570,6 @@ fn loadgen(args: &Args) -> Result<(), String> {
         return Err(format!("{} request errors", total.errors));
     }
     Ok(())
-}
-
-/// The gate `monitor` and `serve` end on: `Err` naming every objective
-/// whose cumulative error budget is exhausted.
-fn budget_verdict(reports: &[telemetry::slo::SloReport]) -> Result<(), String> {
-    let broke: Vec<&str> = reports
-        .iter()
-        .filter(|r| r.budget.exhausted)
-        .map(|r| r.name.as_str())
-        .collect();
-    if broke.is_empty() {
-        return Ok(());
-    }
-    Err(format!("error budget exhausted: {}", broke.join(", ")))
 }
 
 /// The fleet service named `name` (any case); an unknown name is an
@@ -1148,9 +914,9 @@ mod tests {
     }
 
     /// Serializes the commands these tests run. They all report into
-    /// the process-global planes, and `monitor` gates on a latency SLO
-    /// over them: a concurrent `profile` (one thread per fleet service)
-    /// starves the replay thread enough to exhaust that budget.
+    /// the process-global planes, and several read those planes back
+    /// (the sweep counters, the profile table, the serve endpoints),
+    /// where a concurrent command's series would land too.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static PLANES: std::sync::Mutex<()> = std::sync::Mutex::new(());
         PLANES
@@ -1268,6 +1034,12 @@ mod tests {
             .unwrap_err()
             .contains("unknown fleet subcommand"));
         assert!(run_cmd(&["trace"]).unwrap_err().contains("unknown command"));
+        assert!(run_cmd(&["monitor"])
+            .unwrap_err()
+            .contains("unknown command"));
+        // The mix is checked before loadgen connects, so nothing dials out.
+        let err = run_cmd(&["loadgen", "--addr", "127.0.0.1:1", "--mix", "nope"]).unwrap_err();
+        assert!(err.contains("unknown mix nope; pick one of dw1|"), "{err}");
     }
 
     #[test]
@@ -1298,73 +1070,101 @@ mod tests {
     }
 
     #[test]
-    fn monitor_serves_endpoints_and_gates_on_slos() {
+    fn serve_serves_endpoints_and_gates_on_slos() {
+        use server::client::Client;
+        use server::protocol::Status;
         use std::time::{Duration, Instant};
         use telemetry::serve::http_get;
 
+        // One run: objectives are registered once per process (a second
+        // registration keeps the first threshold), so the run that
+        // serves the endpoints is the one whose exit is gated. No request
+        // meets a 100 ns objective.
         let _serial = serial();
-        let addr_file = tmp("monitor.addr");
+        let addr_file = tmp("serve.addr");
         let _ = fs::remove_file(&addr_file);
         let af = addr_file.clone();
-        let replay = std::thread::spawn(move || {
+        let daemon = std::thread::spawn(move || {
             run(&argv(&[
-                "monitor",
+                "serve",
                 "--addr",
+                "127.0.0.1:0",
+                "--metrics-addr",
                 "127.0.0.1:0",
                 "--addr-file",
                 af.to_str().unwrap(),
-                "--workload",
-                "cache1",
                 "--seconds",
-                "1.5",
+                "3",
+                "--slo-ms",
+                "0.0001",
             ]))
         });
-        // Handshake: the command writes the resolved address once the
-        // server is up and the SLOs are registered.
+        // Handshake: the daemon address, then the scrape address, written
+        // once both listen and the objectives are registered.
         let deadline = Instant::now() + Duration::from_secs(10);
-        let addr = loop {
-            if let Ok(s) = fs::read_to_string(&addr_file) {
-                if let Ok(addr) = s.parse::<std::net::SocketAddr>() {
-                    break addr;
-                }
+        let (daddr, maddr) = loop {
+            let body = fs::read_to_string(&addr_file).unwrap_or_default();
+            let addrs: Vec<std::net::SocketAddr> =
+                body.lines().filter_map(|l| l.parse().ok()).collect();
+            if let [d, m] = addrs[..] {
+                break (d, m);
             }
-            assert!(Instant::now() < deadline, "monitor never wrote addr file");
+            assert!(Instant::now() < deadline, "serve never wrote addr file");
             std::thread::sleep(Duration::from_millis(10));
         };
-        let fetch = |path: &str| http_get(addr, path).expect(path);
-        // All four endpoints answer mid-replay. Windowed series appear
-        // once the first block lands; poll briefly for them.
-        let metrics = loop {
-            let m = fetch("/metrics");
-            if m.contains("window_managed_compress_nanos_p99") || Instant::now() >= deadline {
-                break m;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        };
+        let mut client = Client::connect(daddr).expect("connect");
+        let item = b"{\"user\":42,\"name\":\"ada\"}".repeat(8);
+        for _ in 0..4 {
+            let frame = client.compress("cli", "items", &item).expect("compress");
+            assert_eq!(frame.status, Status::Ok);
+            let back = client
+                .decompress("cli", "items", &frame.payload)
+                .expect("decompress");
+            assert_eq!((back.status, back.payload), (Status::Ok, item.clone()));
+        }
+        let fetch = |path: &str| http_get(maddr, path).expect(path);
+        let metrics = fetch("/metrics");
         assert!(
             metrics.contains("window_managed_compress_nanos_p99"),
-            "live windowed p99 missing mid-replay"
+            "live windowed p99 missing"
         );
-        assert!(metrics.contains("slo_state{objective=\"managed.compress.latency\"}"));
-        assert!(metrics.contains("slo_budget_remaining{objective=\"managed.decompress.errors\"}"));
+        assert!(metrics.contains("slo_state{objective=\"server.request.latency\"}"));
+        assert!(metrics.contains("slo_budget_remaining{objective=\"server.errors\"}"));
         let slo = fetch("/slo");
-        assert!(slo.contains("\"managed.decompress.latency\""), "{slo}");
+        for name in ["\"server.request.latency\"", "\"server.errors\""] {
+            assert!(slo.contains(name), "{slo}");
+        }
         assert_eq!(fetch("/healthz"), "ok\n");
         assert!(fetch("/trace.json").contains("traceEvents"));
-        // Healthy replay: clean exit (no budget exhaustion).
-        replay.join().unwrap().unwrap();
+        // Every request missed the latency objective and none failed.
+        let err = daemon.join().unwrap().unwrap_err();
+        assert_eq!(err, "error budget exhausted: server.request.latency");
     }
 
     #[test]
-    fn monitor_rejects_bad_flags() {
-        assert!(
-            run_cmd(&["monitor", "--workload", "nope", "--seconds", "0.1"])
-                .unwrap_err()
-                .contains("unknown workload")
-        );
-        assert!(run_cmd(&["monitor", "--seconds", "-1"])
-            .unwrap_err()
-            .contains("bad --seconds"));
+    fn serve_rejects_bad_flags() {
+        use std::time::Duration;
+
+        for bad in ["-1", "nan", "inf"] {
+            // On a thread with a timeout: a value that slips past the
+            // check would serve until killed.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(run(&argv(&[
+                    "serve",
+                    "--addr",
+                    "127.0.0.1:0",
+                    "--metrics-addr",
+                    "127.0.0.1:0",
+                    "--seconds",
+                    bad,
+                ])));
+            });
+            let out = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("serve --seconds {bad} did not return: {e}"));
+            assert!(out.unwrap_err().contains("bad --seconds"), "{bad}");
+        }
     }
 
     #[test]

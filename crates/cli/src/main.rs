@@ -13,20 +13,20 @@
 //! datacomp fault-inject [--seed N] [--injector A,B] [--algo X,Y] [--budget N]
 //!                     [--block-size BYTES] [--level N] [--checksums on|off]
 //! datacomp chaos      [--seed N] [--ops N] [--mix A,B] [--injector A,B]
-//! datacomp monitor    [--addr HOST:PORT] [--workload NAME] [--seconds S]
-//!                     [--slo-ms MS] [--slo-target F] [--error-target F]
-//!                     [--addr-file PATH] [--chaos-seed N]
+//! datacomp serve      [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--addr-file PATH]
+//!                     [--seconds S] [--slo-ms MS] [--slo-target F] [--error-target F] ...
+//! datacomp loadgen    [--addr HOST:PORT | --addr-file PATH] [--mix A,B] [--seconds S]
+//!                     [--concurrency N] [--seed N]
 //! ```
 //!
-//! `monitor` is the live observability plane: it registers managed-path
-//! SLOs, serves `/metrics` (Prometheus, with windowed views and request
-//! exemplars), `/slo` (error-budget JSON), `/healthz`, and the request
-//! endpoints on `--addr`, and replays a fleet workload through the
-//! managed compression service until `--seconds` elapse. It exits
-//! non-zero when any error budget is exhausted. With `--chaos-seed` it
-//! injects a deterministic mid-run fault burst instead and exits
-//! non-zero unless the SLO burn-rate engine both detects the incident
-//! and recovers from it.
+//! `serve` runs the compression daemon and the live observability
+//! plane: the binary protocol on `--addr`, and `/metrics` (Prometheus,
+//! with windowed views and request exemplars), `/slo` (error-budget
+//! JSON), `/healthz` and the request endpoints on `--metrics-addr`. It
+//! feeds the `server.request.latency` and `server.errors` objectives on
+//! every request and, after a bounded `--seconds` session, exits
+//! non-zero when either error budget is exhausted. `loadgen` replays
+//! seeded fleet traffic against it.
 //!
 //! `chaos` is the operational chaos sweep: per (injector × fleet mix)
 //! cell it drives a managed service through latency spikes, error

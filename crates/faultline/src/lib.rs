@@ -43,5 +43,5 @@ pub mod rng;
 pub use chaos::{deadline_probe, run as chaos_run, ChaosCell, ChaosConfig, ChaosReport};
 pub use harness::{check_decode, dict_skew_probe, sweep, Cell, Outcome, Report, SweepConfig};
 pub use inject::Injector;
-pub use opfault::{splitmix64, OpFaultPlan, OpInjectorKind};
+pub use opfault::{OpFaultPlan, OpInjectorKind};
 pub use rng::Rng;

@@ -21,9 +21,8 @@ const SPIKE_NANOS: u64 = 5_000_000;
 const SKEW_NANOS: u64 = 250_000_000;
 
 /// SplitMix64: the one-u64-in, one-u64-out mixer behind every
-/// per-call-index fault decision. Public so harnesses (and the
-/// `datacomp monitor --chaos-seed` replay) share the exact generator.
-pub fn splitmix64(x: u64) -> u64 {
+/// per-call-index fault decision and the chaos sweep's per-cell seeds.
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

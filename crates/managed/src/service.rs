@@ -9,9 +9,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codecs::zstdx::Zstdx;
-use codecs::{Algorithm, Compressor, Dictionary};
+use codecs::{Algorithm, Compressor, Dictionary, FrameHeader};
 use telemetry::{
-    Clock, Counter, Gauge, Registry, RequestSampler, SloHandle, WindowedCounter, WindowedHistogram,
+    Clock, Counter, Gauge, Registry, RequestSampler, WindowedCounter, WindowedHistogram,
 };
 
 use crate::reservoir::Reservoir;
@@ -269,14 +269,6 @@ impl LadderObs {
     }
 }
 
-/// The objectives the service feeds when the embedding process (e.g.
-/// `datacomp monitor`) has declared them; silent otherwise.
-struct ServiceSlos {
-    compress_latency: SloHandle,
-    decompress_latency: SloHandle,
-    decompress_errors: SloHandle,
-}
-
 /// The stateful service. See the [crate docs](crate).
 pub struct ManagedCompression {
     config: ManagedConfig,
@@ -301,7 +293,6 @@ pub struct ManagedCompression {
     /// How backoff delays are waited out; injectable for determinism.
     sleeper: Sleeper,
     ladder: LadderObs,
-    slos: ServiceSlos,
     /// Per-operation salt so each retry loop gets a fresh backoff seed.
     retry_seq: u64,
 }
@@ -328,11 +319,6 @@ impl ManagedCompression {
             fault_hook: None,
             sleeper: Arc::new(|nanos| std::thread::sleep(std::time::Duration::from_nanos(nanos))),
             ladder: LadderObs::new(),
-            slos: ServiceSlos {
-                compress_latency: SloHandle::new("managed.compress.latency"),
-                decompress_latency: SloHandle::new("managed.decompress.latency"),
-                decompress_errors: SloHandle::new("managed.decompress.errors"),
-            },
             retry_seq: 0,
         }
     }
@@ -594,9 +580,6 @@ impl ManagedCompression {
                 telemetry::windows().histogram("managed.compress.nanos", &labels)
             })
             .observe(elapsed.as_nanos() as u64);
-        if let Some(slo) = self.slos.compress_latency.get(telemetry::slos()) {
-            slo.record_latency(elapsed.as_nanos() as u64);
-        }
         Ok(frame)
     }
 
@@ -661,14 +644,6 @@ impl ManagedCompression {
 
         // Stored frames decode by stripping the passthrough magic.
         if let Some(raw) = frame.strip_prefix(&PASSTHROUGH_MAGIC) {
-            let elapsed = start.elapsed();
-            let slos = telemetry::slos();
-            if let Some(slo) = self.slos.decompress_latency.get(slos) {
-                slo.record_latency(elapsed.as_nanos() as u64);
-            }
-            if let Some(slo) = self.slos.decompress_errors.get(slos) {
-                slo.record(true);
-            }
             return Ok(raw.to_vec());
         }
 
@@ -716,17 +691,25 @@ impl ManagedCompression {
             }
         }
 
-        // Try dict-less first; on a dictionary mismatch error the frame
-        // tells us which id it wants.
+        // The header names the dictionary the frame was cut with, if any:
+        // its exact generation, or failing that a rebind (below). A bad
+        // header is a codec error like any other.
         let out = if injected_failure {
             Err(ManagedError::Codec(codecs::CodecError::Corrupt {
                 stage: "injected operational fault",
                 offset: 0,
             }))
         } else {
-            let attempt = match codec.decompress(frame) {
-                Ok(data) => Ok(data),
-                Err(codecs::CodecError::UnknownDictVersion { expected, .. }) => {
+            let attempt = match Algorithm::Zstdx.frame_header(frame) {
+                Err(e) => Err(e.into()),
+                Ok(FrameHeader { dict_id: None, .. }) => {
+                    codec.decompress(frame).map_err(Into::into)
+                }
+                Ok(FrameHeader {
+                    dict_id: Some(expected),
+                    checksum,
+                    ..
+                }) => {
                     let version = expected & 0xfffff;
                     let exact = case
                         .versions
@@ -753,10 +736,7 @@ impl ManagedCompression {
                             let mut expired = false;
                             if decision == BreakerDecision::FastFail {
                                 reg.counter("managed.breaker_fast_fail", &labels).inc();
-                            } else if Algorithm::Zstdx
-                                .frame_header(frame)
-                                .is_ok_and(|h| h.checksum)
-                            {
+                            } else if checksum {
                                 for (v, dict) in case.versions.iter().rev() {
                                     if deadline.expired() || req.deadline_exceeded() {
                                         expired = true;
@@ -819,7 +799,6 @@ impl ManagedCompression {
                         }
                     }
                 }
-                Err(e) => Err(e.into()),
             };
             // Codec-level failures are breaker failures; service-level
             // classifications (retired generation, deadline) are not a
@@ -862,14 +841,6 @@ impl ManagedCompression {
                 ManagedError::DeadlineExceeded { .. } => "deadline",
                 ManagedError::Overloaded { .. } => "overloaded",
             });
-        }
-        let elapsed = start.elapsed();
-        let slos = telemetry::slos();
-        if let Some(slo) = self.slos.decompress_latency.get(slos) {
-            slo.record_latency(elapsed.as_nanos() as u64);
-        }
-        if let Some(slo) = self.slos.decompress_errors.get(slos) {
-            slo.record(out.is_ok());
         }
         out
     }

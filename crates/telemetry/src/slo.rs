@@ -7,8 +7,8 @@
 //! (e.g. 0.999). Every recorded event lands in two sliding windows (a
 //! fast one and a slow one, per the multi-window multi-burn-rate
 //! alerting strategy of the Google SRE workbook: fast 5 m / slow 1 h
-//! in production, scaled down by tests and the CLI monitor) and in a
-//! cumulative error-budget tally.
+//! in production, scaled down by tests) and in a cumulative
+//! error-budget tally.
 //!
 //! The **burn rate** of a window is `bad_fraction / (1 - target)`: 1.0
 //! means the service is spending its error budget exactly as fast as
@@ -98,7 +98,8 @@ impl SloConfig {
         }
     }
 
-    /// Rescales both windows (e.g. for a short monitor run or a test).
+    /// Rescales both windows (e.g. for a test that walks a burn and its
+    /// recovery in about a second).
     pub fn with_windows(mut self, fast: WindowConfig, slow: WindowConfig) -> Self {
         self.fast_window = fast;
         self.slow_window = slow;

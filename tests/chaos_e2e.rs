@@ -4,18 +4,25 @@
 //! Complements the unit tests inside `managed` and `faultline` with
 //! cross-crate assertions: a bounded chaos sweep must report zero
 //! invariant violations, breakers must demonstrably walk
-//! Closed → Open → HalfOpen → Closed under a `ManualClock`, and the
-//! deadline probe must surface a typed `DeadlineExceeded`.
+//! Closed → Open → HalfOpen → Closed under a `ManualClock`, the
+//! deadline probe must surface a typed `DeadlineExceeded`, and a burst
+//! of failing requests through the daemon must move its error SLO out
+//! of Ok and back.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use codecs::Algorithm;
 use faultline::{ChaosConfig, OpInjectorKind};
 use managed::{
     AdmissionConfig, BreakerConfig, BreakerState, FaultSite, ManagedCompression, ManagedConfig,
     ResiliencePolicy, RetryPolicy,
 };
-use telemetry::{ManualClock, WindowConfig};
+use server::client::Client;
+use server::protocol::Status;
+use server::{CompressionServer, ServerConfig};
+use telemetry::{ManualClock, SloConfig, SloState, WindowConfig};
 
 /// A bounded single-mix sweep at a fixed seed: every injector cell must
 /// finish with zero panics, zero round-trip mismatches, retries within
@@ -138,4 +145,77 @@ fn service_breaker_opens_and_recovers_under_manual_clock() {
             .any(|(i, s)| i > half && *s == BreakerState::Closed),
         "HalfOpen was not followed by Closed: {walk:?}"
     );
+}
+
+/// Detect and recover, end to end: corrupted dictionary frames sent to
+/// a real daemon are quarantined and answered `Status::Error`, which the
+/// request loop records against `server.errors`. The burst takes the
+/// objective out of Ok; clean traffic past the slow window brings it
+/// back. Nothing else in this binary talks to a daemon, so nothing else
+/// feeds `server.errors` here.
+#[test]
+fn daemon_error_burst_leaves_ok_and_recovers() {
+    // Windows short enough to walk the burn and its recovery in a
+    // second: fast 10 x 50 ms, slow 10 x 100 ms.
+    let slow = Duration::from_millis(1_000);
+    let errors =
+        telemetry::slos().register(SloConfig::error_rate("server.errors", 0.99).with_windows(
+            WindowConfig::new(50_000_000, 10),
+            WindowConfig::new(100_000_000, 10),
+        ));
+    let daemon = CompressionServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(daemon.local_addr()).expect("connect");
+    let round_trip = |client: &mut Client, i: usize| {
+        let item = format!("{{\"user\":{i},\"name\":\"ada-{i}\",\"tags\":[\"a\",\"b\"]}}")
+            .repeat(6)
+            .into_bytes();
+        let frame = client.compress("chaos", "items", &item).expect("compress");
+        assert_eq!(frame.status, Status::Ok);
+        let back = client
+            .decompress("chaos", "items", &frame.payload)
+            .expect("decompress");
+        assert_eq!((back.status, back.payload), (Status::Ok, item));
+        frame.payload
+    };
+
+    // Clean traffic warms the reservoir, and later frames carry a
+    // trained dictionary and a content checksum.
+    let mut frame = Vec::new();
+    for i in 0..16 {
+        frame = round_trip(&mut client, i);
+    }
+    let header = Algorithm::Zstdx
+        .frame_header(&frame)
+        .expect("a zstdx frame");
+    assert!(header.dict_id.is_some() && header.checksum, "{header:?}");
+    assert_eq!(errors.evaluate(), SloState::Ok);
+
+    // The burst: the checksum trailer no longer matches the content.
+    let mut bad = frame;
+    *bad.last_mut().expect("non-empty frame") ^= 0xff;
+    for _ in 0..16 {
+        let resp = client
+            .decompress("chaos", "items", &bad)
+            .expect("decompress");
+        assert_eq!(resp.status, Status::Error);
+    }
+    let stats = String::from_utf8(client.stats("chaos").expect("stats").payload).unwrap();
+    assert!(stats.contains("\"quarantined\":16"), "{stats}");
+    let during = errors.evaluate();
+    assert_ne!(during, SloState::Ok, "the burst did not move the burn rate");
+
+    // Recovery: only clean requests inside the slow window.
+    let burst_end = Instant::now();
+    let mut i = 16;
+    while burst_end.elapsed() < slow + slow / 4 {
+        round_trip(&mut client, i);
+        i += 1;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        errors.evaluate(),
+        SloState::Ok,
+        "no recovery after {during:?}"
+    );
+    daemon.shutdown();
 }

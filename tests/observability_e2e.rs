@@ -4,9 +4,9 @@
 //! it was observed in — in `/requests.json` and as its `req:<id>`
 //! thread in the `/trace.json` Chrome export.
 //!
-//! This is the contract the monitor command relies on: a scrape-time
-//! windowed p99 is not a dead end — its exemplar's request id lands on
-//! a concrete span tree a human can open in Perfetto.
+//! This is the contract `datacomp serve`'s scrape endpoints rely on: a
+//! scrape-time windowed p99 is not a dead end — its exemplar's request
+//! id lands on a concrete span tree a human can open in Perfetto.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
