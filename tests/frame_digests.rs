@@ -31,7 +31,7 @@ use datacomp::codecs::parallel::compress_parallel;
 use datacomp::codecs::xxhash::xxh64;
 use datacomp::codecs::zlibx::Zlibx;
 use datacomp::codecs::zstdx::Zstdx;
-use datacomp::codecs::{Compressor, DecodeLimits, StreamPolicy};
+use datacomp::codecs::{Algorithm, Compressor, DecodeLimits, StreamPolicy};
 use datacomp::corpus::cache::{cache1_profile, generate_items};
 use datacomp::corpus::orc::generate_blocks;
 use datacomp::corpus::sst::generate_sst;
@@ -176,6 +176,83 @@ fn lz4x_and_zlibx_frames_are_byte_identical_to_the_pinned_parent() {
     check("lz4x / zlibx frame", &got, &OTHER_CODECS);
 }
 
+/// 7-bit xorshift noise: Huffman-compressible, with only chance matches.
+fn noise(n: usize) -> Vec<u8> {
+    let mut x = 0x9e37_79b9u32;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 8) as u8 & 0x7f
+        })
+        .collect()
+}
+
+/// Literal-dominated payloads, built as the zlibx unit tests build
+/// theirs, so `Auto` writes type-2 (four-substream) blocks: noise with
+/// a 48-byte repeat every 512 bytes (`lit_heavy`; its 6 KiB tail block
+/// stays type-1), noise with a 3000-byte repeat of content 20 000 bytes
+/// back after every 6000 fresh bytes, whose matches reach into earlier
+/// substreams and blocks (`cross_substream_matches_resolve`), and 20 KB
+/// of plain noise, which parses to no match at all. Between them both
+/// layouts write all three distance modes: no offsets, an offset
+/// table, and one fixed offset code.
+fn literal_deck() -> Vec<Vec<u8>> {
+    let mut lit_heavy = noise(70_000);
+    for at in (512..70_000 - 48).step_by(512) {
+        lit_heavy.copy_within(at - 400..at - 352, at);
+    }
+    let fresh = noise(180_000);
+    let mut cross = fresh[..20_000].to_vec();
+    for chunk in fresh[20_000..].chunks(6000) {
+        cross.extend_from_slice(chunk);
+        let at = cross.len() - 20_000;
+        cross.extend_from_within(at..at + 3000);
+    }
+    cross.truncate(180_000);
+    vec![lit_heavy, cross, noise(20_000)]
+}
+
+/// zlibx under both stream layouts: levels 1 and 9 over the served
+/// decks (levels 2, 3 and 6 are `OTHER_CODECS`), and every level family
+/// (fast, greedy, lazy, optimal) over a literal-dominated deck. `Auto`
+/// writes type-2 blocks for the ORC block and the literal deck, so each
+/// frame's version bit is checked: set under `Auto` there, clear under
+/// `Single` everywhere. Pinned on the commit before the two layouts
+/// began sharing one table header and one match coder; each frame also
+/// decodes through the reference engine.
+#[test]
+fn zlibx_type2_and_single_frames_are_byte_identical_to_the_pinned_parent() {
+    let mut got = Vec::new();
+    let decks = decks()
+        .into_iter()
+        .map(|(deck, p)| (deck, p, [1, 9].as_slice()));
+    let lit = ("lit", literal_deck(), [1, 2, 3, 6, 9].as_slice());
+    for (deck, payloads, levels) in decks.chain([lit]) {
+        for &level in levels {
+            for (tag, policy) in [
+                ("auto", StreamPolicy::Auto),
+                ("single", StreamPolicy::Single),
+            ] {
+                let c = Zlibx::new(level).with_stream_policy(policy);
+                let type2 = policy == StreamPolicy::Auto && matches!(deck, "orc" | "lit");
+                let d = digest(payloads.iter().map(|p| {
+                    let f = c.compress(p);
+                    let v4 = Algorithm::Zlibx.frame_header(&f).unwrap().v4;
+                    assert_eq!(v4, type2, "{deck}/l{level}/{tag}");
+                    assert_eq!(c.decompress(&f).unwrap(), *p);
+                    let reference = c.decompress_reference(&f, &DecodeLimits::default());
+                    assert_eq!(reference.unwrap(), *p);
+                    f
+                }));
+                got.push((format!("{deck}/zlibx/l{level}/{tag}"), d));
+            }
+        }
+    }
+    check("zlibx frame", &got, &ZLIBX);
+}
+
 /// Digests of the frames `write` makes at levels 1, 3 and 7 over every
 /// deck, each checked to decode through the slice decoder.
 fn writer_rows(write: impl Fn(i32, &[u8]) -> Vec<u8>) -> Vec<(String, u64)> {
@@ -309,6 +386,31 @@ const OTHER_CODECS: [(&str, u64); 18] = [
     ("orc/zlibx/l2", 0xbe516a9e3e2f9c52),
     ("orc/zlibx/l3", 0x66c8b12691513669),
     ("orc/zlibx/l6", 0xc6b8b8f2637797ed),
+];
+
+const ZLIBX: [(&str, u64); 22] = [
+    ("cache1/zlibx/l1/auto", 0x44a2f19acd2ad9ff),
+    ("cache1/zlibx/l1/single", 0x44a2f19acd2ad9ff),
+    ("cache1/zlibx/l9/auto", 0x554a732daa3f4ce9),
+    ("cache1/zlibx/l9/single", 0x554a732daa3f4ce9),
+    ("sst/zlibx/l1/auto", 0xdc41e52c7d99cf9c),
+    ("sst/zlibx/l1/single", 0xdc41e52c7d99cf9c),
+    ("sst/zlibx/l9/auto", 0xb6530fc6913fed99),
+    ("sst/zlibx/l9/single", 0xb6530fc6913fed99),
+    ("orc/zlibx/l1/auto", 0x503b0cc075e2d199),
+    ("orc/zlibx/l1/single", 0xa7a82d892061e5a7),
+    ("orc/zlibx/l9/auto", 0x45205341812b01c1),
+    ("orc/zlibx/l9/single", 0xc405820c94cc98ff),
+    ("lit/zlibx/l1/auto", 0x9ddf464645ab7428),
+    ("lit/zlibx/l1/single", 0xa2719e2270975059),
+    ("lit/zlibx/l2/auto", 0x964bb8955f61159c),
+    ("lit/zlibx/l2/single", 0x98fe5773547f9772),
+    ("lit/zlibx/l3/auto", 0x964bb8955f61159c),
+    ("lit/zlibx/l3/single", 0x98fe5773547f9772),
+    ("lit/zlibx/l6/auto", 0x565d0aab8c5ff9f3),
+    ("lit/zlibx/l6/single", 0x84725bacd370219b),
+    ("lit/zlibx/l9/auto", 0x565d0aab8c5ff9f3),
+    ("lit/zlibx/l9/single", 0x84725bacd370219b),
 ];
 
 const TRAINED: [(&str, u64); 3] = [
