@@ -249,9 +249,8 @@ fn chaos(args: &Args) -> Result<(), String> {
 
 /// `datacomp serve [--addr 127.0.0.1:9185] [--metrics-addr 127.0.0.1:0]
 /// [--addr-file path] [--seconds 0] [--workers 0] [--slo-ms 5.0]
-/// [--slo-target 0.99] [--error-target 0.999] [--max-frame bytes]
-/// [--max-inflight 64] [--degrade-at 32] [--passthrough-at 48]
-/// [--cheap-level 1]` — runs the compression daemon.
+/// [--slo-target 0.99] [--error-target 0.999]` — runs the compression
+/// daemon.
 ///
 /// The binary protocol is served on `--addr`; `/metrics`, `/slo`,
 /// `/healthz`, `/trace.json`, `/profile.json`, `/requests.json` on
@@ -281,18 +280,10 @@ fn serve(args: &Args) -> Result<(), String> {
     let slo_target: f64 = args.opt_or("slo-target", 0.99)?;
     let error_target: f64 = args.opt_or("error-target", 0.999)?;
 
-    let mut cfg = server::ServerConfig {
+    let cfg = server::ServerConfig {
         workers: args.opt_or("workers", 0usize)?,
         ..server::ServerConfig::default()
     };
-    if let Some(max_frame) = args.opt::<usize>("max-frame")? {
-        cfg.limits = codecs::DecodeLimits::with_max_output(max_frame);
-    }
-    let admission = &mut cfg.managed.resilience.admission;
-    admission.max_inflight = args.opt_or("max-inflight", admission.max_inflight)?;
-    admission.degrade_at = args.opt_or("degrade-at", admission.degrade_at)?;
-    admission.passthrough_at = args.opt_or("passthrough-at", admission.passthrough_at)?;
-    admission.cheap_level = args.opt_or("cheap-level", admission.cheap_level)?;
 
     // Objectives the request loop feeds by well-known name; register
     // before the first request so every sample lands in a window.

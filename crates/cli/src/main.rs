@@ -14,7 +14,8 @@
 //!                     [--block-size BYTES] [--level N] [--checksums on|off]
 //! datacomp chaos      [--seed N] [--ops N] [--mix A,B] [--injector A,B]
 //! datacomp serve      [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--addr-file PATH]
-//!                     [--seconds S] [--slo-ms MS] [--slo-target F] [--error-target F] ...
+//!                     [--seconds S] [--workers N] [--slo-ms MS] [--slo-target F]
+//!                     [--error-target F]
 //! datacomp loadgen    [--addr HOST:PORT | --addr-file PATH] [--mix A,B] [--seconds S]
 //!                     [--concurrency N] [--seed N]
 //! ```

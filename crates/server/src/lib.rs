@@ -61,7 +61,7 @@ use telemetry::serve::Listener;
 use telemetry::{Counter, SloHandle, WindowedHistogram};
 
 /// Server configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
@@ -72,23 +72,12 @@ pub struct ServerConfig {
     /// (resilience policy included; its admission section sizes the
     /// shared brownout ladder).
     pub managed: ManagedConfig,
-    /// Maximum pipelined requests served per batch.
-    pub batch_max: usize,
-    /// Tenant shard count.
-    pub shards: usize,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            limits: DecodeLimits::default(),
-            managed: ManagedConfig::default(),
-            batch_max: 64,
-            shards: 16,
-        }
-    }
-}
+/// Maximum pipelined requests served per batch.
+const BATCH_MAX: usize = 64;
+/// Tenant shard count.
+const SHARDS: usize = 16;
 
 /// One tenant's shard entry: its service and the handles its requests
 /// report through.
@@ -124,7 +113,6 @@ struct Shared {
     admission: Arc<AdmissionController>,
     managed: ManagedConfig,
     limits: DecodeLimits,
-    batch_max: usize,
 }
 
 impl Shared {
@@ -154,13 +142,11 @@ impl CompressionServer {
         } else {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         };
-        let shards = cfg.shards.max(1);
         let shared = Arc::new(Shared {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             admission: AdmissionController::new(cfg.managed.resilience.admission),
             managed: cfg.managed,
             limits: cfg.limits,
-            batch_max: cfg.batch_max.max(1),
         });
         let worker = Arc::clone(&shared);
         // Bounded reads: an idle or stalled client wakes the worker
@@ -232,7 +218,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) -> st
         }
         // Coalesce: requests already buffered on the connection ride
         // the same batch (small cache items arrive many-per-packet).
-        while batch.len() < shared.batch_max && !reader.buffer().is_empty() {
+        while batch.len() < BATCH_MAX && !reader.buffer().is_empty() {
             match protocol::read_request(&mut reader, &shared.limits) {
                 Ok(Some(req)) => batch.push(req),
                 Ok(None) => break,

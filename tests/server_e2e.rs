@@ -2,8 +2,9 @@
 //! server sustains a seeded fleet-mix replay with per-tenant round-trip
 //! equality, walks the brownout ladder under forced overload, serves
 //! per-tenant counters on `/metrics`, survives a faultline sweep of
-//! hostile protocol frames without a panic, and never resumes a stalled
-//! frame at a boundary inside its body.
+//! hostile protocol frames without a panic, never resumes a stalled
+//! frame at a boundary inside its body, and answers a pipeline longer
+//! than two batches in order across alternating tenant runs.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -287,5 +288,50 @@ fn a_stall_inside_a_frame_is_a_bad_frame_not_a_new_request() {
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
     assert!(start.elapsed() < Duration::from_secs(2));
+    server.shutdown();
+}
+
+#[test]
+fn pipelines_past_one_batch_answer_in_order_across_tenant_runs() {
+    // Two full batches (the daemon serves up to 64 buffered requests
+    // per batch) plus one, alternating between two tenants in runs of 3
+    // so a run straddles each batch cut (requests 63..66 and
+    // 126..129). The requests are small enough that the whole pipeline
+    // sits in the server's 8 KiB read buffer at once.
+    const N: usize = 2 * 64 + 1;
+    let server = CompressionServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let tenant = |i: usize| ["left", "right"][i / 3 % 2];
+    let request = |i: usize, op, payload| Request {
+        op,
+        tenant: tenant(i).into(),
+        use_case: "items".into(),
+        payload,
+    };
+    let items: Vec<Vec<u8>> = (0..N).map(|i| format!("item {i}").into_bytes()).collect();
+    let compress: Vec<Request> = (0..N)
+        .map(|i| request(i, Op::Compress, items[i].clone()))
+        .collect();
+    let frames = client.pipeline(&compress).expect("compress pipeline");
+    assert_eq!(frames.len(), N);
+    let decompress: Vec<Request> = frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            assert_eq!(f.status, Status::Ok, "compress {i}: {:?}", f.payload);
+            request(i, Op::Decompress, f.payload.clone())
+        })
+        .collect();
+    let back = client.pipeline(&decompress).expect("decompress pipeline");
+    assert_eq!(back.len(), N);
+    for (i, (resp, item)) in back.iter().zip(&items).enumerate() {
+        assert_eq!(resp.status, Status::Ok, "decompress {i}");
+        assert_eq!(resp.payload, *item, "answer {i} out of order or altered");
+    }
+    for (name, calls) in [("left", 66), ("right", 63)] {
+        let body = String::from_utf8(client.stats(name).expect("transport").payload).unwrap();
+        let want = format!("\"compress_calls\":{calls}");
+        assert!(body.contains(&want), "{body}");
+    }
     server.shutdown();
 }
