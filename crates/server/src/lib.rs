@@ -37,7 +37,9 @@
 //! SLOs when registered. Their handles live in each tenant's shard entry
 //! next to its service, resolved on the tenant's first request, so a
 //! request updates them without a name lookup; the SLOs are fed and
-//! evaluated only when read. Serve them by binding a
+//! evaluated only when read. A request reads the planes' clock once
+//! when it starts and once when it ends, and every write takes those
+//! readings. Serve them by binding a
 //! [`telemetry::ScrapeServer`] next to the daemon (the CLI's `serve`
 //! command does).
 
@@ -51,14 +53,14 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use codecs::DecodeLimits;
 use managed::{AdmissionController, ManagedCompression, ManagedConfig, ManagedError};
 use protocol::{Op, Request, Response, Status, WireError};
 use telemetry::export::json_string;
 use telemetry::serve::Listener;
-use telemetry::{Counter, SloHandle, WindowedHistogram};
+use telemetry::{Clock, Counter, SloHandle, WindowedHistogram};
 
 /// Server configuration.
 #[derive(Debug, Clone, Default)]
@@ -110,6 +112,8 @@ impl Tenant {
 
 struct Shared {
     shards: Vec<Mutex<HashMap<String, Tenant>>>,
+    /// The clock of the process-global planes a request reports to.
+    clock: Arc<dyn Clock>,
     admission: Arc<AdmissionController>,
     managed: ManagedConfig,
     limits: DecodeLimits,
@@ -144,6 +148,7 @@ impl CompressionServer {
         };
         let shared = Arc::new(Shared {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            clock: telemetry::global_clock(),
             admission: AdmissionController::new(cfg.managed.resilience.admission),
             managed: cfg.managed,
             limits: cfg.limits,
@@ -275,7 +280,7 @@ fn process_batch(shared: &Shared, batch: &[Request], out: &mut Vec<u8>) {
         }
         let entry = guard.get_mut(tenant).expect("inserted above");
         for req in &batch[i..j] {
-            let resp = serve_request(entry, req);
+            let resp = serve_request(entry, req, &*shared.clock);
             out_response(out, &resp);
         }
         drop(guard);
@@ -283,9 +288,9 @@ fn process_batch(shared: &Shared, batch: &[Request], out: &mut Vec<u8>) {
     }
 }
 
-fn serve_request(tenant: &mut Tenant, req: &Request) -> Response {
+fn serve_request(tenant: &mut Tenant, req: &Request, clock: &dyn Clock) -> Response {
     let svc = &mut tenant.svc;
-    let start = Instant::now();
+    let start = clock.now_nanos();
     let resp = match req.op {
         Op::Compress => match svc.compress(&req.use_case, &req.payload) {
             Ok(frame) => Response {
@@ -306,14 +311,18 @@ fn serve_request(tenant: &mut Tenant, req: &Request) -> Response {
             payload: stats_json(svc, &req.tenant).into_bytes(),
         },
     };
-    let elapsed = start.elapsed();
-    tenant.request_nanos.observe(elapsed.as_nanos() as u64);
+    let end = clock.now_nanos();
+    let elapsed = end.saturating_sub(start);
+    tenant.request_nanos.record(elapsed, end);
     let slos = telemetry::slos();
     if let Some(slo) = tenant.latency_slo.get(slos) {
-        slo.record_latency(elapsed.as_nanos() as u64);
+        slo.record_latency(elapsed, end);
     }
     if let Some(slo) = tenant.errors_slo.get(slos) {
-        slo.record(!matches!(resp.status, Status::Error | Status::BadFrame));
+        slo.record(
+            !matches!(resp.status, Status::Error | Status::BadFrame),
+            end,
+        );
     }
     record_request(tenant, req, &resp);
     resp

@@ -71,13 +71,15 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, Series, SeriesKey, SeriesValue, Snapshot};
 pub use request::{
-    KeepReason, Op, RequestCtx, RequestSampler, SampledRequest, SamplerConfig, SamplerStats,
-    SizeClass, SpanNode,
+    KeepReason, Op, RequestCtx, RequestHandle, RequestSampler, SampledRequest, SamplerConfig,
+    SamplerStats, SizeClass, SpanNode,
 };
 pub use serve::{ScrapeServer, Sources};
 pub use slo::{Slo, SloConfig, SloHandle, SloKind, SloRegistry, SloState};
 pub use span::Stage;
-pub use window::{Exemplar, WindowConfig, WindowRegistry, WindowedCounter, WindowedHistogram};
+pub use window::{
+    Exemplar, SubWindows, WindowConfig, WindowRegistry, WindowedCounter, WindowedHistogram,
+};
 
 use std::sync::{Arc, OnceLock};
 

@@ -383,10 +383,10 @@ mod tests {
     fn routes_serve_all_four_endpoints() {
         let s = test_sources();
         s.registry.counter("reqs", &[]).add(3);
-        s.windows.counter("reqs", &[]).add(2);
+        s.windows.counter("reqs", &[]).add(2, 0);
         s.slos
             .register(SloConfig::error_rate("errs", 0.9))
-            .record(true);
+            .record(true, 0);
         {
             let _req = s.requests.open("svc", crate::request::Op::Compress, 100);
             crate::request::mark("mark");
@@ -567,7 +567,7 @@ mod tests {
         let h = s.registry.histogram("pin.nanos", &[]);
         h.observe(100);
         h.observe(5000);
-        s.windows.counter("pin.ops", &[("tenant", "a")]).add(4);
+        s.windows.counter("pin.ops", &[("tenant", "a")]).add(4, 0);
         {
             let _req = s.requests.open("svc", crate::request::Op::Compress, 100);
             s.windows
@@ -576,10 +576,10 @@ mod tests {
         }
         s.slos
             .register(SloConfig::latency("pin.slow", 1000, 0.99))
-            .record_latency(500);
+            .record_latency(500, 0);
         s.slos
             .register(SloConfig::error_rate("pin.errors", 0.9))
-            .record(false);
+            .record(false, 0);
         {
             let ctx = s.requests.open("svc", crate::request::Op::Compress, 100);
             ctx.mark_error("boom");

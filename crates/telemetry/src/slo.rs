@@ -24,7 +24,9 @@
 //! ([`Slo::transitions`]).
 //!
 //! Request paths only [`record`](Slo::record), through an [`SloHandle`]
-//! resolved once; evaluation happens where state is read —
+//! resolved once, with the clock reading they already hold: both
+//! windows count the event under one lock. Evaluation happens where
+//! state is read —
 //! [`Slo::report`] and everything built on it (`/slo`, the `slo.*`
 //! gauges [`SloRegistry::publish`] adds to `/metrics`, the CLI
 //! verdicts). A transition is therefore stamped with the time of the
@@ -39,7 +41,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::clock::Clock;
 use crate::export::{json_number, json_string};
 use crate::registry::Series;
-use crate::window::{WindowConfig, WindowedCounter};
+use crate::window::{SubWindows, WindowConfig};
 
 /// What counts as a "good" event for an objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,10 +189,8 @@ pub struct SloReport {
 pub struct Slo {
     cfg: SloConfig,
     clock: Arc<dyn Clock>,
-    fast_good: WindowedCounter,
-    fast_bad: WindowedCounter,
-    slow_good: WindowedCounter,
-    slow_bad: WindowedCounter,
+    /// `(good, bad)` over the fast and the slow window.
+    windows: Mutex<[SubWindows<(u64, u64)>; 2]>,
     total_good: AtomicU64,
     total_bad: AtomicU64,
     state: Mutex<SloState>,
@@ -201,10 +201,10 @@ impl Slo {
     /// Creates an objective rotating on `clock`.
     pub fn new(cfg: SloConfig, clock: Arc<dyn Clock>) -> Self {
         Self {
-            fast_good: WindowedCounter::new(cfg.fast_window, Arc::clone(&clock)),
-            fast_bad: WindowedCounter::new(cfg.fast_window, Arc::clone(&clock)),
-            slow_good: WindowedCounter::new(cfg.slow_window, Arc::clone(&clock)),
-            slow_bad: WindowedCounter::new(cfg.slow_window, Arc::clone(&clock)),
+            windows: Mutex::new([
+                SubWindows::new(cfg.fast_window),
+                SubWindows::new(cfg.slow_window),
+            ]),
             total_good: AtomicU64::new(0),
             total_bad: AtomicU64::new(0),
             state: Mutex::new(SloState::Ok),
@@ -215,42 +215,43 @@ impl Slo {
     }
 
     /// Records a latency sample against a [`SloKind::Latency`]
-    /// objective; good iff at or under the threshold. No-op semantics
-    /// for other kinds are a programming error, so this panics.
-    pub fn record_latency(&self, nanos: u64) {
+    /// objective at time `now` (a reading of the objective's clock);
+    /// good iff at or under the threshold. No-op semantics for other
+    /// kinds are a programming error, so this panics.
+    pub fn record_latency(&self, nanos: u64, now: u64) {
         match self.cfg.kind {
-            SloKind::Latency { threshold_nanos } => self.record(nanos <= threshold_nanos),
+            SloKind::Latency { threshold_nanos } => self.record(nanos <= threshold_nanos, now),
             SloKind::ErrorRate => panic!("latency sample recorded against error-rate SLO"),
         }
     }
 
-    /// Records one event outcome.
-    pub fn record(&self, good: bool) {
-        if good {
-            self.fast_good.inc();
-            self.slow_good.inc();
-            self.total_good.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fast_bad.inc();
-            self.slow_bad.inc();
-            self.total_bad.fetch_add(1, Ordering::Relaxed);
+    /// Records one event outcome at time `now`, a reading of the
+    /// objective's clock: both windows count it under one lock.
+    pub fn record(&self, good: bool, now: u64) {
+        let mut windows = self.windows.lock().expect("slo windows not poisoned");
+        for window in windows.iter_mut() {
+            window.update(now, |(g, b)| *if good { g } else { b } += 1);
         }
+        drop(windows);
+        let total = if good {
+            &self.total_good
+        } else {
+            &self.total_bad
+        };
+        total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Burn rates over (fast, slow) windows. A window with no events
     /// burns at 0.
     pub fn burn_rates(&self) -> (f64, f64) {
+        let now = self.clock.now_nanos();
+        let windows = self.windows.lock().expect("slo windows not poisoned");
+        let [fast, slow] = windows
+            .each_ref()
+            .map(|w| w.fold(now, (0, 0), |(g, b), &(wg, wb)| (g + wg, b + wb)));
         (
-            burn(
-                self.fast_good.total(),
-                self.fast_bad.total(),
-                self.cfg.target,
-            ),
-            burn(
-                self.slow_good.total(),
-                self.slow_bad.total(),
-                self.cfg.target,
-            ),
+            burn(fast.0, fast.1, self.cfg.target),
+            burn(slow.0, slow.1, self.cfg.target),
         )
     }
 
@@ -519,12 +520,12 @@ mod tests {
         Slo::new(cfg, Arc::clone(clock) as Arc<dyn Clock>)
     }
 
-    fn record_mix(slo: &Slo, good: u64, bad: u64) {
+    fn record_mix(slo: &Slo, clock: &ManualClock, good: u64, bad: u64) {
         for _ in 0..good {
-            slo.record(true);
+            slo.record(true, clock.now_nanos());
         }
         for _ in 0..bad {
-            slo.record(false);
+            slo.record(false, clock.now_nanos());
         }
     }
 
@@ -532,7 +533,7 @@ mod tests {
     fn burn_rate_math_is_exact() {
         let clock = ManualClock::shared();
         let slo = test_slo(&clock);
-        record_mix(&slo, 90, 10); // bad fraction 0.1 = budget → burn 1.0
+        record_mix(&slo, &clock, 90, 10); // bad fraction 0.1 = budget → burn 1.0
         let (fast, slow) = slo.burn_rates();
         assert!((fast - 1.0).abs() < 1e-9, "{fast}");
         assert!((slow - 1.0).abs() < 1e-9, "{slow}");
@@ -544,12 +545,12 @@ mod tests {
         let clock = ManualClock::shared();
         let slo = test_slo(&clock);
         // Phase 1: healthy traffic → Ok.
-        record_mix(&slo, 100, 0);
+        record_mix(&slo, &clock, 100, 0);
         assert_eq!(slo.evaluate(), SloState::Ok);
         assert!(slo.transitions().is_empty(), "Ok → Ok is not a transition");
         // Phase 2: bad fraction 16% → burn 1.6: warn (≥1.5), not page.
         clock.advance(100 * MS);
-        record_mix(&slo, 84, 16);
+        record_mix(&slo, &clock, 84, 16);
         // Fast window: 184 good, 16 bad → 8% → burn 0.8? No: fast
         // window (400 ms) still holds phase 1. total 200, bad 16 →
         // burn 0.8. Slow window identical. Still Ok.
@@ -558,11 +559,11 @@ mod tests {
         // still remembers it → Warning (fast over, slow under).
         clock.advance(400 * MS); // t=500ms: fast holds only ≥200ms epochs
         assert_eq!(slo.evaluate(), SloState::Ok, "fast window is now empty");
-        record_mix(&slo, 80, 20); // fast: 20% bad → burn 2.0; slow: 36/300 → 1.2
+        record_mix(&slo, &clock, 80, 20); // fast: 20% bad → burn 2.0; slow: 36/300 → 1.2
         assert_eq!(slo.evaluate(), SloState::Warning);
         // Phase 4: sustained badness fills the slow window too → Burning.
         clock.advance(100 * MS);
-        record_mix(&slo, 0, 60); // slow: 96 bad / 360 → burn 2.67; fast: 80/160 → 5.0
+        record_mix(&slo, &clock, 0, 60); // slow: 96 bad / 360 → burn 2.67; fast: 80/160 → 5.0
         assert_eq!(slo.evaluate(), SloState::Burning);
         // Phase 5: all traffic ages out → Ok again.
         clock.advance(3200 * MS);
@@ -591,9 +592,9 @@ mod tests {
             WindowConfig::new(400 * MS, 4),
         );
         let slo = Slo::new(cfg, Arc::clone(&clock) as Arc<dyn Clock>);
-        slo.record_latency(999); // good
-        slo.record_latency(1000); // good (inclusive)
-        slo.record_latency(1001); // bad
+        slo.record_latency(999, 0); // good
+        slo.record_latency(1000, 0); // good (inclusive)
+        slo.record_latency(1001, 0); // bad
         let b = slo.budget();
         assert_eq!(b.total, 3);
         assert_eq!(b.bad, 1);
@@ -603,14 +604,14 @@ mod tests {
     fn budget_accounting_and_exhaustion() {
         let clock = ManualClock::shared();
         let slo = test_slo(&clock); // 10% budget
-        record_mix(&slo, 95, 5);
+        record_mix(&slo, &clock, 95, 5);
         let b = slo.budget();
         assert_eq!(b.total, 100);
         assert_eq!(b.bad, 5);
         assert!((b.allowed - 10.0).abs() < 1e-9);
         assert!((b.remaining_fraction - 0.5).abs() < 1e-9);
         assert!(!b.exhausted);
-        record_mix(&slo, 0, 20);
+        record_mix(&slo, &clock, 0, 20);
         let b = slo.budget();
         assert_eq!(b.bad, 25);
         assert!((b.allowed - 12.0).abs() < 1e-9);
@@ -641,7 +642,7 @@ mod tests {
                 .with_burns(2.0, 1.5),
         );
         for _ in 0..10 {
-            a.record(false);
+            a.record(false, 0);
         }
         assert_eq!(reg.worst_state(), SloState::Burning);
         assert!(reg.reports().iter().any(|r| r.budget.exhausted));
@@ -665,7 +666,7 @@ mod tests {
                 .with_burns(2.0, 1.5),
         );
         for _ in 0..10 {
-            slo.record(false);
+            slo.record(false, 0);
         }
         let json = to_json_reports(&reg.reports());
         assert!(json.starts_with("{\"version\":1,\"worst\":\"burning\""));
@@ -691,7 +692,7 @@ mod tests {
             handle
                 .get(&reg)
                 .expect("resolved after registration")
-                .record(false);
+                .record(false, 0);
         }
         assert_eq!(late.budget().bad, 10);
         // Recording does not evaluate: the state moves when it is read.

@@ -116,8 +116,9 @@ fn slo_endpoint_reflects_fed_objectives_live() {
     // does, then confirm the JSON endpoint reports it.
     let slo =
         telemetry::slos().register(telemetry::SloConfig::error_rate("e2e.decode.errors", 0.99));
+    let clock = telemetry::global_clock();
     for _ in 0..50 {
-        slo.record(true);
+        slo.record(true, clock.now_nanos());
     }
     slo.evaluate();
 
