@@ -6,64 +6,112 @@ use codecs::{Algorithm, Dictionary};
 use compopt::prelude::*;
 use telemetry::request::{AttributionRow, SamplerStats};
 
-use crate::args::Args;
+use crate::args::{Args, Command, Flag};
 
-const USAGE: &str =
-    "datacomp <compress|decompress|bench|train-dict|optimize|gen|fleet|profile|fault-inject|chaos|serve|loadgen> ...";
+#[rustfmt::skip]
+const ALGO: Flag = Flag { name: "algo", value: "A", default: Some("zstdx"), help: "codec: zstdx, lz4x or zlibx" };
+#[rustfmt::skip]
+const DICT: Flag = Flag { name: "dict", value: "FILE", default: None, help: "dictionary written by train-dict" };
+#[rustfmt::skip]
+const LEVEL: Flag = Flag { name: "level", value: "N", default: Some("3"), help: "compression level" };
+#[rustfmt::skip]
+const UNITS: Flag = Flag { name: "units", value: "N", default: Some("4"), help: "work units profiled per service" };
 
-/// Dispatches a parsed command line.
-///
-/// Every command accepts `--telemetry <path>`: after the command runs,
-/// the snapshot `/metrics` would serve (the registry plus every live
-/// plane's series) is written to `<path>` as JSON and to `<path>.prom`
-/// in Prometheus text format. Every command also accepts `--trace
-/// <path>`: the request plane's tail-sampled span trees are written to
-/// `<path>` as Chrome trace-event JSON (open in Perfetto or
-/// `chrome://tracing`). Neither write consumes what it reads.
+/// Every command with its positionals and options: dispatch, arity
+/// checks, defaults and usage text all read this table.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "compress", synopsis: "<in> <out>", run: compress, flags: &[ALGO, LEVEL, DICT] },
+    Command { name: "decompress", synopsis: "<in> <out>", run: decompress, flags: &[ALGO, DICT] },
+    Command { name: "bench", synopsis: "<in>", run: bench, flags: &[
+        ALGO,
+        Flag { name: "levels", value: "N,N", default: Some("1,3,6"), help: "compression levels to measure" },
+        Flag { name: "block", value: "BYTES", default: None, help: "measure per block of BYTES, not the whole input" },
+    ] },
+    Command { name: "train-dict", synopsis: "<out> <samples...>", run: train_dict, flags: &[
+        Flag { name: "size", value: "BYTES", default: Some("16384"), help: "dictionary size" }] },
+    Command { name: "optimize", synopsis: "<samples...>", run: optimize, flags: &[
+        Flag { name: "retention", value: "DAYS", default: Some("30"), help: "days compressed data is stored" },
+        Flag { name: "objective", value: "all|network|storage", default: Some("all"), help: "cost terms weighed beside compute" },
+        Flag { name: "min-speed", value: "MBPS", default: None, help: "prune configurations that compress slower" },
+        Flag { name: "max-latency", value: "MS", default: None, help: "prune configurations that decompress slower" },
+    ] },
+    Command { name: "gen", synopsis: "<class> <bytes> <out>", run: gen, flags: &[
+        Flag { name: "seed", value: "N", default: Some("1"), help: "generator seed" }] },
+    // `profile` is the direct spelling of `fleet profile`.
+    Command { name: "fleet", synopsis: "[profile]", run: fleet_tables, flags: &[UNITS] },
+    Command { name: "profile", synopsis: "", run: fleet_tables, flags: &[UNITS] },
+    Command { name: "fault-inject", synopsis: "", run: fault_inject, flags: &[
+        Flag { name: "seed", value: "N", default: Some("20823"), help: "sweep seed" },
+        Flag { name: "injector", value: "A,B", default: None, help: "corruption injectors (default all)" },
+        Flag { name: "algo", value: "A,B", default: None, help: "codecs (default all)" },
+        Flag { name: "budget", value: "N", default: Some("64"), help: "corruption cases per block" },
+        Flag { name: "block-size", value: "BYTES", default: Some("65536"), help: "bytes per corpus block" },
+        LEVEL,
+        Flag { name: "checksums", value: "on|off", default: Some("on"), help: "frame checksums" },
+    ] },
+    Command { name: "chaos", synopsis: "", run: chaos, flags: &[
+        Flag { name: "seed", value: "N", default: None, help: "sweep seed (default the sweep's own)" },
+        Flag { name: "ops", value: "N", default: None, help: "operations per cell (default the sweep's own)" },
+        Flag { name: "mix", value: "A,B", default: None, help: "fleet services to replay (default the sweep's own)" },
+        Flag { name: "injector", value: "A,B", default: None, help: "operational injectors (default all)" },
+    ] },
+    Command { name: "serve", synopsis: "", run: serve, flags: &[
+        Flag { name: "addr", value: "HOST:PORT", default: Some("127.0.0.1:9185"), help: "binary protocol address" },
+        Flag { name: "metrics-addr", value: "HOST:PORT", default: Some("127.0.0.1:0"), help: "scrape endpoints' address" },
+        Flag { name: "addr-file", value: "PATH", default: None, help: "write both bound addresses to PATH, one per line" },
+        Flag { name: "seconds", value: "S", default: Some("0"), help: "session length; 0 serves until killed" },
+        Flag { name: "workers", value: "N", default: Some("0"), help: "worker threads; 0 runs one per core" },
+        Flag { name: "slo-ms", value: "MS", default: Some("5.0"), help: "request latency objective" },
+        Flag { name: "slo-target", value: "F", default: Some("0.99"), help: "share of requests within --slo-ms" },
+        Flag { name: "error-target", value: "F", default: Some("0.999"), help: "share of requests without error" },
+    ] },
+    Command { name: "loadgen", synopsis: "", run: loadgen, flags: &[
+        Flag { name: "addr", value: "HOST:PORT", default: None, help: "daemon address" },
+        Flag { name: "addr-file", value: "PATH", default: None, help: "read the addresses serve --addr-file wrote" },
+        Flag { name: "mix", value: "A,B", default: Some("cache1,cache2,kvstore1"), help: "fleet services to replay" },
+        Flag { name: "seconds", value: "S", default: Some("5"), help: "replay length" },
+        Flag { name: "concurrency", value: "N", default: Some("4"), help: "connections, one thread each" },
+        Flag { name: "seed", value: "N", default: Some("1"), help: "traffic seed" },
+    ] },
+];
+
+/// Every command's synopsis, as the error for a missing or unknown
+/// command.
+fn usage() -> String {
+    let lines: Vec<String> = COMMANDS.iter().map(Command::synopsis_line).collect();
+    format!("usage:\n  {}", lines.join("\n  "))
+}
+
+/// Runs a command line: the command the first argument names, then
+/// the `--telemetry` and `--trace` writes, neither of which consumes
+/// what it reads.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for any usage or IO failure.
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Err(format!("usage: {USAGE}"));
-    };
-    let args = Args::parse(rest)?;
-    let result = match cmd.as_str() {
-        "compress" => compress(&args),
-        "decompress" => decompress(&args),
-        "bench" => bench(&args),
-        "train-dict" => train_dict(&args),
-        "optimize" => optimize(&args),
-        "gen" => gen(&args),
-        // `profile` is the direct spelling of `fleet profile`.
-        "fleet" | "profile" => fleet_tables(&args),
-        "fault-inject" => fault_inject(&args),
-        "chaos" => chaos(&args),
-        "serve" => serve(&args),
-        "loadgen" => loadgen(&args),
-        other => Err(format!("unknown command {other}; usage: {USAGE}")),
-    };
-    if result.is_ok() {
-        if let Some(path) = args.options.get("telemetry") {
-            write_telemetry(path)?;
-        }
-        if let Some(path) = args.options.get("trace") {
-            write_trace(path)?;
-        }
+    let (name, rest) = argv.split_first().ok_or_else(usage)?;
+    let command = (COMMANDS.iter().find(|c| c.name == name))
+        .ok_or_else(|| format!("unknown command {name}; {}", usage()))?;
+    let args = Args::parse(rest, command)?;
+    (command.run)(&args)?;
+    if let Some(path) = args.opt::<String>("telemetry")? {
+        write_telemetry(&path)?;
     }
-    result
+    if let Some(path) = args.opt::<String>("trace")? {
+        write_trace(&path)?;
+    }
+    Ok(())
 }
 
 /// Writes the process-global planes' snapshot to `path` (JSON) and
 /// `path.prom` (Prometheus text exposition).
 fn write_telemetry(path: &str) -> Result<(), String> {
     let snap = telemetry::Sources::global().snapshot();
-    fs::write(path, telemetry::export::to_json(&snap))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    write(path, telemetry::export::to_json(&snap))?;
     let prom_path = format!("{path}.prom");
-    fs::write(&prom_path, telemetry::export::to_prometheus(&snap))
-        .map_err(|e| format!("cannot write {prom_path}: {e}"))?;
+    write(&prom_path, telemetry::export::to_prometheus(&snap))?;
     println!(
         "telemetry: {} series -> {path}, {prom_path}",
         snap.series.len()
@@ -75,8 +123,7 @@ fn write_telemetry(path: &str) -> Result<(), String> {
 /// JSON.
 fn write_trace(path: &str) -> Result<(), String> {
     let sampled = telemetry::requests().sampled();
-    fs::write(path, telemetry::chrome::to_chrome_json(&sampled))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    write(path, telemetry::chrome::to_chrome_json(&sampled))?;
     let spans: usize = sampled.iter().map(|r| r.spans.len()).sum();
     println!(
         "trace: {} sampled requests, {spans} spans -> {path}",
@@ -85,47 +132,34 @@ fn write_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `datacomp fault-inject [--seed N] [--injector A,B] [--algo X,Y]
-/// [--budget N] [--block-size BYTES] [--level N] [--checksums on|off]`
-/// — sweeps corruption injectors over every codec and corpus class,
-/// asserting the decode contract (no panics, no silent wrong bytes, no
-/// allocation past the decode limit). Prints the outcome table and
-/// fails the process on any contract violation, so CI can gate on it.
+/// `datacomp fault-inject` sweeps corruption injectors over every codec
+/// and corpus class, asserting the decode contract (no panics, no
+/// silent wrong bytes, no allocation past the decode limit). Prints the
+/// outcome table and fails the process on any contract violation, so CI
+/// can gate on it.
 fn fault_inject(args: &Args) -> Result<(), String> {
     use faultline::{dict_skew_probe, sweep, Injector, Outcome, SweepConfig};
 
     let cfg = SweepConfig {
-        seed: args.opt_or("seed", 0x5157u64)?,
-        budget_per_block: args.opt_or("budget", 64usize)?,
-        level: args.opt_or("level", 3)?,
-        checksums: match args.options.get("checksums").map(String::as_str) {
-            None | Some("on") => true,
-            Some("off") => false,
-            Some(other) => return Err(format!("bad --checksums {other}; pick on|off")),
+        seed: args.get("seed")?,
+        budget_per_block: args.get("budget")?,
+        level: args.get("level")?,
+        checksums: match args.get::<String>("checksums")?.as_str() {
+            "on" => true,
+            "off" => false,
+            other => return Err(format!("bad --checksums {other}; pick on|off")),
         },
     };
-    let injectors: Vec<Injector> = match args.options.get("injector") {
-        None => Injector::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                Injector::from_name(s.trim()).ok_or_else(|| {
-                    format!(
-                        "unknown injector {s}; pick one of {}",
-                        Injector::ALL.map(|i| i.name()).join(",")
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let algos: Vec<Algorithm> = match args.options.get("algo") {
-        None => Algorithm::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse())
-            .collect::<Result<_, _>>()?,
-    };
-    let block_size = args.opt_or("block-size", 64usize << 10)?;
+    let injectors = args.list("injector", |s| {
+        Injector::from_name(s).ok_or_else(|| {
+            let names = Injector::ALL.map(|i| i.name()).join(",");
+            format!("unknown injector {s}; pick one of {names}")
+        })
+    })?;
+    let injectors = injectors.unwrap_or_else(|| Injector::ALL.to_vec());
+    let algos = args.list("algo", str::parse::<Algorithm>)?;
+    let algos = algos.unwrap_or_else(|| Algorithm::ALL.to_vec());
+    let block_size = args.get("block-size")?;
     let blocks: Vec<Vec<u8>> = corpus::silesia::FileClass::ALL
         .into_iter()
         .map(|c| corpus::silesia::generate(c, block_size, cfg.seed ^ c.name().len() as u64))
@@ -187,48 +221,35 @@ fn fault_inject(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `datacomp chaos [--seed N] [--ops N] [--mix A,B] [--injector A,B]`
-/// — the operational chaos sweep: runs a real managed-compression
-/// service per (injector × fleet mix) cell on a manual clock, injects
-/// seed-deterministic operational faults (latency spikes, codec error
-/// bursts, clock skew), and asserts the resilience invariants — typed
-/// errors only, retry volume inside the token-bucket budget, breakers
-/// that open under sustained errors and recover after them, a brownout
-/// ladder whose degraded frames still round-trip, and a typed
-/// `DeadlineExceeded` for expired budgets. Prints the verdict table and
-/// fails the process on any violation, so CI can gate on it.
+/// `datacomp chaos` is the operational chaos sweep: it runs a real
+/// managed-compression service per (injector × fleet mix) cell on a
+/// manual clock, injects seed-deterministic operational faults (latency
+/// spikes, codec error bursts, clock skew), and asserts the resilience
+/// invariants — typed errors only, retry volume inside the token-bucket
+/// budget, breakers that open under sustained errors and recover after
+/// them, a brownout ladder whose degraded frames still round-trip, and
+/// a typed `DeadlineExceeded` for expired budgets. Prints the verdict
+/// table and fails the process on any violation, so CI can gate on it.
 fn chaos(args: &Args) -> Result<(), String> {
     use faultline::{ChaosConfig, OpInjectorKind};
 
-    let mut cfg = ChaosConfig {
-        seed: args.opt_or("seed", ChaosConfig::default().seed)?,
-        ops: args.opt_or("ops", ChaosConfig::default().ops)?,
-        ..ChaosConfig::default()
-    };
+    let mut cfg = ChaosConfig::default();
+    cfg.seed = args.opt("seed")?.unwrap_or(cfg.seed);
+    cfg.ops = args.opt("ops")?.unwrap_or(cfg.ops);
     if cfg.ops == 0 {
         return Err("bad --ops 0; need at least one operation per cell".to_string());
     }
-    if let Some(list) = args.options.get("injector") {
-        cfg.injectors = list
-            .split(',')
-            .map(|s| {
-                OpInjectorKind::from_name(s.trim()).ok_or_else(|| {
-                    format!(
-                        "unknown injector {s}; pick one of {}",
-                        OpInjectorKind::ALL.map(|k| k.name()).join(",")
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(list) = args.options.get("mix") {
-        // Resolve against the fleet registry so cells replay real
-        // workloads (and typos fail fast with the valid names).
-        cfg.mixes = list
-            .split(',')
-            .map(|s| fleet_service("mix", s).map(|spec| spec.name))
-            .collect::<Result<_, _>>()?;
-    }
+    let injectors = args.list("injector", |s| {
+        OpInjectorKind::from_name(s).ok_or_else(|| {
+            let names = OpInjectorKind::ALL.map(|k| k.name()).join(",");
+            format!("unknown injector {s}; pick one of {names}")
+        })
+    })?;
+    cfg.injectors = injectors.unwrap_or(cfg.injectors);
+    // Resolve against the fleet registry so cells replay real workloads
+    // (and typos fail fast with the valid names).
+    let mixes = args.list("mix", |s| fleet_service(s).map(|spec| spec.name))?;
+    cfg.mixes = mixes.unwrap_or(cfg.mixes);
 
     let report = faultline::chaos_run(&cfg);
     print!("{}", report.render_table());
@@ -247,41 +268,27 @@ fn chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `datacomp serve [--addr 127.0.0.1:9185] [--metrics-addr 127.0.0.1:0]
-/// [--addr-file path] [--seconds 0] [--workers 0] [--slo-ms 5.0]
-/// [--slo-target 0.99] [--error-target 0.999]` — runs the compression
-/// daemon.
-///
-/// The binary protocol is served on `--addr`; `/metrics`, `/slo`,
-/// `/healthz`, `/trace.json`, `/profile.json`, `/requests.json` on
-/// `--metrics-addr`. `--addr-file` receives both bound addresses
-/// (daemon first, scrape second), one per line, for harnesses using
-/// port 0. `--seconds 0` serves until killed; a positive value runs a
-/// bounded session and then gates the exit on the SLO error budgets —
-/// an exhausted budget is a non-zero exit.
+/// `datacomp serve` runs the compression daemon on `--addr`, and
+/// `/metrics`, `/slo`, `/healthz`, `/trace.json`, `/profile.json` and
+/// `/requests.json` on `--metrics-addr`. A bounded session gates its
+/// exit on the SLO error budgets: an exhausted budget fails it.
 fn serve(args: &Args) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
-    let addr = args
-        .options
-        .get("addr")
-        .map_or("127.0.0.1:9185", String::as_str);
-    let metrics_addr = args
-        .options
-        .get("metrics-addr")
-        .map_or("127.0.0.1:0", String::as_str);
-    let seconds: f64 = args.opt_or("seconds", 0.0)?;
+    let addr: String = args.get("addr")?;
+    let metrics_addr: String = args.get("metrics-addr")?;
+    let seconds: f64 = args.get("seconds")?;
     if !seconds.is_finite() || seconds < 0.0 {
         return Err(format!(
             "bad --seconds {seconds}; need 0 (until killed) or a positive number"
         ));
     }
-    let slo_ms: f64 = args.opt_or("slo-ms", 5.0)?;
-    let slo_target: f64 = args.opt_or("slo-target", 0.99)?;
-    let error_target: f64 = args.opt_or("error-target", 0.999)?;
+    let slo_ms: f64 = args.get("slo-ms")?;
+    let slo_target: f64 = args.get("slo-target")?;
+    let error_target: f64 = args.get("error-target")?;
 
     let cfg = server::ServerConfig {
-        workers: args.opt_or("workers", 0usize)?,
+        workers: args.get("workers")?,
         ..server::ServerConfig::default()
     };
 
@@ -298,14 +305,13 @@ fn serve(args: &Args) -> Result<(), String> {
         error_target,
     ));
 
-    let daemon = server::CompressionServer::bind(addr, cfg)
+    let daemon = server::CompressionServer::bind(&addr, cfg)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    let scrape = telemetry::ScrapeServer::bind(metrics_addr, telemetry::Sources::global())
+    let scrape = telemetry::ScrapeServer::bind(&metrics_addr, telemetry::Sources::global())
         .map_err(|e| format!("cannot bind {metrics_addr}: {e}"))?;
     let (daddr, maddr) = (daemon.local_addr(), scrape.local_addr());
-    if let Some(path) = args.options.get("addr-file") {
-        fs::write(path, format!("{daddr}\n{maddr}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = args.opt::<String>("addr-file")? {
+        write(&path, format!("{daddr}\n{maddr}\n"))?;
     }
     println!("serve: compression protocol on {daddr}");
     println!("serve: /metrics /slo /healthz /trace.json on http://{maddr}/");
@@ -331,13 +337,7 @@ fn serve(args: &Args) -> Result<(), String> {
             continue;
         }
         if let telemetry::SeriesValue::Counter(n) = s.value {
-            let find = |l: &str| {
-                s.key
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == l)
-                    .map_or("", |(_, v)| v.as_str())
-            };
+            let find = |l| s.key.label(l).unwrap_or("");
             rows.push((find("tenant"), find("op"), find("status"), n));
         }
     }
@@ -374,9 +374,8 @@ fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `datacomp loadgen [--addr host:port | --addr-file path]
-/// [--mix cache1,cache2,kvstore1] [--seconds 5] [--concurrency 4]
-/// [--seed 1]` — deterministic fleet-mix replay against a live daemon.
+/// `datacomp loadgen` replays a deterministic fleet mix against a live
+/// daemon.
 ///
 /// Each worker thread opens one connection and replays seeded work
 /// units from the named fleet services (tenant = service name),
@@ -387,43 +386,33 @@ fn serve(args: &Args) -> Result<(), String> {
 /// `--addr-file`) the server-side p99 and SLO worst-state are pulled
 /// from `/metrics` and `/slo`.
 fn loadgen(args: &Args) -> Result<(), String> {
+    use server::protocol::Status;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    let (addr, metrics_addr) = match args.options.get("addr-file") {
+    let (addr, metrics_addr) = match args.opt::<String>("addr-file")? {
         Some(path) => {
-            let body = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut lines = body.lines();
-            let addr = lines
-                .next()
-                .ok_or_else(|| format!("{path} is empty"))?
-                .to_string();
-            (addr, lines.next().map(str::to_string))
+            let body = fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let mut lines = body.lines().map(str::to_string);
+            (
+                lines.next().ok_or(format!("{path} is empty"))?,
+                lines.next(),
+            )
         }
-        None => (
-            args.options
-                .get("addr")
-                .ok_or("need --addr or --addr-file")?
-                .clone(),
-            None,
-        ),
+        None => (args.opt("addr")?.ok_or("need --addr or --addr-file")?, None),
     };
-    let mix_arg = args
-        .options
-        .get("mix")
-        .map_or("cache1,cache2,kvstore1", String::as_str);
-    let seconds: f64 = args.opt_or("seconds", 5.0)?;
-    let concurrency: usize = args.opt_or("concurrency", 4)?;
-    let seed: u64 = args.opt_or("seed", 1)?;
+    let mix_arg: String = args.get("mix")?;
+    let seconds: f64 = args.get("seconds")?;
+    let concurrency: usize = args.get("concurrency")?;
+    let seed: u64 = args.get("seed")?;
     if !seconds.is_finite() || seconds <= 0.0 || concurrency == 0 {
         return Err("need positive --seconds and --concurrency".into());
     }
 
-    let specs: Vec<fleet::ServiceSpec> = mix_arg
-        .split(',')
-        .map(|name| fleet_service("mix", name))
-        .collect::<Result<_, _>>()?;
+    let specs = args
+        .list("mix", fleet_service)?
+        .expect("--mix has a default");
     println!(
         "loadgen: {} threads replaying [{}] against {addr} for {seconds}s (seed {seed})",
         concurrency, mix_arg
@@ -437,6 +426,18 @@ fn loadgen(args: &Args) -> Result<(), String> {
         errors: u64,
         bytes_ok: u64,
         latencies: Vec<u64>,
+    }
+    impl Tally {
+        /// Counts one response; true when it succeeded.
+        fn count(&mut self, status: Status) -> bool {
+            match status {
+                Status::Ok => self.ok += 1,
+                Status::Shed => self.shed += 1,
+                Status::Deadline => self.deadline += 1,
+                _ => self.errors += 1,
+            }
+            status == Status::Ok
+        }
     }
     let stop = Arc::new(AtomicBool::new(false));
     let t0 = Instant::now();
@@ -466,34 +467,17 @@ fn loadgen(args: &Args) -> Result<(), String> {
                         .compress(spec.name, spec.name, &block)
                         .map_err(|e| format!("compress transport: {e}"))?;
                     tally.latencies.push(start.elapsed().as_nanos() as u64);
-                    use server::protocol::Status;
-                    match resp.status {
-                        Status::Ok => {
-                            tally.ok += 1;
-                            tally.bytes_ok += block.len() as u64;
-                            for _ in 0..reads {
-                                let back = client
-                                    .decompress(spec.name, spec.name, &resp.payload)
-                                    .map_err(|e| format!("decompress transport: {e}"))?;
-                                match back.status {
-                                    Status::Ok => {
-                                        if back.payload != block {
-                                            return Err(format!(
-                                                "round-trip mismatch on {}",
-                                                spec.name
-                                            ));
-                                        }
-                                        tally.ok += 1;
-                                    }
-                                    Status::Shed => tally.shed += 1,
-                                    Status::Deadline => tally.deadline += 1,
-                                    _ => tally.errors += 1,
-                                }
+                    if tally.count(resp.status) {
+                        tally.bytes_ok += block.len() as u64;
+                        for _ in 0..reads {
+                            let back = client
+                                .decompress(spec.name, spec.name, &resp.payload)
+                                .map_err(|e| format!("decompress transport: {e}"))?;
+                            if back.status == Status::Ok && back.payload != block {
+                                return Err(format!("round-trip mismatch on {}", spec.name));
                             }
+                            tally.count(back.status);
                         }
-                        Status::Shed => tally.shed += 1,
-                        Status::Deadline => tally.deadline += 1,
-                        _ => tally.errors += 1,
                     }
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -564,8 +548,8 @@ fn loadgen(args: &Args) -> Result<(), String> {
 }
 
 /// The fleet service named `name` (any case); an unknown name is an
-/// error that lists the valid ones, naming the flag as `what`.
-fn fleet_service(what: &str, name: &str) -> Result<fleet::ServiceSpec, String> {
+/// error that lists the valid ones.
+fn fleet_service(name: &str) -> Result<fleet::ServiceSpec, String> {
     let registry = fleet::registry();
     let names: Vec<String> = registry
         .iter()
@@ -574,20 +558,22 @@ fn fleet_service(what: &str, name: &str) -> Result<fleet::ServiceSpec, String> {
     registry
         .into_iter()
         .find(|s| s.name.eq_ignore_ascii_case(name.trim()))
-        .ok_or_else(|| format!("unknown {what} {name}; pick one of {}", names.join("|")))
+        .ok_or_else(|| format!("unknown mix {name}; pick one of {}", names.join("|")))
 }
 
-fn algo(args: &Args) -> Result<Algorithm, String> {
-    args.options
-        .get("algo")
-        .map_or(Ok(Algorithm::Zstdx), |s| s.parse())
+fn read(path: &str) -> Result<Vec<u8>, String> {
+    fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn write(path: &str, data: impl AsRef<[u8]>) -> Result<(), String> {
+    fs::write(path, data).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn load_dict(args: &Args) -> Result<Option<Dictionary>, String> {
-    match args.options.get("dict") {
+    match args.opt::<String>("dict")? {
         None => Ok(None),
         Some(path) => {
-            let data = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let data = read(&path)?;
             // Dictionary id: stable hash of the content, so compress and
             // decompress invocations agree without extra bookkeeping.
             let id = codecs::xxhash::xxh64(&data, 0) as u32;
@@ -597,20 +583,14 @@ fn load_dict(args: &Args) -> Result<Option<Dictionary>, String> {
 }
 
 fn compress(args: &Args) -> Result<(), String> {
-    args.need(
-        2,
-        "datacomp compress <in> <out> [--algo A] [--level N] [--dict F]",
-    )?;
-    let input = fs::read(&args.positionals[0])
-        .map_err(|e| format!("cannot read {}: {e}", args.positionals[0]))?;
-    let level = args.opt_or("level", 3)?;
-    let comp = algo(args)?.compressor(level);
+    let input = read(&args.positionals[0])?;
+    let algo: Algorithm = args.get("algo")?;
+    let comp = algo.compressor(args.get("level")?);
     let frame = match load_dict(args)? {
         Some(d) => comp.compress_with_dict(&input, &d),
         None => comp.compress(&input),
     };
-    fs::write(&args.positionals[1], &frame)
-        .map_err(|e| format!("cannot write {}: {e}", args.positionals[1]))?;
+    write(&args.positionals[1], &frame)?;
     println!(
         "{} -> {} bytes (ratio {:.2}, {} level {})",
         input.len(),
@@ -623,42 +603,31 @@ fn compress(args: &Args) -> Result<(), String> {
 }
 
 fn decompress(args: &Args) -> Result<(), String> {
-    args.need(2, "datacomp decompress <in> <out> [--algo A] [--dict F]")?;
-    let frame = fs::read(&args.positionals[0])
-        .map_err(|e| format!("cannot read {}: {e}", args.positionals[0]))?;
-    let comp = algo(args)?.compressor(args.opt_or("level", 3)?);
+    let frame = read(&args.positionals[0])?;
+    // Frames carry what decoding needs; the level is never read.
+    let comp = args.get::<Algorithm>("algo")?.compressor(3);
     let data = match load_dict(args)? {
         Some(d) => comp.decompress_with_dict(&frame, &d),
         None => comp.decompress(&frame),
     }
     .map_err(|e| format!("decompression failed: {e}"))?;
-    fs::write(&args.positionals[1], &data)
-        .map_err(|e| format!("cannot write {}: {e}", args.positionals[1]))?;
+    write(&args.positionals[1], &data)?;
     println!("{} -> {} bytes", frame.len(), data.len());
     Ok(())
 }
 
 fn bench(args: &Args) -> Result<(), String> {
-    args.need(
-        1,
-        "datacomp bench <in> [--algo A] [--levels 1,3,6] [--block BYTES]",
-    )?;
-    let input = fs::read(&args.positionals[0])
-        .map_err(|e| format!("cannot read {}: {e}", args.positionals[0]))?;
-    let a = algo(args)?;
-    let levels: Vec<i32> = match args.options.get("levels") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().map_err(|_| format!("bad level: {s}")))
-            .collect::<Result<_, _>>()?,
-        None => vec![1, 3, 6],
-    };
+    let input = read(&args.positionals[0])?;
+    let a: Algorithm = args.get("algo")?;
+    let levels = args.list("levels", |s| {
+        s.parse().map_err(|_| format!("bad level: {s}"))
+    })?;
     let block: Option<usize> = args.opt("block")?;
     println!(
         "{:>6} {:>8} {:>12} {:>12}",
         "level", "ratio", "comp MB/s", "decomp MB/s"
     );
-    for level in levels {
+    for level in levels.expect("--levels has a default") {
         let comp = a.compressor(level);
         let m = match block {
             Some(bs) => codecs::measure_blocks(comp.as_ref(), &input, bs),
@@ -676,16 +645,14 @@ fn bench(args: &Args) -> Result<(), String> {
 }
 
 fn train_dict(args: &Args) -> Result<(), String> {
-    args.need(2, "datacomp train-dict <out> <samples...> [--size BYTES]")?;
-    let size = args.opt_or("size", 16 * 1024)?;
+    let size = args.get("size")?;
     let samples: Vec<Vec<u8>> = args.positionals[1..]
         .iter()
-        .map(|p| fs::read(p).map_err(|e| format!("cannot read {p}: {e}")))
+        .map(|p| read(p))
         .collect::<Result<_, _>>()?;
     let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
     let dict = codecs::dict::train(&refs, size, 0);
-    fs::write(&args.positionals[0], dict.as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", args.positionals[0]))?;
+    write(&args.positionals[0], dict.as_bytes())?;
     println!(
         "trained {} bytes of dictionary from {} samples",
         dict.len(),
@@ -695,14 +662,24 @@ fn train_dict(args: &Args) -> Result<(), String> {
 }
 
 fn optimize(args: &Args) -> Result<(), String> {
-    args.need(
-        1,
-        "datacomp optimize <samples...> [--retention DAYS] [--objective all|network|storage] [--min-speed MBPS] [--max-latency MS]",
-    )?;
+    let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, args.get("retention")?);
+    let weights = match args.get::<String>("objective")?.as_str() {
+        "all" => CostWeights::ALL,
+        "network" => CostWeights::COMPUTE_NETWORK,
+        "storage" => CostWeights::COMPUTE_STORAGE,
+        other => return Err(format!("unknown objective {other}")),
+    };
+    let constraints = [
+        args.opt("min-speed")?
+            .map(Constraint::MinCompressionSpeedMbps),
+        args.opt("max-latency")?
+            .map(Constraint::MaxDecompressionLatencyMs),
+    ];
+    let constraints: Vec<Constraint> = constraints.into_iter().flatten().collect();
     let samples: Vec<Vec<u8>> = args
         .positionals
         .iter()
-        .map(|p| fs::read(p).map_err(|e| format!("cannot read {p}: {e}")))
+        .map(|p| read(p))
         .collect::<Result<_, _>>()?;
     let refs: Vec<&[u8]> = samples.iter().map(|v| v.as_slice()).collect();
 
@@ -711,22 +688,6 @@ fn optimize(args: &Args) -> Result<(), String> {
         engine.add_levels(a, [1, 3, 6, 9]);
     }
     let measured = engine.measure(&refs);
-
-    let retention = args.opt_or("retention", 30.0)?;
-    let params = CostParams::from_pricing(&Pricing::aws_2023(), 1.0, retention);
-    let weights = match args.options.get("objective").map(String::as_str) {
-        None | Some("all") => CostWeights::ALL,
-        Some("network") => CostWeights::COMPUTE_NETWORK,
-        Some("storage") => CostWeights::COMPUTE_STORAGE,
-        Some(other) => return Err(format!("unknown objective {other}")),
-    };
-    let mut constraints = Vec::new();
-    if let Some(v) = args.opt("min-speed")? {
-        constraints.push(Constraint::MinCompressionSpeedMbps(v));
-    }
-    if let Some(v) = args.opt("max-latency")? {
-        constraints.push(Constraint::MaxDecompressionLatencyMs(v));
-    }
     let evals = evaluate_all(&measured, &params, weights, &constraints);
     print!("{}", optimize_table(&evals));
     match optimum(&evals) {
@@ -769,52 +730,42 @@ fn optimize_table(evals: &[Evaluation]) -> String {
 }
 
 fn gen(args: &Args) -> Result<(), String> {
-    args.need(3, "datacomp gen <class> <bytes> <out> [--seed N]")?;
     let size: usize = args.positionals[1]
         .parse()
         .map_err(|_| "bad size".to_string())?;
-    let seed = args.opt_or("seed", 1u64)?;
+    let seed = args.get("seed")?;
     let class = &args.positionals[0];
-    let data = match class.as_str() {
-        "text" | "xml" | "source" | "database" | "binary" | "log" => {
-            let fc = corpus::silesia::FileClass::ALL
-                .into_iter()
-                .find(|c| c.name() == class)
-                .expect("name matched");
-            corpus::silesia::generate(fc, size, seed)
-        }
-        "sst" => corpus::sst::generate_sst(size, seed),
-        "orc" => corpus::orc::generate_blocks(size, seed).concat(),
-        "ads" => corpus::mlreq::generate_request(corpus::mlreq::Model::A, seed),
-        "cache" => {
+    let silesia = corpus::silesia::FileClass::ALL
+        .into_iter()
+        .find(|c| c.name() == class);
+    let data = match (class.as_str(), silesia) {
+        (_, Some(fc)) => corpus::silesia::generate(fc, size, seed),
+        ("sst", _) => corpus::sst::generate_sst(size, seed),
+        ("orc", _) => corpus::orc::generate_blocks(size, seed).concat(),
+        ("ads", _) => corpus::mlreq::generate_request(corpus::mlreq::Model::A, seed),
+        ("cache", _) => {
             corpus::cache::generate_items(&corpus::cache::cache1_profile(), size / 300 + 1, seed)
                 .into_iter()
                 .flat_map(|i| i.data)
                 .take(size)
                 .collect()
         }
-        other => {
+        (other, _) => {
             return Err(format!(
                 "unknown class {other}; pick text|xml|source|database|binary|log|sst|orc|ads|cache"
             ))
         }
     };
-    fs::write(&args.positionals[2], &data)
-        .map_err(|e| format!("cannot write {}: {e}", args.positionals[2]))?;
+    write(&args.positionals[2], &data)?;
     println!("wrote {} bytes of {class}", data.len());
     Ok(())
 }
 
 fn fleet_tables(args: &Args) -> Result<(), String> {
-    // `datacomp fleet`, `datacomp fleet profile`, and `datacomp
-    // profile` are synonyms; the positional is accepted for symmetry
-    // with the other subcommands.
-    if let Some(p) = args.positionals.first() {
-        if p != "profile" {
-            return Err(format!("unknown fleet subcommand {p}; usage: datacomp fleet [profile] [--units N] [--telemetry PATH] [--trace PATH]"));
-        }
+    if let Some(p) = args.positionals.first().filter(|p| *p != "profile") {
+        return Err(format!("unknown fleet subcommand {p}; pick profile"));
     }
-    let units = args.opt_or("units", 4usize)?;
+    let units = args.get("units")?;
     let profile = fleet::profile_fleet(&fleet::ProfileConfig {
         work_units: units,
         ..fleet::ProfileConfig::default()
@@ -1031,6 +982,150 @@ mod tests {
         // The mix is checked before loadgen connects, so nothing dials out.
         let err = run_cmd(&["loadgen", "--addr", "127.0.0.1:1", "--mix", "nope"]).unwrap_err();
         assert!(err.contains("unknown mix nope; pick one of dw1|"), "{err}");
+
+        // A misspelt flag, one per command, fails in the parse: before a
+        // file is read or written, serve binds, or loadgen dials out.
+        let out = tmp("never-written");
+        let _ = fs::remove_file(&out);
+        let o = out.to_str().unwrap();
+        let misspelt: [(&str, &[&str]); 12] = [
+            (
+                "--levle",
+                &["compress", "in", o, "--levle", "19", "--no-such-flag", "x"],
+            ),
+            ("--levle", &["decompress", "in", o, "--levle", "3"]),
+            ("--level", &["bench", "in.log", "--level", "19"]),
+            ("--sise", &["train-dict", o, "in", "--sise", "1024"]),
+            ("--objectve", &["optimize", "in", "--objectve", "storage"]),
+            ("--sed", &["gen", "log", "100", o, "--sed", "2"]),
+            ("--unit", &["fleet", "profile", "--unit", "1"]),
+            ("--unit", &["profile", "--unit", "1"]),
+            ("--budjet", &["fault-inject", "--budjet", "8"]),
+            ("--op", &["chaos", "--op", "16"]),
+            (
+                "--slo",
+                &["serve", "--addr-file", o, "--seconds", "0.01", "--slo", "1"],
+            ),
+            (
+                "--bogus",
+                &["loadgen", "--addr", "127.0.0.1:1", "--bogus", "1"],
+            ),
+        ];
+        for ((bad, argv), command) in misspelt.iter().zip(COMMANDS) {
+            assert_eq!(argv[0], command.name, "one misspelling per command");
+            let err = run_cmd(argv).unwrap_err();
+            let usage = format!("unknown flag {bad}\nusage: datacomp {} ", command.name);
+            assert!(err.starts_with(&usage), "{err}");
+            for f in command.flags {
+                assert!(
+                    err.contains(&format!("\n  --{} {} ", f.name, f.value)),
+                    "{err}"
+                );
+            }
+        }
+        for (argv, fault) in [
+            (
+                &["compress", "in", o, "--level", "3", "--level", "19"][..],
+                "--level given twice",
+            ),
+            (
+                &["bench", "in.log", "--levels"],
+                "--levels needs a value N,N",
+            ),
+            (
+                &["decompress", "in", o, "extra"],
+                "unexpected argument extra",
+            ),
+            (&["gen", "log", "100"], "missing <out>"),
+        ] {
+            let err = run_cmd(argv).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{fault}\nusage: datacomp {} ", argv[0])),
+                "{err}"
+            );
+        }
+        assert!(!out.exists(), "a command ran despite a usage error");
+    }
+
+    /// The arguments after each `datacomp` in a code context of `text`:
+    /// in Markdown a fenced block's lines and inline code spans, in YAML
+    /// every line. A binary path ending in `datacomp`, or `-p
+    /// datacomp-cli --`, starts one; the line's end, a comment or a shell
+    /// operator ends it.
+    fn command_lines(text: &str, markdown: bool) -> Vec<Vec<String>> {
+        let text = text.replace("\\\n", " ");
+        let mut code: Vec<String> = Vec::new();
+        for (i, part) in text.split("```").enumerate() {
+            if !markdown || i % 2 == 1 {
+                code.extend(part.lines().map(str::to_string));
+            } else {
+                let spans = part.split('`').skip(1).step_by(2);
+                code.extend(spans.map(|s| s.replace('\n', " ")));
+            }
+        }
+        let mut lines = Vec::new();
+        for line in &code {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for (i, w) in words.iter().enumerate() {
+                let cargo = *w == "--" && i > 0 && words[i - 1] == "datacomp-cli";
+                if !(cargo || *w == "datacomp" || w.ends_with("/datacomp")) {
+                    continue;
+                }
+                let args = words[i + 1..].iter().take_while(|w| {
+                    !w.starts_with(['#', '&', '|', ';', '>', ')'])
+                        && **w != "<"
+                        && !w.starts_with("2>")
+                });
+                let args: Vec<String> = args.map(|w| w.to_string()).collect();
+                if !args.is_empty() {
+                    lines.push(args);
+                }
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut lines = Vec::new();
+        for (doc, markdown) in [
+            (".github/workflows/ci.yml", false),
+            ("README.md", true),
+            ("EXPERIMENTS.md", true),
+        ] {
+            let text = fs::read_to_string(format!("{root}/{doc}")).expect(doc);
+            lines.extend(command_lines(&text, markdown));
+        }
+        // A copy of the line benchmark/src/daemon.rs:83-86 starts the
+        // daemon with, the address file's path aside.
+        lines.push(argv(&[
+            "serve",
+            "--workers",
+            "1",
+            "--seconds",
+            "0",
+            "--addr",
+            "127.0.0.1:0",
+            "--metrics-addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            "daemon.addr",
+        ]));
+        assert!(
+            lines.len() >= 25,
+            "found only {} command lines",
+            lines.len()
+        );
+        let faults: Vec<String> = (lines.iter())
+            .filter_map(|line| match COMMANDS.iter().find(|c| c.name == line[0]) {
+                None => Some(format!("{line:?}: unknown command")),
+                Some(command) => Args::parse(&line[1..], command)
+                    .err()
+                    .map(|e| format!("{line:?}: {}", e.lines().next().unwrap_or(""))),
+            })
+            .collect();
+        assert!(faults.is_empty(), "{}", faults.join("\n"));
     }
 
     #[test]

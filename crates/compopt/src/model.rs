@@ -83,7 +83,8 @@ impl Costs {
     }
 
     /// Sum of the three terms (the argmin objective of Equation 4).
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    fn total(&self) -> f64 {
         self.compute + self.storage + self.network
     }
 

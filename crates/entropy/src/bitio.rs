@@ -214,7 +214,7 @@ impl<'a> BitReaderFast<'a> {
     }
 
     /// Number of unread bits remaining.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.len - self.pos
     }
 

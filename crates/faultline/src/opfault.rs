@@ -121,19 +121,9 @@ impl OpFaultPlan {
         })
     }
 
-    /// The injector this plan runs.
-    pub fn kind(&self) -> OpInjectorKind {
-        self.kind
-    }
-
     /// Stops injecting (and perturbing the clock); idempotent.
     pub fn deactivate(&self) {
         self.active.store(false, Ordering::Release);
-    }
-
-    /// Attempts consulted while active.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Acquire)
     }
 
     /// Failures injected so far.

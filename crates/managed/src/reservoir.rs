@@ -65,7 +65,8 @@ impl Reservoir {
     }
 
     /// Total payloads offered so far.
-    pub fn seen(&self) -> u64 {
+    #[cfg(test)]
+    fn seen(&self) -> u64 {
         self.seen
     }
 

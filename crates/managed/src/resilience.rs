@@ -164,13 +164,8 @@ impl<'a> Deadline<'a> {
     }
 
     /// Nanoseconds elapsed since the deadline started.
-    pub fn elapsed_nanos(&self) -> u64 {
+    fn elapsed_nanos(&self) -> u64 {
         self.clock.now_nanos().saturating_sub(self.start_nanos)
-    }
-
-    /// The configured budget (0 = unlimited).
-    pub fn budget_nanos(&self) -> u64 {
-        self.budget_nanos
     }
 
     /// Whether the budget has been exceeded.

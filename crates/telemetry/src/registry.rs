@@ -81,7 +81,7 @@ pub struct SeriesKey {
 
 impl SeriesKey {
     /// Builds a canonical key (labels sorted by name).
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         with_sorted(labels, |sorted| Self::from_sorted(name, sorted))
     }
 

@@ -103,7 +103,7 @@ pub enum SizeClass {
 
 impl SizeClass {
     /// Classifies a payload length.
-    pub fn of(len: usize) -> Self {
+    fn of(len: usize) -> Self {
         match len {
             0..=1024 => SizeClass::Tiny,
             1025..=16_384 => SizeClass::Small,

@@ -414,7 +414,7 @@ impl SloRegistry {
     }
 
     /// Fetches an objective by name.
-    pub fn get(&self, name: &str) -> Option<Arc<Slo>> {
+    fn get(&self, name: &str) -> Option<Arc<Slo>> {
         self.slos
             .read()
             .expect("slo registry not poisoned")

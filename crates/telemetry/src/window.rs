@@ -201,7 +201,7 @@ impl WindowedCounter {
 
     /// Total events in the live window (the last `sub_windows`
     /// sub-windows, including the in-progress one).
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.ring.fold(0, |total, count| total + count)
     }
 

@@ -6,9 +6,10 @@
 //! [`collection::vec`], `any::<T>()`, the [`prop_oneof!`] union macro,
 //! and the [`proptest!`] test-harness macro with optional
 //! `#![proptest_config(...)]`. Unlike real proptest there is no
-//! shrinking: a failing case panics with the standard assertion
-//! message, and cases derive deterministically from the test name, so
-//! failures reproduce exactly on re-run.
+//! shrinking: a failing case panics with the test's seed label, the
+//! case index, each input's `Debug` and the original message, and cases
+//! derive deterministically from the test name, so failures reproduce
+//! exactly on re-run.
 
 // Registry dependencies build with --cap-lints allow; as offline
 // path stand-ins these crates must opt out of repo-only strict lints
@@ -414,14 +415,41 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let __config: $crate::ProptestConfig = $cfg;
-                let mut __rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
+                let __label = concat!(module_path!(), "::", stringify!($name));
+                let mut __rng = $crate::TestRng::deterministic(__label);
                 for __case in 0..__config.cases {
-                    $(let $p = $crate::Strategy::generate(&($s), &mut __rng);)+
-                    $body
+                    let mut __inputs = Vec::new();
+                    $(
+                        let __value = $crate::Strategy::generate(&($s), &mut __rng);
+                        __inputs.push(format!("{} = {:?}", stringify!($p), __value));
+                        let $p = __value;
+                    )+
+                    let __outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body));
+                    if let Err(__panic) = __outcome {
+                        $crate::fail_case(__label, __case, &__inputs, __panic);
+                    }
                 }
             }
         )*
     };
+}
+
+/// Re-panics a failed case of the property seeded by `label`, naming the
+/// case index, each input and the original panic message.
+#[doc(hidden)]
+pub fn fail_case(
+    label: &str,
+    case: u32,
+    inputs: &[String],
+    panic: Box<dyn std::any::Any + Send>,
+) -> ! {
+    let message = (panic.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload");
+    panic!(
+        "{label}: case {case} failed with {}: {message}",
+        inputs.join(", ")
+    )
 }
 
 /// Uniform choice across heterogeneous strategies of one value type.
@@ -498,6 +526,16 @@ mod tests {
             v.push(0);
             prop_assert_ne!(v.len(), 0);
             prop_assert_eq!(v[v.len() - 1], 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[should_panic(expected = "proptest::tests::planted_failure_is_reported: case 0 failed with \
+                                   x = 7, v = [3, 3]: assertion failed: x < 5")]
+        fn planted_failure_is_reported(x in 7u32..8, v in prop::collection::vec(3u8..4, 2)) {
+            prop_assert!(v.len() == 2);
+            prop_assert!(x < 5);
         }
     }
 
